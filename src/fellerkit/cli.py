@@ -25,8 +25,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -58,19 +58,6 @@ _CRITERIA = {
     ),
     "local_times": lambda env, cfg: test_local_times(env),
 }
-
-
-def _apply_threads(n):
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:  # best effort: numpy's BLAS may already be initialized
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(n))
-    except Exception:
-        pass
 
 
 def _json_default(obj):
@@ -280,12 +267,12 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument(
             "--threads", type=int, default=None,
-            help="best-effort cap on BLAS/OpenMP threads",
+            help="accepted and ignored: importing fellerkit has already started BLAS;"
+            " set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS before launch instead",
         )
         p.set_defaults(name=name)
 
     args = parser.parse_args(argv)
-    _apply_threads(args.threads)
     try:
         cfg = load_config(args.config)
         seed = int(cfg.get("seed", 0)) if args.seed is None else int(args.seed)
@@ -309,6 +296,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # anything unexpected is a hard failure, not a crash
+        traceback.print_exc()
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -20,7 +20,7 @@ from scipy import special
 from .envelopes import Envelope
 from .errors import ConfigError, NumericalError
 from .quadrature import IntegralResult, classify_improper, direction_set, surface_area
-from .symbols import SymbolModel, eval_symbol
+from .symbols import SymbolModel, as_points
 
 __all__ = [
     "CriterionReport",
@@ -62,15 +62,6 @@ class CriterionReport:
             "caveats": list(self.caveats),
             "wall_time": self.wall_time,
         }
-
-
-def _as_xi(xi, d: int) -> np.ndarray:
-    arr = np.asarray(xi, dtype=float)
-    if d == 1:
-        arr = arr[..., None]
-    if arr.shape[-1] != d:
-        raise ValueError(f"xi must have last axis of length {d}")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +122,35 @@ def heat_kernel_sup_bound(
 # criteria
 
 
-def _probe_nonnegative(env: Envelope, radii=(0.1, 1.0, 10.0)) -> float:
-    dirs = np.eye(env.dimension)[:1] if env.radial else direction_set(env.dimension)[:8]
-    worst = 0.0
-    for r in radii:
-        for u in dirs:
-            worst = min(worst, env.q_inf(r * u))
-    return worst
+def _directions(env: Envelope, n: int | None = None) -> np.ndarray:
+    """Unit directions for sweeps over spheres: e_1 when the envelope is
+    radial, else every direction of ``direction_set``, or ``n`` of them
+    spread evenly over the whole set."""
+    if env.radial:
+        return np.eye(env.dimension)[:1]
+    dirs = direction_set(env.dimension)
+    return dirs if n is None else dirs[:: max(1, len(dirs) // n)]
+
+
+def _query(query, xi: np.ndarray) -> np.ndarray:
+    """One envelope query at the component-last points ``xi``, shaped
+    ``xi.shape[:-1]``; the reshape drops the trailing unit axis that the
+    elementwise d = 1 reading leaves."""
+    return np.reshape(query(xi), xi.shape[:-1])
+
+
+def _negative_q_inf(criterion: str, env: Envelope, start: float) -> CriterionReport | None:
+    """The "fails" report when q_inf dips below zero on a probe of spheres."""
+    radii = np.array([0.1, 1.0, 10.0])
+    if _query(env.q_inf, radii[:, None, None] * _directions(env, 8)).min() < -1e-10:
+        return CriterionReport(
+            criterion=criterion,
+            verdict="fails",
+            evidence={"note": "q_inf takes negative values; not a symbol envelope"},
+            caveats=env.caveats,
+            wall_time=time.perf_counter() - start,
+        )
+    return None
 
 
 def test_ultracontractivity(
@@ -152,18 +165,14 @@ def test_ultracontractivity(
     The semigroup bound requires the margin to diverge; numerically the
     verdict "holds" needs the margin to clear ``threshold`` at the largest
     radius and to increase across the last ``n_increasing`` radii.  Slow or
-    .ambiguous growth is inconclusive, never "fails".
+    ambiguous growth is inconclusive, never "fails".
     """
     start = time.perf_counter()
     if radii is None:
         radii = np.logspace(1, 6, 6)
     radii = np.asarray(radii, dtype=float)
-    d = env.dimension
-    dirs = np.eye(d)[:1] if env.radial else direction_set(d)
-    margins = []
-    for r in radii:
-        vals = [np.asarray(env.q_inf(r * u)).item() for u in dirs]
-        margins.append(min(vals) / math.log1p(r))
+    q_min = _query(env.q_inf, radii[:, None, None] * _directions(env)).min(axis=1)
+    margins = [float(q) / math.log1p(r) for q, r in zip(q_min, radii)]
     tail = margins[-n_increasing:]
     increasing = all(tail[i + 1] > tail[i] for i in range(len(tail) - 1))
     verdict = "holds" if (increasing and margins[-1] > threshold) else "inconclusive"
@@ -192,14 +201,9 @@ def test_transience(
     unbounded real part, instead of all r > 0.
     """
     start = time.perf_counter()
-    if _probe_nonnegative(env) < -1e-10:
-        return CriterionReport(
-            criterion="transience",
-            verdict="fails",
-            evidence={"note": "q_inf takes negative values; not a symbol envelope"},
-            caveats=env.caveats,
-            wall_time=time.perf_counter() - start,
-        )
+    negative = _negative_q_inf("transience", env, start)
+    if negative is not None:
+        return negative
 
     def integrand(xi):
         q = env.q_inf(xi)
@@ -230,14 +234,9 @@ def test_transience(
 def test_local_times(env: Envelope, *, rel_tol: float = 1e-6) -> CriterionReport:
     """Existence of local times via integrability of 1 / (1 + q_inf) on R^d."""
     start = time.perf_counter()
-    if _probe_nonnegative(env) < -1e-10:
-        return CriterionReport(
-            criterion="local_times",
-            verdict="fails",
-            evidence={"note": "q_inf takes negative values; not a symbol envelope"},
-            caveats=env.caveats,
-            wall_time=time.perf_counter() - start,
-        )
+    negative = _negative_q_inf("local_times", env, start)
+    if negative is not None:
+        return negative
 
     def integrand(xi):
         return 1.0 / (1.0 + env.q_inf(xi))
@@ -308,20 +307,15 @@ class SmallTimeHorizon:
 
 
 def _sector_constant(env: Envelope) -> float:
-    d = env.dimension
-    dirs = np.eye(d)[:1] if env.radial else direction_set(d)[:64]
-    c = 0.0
-    for rho in np.logspace(-2, 2, 17):
-        for u in dirs:
-            xi = rho * u
-            im = np.asarray(env.im_sup(xi)).item()
-            if im <= 1e-12:
-                continue
-            q = np.asarray(env.q_inf(xi)).item()
-            if q <= 0:
-                return math.inf
-            c = max(c, im / q)
-    return c
+    xi = np.logspace(-2, 2, 17)[:, None, None] * _directions(env, 64)
+    im = _query(env.im_sup, xi)
+    active = im > 1e-12
+    if not active.any():
+        return 0.0
+    q = _query(env.q_inf, xi[active])
+    if np.any(q <= 0):
+        return math.inf
+    return float(np.max(im[active] / q))
 
 
 def small_time_horizon(
@@ -341,8 +335,8 @@ def small_time_horizon(
     windows of widths 1/g1 and 1/g2.
     """
     d = env.dimension
-    xiv = _as_xi(xi, d)
-    if xiv.ndim != 1:
+    xiv, lead = as_points(xi, d)
+    if lead:
         raise ValueError("small_time_horizon takes a single frequency")
     c = _sector_constant(env) if sector_constant is None else float(sector_constant)
     if not 0.0 < eps < 1.0 - c:
@@ -352,25 +346,22 @@ def small_time_horizon(
     rho = float(np.linalg.norm(xiv))
     if rho == 0.0:
         raise ConfigError("the horizon is defined for xi != 0")
-    q_i = np.asarray(env.q_inf(xiv)).item()
+    q_i = env.q_inf(xi)
     if q_i <= 0.0:
         raise ConfigError("q_inf(xi) must be positive at the requested frequency")
-    q_s = np.asarray(env.q_sup(xiv)).item()
-    i_s = np.asarray(env.im_sup(xiv)).item()
-    r_s = np.asarray(env.re_sup(xiv)).item()
+    q_s = env.q_sup(xi)
+    i_s = env.im_sup(xi)
+    r_s = env.re_sup(xi)
 
     g1 = eps / (4.0 * rho) * min(q_i / (1.0 + i_s), 1.0)
     g2 = eps / (4.0 * rho) * (q_i / r_s)
     t1 = eps / (8.0 * q_s)
 
+    dirs = _directions(env, 64 if d == 2 else 128)
+
     def window_sup(radius: float) -> float:
-        dirs = np.eye(d)[:1] if env.radial else direction_set(d)[: 64 if d == 2 else 128]
         radii = np.linspace(0.0, radius, sup_resolution)[1:]
-        worst = 0.0
-        for u in dirs:
-            for s in radii:
-                worst = max(worst, np.asarray(env.q_sup(s * u)).item())
-        return worst
+        return float(_query(env.q_sup, radii[:, None, None] * dirs).max(initial=0.0))
 
     c1 = bump_constant(d)
     denom = 2.0 * c1 * q_s * (3.0 * window_sup(1.0 / g1) + window_sup(1.0 / g2))
@@ -514,7 +505,7 @@ def exit_time_bound(
     xis = np.stack(np.meshgrid(*xi_axes, indexing="ij"), axis=-1).reshape(-1, d)
     xis = xis[np.linalg.norm(xis, axis=1) <= 1.0 / r + 1e-12]
 
-    vals = np.abs(eval_symbol(model, ys[:, None, :], xis[None, :, :]))
+    vals = np.abs(model.evaluator(ys[:, None, :], xis[None, :, :]))
     sup = float(vals.max())
     c_u = bump_constant(d, profile)
     raw = c_u * t * sup

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .symbols import StableLikeSpec, SymbolModel
+from .symbols import StableLikeSpec, SymbolModel, as_points
 
 __all__ = ["Envelope", "build_envelope"]
 
@@ -61,8 +61,8 @@ def _golden_minimize(fn, lo: float, hi: float, *, tol: float = 1e-9, max_iter: i
 class Envelope:
     """Callable bundle of the four state-uniform envelope functions.
 
-    Each accepts a point of R^d, or an array whose last axis has length d
-    (plain arrays are taken elementwise when d = 1), and returns floats.
+    Each reads its argument as points by :func:`~fellerkit.symbols.as_points`
+    and returns a Python float for a single point, else an array of floats.
     Instances are immutable by convention; the internal cache only
     memoizes pure queries.
     """
@@ -78,25 +78,17 @@ class Envelope:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def _eval(self, tag: str, fn, xi) -> float | np.ndarray:
-        arr = np.asarray(xi, dtype=float)
-        if self.dimension == 1:
-            arr = arr[..., None]
-        if arr.shape[-1] != self.dimension:
-            raise ValueError(f"xi must have last axis of length {self.dimension}")
-        lead = arr.shape[:-1]
-        flat = arr.reshape(-1, self.dimension)
-        out = np.empty(flat.shape[0])
-        for i, row in enumerate(flat):
+        arr, lead = as_points(xi, self.dimension)
+        out = []
+        for row in arr.reshape(-1, self.dimension):
             key = (tag, row.tobytes())
             hit = self._cache.get(key)
             if hit is None:
                 hit = float(fn(row))
                 if len(self._cache) < 200_000:
                     self._cache[key] = hit
-            out[i] = hit
-        if lead == ():
-            return float(out[0])
-        return out.reshape(lead)
+            out.append(hit)
+        return out[0] if lead == () else np.reshape(out, lead)
 
     def q_inf(self, xi):
         return self._eval("qi", self.q_inf_fn, xi)

@@ -149,7 +149,7 @@ def integrate_radial(
 def _shell_profile(f, d: int, radial: bool):
     """Reduce f on R^d to a radial profile, averaging over directions if needed.
 
-    In d = 1 a point is a scalar (the package's d = 1 convention), so f
+    In d = 1 a single point is a scalar (see ``symbols.as_points``), so f
     gets ``r`` or ``-r`` and the profile returns a Python float.
     """
     if d == 1:
@@ -222,10 +222,10 @@ def classify_improper(
 
     Without ``include_tail`` the domain is the ball |xi| <= radius and only
     the origin can cause divergence; with it the domain is all of R^d and
-    the outward shells are classified as well.  ``f`` takes a point of R^d
-    (a scalar when d = 1, else an array of length d) and returns a float;
-    set ``radial=False`` to average it over a deterministic direction set
-    per shell (both signs when d = 1).
+    the outward shells are classified as well.  ``f`` takes a single point
+    of R^d in the form :func:`fellerkit.symbols.as_points` describes and
+    returns a float; set ``radial=False`` to average it over a
+    deterministic direction set per shell (both signs when d = 1).
 
     Divergence is declared when the trailing RATIO_WINDOW shell
     contributions fail to decrease by more than RATIO_SLACK; convergence

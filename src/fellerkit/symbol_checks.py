@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symbols import SymbolModel, eval_symbol
+from .symbols import SymbolModel, as_points
 
 __all__ = [
     "BoundedCoefficientsCheck",
@@ -28,12 +28,9 @@ __all__ = [
 
 
 def _grid_points(grid, d: int) -> np.ndarray:
-    arr = np.asarray(grid, dtype=float)
-    if d == 1:
-        return arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[1] != d:
-        raise ValueError(f"grid must be (n, {d}) points")
-    return arr
+    """The points of ``grid`` (read by ``as_points``) as an (n, d) array."""
+    pts, _ = as_points(grid, d)
+    return pts.reshape(-1, d)
 
 
 def _ball_grid(radius: float, d: int, per_axis: int) -> np.ndarray:
@@ -66,17 +63,12 @@ def check_bounded_coefficients(
     d = model.dimension
     xs = _grid_points(x_grid, d)
     xis = _grid_points(xi_grid, d)
-    if d == 1:
-        # dimension one is elementwise: strip the component axis before
-        # broadcasting x against xi, or a stray trailing axis survives
-        vals = np.abs(eval_symbol(model, xs[:, 0][:, None], xis[:, 0][None, :]))
-    else:
-        vals = np.abs(eval_symbol(model, xs[:, None, :], xis[None, :, :]))
+    vals = np.abs(model.evaluator(xs[:, None, :], xis[None, :, :]))
     rho = np.sqrt(np.sum(xis * xis, axis=1))
     ratio = vals.max(axis=0) / (1.0 + rho**2)
     c_est = float(ratio.max())
 
-    zero_offset = float(np.max(np.abs(eval_symbol(model, xs, np.zeros((xs.shape[0], d))))))
+    zero_offset = float(np.max(np.abs(model.evaluator(xs, np.zeros((xs.shape[0], d))))))
 
     rmax = rho.max()
     shell_radii, shell_sups = [], []
@@ -128,9 +120,7 @@ def check_sector_condition(
     xis = _grid_points(xi_grid, d)
     keep = np.sqrt(np.sum(xis * xis, axis=1)) > 0
     xis = xis[keep]
-    vals = eval_symbol(model, xs[:, None, :], xis[None, :, :])
-    # dimension one evaluates elementwise with a trailing component axis
-    vals = np.asarray(vals).reshape(xs.shape[0], xis.shape[0])
+    vals = model.evaluator(xs[:, None, :], xis[None, :, :])
     im_sup = np.abs(np.imag(vals)).max(axis=0)
     re_inf = np.real(vals).min(axis=0)
 
@@ -171,7 +161,7 @@ def check_feller_decay(
     for r in radii:
         xg = _ball_grid(float(r), d, x_resolution)
         xig = _ball_grid(1.0 / float(r), d, xi_resolution)
-        vals = np.abs(eval_symbol(model, xg[:, None, :], xig[None, :, :]))
+        vals = np.abs(model.evaluator(xg[:, None, :], xig[None, :, :]))
         sups.append(float(vals.max()))
     decreasing = all(sups[i + 1] <= 1.05 * sups[i] for i in range(len(sups) - 1))
     verdict = "holds" if (decreasing and sups[-1] < tol) else "fails"
@@ -206,10 +196,9 @@ def check_sqrt_subadditivity(
     xs = rng.uniform(-x_range, x_range, size=(n_samples, d))
     a = rng.uniform(-xi_range, xi_range, size=(n_samples, d))
     b = rng.uniform(-xi_range, xi_range, size=(n_samples, d))
-    re = lambda xi: np.sqrt(np.maximum(np.real(eval_symbol(model, xs, xi)), 0.0))
-    # dimension one evaluates elementwise with a trailing component axis
-    lhs = re(a + b).reshape(n_samples)
-    rhs = (re(a) + re(b)).reshape(n_samples)
+    re = lambda xi: np.sqrt(np.maximum(np.real(model.evaluator(xs, xi)), 0.0))
+    lhs = re(a + b)
+    rhs = re(a) + re(b)
     bad = lhs > rhs + tol * (1.0 + rhs)
     if bad.any():
         i = int(np.argmax(bad))

@@ -34,6 +34,7 @@ from scipy import integrate, special
 
 from .errors import ConfigError, NumericalError
 from .expressions import compile_expression
+from .quadrature import surface_area
 
 __all__ = [
     "QuadratureSettings",
@@ -96,13 +97,23 @@ def _coeff_of_x(fn, d: int, extra: tuple[str, ...] = ()):
     return const
 
 
-def _points(v, d: int, name: str) -> np.ndarray:
+def as_points(v, d: int) -> tuple[np.ndarray, tuple]:
+    """Read ``v`` as points of R^d; return ``(points, lead_shape)``.
+
+    This is the package's one rule for points.  In d = 1 an array is read
+    elementwise: every entry is one point, so a scalar is a single point.
+    In higher dimension the last axis holds the d components, and every
+    leading axis indexes points.  ``points`` has shape ``lead_shape + (d,)``.
+    Queries that take points answer with an array of shape ``lead_shape``,
+    or a Python scalar for a single point (``lead_shape == ()``).  A last
+    axis of the wrong length raises ValueError.
+    """
     arr = np.asarray(v, dtype=float)
     if d == 1:
-        return arr[..., None]
+        return arr[..., None], arr.shape
     if arr.ndim == 0 or arr.shape[-1] != d:
-        raise ValueError(f"{name} must have last axis of length {d}")
-    return arr
+        raise ValueError(f"points must have last axis of length {d}")
+    return arr, arr.shape[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +186,14 @@ class SymbolModel:
 def eval_symbol(model: SymbolModel, x, xi):
     """Evaluate p(x, xi).
 
-    ``x`` and ``xi`` broadcast over leading axes; for dimension one they are
-    taken elementwise, in higher dimension the last axis holds components.
-    Returns a complex scalar for scalar input, otherwise a complex array.
+    ``x`` and ``xi`` are read as points by :func:`as_points` and broadcast
+    over their leading shapes.  Returns a Python complex when both are
+    single points, otherwise a complex array of the broadcast shape.
     """
     d = model.dimension
-    xp = _points(x, d, "x")
-    xip = _points(xi, d, "xi")
-    out = model.evaluator(xp, xip)
-    out = np.asarray(out, dtype=complex)
+    xp, _ = as_points(x, d)
+    xip, _ = as_points(xi, d)
+    out = np.asarray(model.evaluator(xp, xip), dtype=complex)
     if out.ndim == 0:
         return complex(out)
     return out
@@ -437,11 +447,8 @@ def subordinate(base: SymbolModel, f, growth_constant: float = 1.0, *, name: str
         raise ConfigError("subordination needs a state-free base exponent")
     d = base.dimension
 
-    probe = np.linspace(-7.3, 7.9, 23)
-    probe_pts = _points(probe, 1, "probe") if d == 1 else np.stack(
-        [probe] * d, axis=-1
-    )
-    base_vals = eval_symbol(base, np.zeros(d), probe_pts)
+    probe = np.stack([np.linspace(-7.3, 7.9, 23)] * d, axis=-1)
+    base_vals = base.evaluator(np.zeros(d), probe)
     if np.max(np.abs(np.imag(base_vals))) > 1e-10 * (1.0 + np.max(np.abs(base_vals))):
         raise ConfigError("subordination needs a real base exponent")
 
@@ -542,10 +549,6 @@ def _sin_defect(v):
     return np.where(small, series, v - np.sin(v))
 
 
-def _surface(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
-
-
 def _quad(f, a, b, **kw):
     opts = dict(_QUAD_OPTS)
     opts.update(kw)
@@ -633,7 +636,7 @@ class _LevyEvaluator:
             return 0.0
         d = self.d
         n = self.density
-        surf = _surface(d)
+        surf = surface_area(d)
         u_hi = self.u_max
 
         def near_side(s: float):
@@ -666,7 +669,7 @@ class _LevyEvaluator:
         """Real jump part for radial densities, any supported dimension."""
         d = self.d
         n = self.density
-        surf = _surface(d)
+        surf = surface_area(d)
         errs = []
         near_fn = lambda u: (
             _one_minus_kernel(d, math.exp(-u) * rho)
@@ -815,11 +818,11 @@ def validate_model(model: SymbolModel, n_samples: int = 200, seed: int = 0, tol:
     d = model.dimension
     xs = rng.uniform(-5.0, 5.0, size=(n_samples, d))
     xis = rng.uniform(-10.0, 10.0, size=(n_samples, d))
-    plus = eval_symbol(model, xs, xis)
-    minus = eval_symbol(model, xs, -xis)
+    plus = model.evaluator(xs, xis)
+    minus = model.evaluator(xs, -xis)
     herm = float(np.max(np.abs(minus - np.conj(plus))))
     min_re = float(np.min(np.real(plus)))
-    zero_off = float(np.max(np.abs(eval_symbol(model, xs, np.zeros((n_samples, d))))))
+    zero_off = float(np.max(np.abs(model.evaluator(xs, np.zeros((n_samples, d))))))
     scale = 1.0 + float(np.max(np.abs(plus)))
     return {
         "hermitian_defect": herm,

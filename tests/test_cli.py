@@ -5,6 +5,8 @@ stderr, and the report files can all be asserted without spawning a shell.
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,20 @@ def analyze_cfg(tmp_path):
         "symbol": {"type": "alpha_stable", "alpha": 0.5},
         "criteria": {"run": ["ultracontractivity", "transience", "local_times"]},
     })
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadmeExample:
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "validate"])
+    def test_readme_config_runs_as_written(self, command, tmp_path):
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        assert len(blocks) == 1
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(blocks[0])
+        rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)])
+        assert rc == 0
 
 
 class TestArgparse:

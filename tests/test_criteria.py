@@ -188,6 +188,21 @@ class TestSmallTimeHorizon:
         rep = fk.small_time_horizon(m, fk.build_envelope(m), 2.0, 0.5)
         assert abs(rep.sector_constant - 0.2) < 1e-12
 
+    def test_three_halves_t2_pin(self, stable_three_halves):
+        # t2 carries bump_constant, which moves by about 1e-10 with the last
+        # bits of the Legendre rule
+        m, env = stable_three_halves
+        rep = fk.small_time_horizon(m, env, 2.0, 0.5)
+        assert rep.t2 == pytest.approx(3.0119056600159107e-05, rel=1e-9)
+
+    def test_sector_constant_sees_every_direction(self):
+        # the drift acts along e_2 only, so the sector constant 0.1 is seen
+        # only by directions near the vertical axis
+        m = fk.alpha_stable(1.0, 2, drift=[0.0, 0.1])
+        rep = fk.small_time_horizon(m, fk.build_envelope(m), [0.0, 2.0], 0.5)
+        assert rep.sector_constant == pytest.approx(0.1, rel=1e-12)
+        assert rep.decay_rate == pytest.approx(0.8, rel=1e-12)
+
     def test_epsilon_validated(self, stable_three_halves):
         m, env = stable_three_halves
         with pytest.raises(fk.ConfigError, match="eps must lie in"):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fellerkit as fk
 
@@ -101,3 +103,83 @@ class TestGridEnvelope:
             fk.build_envelope(
                 band_model, x_domain=[(-3, 3)], tail="wrap", use_closed_form=False
             )
+
+
+def _point_rule_model(kind: str, d: int):
+    if kind == "closed_form":
+        return fk.stable_like_symbol(
+            "1.5 + 0.3*sin(" + ("x" if d == 1 else "x1") + ")", 1.2, 1.8, dimension=d
+        )
+    if kind == "state_free":
+        return fk.alpha_stable(1.3, d, drift=np.linspace(0.1, 0.3, d))
+    xs = ["x"] if d == 1 else [f"x{i + 1}" for i in range(d)]
+    xis = ["xi"] if d == 1 else [f"xi{i + 1}" for i in range(d)]
+    re = f"(1.25 + 0.5*sin({xs[0]})) * ({' + '.join(v + '**2' for v in xis)})"
+    return fk.closed_form_symbol(re, f"0.2*cos({xs[-1]})*{xis[0]}", dimension=d)
+
+
+def _point_rule_envelope(kind: str, d: int):
+    model = _point_rule_model(kind, d)
+    if kind != "grid":
+        return model, fk.build_envelope(model)
+    box = [(0.0, 2.0 * math.pi)] * d
+    return model, fk.build_envelope(
+        model, x_domain=box, resolution=5, tail="periodic", refine_rounds=1
+    )
+
+
+_lead_shapes = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(1, 3)),
+    st.tuples(st.integers(1, 3), st.integers(1, 2)),
+)
+
+
+class TestPointRule:
+    """One rule reads points everywhere: d = 1 arrays elementwise, else the
+    last axis holds the components (``fellerkit.symbols.as_points``)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["closed_form", "state_free", "grid"]),
+        d=st.integers(1, 3),
+        lead=_lead_shapes,
+        data=st.data(),
+    )
+    def test_batch_equals_stacked_single_points(self, kind, d, lead, data):
+        shape = lead if d == 1 else lead + (d,)
+        flat = data.draw(
+            st.lists(
+                st.floats(-5.0, 5.0, allow_nan=False),
+                min_size=math.prod(shape),
+                max_size=math.prod(shape),
+            )
+        )
+        xi = np.array(flat, dtype=float).reshape(shape)
+        for query in ("q_inf", "q_sup"):
+            # separate envelopes, so the batch is computed and not read
+            # back from the single-point cache
+            _, batch_env = _point_rule_envelope(kind, d)
+            model, single_env = _point_rule_envelope(kind, d)
+            batch = getattr(batch_env, query)(xi)
+            singles = [getattr(single_env, query)(xi[idx]) for idx in np.ndindex(*lead)]
+            if lead == ():
+                assert type(batch) is float
+            else:
+                assert batch.shape == lead
+            assert all(type(v) is float for v in singles)
+            assert np.array_equal(np.reshape(batch, -1), np.array(singles))
+
+        point = xi[(0,) * len(lead)]
+        assert type(fk.eval_symbol(model, np.zeros(d) if d > 1 else 0.3, point)) is complex
+
+    @pytest.mark.parametrize("kind", ["closed_form", "state_free", "grid"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_wrong_last_axis_raises(self, kind, d):
+        model, env = _point_rule_envelope(kind, d)
+        for bad in (np.ones(d + 1), np.ones((2, d - 1)), 1.0):
+            for query in (env.q_inf, env.q_sup, env.re_sup, env.im_sup):
+                with pytest.raises(ValueError):
+                    query(bad)
+            with pytest.raises(ValueError):
+                fk.eval_symbol(model, np.zeros(d), bad)
