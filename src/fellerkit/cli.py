@@ -154,13 +154,13 @@ def cmd_analyze(cfg, out_dir: Path) -> dict:
         occ[str(r)] = occupation_bound(env, float(r))
 
     rho = np.geomspace(0.01, 100.0, 61)
+    xi = rho[:, None] * np.eye(env.dimension)[0]
+    q = np.ravel(env.q_inf(xi)).tolist()
+    bound = np.ravel(char_fn_bound(env, 1.0, xi)).tolist()
     curves = []
-    for r in rho:
-        xi = r if env.dimension == 1 else np.concatenate([[r], np.zeros(env.dimension - 1)])
-        curves.append({"curve": "q_inf", "x": float(r), "y": float(env.q_inf(xi))})
-        curves.append(
-            {"curve": "char_bound_t1", "x": float(r), "y": float(char_fn_bound(env, 1.0, xi))}
-        )
+    for r, q_r, bound_r in zip(rho.tolist(), q, bound):
+        curves.append({"curve": "q_inf", "x": r, "y": q_r})
+        curves.append({"curve": "char_bound_t1", "x": r, "y": bound_r})
     for t, v in heat.items():
         curves.append({"curve": "heat_bound", "x": float(t), "y": v})
     _write_csv(out_dir / "curves.csv", ["curve", "x", "y"], _sanitize(curves))

@@ -96,11 +96,9 @@ def heat_kernel_sup_bound(
         raise ConfigError("the density bound needs t > 0")
     d = env.dimension
 
-    def integrand(xi):
-        return math.exp(-(t / 16.0) * env.q_inf(xi))
-
     result = classify_improper(
-        integrand, d, radius=1.0, include_tail=True, radial=env.radial, rel_tol=rel_tol
+        lambda xi: np.exp(-(t / 16.0) * env.q_inf(xi)),
+        d, radius=1.0, include_tail=True, radial=env.radial, rel_tol=rel_tol
     )
     if result.classification == "undetermined":
         raise NumericalError(
@@ -120,6 +118,11 @@ def heat_kernel_sup_bound(
 
 # ---------------------------------------------------------------------------
 # criteria
+
+
+def _reciprocal(q: np.ndarray) -> np.ndarray:
+    """1 / q, and inf where q <= 0 (or is nan), without a divide warning."""
+    return np.divide(1.0, q, out=np.full(np.shape(q), math.inf), where=q > 0)
 
 
 def _directions(env: Envelope, n: int | None = None) -> np.ndarray:
@@ -205,12 +208,9 @@ def test_transience(
     if negative is not None:
         return negative
 
-    def integrand(xi):
-        q = env.q_inf(xi)
-        return 1.0 / q if q > 0 else math.inf
-
     result = classify_improper(
-        integrand, env.dimension, radius=float(r), include_tail=False, radial=env.radial, rel_tol=rel_tol
+        lambda xi: _reciprocal(env.q_inf(xi)),
+        env.dimension, radius=float(r), include_tail=False, radial=env.radial, rel_tol=rel_tol
     )
     if result.classification == "convergent":
         verdict = "holds"
@@ -238,11 +238,9 @@ def test_local_times(env: Envelope, *, rel_tol: float = 1e-6) -> CriterionReport
     if negative is not None:
         return negative
 
-    def integrand(xi):
-        return 1.0 / (1.0 + env.q_inf(xi))
-
     result = classify_improper(
-        integrand, env.dimension, radius=1.0, include_tail=True, radial=env.radial, rel_tol=rel_tol
+        lambda xi: 1.0 / (1.0 + env.q_inf(xi)),
+        env.dimension, radius=1.0, include_tail=True, radial=env.radial, rel_tol=rel_tol
     )
     verdict = "holds" if result.classification == "convergent" else "inconclusive"
     return CriterionReport(
@@ -267,12 +265,8 @@ def occupation_bound(env: Envelope, r: float, *, rel_tol: float = 1e-6, full: bo
         raise ConfigError("radius must be positive")
     d = env.dimension
 
-    def integrand(xi):
-        q = env.q_inf(2.0 * xi)
-        return 1.0 / q if q > 0 else math.inf
-
     result = classify_improper(
-        integrand,
+        lambda xi: _reciprocal(env.q_inf(2.0 * xi)),
         d,
         radius=2.0 * r * math.sqrt(d),
         include_tail=False,

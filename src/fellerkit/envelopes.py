@@ -11,7 +11,7 @@ All uniform bounds in :mod:`fellerkit.criteria` are driven by these.  Three
 construction paths exist: state-free models read the envelope off directly;
 stable-like models have the closed form q_inf(xi) = |xi|^amax for |xi| <= 1
 and |xi|^amin outside (roles swapped for q_sup); everything else is
-minimized over an x grid with golden-section refinement around the grid
+minimized over an x grid with coordinate bracket searches around the grid
 optimum.  Grid envelopes can overstate q_inf when the optimizing x falls
 between grid nodes, so reports built from them carry a caveat.
 """
@@ -29,42 +29,34 @@ from .symbols import StableLikeSpec, SymbolModel, as_points
 
 __all__ = ["Envelope", "build_envelope"]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 GRID_CAVEAT = (
     "grid envelope: extrema searched on a finite x grid with local refinement;"
     " q_inf may be overstated between nodes"
 )
 
+#: most symbol points one evaluator call of a grid envelope may see; larger
+#: chunks run no faster and raise the peak memory
+MAX_EVAL_POINTS = 1 << 13
+#: nodes per bracket-search step along one coordinate
+BRACKET_NODES = 65
 
-def _golden_minimize(fn, lo: float, hi: float, *, tol: float = 1e-9, max_iter: int = 80):
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if b - a < tol * (1.0 + abs(a) + abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc < fd else (d, fd)
+# libm's pow, elementwise: numpy's vectorized power differs from it in the
+# last bit for a few percent of arguments, which would move the closed-form
+# envelope values that reports print
+_libm_pow = np.frompyfunc(math.pow, 2, 1)
 
 
 @dataclass(eq=False)
 class Envelope:
     """Callable bundle of the four state-uniform envelope functions.
 
-    Each reads its argument as points by :func:`~fellerkit.symbols.as_points`
-    and returns a Python float for a single point, else an array of floats.
-    Instances are immutable by convention; the internal cache only
-    memoizes pure queries.
+    Each query reads its argument as points by
+    :func:`~fellerkit.symbols.as_points` and returns a Python float for a
+    single point, else an array of floats.  The functions it wraps
+    (``q_inf_fn`` and so on) take an ``(n, d)`` array of frequencies and
+    return an ``(n,)`` array.  Instances are immutable by convention; the
+    internal cache only memoizes pure queries, and each query computes all
+    of its cache misses in one call.
     """
 
     dimension: int
@@ -79,16 +71,18 @@ class Envelope:
 
     def _eval(self, tag: str, fn, xi) -> float | np.ndarray:
         arr, lead = as_points(xi, self.dimension)
-        out = []
-        for row in arr.reshape(-1, self.dimension):
-            key = (tag, row.tobytes())
-            hit = self._cache.get(key)
-            if hit is None:
-                hit = float(fn(row))
-                if len(self._cache) < 200_000:
-                    self._cache[key] = hit
-            out.append(hit)
-        return out[0] if lead == () else np.reshape(out, lead)
+        rows = arr.reshape(-1, self.dimension)
+        keys = [(tag, row.tobytes()) for row in rows]
+        cache = self._cache
+        # nan marks a miss; a nan value is recomputed, never wrong
+        out = np.array([cache.get(key, math.nan) for key in keys], dtype=float)
+        miss = np.flatnonzero(np.isnan(out))
+        if miss.size:
+            vals = np.asarray(fn(rows[miss]), dtype=float)
+            out[miss] = vals
+            room = max(200_000 - len(cache), 0)
+            cache.update(zip([keys[i] for i in miss[:room]], vals[:room].tolist()))
+        return float(out[0]) if lead == () else out.reshape(lead)
 
     def q_inf(self, xi):
         return self._eval("qi", self.q_inf_fn, xi)
@@ -106,20 +100,19 @@ class Envelope:
 def _stable_closed_form(spec: StableLikeSpec, d: int) -> Envelope:
     amin, amax = spec.alpha_min, spec.alpha_max
 
-    def q_inf(xi):
-        rho = np.linalg.norm(xi)
-        return rho ** (amax if rho <= 1.0 else amin)
+    def band_power(xi, inner: float, outer: float):
+        rho = np.linalg.norm(xi, axis=-1)
+        return _libm_pow(rho, np.where(rho <= 1.0, inner, outer)).astype(float)
 
     def q_sup(xi):
-        rho = np.linalg.norm(xi)
-        return rho ** (amin if rho <= 1.0 else amax)
+        return band_power(xi, amin, amax)
 
     return Envelope(
         dimension=d,
-        q_inf_fn=q_inf,
+        q_inf_fn=lambda xi: band_power(xi, amax, amin),
         q_sup_fn=q_sup,
         re_sup_fn=q_sup,
-        im_sup_fn=lambda xi: 0.0,
+        im_sup_fn=lambda xi: np.zeros(len(xi)),
         provenance=f"closed_form(stable_like, band=[{amin}, {amax}])",
         radial=True,
     )
@@ -130,21 +123,22 @@ def _state_free(model: SymbolModel) -> Envelope:
     origin = np.zeros(d)
 
     def value(xi):
-        return complex(np.asarray(model.evaluator(origin, np.asarray(xi, float)), complex))
+        return np.broadcast_to(np.asarray(model.evaluator(origin, xi), complex), xi.shape[:-1])
 
     return Envelope(
         dimension=d,
         q_inf_fn=lambda xi: value(xi).real,
-        q_sup_fn=lambda xi: abs(value(xi)),
+        q_sup_fn=lambda xi: np.abs(value(xi)),
         re_sup_fn=lambda xi: value(xi).real,
-        im_sup_fn=lambda xi: abs(value(xi).imag),
+        im_sup_fn=lambda xi: np.abs(value(xi).imag),
         provenance="closed_form(state-free)",
         radial=model.radial_in_xi,
     )
 
 
 class _GridOptimizer:
-    """Extremize x -> g(p(x, xi)) over a box grid with golden refinement."""
+    """Extremize x -> g(p(x, xi)) over a box grid with bracket-search
+    refinement, for a batch of frequencies xi at once."""
 
     def __init__(self, model, box, resolution, periodic, refine_rounds=3):
         self.model = model
@@ -152,45 +146,74 @@ class _GridOptimizer:
         self.box = box
         self.periodic = periodic
         self.refine_rounds = refine_rounds
-        axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-        self.axes = axes
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.shape = mesh[0].shape
+        self.axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
+        mesh = np.meshgrid(*self.axes, indexing="ij")
         self.points = np.stack(mesh, axis=-1).reshape(-1, self.d)
 
-    def _refine_axis(self, x, axis, reduce_fn, xi):
-        """One golden-section pass along one coordinate around x."""
+    def _scores(self, x, xi, reduce_fn) -> np.ndarray:
+        """reduce_fn(p(x, xi)) over the broadcast leading shape of x and xi."""
+        shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
+        vals = np.asarray(self.model.evaluator(x, xi), complex)
+        return np.broadcast_to(np.asarray(reduce_fn(vals), float), shape)
+
+    def _sweep(self, x, best, axis, reduce_fn, xi) -> None:
+        """Bracket search along one coordinate around each row of ``x``.
+
+        Each step evaluates BRACKET_NODES equispaced nodes across every
+        live row's bracket, starting from x +- one grid spacing, in one
+        evaluator call, then shrinks the bracket to the neighbours of its
+        best node; a row stops once its bracket [a, b] is narrower than
+        1e-9 (1 + |a| + |b|).  ``x`` and ``best`` move, in place, to any
+        node that beats them.
+        """
         grid = self.axes[axis]
         h = grid[1] - grid[0]
-        lo_box, hi_box = self.box[axis]
-        lo = x[axis] - h
-        hi = x[axis] + h
+        lo, hi = x[:, axis] - h, x[:, axis] + h
         if not self.periodic:
-            lo = max(lo, lo_box)
-            hi = min(hi, hi_box)
+            lo_box, hi_box = self.box[axis]
+            lo, hi = np.maximum(lo, lo_box), np.minimum(hi, hi_box)
+        t = np.linspace(0.0, 1.0, BRACKET_NODES)
+        live = np.arange(len(x))
+        while live.size:
+            a, b = lo[live], hi[live]
+            nodes = a[:, None] + (b - a)[:, None] * t
+            probe = np.repeat(x[live, None, :], BRACKET_NODES, axis=1)
+            probe[:, :, axis] = nodes
+            scores = self._scores(probe, xi[live, None, :], reduce_fn)
+            rows = np.arange(live.size)
+            k = np.argmin(scores, axis=1)
+            found = scores[rows, k]
+            better = found < best[live]
+            best[live[better]] = found[better]
+            x[live[better], axis] = nodes[rows, k][better]
+            a = nodes[rows, np.maximum(k - 1, 0)]
+            b = nodes[rows, np.minimum(k + 1, BRACKET_NODES - 1)]
+            lo[live], hi[live] = a, b
+            live = live[b - a >= 1e-9 * (1.0 + np.abs(a) + np.abs(b))]
 
-        def slice_fn(c):
-            probe = x.copy()
-            probe[axis] = c
-            val = np.asarray(self.model.evaluator(probe, xi), complex)
-            return float(reduce_fn(val))
+    def extremize(self, xi, reduce_fn) -> np.ndarray:
+        """Minimize reduce_fn(p(x, xi)) over x for each row of ``xi``
+        (shape (n, d)); reduce_fn must act elementwise.
 
-        c, fc = _golden_minimize(slice_fn, lo, hi)
-        out = x.copy()
-        out[axis] = c
-        return out, fc
-
-    def extremize(self, xi, reduce_fn) -> float:
-        """Minimize reduce_fn(p(x, xi)) over x; reduce_fn must act elementwise."""
-        vals = np.asarray(self.model.evaluator(self.points, xi[None, :]), complex)
-        scores = np.asarray(reduce_fn(vals), float)
-        best_idx = int(np.argmin(scores))
-        x = self.points[best_idx].copy()
-        best = float(scores[best_idx])
-        for _ in range(self.refine_rounds):
-            for axis in range(self.d):
-                x, val = self._refine_axis(x, axis, reduce_fn, xi)
-                best = min(best, val)
+        The grid pass and the sweeps are chunked so that no evaluator call
+        sees more than about MAX_EVAL_POINTS symbol points.
+        """
+        n = len(xi)
+        x = np.empty((n, self.d))
+        best = np.empty(n)
+        step = max(1, MAX_EVAL_POINTS // len(self.points))
+        for s in range(0, n, step):
+            block = xi[s : s + step]
+            scores = self._scores(self.points[None], block[:, None, :], reduce_fn)
+            k = np.argmin(scores, axis=1)
+            x[s : s + step] = self.points[k]
+            best[s : s + step] = scores[np.arange(len(block)), k]
+        step = max(1, MAX_EVAL_POINTS // BRACKET_NODES)
+        for s in range(0, n, step):
+            chunk = slice(s, s + step)
+            for _ in range(self.refine_rounds):
+                for axis in range(self.d):
+                    self._sweep(x[chunk], best[chunk], axis, reduce_fn, xi[chunk])
         return best
 
 

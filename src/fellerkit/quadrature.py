@@ -8,6 +8,12 @@ j walking into the origin and nonnegative j out to infinity.  Contributions
 of regularly varying integrands form near-geometric sequences, so a ratio
 test on the recorded shells is reliable; anything without clear geometric
 structure is reported as undetermined rather than guessed.
+
+Each shell is integrated with QUADPACK's 21-point Gauss-Kronrod rule and
+its embedded 10-point Gauss rule (qk21), with QUADPACK's error estimate.
+All nodes of all live subintervals of a shell go to the integrand in one
+array call; only the subintervals whose error misses their share of the
+budget are bisected for the next call.
 """
 
 from __future__ import annotations
@@ -149,32 +155,117 @@ def integrate_radial(
 def _shell_profile(f, d: int, radial: bool):
     """Reduce f on R^d to a radial profile, averaging over directions if needed.
 
-    In d = 1 a single point is a scalar (see ``symbols.as_points``), so f
-    gets ``r`` or ``-r`` and the profile returns a Python float.
+    The profile maps an array of radii to an array of values with one call
+    to f: at ``r`` (d = 1), ``r[:, None] * e1`` (radial) or
+    ``r[:, None, None] * dirs`` (every direction of :func:`direction_set`).
     """
     if d == 1:
         if radial:
-            return lambda r: float(f(r))
-        return lambda r: float(np.mean([f(r), f(-r)]))
+            return f
+
+        def both_signs(r):
+            plus, minus = f(r), f(-r)
+            with np.errstate(invalid="ignore"):  # inf - inf: a nonfinite shell
+                return 0.5 * (plus + minus)
+
+        return both_signs
     if radial:
-        e1 = np.zeros(d)
-        e1[0] = 1.0
-        return lambda r: f(r * e1)
+        e1 = np.eye(d)[0]
+        return lambda r: f(r[:, None] * e1)
     dirs = direction_set(d)
 
-    def profile(r):
-        return float(np.mean([f(r * u) for u in dirs]))
+    def direction_mean(r):
+        vals = f(r[:, None, None] * dirs)
+        with np.errstate(invalid="ignore"):
+            return vals.mean(axis=1)
 
-    return profile
+    return direction_mean
+
+
+# QUADPACK's qk21 rule on [-1, 1], rounded to double: per node x >= 0 (the
+# rule is symmetric), the 21-point Kronrod weight and the weight of the
+# embedded 10-point Gauss rule, which is zero on Kronrod-only nodes
+_QK21 = np.array([
+    [0.9956571630258081, 0.011694638867371874, 0.0],
+    [0.9739065285171717, 0.032558162307964725, 0.06667134430868814],
+    [0.9301574913557082, 0.054755896574351995, 0.0],
+    [0.8650633666889845, 0.07503967481091996, 0.1494513491505806],
+    [0.7808177265864169, 0.0931254545836976, 0.0],
+    [0.6794095682990244, 0.10938715880229764, 0.21908636251598204],
+    [0.5627571346686047, 0.12349197626206584, 0.0],
+    [0.4333953941292472, 0.13470921731147334, 0.26926671930999635],
+    [0.2943928627014602, 0.14277593857706009, 0.0],
+    [0.14887433898163122, 0.14773910490133849, 0.29552422471475287],
+    [0.0, 0.1494455540029169, 0.0],
+])
+_GK_NODES = np.concatenate([-_QK21[:10, 0], _QK21[::-1, 0]])
+_GK_WEIGHTS = np.concatenate([_QK21[:10, 1:], _QK21[::-1, 1:]])  # Kronrod, Gauss
+_GK_WK = np.ascontiguousarray(_GK_WEIGHTS[:, 0])
+_EPS = np.finfo(float).eps
+#: a shell is accepted when its summed error estimate is within
+#: max(SHELL_ABS_TOL, SHELL_REL_TOL * |shell integral|)
+SHELL_ABS_TOL = 1e-13
+SHELL_REL_TOL = 1e-9
+#: most subintervals one shell may be cut into
+SHELL_PIECES = 200
+
+
+def _gauss_kronrod(g, lo: np.ndarray, hi: np.ndarray):
+    """qk21 on each [lo_i, hi_i] with one call to ``g``: the Kronrod values
+    and QUADPACK's error estimates, or a nonfinite value and an infinite
+    error where a node value is not finite."""
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_NODES
+    vals = np.reshape(g(nodes.ravel()), nodes.shape)
+    if not np.isfinite(vals).all():
+        with np.errstate(invalid="ignore"):
+            return (vals * _GK_WK).sum(axis=1) * half, np.full(len(half), math.inf)
+    kronrod, gauss = (vals @ _GK_WEIGHTS).T
+    resabs = np.abs(vals) @ _GK_WK
+    resasc = np.abs(vals - 0.5 * kronrod[:, None]) @ _GK_WK
+    err = np.abs(kronrod - gauss)
+    # resasc * min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs
+    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0)
+    err = np.where(resasc > 0, resasc * np.minimum(1.0, ratio**1.5), err)
+    err = np.maximum(err, 50.0 * _EPS * resabs) * half
+    return kronrod * half, err
 
 
 def _shell_integral(profile, d: int, lo: float, hi: float) -> tuple[float, float]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, err = integrate.quad(
-            lambda r: profile(r) * r ** (d - 1), lo, hi, epsabs=1e-13, epsrel=1e-9, limit=200
-        )
-    return surface_area(d) * val, surface_area(d) * err
+    """Integral of profile(r) r^(d-1) over lo <= r <= hi, times the sphere area.
+
+    Every live subinterval of the shell is evaluated in one array call.  The
+    shell is accepted when the summed error estimate meets its budget; else
+    the pieces whose error exceeds their share of the budget (by length)
+    are bisected, up to SHELL_PIECES pieces.  A nonfinite node value gives
+    a nonfinite shell value.
+    """
+
+    def g(r):
+        return profile(r) * r ** (d - 1)
+
+    surf = surface_area(d)
+    los, his = np.array([lo]), np.array([hi])
+    done_val = done_err = 0.0
+    n_done = 0
+    while True:
+        vals, errs = _gauss_kronrod(g, los, his)
+        value = done_val + float(vals.sum())
+        error = done_err + float(errs.sum())
+        budget = max(SHELL_ABS_TOL, SHELL_REL_TOL * abs(value))
+        if error <= budget or not math.isfinite(value):
+            return surf * value, surf * error
+        rejected = errs > budget * (his - los) / (hi - lo)
+        n_rejected = int(rejected.sum())
+        if n_rejected == 0 or n_done + len(los) + n_rejected > SHELL_PIECES:
+            return surf * value, surf * error
+        keep = ~rejected
+        done_val += float(vals[keep].sum())
+        done_err += float(errs[keep].sum())
+        n_done += int(keep.sum())
+        mids = 0.5 * (los[rejected] + his[rejected])
+        los = np.concatenate([los[rejected], mids])
+        his = np.concatenate([mids, his[rejected]])
 
 
 def _nondecreasing(vals) -> bool:
@@ -222,10 +313,15 @@ def classify_improper(
 
     Without ``include_tail`` the domain is the ball |xi| <= radius and only
     the origin can cause divergence; with it the domain is all of R^d and
-    the outward shells are classified as well.  ``f`` takes a single point
-    of R^d in the form :func:`fellerkit.symbols.as_points` describes and
-    returns a float; set ``radial=False`` to average it over a
-    deterministic direction set per shell (both signs when d = 1).
+    the outward shells are classified as well.  ``f`` takes an array of
+    points of R^d in the form :func:`fellerkit.symbols.as_points` describes
+    and returns an array of their leading shape: a 1-D array of radii in
+    d = 1, else radii times e_1 (shape (n, d)), or with ``radial=False``
+    radii times every direction of :func:`direction_set` (shape
+    (n, k, d)), averaged per radius (both signs when d = 1).  Each shell
+    is integrated by the qk21 rule to max(1e-13, 1e-9 |shell|); a
+    nonfinite value of ``f`` at a node makes the shell nonfinite and the
+    integral divergent.
 
     Divergence is declared when the trailing RATIO_WINDOW shell
     contributions fail to decrease by more than RATIO_SLACK; convergence

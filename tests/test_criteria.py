@@ -65,6 +65,16 @@ class TestHeatKernelBound:
         val = fk.heat_kernel_sup_bound(env, 1.0)
         assert val == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-9)
 
+    def test_nonradial_two_dimensional_closed_form(self):
+        # q_inf = xi1^2 + 4 xi2^2 is not radial, so every shell averages
+        # over the full direction set; the Gaussian integral gives
+        # (4 pi)^-2 * pi * 16 / 2 = 1 / (2 pi)
+        model = fk.closed_form_symbol("xi1**2 + 4*xi2**2", dimension=2, radial_in_xi=False)
+        env = fk.build_envelope(model)
+        assert not env.radial
+        val = fk.heat_kernel_sup_bound(env, 1.0)
+        assert val == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-9)
+
     def test_brownian_scaling(self):
         env = fk.build_envelope(fk.brownian(1))
         v01 = fk.heat_kernel_sup_bound(env, 0.1)

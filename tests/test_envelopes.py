@@ -77,6 +77,28 @@ class TestGridEnvelope:
             assert float(grid.q_sup(rho)) == pytest.approx(float(closed.q_sup(rho)), rel=1e-9)
             assert float(grid.re_sup(rho)) == pytest.approx(float(closed.re_sup(rho)), rel=1e-9)
 
+    def test_refinement_finds_a_minimum_between_grid_nodes(self):
+        # the infimum over x sits at x = 3 pi / 2 - 0.1, off the 33-node
+        # grid, where the grid alone overstates q_inf by 3e-3
+        model = fk.closed_form_symbol("(1.25 + 0.5*sin(x + 0.1))*abs(xi)**1.5")
+        env = fk.build_envelope(
+            model, x_domain=[(0.0, 2.0 * math.pi)], resolution=33, tail="periodic"
+        )
+        xi = np.geomspace(0.01, 100.0, 7)
+        np.testing.assert_allclose(env.q_inf(xi), 0.75 * xi**1.5, rtol=1e-9, atol=0.0)
+
+    def test_cache_misses_are_computed_in_one_call(self, band_model):
+        env = fk.build_envelope(band_model)
+        seen = []
+        fn = env.q_inf_fn
+        env.q_inf_fn = lambda xi: seen.append(len(xi)) or fn(xi)
+        first = env.q_inf(np.array([0.5, 2.0, 4.0]))
+        again = env.q_inf(np.array([[4.0, 0.25], [0.5, 8.0]]))
+        assert seen == [3, 2]
+        assert again[0, 0] == first[2] and again[1, 0] == first[0]
+        assert env.q_inf(2.0) == first[1]
+        assert seen == [3, 2]
+
     def test_grid_envelope_carries_caveat(self, band_model):
         grid = fk.build_envelope(
             band_model,

@@ -5,6 +5,7 @@ integral of (1 + |xi|)^(-3/4) over [-1, 1], which is 8 (2^(1/4) - 1).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,30 @@ class TestClassifyImproper:
         assert res.classification == "undetermined"
         assert math.isnan(res.value)
         assert len(res.annulus_trace) == 400
+
+    def test_kink_inside_a_shell_is_resolved(self):
+        # the infinite slope at |xi| = 0.7 sits inside the shell [0.5, 1],
+        # which the shell rule has to bisect to meet its budget:
+        # 2 * integral_0^1 |r - 0.7|^(1/2) dr = (4/3) (0.7^1.5 + 0.3^1.5)
+        res = classify_improper(lambda xi: np.sqrt(np.abs(np.abs(xi) - 0.7)), 1)
+        assert res.classification == "convergent"
+        assert res.value == pytest.approx(4.0 / 3.0 * (0.7**1.5 + 0.3**1.5), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "f, d, radial",
+        [
+            (lambda xi: np.where(np.abs(xi) < 0.3, np.inf, 1.0), 1, True),
+            # +inf and -inf on the two sides: the direction mean is nan
+            (lambda xi: np.where(xi > 0, np.inf, -np.inf), 1, False),
+            (lambda xi: np.where(xi[..., 0] > 0, np.inf, -np.inf), 2, False),
+        ],
+    )
+    def test_nonfinite_node_values_diverge_without_warnings(self, f, d, radial):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = classify_improper(f, d, radial=radial)
+        assert res.classification == "divergent_at_zero"
+        assert res.value == math.inf
 
     def test_nonradial_two_dimensional(self):
         # angular weight 1 + sin^2 averages to 3/2, so the full-plane
