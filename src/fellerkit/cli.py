@@ -10,7 +10,8 @@ Three subcommands share a JSON configuration:
         sample an ensemble, write ensemble.flpe and report.json
 
     fellerkit validate --config cfg.json [--out DIR] [--seed N]
-        simulate and compare empirical statistics against the bounds,
+        simulate step by step, accumulating the empirical statistics
+        without keeping the paths; compare them against the bounds,
         write report.json and margins.csv
 
 Exit codes: 0 success, 2 configuration problems (including bad CLI
@@ -43,13 +44,15 @@ from .criteria import (
     test_ultracontractivity,
 )
 from .empirics import (
-    exit_frequency,
-    occupation_fourier_check,
+    ExitSup,
+    GridSnapshots,
+    OccupationSums,
+    feed,
     validate_char_bound,
 )
 from .ensemble_io import write_ensemble
 from .errors import ConfigError, NumericalError
-from .simulate import simulate_levy, simulate_stable_like
+from .simulate import levy_steps, simulate_levy, simulate_stable_like, stable_like_steps
 
 _CRITERIA = {
     "ultracontractivity": lambda env, cfg: test_ultracontractivity(env),
@@ -109,13 +112,15 @@ def _report_criteria(reports):
     return out
 
 
-def _simulate_from_config(model, cfg, seed):
+def _simulation_from_config(model, cfg, seed, levy, stable_like):
+    """Call ``levy`` or ``stable_like`` (the simulate_* collectors or their
+    step sources, which share signatures) with the config's settings."""
     sim = cfg["simulation"]
     n_paths = int(sim.get("n_paths", 1000))
     t_max = float(sim.get("t_max", 1.0))
     start = sim.get("start")
     if model.kind == "stable_like":
-        return simulate_stable_like(
+        return stable_like(
             model,
             n_paths,
             t_max,
@@ -127,9 +132,7 @@ def _simulate_from_config(model, cfg, seed):
     n_steps = sim.get("n_steps")
     if n_steps is None:
         n_steps = max(1, int(np.ceil(t_max / float(sim.get("h_max", 1e-3)))))
-    return simulate_levy(
-        model, n_paths, t_max, int(n_steps), seed=seed, start=start
-    )
+    return levy(model, n_paths, t_max, int(n_steps), seed=seed, start=start)
 
 
 def cmd_analyze(cfg, out_dir: Path) -> dict:
@@ -177,7 +180,7 @@ def cmd_analyze(cfg, out_dir: Path) -> dict:
 
 def cmd_simulate(cfg, out_dir: Path, seed: int) -> dict:
     model = build_model(cfg["symbol"])
-    ens = _simulate_from_config(model, cfg, seed)
+    ens = _simulation_from_config(model, cfg, seed, simulate_levy, simulate_stable_like)
     digest = write_ensemble(out_dir / "ensemble.flpe", ens)
     return {
         "command": "simulate",
@@ -197,12 +200,26 @@ def cmd_simulate(cfg, out_dir: Path, seed: int) -> dict:
 def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
     model = build_model(cfg["symbol"])
     env = build_envelope_from_config(model, cfg["envelope"])
-    ens = _simulate_from_config(model, cfg, seed)
+    steps = _simulation_from_config(model, cfg, seed, levy_steps, stable_like_steps)
     val = cfg["validation"]
     n_sigma = float(val.get("n_sigma", 3.0))
 
+    # each accumulator rejects its part of the config before the first step
+    # is drawn; no char fn is evaluated at any t when there is no xi
+    snapshots = GridSnapshots(steps, val["t_values"] if val["xi_values"] else [])
+    accumulators = [snapshots]
+    occ_xi = val.get("occupation_xi")
+    if occ_xi:
+        occupation = OccupationSums(steps, occ_xi)
+        accumulators.append(occupation)
+    exits = val.get("exit")
+    if exits:
+        exit_sup = ExitSup(steps, [(float(item["r"]), float(item["t"])) for item in exits])
+        accumulators.append(exit_sup)
+    feed(steps, *accumulators)
+
     report = validate_char_bound(
-        ens, env, val["t_values"], val["xi_values"], n_sigma=n_sigma
+        snapshots.ensemble(), env, val["t_values"], val["xi_values"], n_sigma=n_sigma
     )
     _write_csv(
         out_dir / "margins.csv",
@@ -221,26 +238,22 @@ def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
         },
     }
 
-    occ_xi = val.get("occupation_xi")
     if occ_xi:
-        occ = occupation_fourier_check(ens, env, occ_xi, n_sigma=n_sigma)
+        occ = occupation.report(env, n_sigma)
         payload["occupation_fourier"] = {
             "verdict": occ.verdict,
             "rows": _sanitize(occ.rows),
             "horizon": occ.horizon,
         }
 
-    exits = val.get("exit")
     if exits:
         rows = []
-        for item in exits:
-            r, t = float(item["r"]), float(item["t"])
-            freq = exit_frequency(ens, r, t)
-            bound = exit_time_bound(model, ens.start, r, t)
+        for freq in exit_sup.frequencies():
+            bound = exit_time_bound(model, steps.start, freq.radius, freq.t)
             rows.append(
                 {
-                    "r": r,
-                    "t": t,
+                    "r": freq.radius,
+                    "t": freq.t,
                     "frequency": freq.value,
                     "se": freq.se,
                     "bound": bound.value,

@@ -436,7 +436,7 @@ def bump_constant(d: int, profile=None) -> float:
     surf = surface_area(d)
     rho = np.arange(0.0, rho_max, 0.02)
     hat = np.empty_like(rho)
-    chunk = 4096
+    chunk = 512
     for i in range(0, rho.size, chunk):
         block = rho[i : i + chunk]
         hat[i : i + chunk] = (w * ur) @ kernel(np.outer(r, block))

@@ -3,6 +3,15 @@
 All estimators work on the exact grid times of the ensemble; none of them
 interpolate in time.  Standard errors are plain sample standard errors
 across paths, with a delta-method step where the statistic is a modulus.
+
+The estimators behind ``fellerkit validate`` are accumulators fed one grid
+step ``(k, X_k)`` at a time, so they run on a :class:`PathSteps` source
+without the whole path array ever existing: :class:`GridSnapshots` keeps
+the positions at chosen times for the characteristic-function estimators,
+:class:`ExitSup` the running sup of |X_k - x0| for exit frequencies, and
+:class:`OccupationSums` the discounted Fourier sums of the occupation
+check.  The ensemble functions replay ``positions[:, k, :]`` through the
+same accumulators.
 """
 
 from __future__ import annotations
@@ -16,8 +25,11 @@ import numpy as np
 from .criteria import char_fn_bound, local_time_fourier_bound
 from .envelopes import Envelope
 from .errors import ConfigError
+from .simulate import PathEnsemble
 
 __all__ = [
+    "feed",
+    "GridSnapshots",
     "CharFnEstimate",
     "empirical_char_fn",
     "CharBoundReport",
@@ -29,8 +41,10 @@ __all__ = [
     "LocalTimeEstimate",
     "estimate_local_time",
     "OccupationFourierReport",
+    "OccupationSums",
     "occupation_fourier_check",
     "ExitFrequency",
+    "ExitSup",
     "exit_frequency",
     "TransienceDiagnostic",
     "transience_diagnostic",
@@ -44,6 +58,54 @@ def _as_direction(xi, d: int) -> np.ndarray:
     if v.shape != (d,):
         raise ConfigError(f"xi must be a single frequency of dimension {d}")
     return v
+
+
+def feed(steps, *accumulators) -> None:
+    """Pass every ``(k, X_k)`` of a step source to each accumulator, in
+    step order."""
+    for k, x in steps:
+        for acc in accumulators:
+            acc.update(k, x)
+
+
+def _replay(ens, stop: int | None = None):
+    """The steps 0, ..., stop - 1 of a stored ensemble, as a step source
+    yields them."""
+    for k in range(ens.positions.shape[1] if stop is None else stop):
+        yield k, ens.positions[:, k, :]
+
+
+class GridSnapshots:
+    """The positions at chosen grid times, kept while stepping.
+
+    ``ensemble()`` returns them as a :class:`PathEnsemble` whose grid holds
+    only those times, which :func:`empirical_char_fn` and
+    :func:`validate_char_bound` read like any ensemble.  A time off the
+    source's grid raises :class:`ConfigError` here, before any step.
+    """
+
+    def __init__(self, source, t_values):
+        self._source = source
+        self._wanted = sorted({source.time_index(t) for t in t_values})
+        self._kept = {}
+
+    def update(self, k: int, x: np.ndarray) -> None:
+        if k in self._wanted:
+            self._kept[k] = np.array(x, dtype=float)
+
+    def ensemble(self) -> PathEnsemble:
+        src = self._source
+        if self._wanted:
+            positions = np.stack([self._kept[k] for k in self._wanted], axis=1)
+        else:
+            positions = np.empty((src.n_paths, 0, src.dimension))
+        return PathEnsemble(
+            positions=positions,
+            time_grid=np.asarray(src.time_grid)[self._wanted],
+            start=src.start,
+            scheme=src.scheme,
+            seed_lineage=src.seed_lineage,
+        )
 
 
 @dataclass
@@ -325,6 +387,73 @@ class OccupationFourierReport:
     horizon: float
 
 
+class OccupationSums:
+    """Discounted occupation Fourier sums, accumulated per step.
+
+    For each path and frequency it keeps the real and imaginary parts of
+    mu(xi) = sum_k w_k e^{i xi (X_k - x0)}, where w_k = e^{-t_k} - e^{-t_{k+1}}
+    integrates the discount exactly over the grid cell and the phase is
+    frozen at the cell's left endpoint (w = 0 at the last step).  Memory is
+    O(n_paths x frequencies) whatever the number of steps.  A horizon with
+    e^-T > 1e-6 or a malformed frequency raises :class:`ConfigError` here,
+    before any step.
+    """
+
+    def __init__(self, source, xi_values):
+        horizon = float(source.time_grid[-1])
+        if math.exp(-horizon) > 1e-6:
+            raise ConfigError(
+                f"horizon {horizon} too short: e^-T must be at most 1e-6 (T >= 13.9)"
+            )
+        self.horizon = horizon
+        self.dimension = d = source.dimension
+        self.xi = [_as_direction(xi, d) for xi in xi_values]
+        decay = np.exp(-np.asarray(source.time_grid, dtype=float))
+        self._w = np.zeros(decay.size)
+        self._w[:-1] = decay[:-1] - decay[1:]
+        self._x0 = np.asarray(source.start, dtype=float)
+        self._v = np.reshape(self.xi, (len(self.xi), d))
+        shape = (len(self.xi), source.n_paths)
+        self._re = np.zeros(shape)
+        self._im = np.zeros(shape)
+        self._phase = np.empty(shape)
+        self._term = np.empty(shape)
+
+    def update(self, k: int, x: np.ndarray) -> None:
+        w = self._w[k]
+        np.matmul(self._v, (x - self._x0).T, out=self._phase)
+        for trig, acc in ((np.cos, self._re), (np.sin, self._im)):
+            trig(self._phase, out=self._term)
+            self._term *= w
+            acc += self._term
+
+    def report(self, env: Envelope, n_sigma: float = 3.0) -> OccupationFourierReport:
+        """Mean |mu(xi)|^2 across paths against 16 / (16 + q_inf(xi))."""
+        n = self._re.shape[1]
+        mod2 = self._re**2 + self._im**2
+        rows = []
+        verdict = "holds"
+        for v, m2 in zip(self.xi, mod2):
+            mean = float(m2.mean())
+            se = float(m2.std(ddof=1) / math.sqrt(n))
+            bound = float(local_time_fourier_bound(env, v if self.dimension > 1 else v[0]))
+            ok = mean <= bound + n_sigma * se
+            if not ok:
+                verdict = "fails"
+            rows.append(
+                {
+                    "xi": v.tolist() if self.dimension > 1 else float(v[0]),
+                    "empirical": mean,
+                    "se": se,
+                    "bound": bound,
+                    "ok": ok,
+                }
+            )
+        return OccupationFourierReport(
+            rows=rows, verdict=verdict, n_sigma=n_sigma, horizon=self.horizon
+        )
+
+
 def occupation_fourier_check(
     ens, env: Envelope, xi_values, *, n_sigma: float = 3.0, chunk: int = 1024
 ) -> OccupationFourierReport:
@@ -335,48 +464,15 @@ def occupation_fourier_check(
     requires e^{-T} <= 1e-6 so the truncation is negligible next to Monte
     Carlo noise.  Within each grid cell the discount factor is integrated
     exactly and the phase is frozen at the left endpoint, so at xi = 0 the
-    estimator is exactly (1 - e^{-T})^2 <= 1 with zero variance; a
+    estimator is (1 - e^{-T})^2 <= 1 up to rounding, with zero variance; a
     trapezoid would overshoot there by its convexity bias with no noise to
-    hide behind.
+    hide behind.  The sums are those of :class:`OccupationSums`, fed the
+    stored steps; ``chunk`` is accepted for compatibility and has no
+    effect, since no temporary grows with the number of steps.
     """
-    n, m, d = ens.positions.shape
-    horizon = float(ens.time_grid[-1])
-    if math.exp(-horizon) > 1e-6:
-        raise ConfigError(
-            f"horizon {horizon} too short: e^-T must be at most 1e-6 (T >= 13.9)"
-        )
-    grid = ens.time_grid
-    decay = np.exp(-grid)
-    w = np.zeros(m)
-    w[:-1] = decay[:-1] - decay[1:]
-
-    rows = []
-    verdict = "holds"
-    x0 = np.asarray(ens.start)
-    for xi in xi_values:
-        v = _as_direction(xi, d)
-        mod2 = np.empty(n)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            phase = (ens.positions[lo:hi] - x0) @ v
-            mu = (np.exp(1j * phase) * w).sum(axis=1)
-            mod2[lo:hi] = np.abs(mu) ** 2
-        mean = float(mod2.mean())
-        se = float(mod2.std(ddof=1) / math.sqrt(n))
-        bound = float(local_time_fourier_bound(env, v if d > 1 else v[0]))
-        ok = mean <= bound + n_sigma * se
-        if not ok:
-            verdict = "fails"
-        rows.append(
-            {
-                "xi": v.tolist() if d > 1 else float(v[0]),
-                "empirical": mean,
-                "se": se,
-                "bound": bound,
-                "ok": ok,
-            }
-        )
-    return OccupationFourierReport(rows=rows, verdict=verdict, n_sigma=n_sigma, horizon=horizon)
+    sums = OccupationSums(ens, xi_values)
+    feed(_replay(ens), sums)
+    return sums.report(env, n_sigma)
 
 
 @dataclass
@@ -388,6 +484,45 @@ class ExitFrequency:
     t: float
 
 
+class ExitSup:
+    """Running sup_{j <= k} |X_j - x0| per path, read at the grid times of
+    the requested (radius, time) rows.
+
+    A radius <= 0 or a time off the source's grid raises
+    :class:`ConfigError` here, row by row, before any step.
+    """
+
+    def __init__(self, source, rows):
+        self.rows = []
+        for r, t in rows:
+            if r <= 0:
+                raise ConfigError("radius must be positive")
+            self.rows.append((float(r), float(t), source.time_index(t)))
+        self._read = {idx for _, _, idx in self.rows}
+        self.stop = 1 + max(self._read, default=-1)
+        self._x0 = np.asarray(source.start, dtype=float)
+        self._sup = np.zeros(source.n_paths)
+        self._at = {}
+
+    def update(self, k: int, x: np.ndarray) -> None:
+        if k >= self.stop:
+            return
+        np.maximum(self._sup, np.linalg.norm(x - self._x0, axis=1), out=self._sup)
+        if k in self._read:
+            self._at[k] = self._sup.copy()
+
+    def frequencies(self) -> list:
+        """One :class:`ExitFrequency` per row, in row order."""
+        out = []
+        for r, t, idx in self.rows:
+            hit = self._at[idx] >= r
+            n = hit.size
+            p = float(hit.mean())
+            se = math.sqrt(p * (1.0 - p) / n)
+            out.append(ExitFrequency(value=p, se=se, n_paths=n, radius=r, t=t))
+        return out
+
+
 def exit_frequency(ens, r: float, t: float) -> ExitFrequency:
     """Fraction of paths leaving the ball B(x0, r) by grid time t.
 
@@ -395,16 +530,9 @@ def exit_frequency(ens, r: float, t: float) -> ExitFrequency:
     frequency is a slight underestimate of the continuous-time exit
     probability; comparisons against upper bounds remain valid.
     """
-    if r <= 0:
-        raise ConfigError("radius must be positive")
-    idx = ens.time_index(t)
-    disp = ens.positions[:, : idx + 1, :] - np.asarray(ens.start)
-    sup = np.linalg.norm(disp, axis=2).max(axis=1)
-    hit = sup >= r
-    n = hit.size
-    p = float(hit.mean())
-    se = math.sqrt(p * (1.0 - p) / n)
-    return ExitFrequency(value=p, se=se, n_paths=n, radius=float(r), t=float(t))
+    sup = ExitSup(ens, [(r, t)])
+    feed(_replay(ens, sup.stop), sup)
+    return sup.frequencies()[0]
 
 
 @dataclass

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -47,39 +48,53 @@ def _header_dict(ens) -> dict:
 
 
 def write_ensemble(path, ens) -> str:
-    """Write an ensemble; returns the sha256 hex digest of the file."""
+    """Write an ensemble; returns the sha256 hex digest of the file.
+
+    The positions are written and hashed straight from the array's buffer,
+    without a bytes copy.
+    """
     header = json.dumps(
         _header_dict(ens), sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    body = np.ascontiguousarray(ens.positions, dtype="<f8").tobytes()
-    blob = MAGIC + struct.pack("<II", VERSION, len(header)) + header + body
-    Path(path).write_bytes(blob)
-    return hashlib.sha256(blob).hexdigest()
+    positions = np.ascontiguousarray(ens.positions, dtype="<f8")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for part in (
+            MAGIC + struct.pack("<II", VERSION, len(header)) + header,
+            positions.reshape(-1).view(np.uint8),
+        ):
+            fh.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
 def read_ensemble(path) -> PathEnsemble:
-    blob = Path(path).read_bytes()
-    if len(blob) < 12 or blob[:4] != MAGIC:
-        raise ConfigError(f"{path}: not an ensemble file (bad magic)")
-    version, header_len = struct.unpack("<II", blob[4:12])
-    if version != VERSION:
-        raise ConfigError(f"{path}: unsupported format version {version}")
-    if len(blob) < 12 + header_len:
-        raise ConfigError(f"{path}: truncated header")
-    header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
-    n, m, d = header["n_paths"], header["n_times"], header["dimension"]
-    expected = 12 + header_len + 8 * n * m * d
-    if len(blob) != expected:
-        raise ConfigError(
-            f"{path}: size mismatch, expected {expected} bytes, found {len(blob)}"
-        )
-    positions = (
-        np.frombuffer(blob, dtype="<f8", offset=12 + header_len)
-        .reshape(n, m, d)
-        .astype(float)
-    )
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(12)
+        if len(prefix) < 12 or prefix[:4] != MAGIC:
+            raise ConfigError(f"{path}: not an ensemble file (bad magic)")
+        version, header_len = struct.unpack("<II", prefix[4:12])
+        if version != VERSION:
+            raise ConfigError(f"{path}: unsupported format version {version}")
+        if size < 12 + header_len:
+            raise ConfigError(f"{path}: truncated header")
+        header = json.loads(fh.read(header_len).decode("utf-8"))
+        n, m, d = header["n_paths"], header["n_times"], header["dimension"]
+        expected = 12 + header_len + 8 * n * m * d
+        if size != expected:
+            raise ConfigError(
+                f"{path}: size mismatch, expected {expected} bytes, found {size}"
+            )
+        # read straight into the array; the size check bounds the allocation
+        positions = np.empty((n, m, d), dtype="<f8")
+        got = fh.readinto(positions.reshape(-1).view(np.uint8))
+        if got != positions.nbytes:
+            raise ConfigError(
+                f"{path}: size mismatch, expected {expected} bytes, found {12 + header_len + got}"
+            )
     return PathEnsemble(
-        positions=positions,
+        positions=positions.astype(float, copy=False),
         time_grid=np.asarray(header["time_grid"], dtype=float),
         start=np.asarray(header["start"], dtype=float),
         scheme=header["scheme"],

@@ -15,6 +15,7 @@ from (seed, n_paths, grid) alone and independent of chunking.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +25,15 @@ from .symbols import SymbolModel
 
 __all__ = [
     "PathEnsemble",
+    "PathSteps",
     "SymmetrizedEnsemble",
+    "grid_index",
+    "levy_steps",
     "sample_stable",
     "sample_positive_stable",
     "simulate_levy",
     "simulate_stable_like",
+    "stable_like_steps",
     "symmetrize_paths",
 ]
 
@@ -41,6 +46,17 @@ _STREAM_AUX = 3
 def _step_rng(root_seed: int, purpose: int, step: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(purpose, step))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def grid_index(grid: np.ndarray, t: float) -> int:
+    """Index of t on the grid; exact match required, no interpolation."""
+    idx = int(np.argmin(np.abs(grid - t)))
+    if abs(grid[idx] - t) > 1e-12 * max(1.0, abs(t)):
+        raise ConfigError(
+            f"t = {t} is not a grid time; nearest grid times are"
+            f" {grid[max(0, idx - 1): idx + 2].tolist()}"
+        )
+    return idx
 
 
 @dataclass
@@ -66,15 +82,7 @@ class PathEnsemble:
         return self.positions.shape[2]
 
     def time_index(self, t: float) -> int:
-        """Index of t on the grid; exact match required, no interpolation."""
-        grid = self.time_grid
-        idx = int(np.argmin(np.abs(grid - t)))
-        if abs(grid[idx] - t) > 1e-12 * max(1.0, abs(t)):
-            raise ConfigError(
-                f"t = {t} is not a grid time; nearest grid times are"
-                f" {grid[max(0, idx - 1): idx + 2].tolist()}"
-            )
-        return idx
+        return grid_index(self.time_grid, t)
 
     def at(self, t: float) -> np.ndarray:
         return self.positions[:, self.time_index(t), :]
@@ -170,7 +178,62 @@ def _resolve_grid(t_max: float, n_steps: int | None, h_max: float | None):
     return grid, t_max / n_steps, n_steps
 
 
-def simulate_levy(
+def _start_point(start, d: int) -> np.ndarray:
+    if start is None:
+        return np.zeros(d)
+    return np.broadcast_to(np.asarray(start, dtype=float), (d,)).copy()
+
+
+@dataclass
+class PathSteps:
+    """A simulation delivered one grid step at a time.
+
+    Iterating yields ``(k, X_k)`` for k = 0, ..., n_steps, where X_k has
+    shape (n_paths, dimension) and X_0 is the start point on every path.
+    Each X_k is a fresh array.  Nothing is drawn until iteration starts,
+    and every pass re-runs the simulation from the seed, so two passes
+    yield the same positions.
+    """
+
+    time_grid: np.ndarray
+    start: np.ndarray
+    scheme: str
+    seed_lineage: dict
+    n_paths: int
+    advance: Callable[[int, np.ndarray], np.ndarray]  # (k, X_k) -> X_{k+1}
+
+    @property
+    def dimension(self) -> int:
+        return self.start.shape[0]
+
+    def time_index(self, t: float) -> int:
+        return grid_index(self.time_grid, t)
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        current = np.broadcast_to(self.start, (self.n_paths, self.dimension)).copy()
+        yield 0, current
+        for k in range(len(self.time_grid) - 1):
+            current = self.advance(k, current)
+            yield k + 1, current
+
+    def collect(self) -> PathEnsemble:
+        """Run the simulation and keep every step."""
+        positions = np.empty((self.n_paths, len(self.time_grid), self.dimension))
+        for k, x in self:
+            positions[:, k, :] = x
+        return PathEnsemble(
+            positions=positions,
+            time_grid=self.time_grid,
+            start=self.start,
+            scheme=self.scheme,
+            seed_lineage=self.seed_lineage,
+        )
+
+
+_EXACT_FAMILIES = ("brownian", "alpha_stable", "compound_poisson", "zero")
+
+
+def levy_steps(
     model: SymbolModel,
     n_paths: int,
     t_max: float,
@@ -178,30 +241,20 @@ def simulate_levy(
     *,
     seed: int = 0,
     start=None,
-) -> PathEnsemble:
-    """Exact-in-law sampling for the built-in state-free families.
-
-    Supported families: brownian, alpha_stable (cauchy is alpha = 1),
-    compound_poisson, zero.  Each step draws increments from the true
-    marginal law, so the scheme introduces no time-discretization bias.
-    """
+) -> PathSteps:
+    """Step source of :func:`simulate_levy`; the arguments are the same."""
     data = model.eval_data
     if model.kind != "closed_form" or not isinstance(data, dict) or "family" not in data:
         raise ConfigError("exact simulation needs one of the built-in Levy families")
     family = data["family"]
     d = model.dimension
     grid, h, n_steps = _resolve_grid(t_max, n_steps, None)
-    x0 = (
-        np.zeros(d)
-        if start is None
-        else np.broadcast_to(np.asarray(start, dtype=float), (d,)).copy()
-    )
-
-    positions = np.empty((n_paths, n_steps + 1, d))
-    positions[:, 0, :] = x0
+    x0 = _start_point(start, d)
+    if family not in _EXACT_FAMILIES:
+        raise ConfigError(f"no exact sampler for family '{family}'")
     drift = data.get("drift")
 
-    for k in range(n_steps):
+    def advance(k: int, current: np.ndarray) -> np.ndarray:
         rng = _step_rng(seed, _STREAM_MAIN, k)
         if family == "brownian":
             inc = np.sqrt(2.0 * h) * rng.standard_normal((n_paths, d))
@@ -219,20 +272,70 @@ def simulate_levy(
             inc = (data["jump_mean"] * counts + data["jump_std"] * np.sqrt(counts) * z)[
                 :, None
             ]
-        elif family == "zero":
+        else:  # zero
             inc = np.zeros((n_paths, d))
-        else:
-            raise ConfigError(f"no exact sampler for family '{family}'")
         if drift is not None:
             inc = inc + h * np.asarray(drift)
-        positions[:, k + 1, :] = positions[:, k, :] + inc
+        return current + inc
 
-    return PathEnsemble(
-        positions=positions,
+    return PathSteps(
         time_grid=grid,
         start=x0,
         scheme="exact_increments",
         seed_lineage={"root_seed": int(seed), "streams": "per-step philox"},
+        n_paths=n_paths,
+        advance=advance,
+    )
+
+
+def simulate_levy(
+    model: SymbolModel,
+    n_paths: int,
+    t_max: float,
+    n_steps: int,
+    *,
+    seed: int = 0,
+    start=None,
+) -> PathEnsemble:
+    """Exact-in-law sampling for the built-in state-free families.
+
+    Supported families: brownian, alpha_stable (cauchy is alpha = 1),
+    compound_poisson, zero.  Each step draws increments from the true
+    marginal law, so the scheme introduces no time-discretization bias.
+    """
+    return levy_steps(model, n_paths, t_max, n_steps, seed=seed, start=start).collect()
+
+
+def stable_like_steps(
+    model: SymbolModel,
+    n_paths: int,
+    t_max: float,
+    *,
+    n_steps: int | None = None,
+    h_max: float = 1e-3,
+    seed: int = 0,
+    start=None,
+) -> PathSteps:
+    """Step source of :func:`simulate_stable_like`; the arguments are the
+    same."""
+    if model.kind != "stable_like":
+        raise ConfigError("this scheme is for stable-like models")
+    spec = model.eval_data
+    d = model.dimension
+    grid, h, n_steps = _resolve_grid(t_max, n_steps, h_max)
+
+    def advance(k: int, current: np.ndarray) -> np.ndarray:
+        rng = _step_rng(seed, _STREAM_MAIN, k)
+        a = np.asarray(spec.alpha(current), dtype=float)
+        return current + _isotropic_stable_increment(a, h, n_paths, d, rng)
+
+    return PathSteps(
+        time_grid=grid,
+        start=_start_point(start, d),
+        scheme="euler_frozen",
+        seed_lineage={"root_seed": int(seed), "streams": "per-step philox"},
+        n_paths=n_paths,
+        advance=advance,
     )
 
 
@@ -254,34 +357,9 @@ def simulate_stable_like(
     the freezing bias small relative to Monte Carlo noise at the ensemble
     sizes used for validation.
     """
-    if model.kind != "stable_like":
-        raise ConfigError("this scheme is for stable-like models")
-    spec = model.eval_data
-    d = model.dimension
-    grid, h, n_steps = _resolve_grid(t_max, n_steps, h_max)
-    x0 = (
-        np.zeros(d)
-        if start is None
-        else np.broadcast_to(np.asarray(start, dtype=float), (d,)).copy()
-    )
-
-    positions = np.empty((n_paths, n_steps + 1, d))
-    positions[:, 0, :] = x0
-    current = np.broadcast_to(x0, (n_paths, d)).copy()
-
-    for k in range(n_steps):
-        rng = _step_rng(seed, _STREAM_MAIN, k)
-        a = np.asarray(spec.alpha(current), dtype=float)
-        current = current + _isotropic_stable_increment(a, h, n_paths, d, rng)
-        positions[:, k + 1, :] = current
-
-    return PathEnsemble(
-        positions=positions,
-        time_grid=grid,
-        start=x0,
-        scheme="euler_frozen",
-        seed_lineage={"root_seed": int(seed), "streams": "per-step philox"},
-    )
+    return stable_like_steps(
+        model, n_paths, t_max, n_steps=n_steps, h_max=h_max, seed=seed, start=start
+    ).collect()
 
 
 @dataclass

@@ -4,14 +4,19 @@ Everything runs in process through cli.main(argv), so exit codes, stdout,
 stderr, and the report files can all be asserted without spawning a shell.
 """
 
+import csv
 import json
+import math
 import re
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fellerkit as fk
 import fellerkit.cli as cli
+from fellerkit.config import build_envelope_from_config, build_model, load_config
 
 
 def write_cfg(tmp_path, name, payload):
@@ -274,3 +279,134 @@ class TestFailureExitCodes:
         rc = cli.main(["analyze", "--config", analyze_cfg, "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "error: RuntimeError: kaput" in capsys.readouterr().err
+
+
+def validate_cfg(tmp_path, symbol, simulation, validation, name="val.json"):
+    return write_cfg(tmp_path, name, {
+        "symbol": symbol, "simulation": simulation, "validation": validation, "seed": 2,
+    })
+
+
+class TestValidateStreams:
+    """`validate` consumes the simulation step by step; its rows must be
+    those of the estimators run on the stored ensemble."""
+
+    VALIDATION = {
+        "t_values": [0.25, 1.0], "xi_values": [0.5, 2.0],
+        "exit": [{"r": 0.5, "t": 0.25}, {"r": 1.0, "t": 1.0}, {"r": 0.75, "t": 0.25}],
+        "occupation_xi": [0.0, 1.0, 2.0],
+    }
+    STABLE_LIKE = {
+        "type": "stable_like", "alpha": "1.5 + 0.3*sin(x)",
+        "alpha_min": 1.2, "alpha_max": 1.8,
+    }
+
+    @pytest.mark.parametrize("symbol", [{"type": "brownian"}, STABLE_LIKE])
+    def test_rows_match_the_stored_ensemble(self, symbol, tmp_path):
+        simulation = {"n_paths": 300, "t_max": 14.0, "h_max": 1.0 / 64.0}
+        cfg = validate_cfg(tmp_path, symbol, simulation, self.VALIDATION)
+        out = tmp_path / "out"
+        assert cli.main(["validate", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+
+        loaded = load_config(cfg)
+        model = build_model(loaded["symbol"])
+        env = build_envelope_from_config(model, loaded["envelope"])
+        if symbol["type"] == "stable_like":
+            ens = fk.simulate_stable_like(model, 300, 14.0, h_max=1.0 / 64.0, seed=2)
+        else:
+            ens = fk.simulate_levy(model, 300, 14.0, 14 * 64, seed=2)
+        val = self.VALIDATION
+
+        char = fk.validate_char_bound(ens, env, val["t_values"], val["xi_values"])
+        with open(out / "margins.csv", newline="") as fh:
+            margins = list(csv.DictReader(fh))
+        assert len(margins) == len(char.rows)
+        for got, want in zip(margins, char.rows):
+            for key in ("t", "xi", "bound", "empirical_abs", "se", "margin"):
+                assert float(got[key]) == want[key]
+            assert got["ok"] == str(want["ok"])
+        assert rep["char_bound"]["verdict"] == char.verdict
+
+        for got, item in zip(rep["exit_frequencies"], val["exit"]):
+            want = fk.exit_frequency(ens, item["r"], item["t"])
+            assert (got["frequency"], got["se"]) == (want.value, want.se)
+            # the running sup against a max over the stored prefix
+            k = ens.time_index(item["t"])
+            sup = np.linalg.norm(ens.positions[:, : k + 1, :] - ens.start, axis=2).max(axis=1)
+            assert want.value == float(np.mean(sup >= item["r"]))
+
+        # reference: complex exponentials summed over the whole path array
+        decay = np.exp(-ens.time_grid)
+        w = np.append(decay[:-1] - decay[1:], 0.0)
+        occ = rep["occupation_fourier"]
+        verdict = "holds"
+        for row, xi in zip(occ["rows"], val["occupation_xi"]):
+            mu = (np.exp(1j * (ens.positions[:, :, 0] - ens.start[0]) * xi) * w).sum(axis=1)
+            mod2 = np.abs(mu) ** 2
+            mean = float(mod2.mean())
+            se = float(mod2.std(ddof=1) / math.sqrt(mod2.size))
+            assert row["empirical"] == pytest.approx(mean, rel=1e-12)
+            # the xi = 0 row has zero variance up to rounding
+            assert row["se"] == pytest.approx(se, rel=1e-12, abs=1e-15)
+            assert row["bound"] == fk.local_time_fourier_bound(env, xi)
+            assert row["ok"] == (mean <= row["bound"] + 3.0 * se)
+            verdict = verdict if row["ok"] else "fails"
+        assert occ["verdict"] == verdict
+
+    def test_memory_does_not_grow_with_the_path_array(self, tmp_path):
+        simulation = {"n_paths": 2000, "t_max": 16.0, "n_steps": 2048}
+        cfg = validate_cfg(tmp_path, {"type": "brownian"}, simulation, self.VALIDATION)
+        positions_nbytes = 2000 * 2049 * 8
+        # the bump constant's transform blocks are its own, not the stream's
+        fk.bump_constant(1)
+        tracemalloc.start()
+        try:
+            rc = cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < positions_nbytes / 4
+
+
+class TestValidateRejectsBeforeSimulating:
+    """Config errors that the grid alone decides are raised before the first
+    step is drawn, with the messages and in the order they always had."""
+
+    BASE = {"t_values": [0.25], "xi_values": [1.0], "exit": [{"r": 0.5, "t": 0.25}],
+            "occupation_xi": [1.0]}
+    OFF_GRID = "t = 0.123 is not a grid time; nearest grid times are [0.11, 0.12, 0.13]"
+    OFF_GRID_EXIT = "t = 0.3333 is not a grid time; nearest grid times are [0.32, 0.33, 0.34]"
+    HORIZON = "horizon 5.0 too short: e^-T must be at most 1e-6 (T >= 13.9)"
+
+    @pytest.fixture(autouse=True)
+    def no_steps(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("a step was drawn")
+
+        monkeypatch.setattr(fk.simulate.PathSteps, "__iter__", fail)
+
+    @pytest.mark.parametrize("t_max, override, message", [
+        (14.0, {"t_values": [0.25, 0.123]}, OFF_GRID),
+        (14.0, {"exit": [{"r": 0.5, "t": 0.25}, {"r": 1.0, "t": 0.3333}]}, OFF_GRID_EXIT),
+        (14.0, {"exit": [{"r": 0.0, "t": 0.25}]}, "radius must be positive"),
+        (5.0, {}, HORIZON),
+        # order: char-bound times, then the horizon, then exit rows in turn
+        (5.0, {"t_values": [0.123], "exit": [{"r": -1.0, "t": 0.3333}]}, OFF_GRID),
+        (5.0, {"exit": [{"r": -1.0, "t": 0.25}]}, HORIZON),
+        (14.0, {"exit": [{"r": 1.0, "t": 0.3333}, {"r": -1.0, "t": 0.25}]}, OFF_GRID_EXIT),
+    ])
+    def test_bad_config_exits_2_without_a_step(self, t_max, override, message, tmp_path, capsys):
+        simulation = {"n_paths": 50, "t_max": t_max, "h_max": 0.01}
+        cfg = validate_cfg(tmp_path, {"type": "brownian"}, simulation, {**self.BASE, **override})
+        rc = cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_a_good_config_reaches_the_steps(self, tmp_path, capsys):
+        simulation = {"n_paths": 50, "t_max": 14.0, "h_max": 0.01}
+        cfg = validate_cfg(tmp_path, {"type": "brownian"}, simulation, self.BASE)
+        rc = cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "error: AssertionError: a step was drawn" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Binary ensemble files: round trips, checksums, corruption handling, CSV export."""
 
+import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -38,6 +40,15 @@ def test_digest_is_reproducible(stored, small_ensemble, tmp_path):
     again = fk.write_ensemble(tmp_path / "copy.flpe", small_ensemble)
     assert again == digest
     assert fk.file_checksum(path) == digest
+
+
+def test_file_is_the_documented_layout(stored, small_ensemble):
+    path, digest = stored
+    blob = path.read_bytes()
+    version, header_len = struct.unpack("<II", blob[4:12])
+    assert blob[:4] == b"FLPE" and version == 1
+    assert blob[12 + header_len :] == small_ensemble.positions.astype("<f8").tobytes()
+    assert digest == hashlib.sha256(blob).hexdigest()
 
 
 def test_different_seeds_give_different_files(tmp_path):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import fellerkit as fk
+import fellerkit.simulate as sim
 from fellerkit import ConfigError
 
 
@@ -127,6 +128,24 @@ class TestDeterminism:
         e3 = fk.simulate_levy(m, 64, 1.0, 16, seed=10)
         assert np.array_equal(e1.positions, e2.positions)
         assert not np.array_equal(e1.positions, e3.positions)
+
+    def test_step_source_matches_a_path_array_loop(self):
+        """The stable-like step source draws what a loop writing into a
+        stored path array draws, bit for bit, on every pass."""
+        model = fk.stable_like_symbol("1.5 + 0.3*sin(x)", 1.2, 1.8)
+        n, t_max, n_steps = 64, 0.05, 5
+        steps = sim.stable_like_steps(model, n, t_max, n_steps=n_steps, seed=9, start=0.1)
+        ref = np.empty((n, n_steps + 1, 1))
+        ref[:, 0, :] = 0.1
+        for k in range(n_steps):
+            current = ref[:, k, :].copy()
+            a = np.asarray(model.eval_data.alpha(current), dtype=float)
+            rng = sim._step_rng(9, sim._STREAM_MAIN, k)
+            ref[:, k + 1, :] = current + sim._isotropic_stable_increment(
+                a, t_max / n_steps, n, 1, rng
+            )
+        assert np.array_equal(steps.collect().positions, ref)
+        assert np.array_equal(np.stack([x for _, x in steps], axis=1), ref)
 
 
 class TestStableLikeScheme:
