@@ -56,9 +56,7 @@ from .simulate import levy_steps, simulate_levy, simulate_stable_like, stable_li
 
 _CRITERIA = {
     "ultracontractivity": lambda env, cfg: test_ultracontractivity(env),
-    "transience": lambda env, cfg: test_transience(
-        env, cfg.get("transience_radius", 1.0)
-    ),
+    "transience": lambda env, cfg: test_transience(env, cfg["transience_radius"]),
     "local_times": lambda env, cfg: test_local_times(env),
 }
 
@@ -116,8 +114,8 @@ def _simulation_from_config(model, cfg, seed, levy, stable_like):
     """Call ``levy`` or ``stable_like`` (the simulate_* collectors or their
     step sources, which share signatures) with the config's settings."""
     sim = cfg["simulation"]
-    n_paths = int(sim.get("n_paths", 1000))
-    t_max = float(sim.get("t_max", 1.0))
+    n_paths = int(sim["n_paths"])
+    t_max = float(sim["t_max"])
     start = sim.get("start")
     if model.kind == "stable_like":
         return stable_like(
@@ -125,13 +123,13 @@ def _simulation_from_config(model, cfg, seed, levy, stable_like):
             n_paths,
             t_max,
             n_steps=sim.get("n_steps"),
-            h_max=float(sim.get("h_max", 1e-3)),
+            h_max=float(sim["h_max"]),
             seed=seed,
             start=start,
         )
     n_steps = sim.get("n_steps")
     if n_steps is None:
-        n_steps = max(1, int(np.ceil(t_max / float(sim.get("h_max", 1e-3)))))
+        n_steps = max(1, int(np.ceil(t_max / float(sim["h_max"]))))
     return levy(model, n_paths, t_max, int(n_steps), seed=seed, start=start)
 
 
@@ -140,14 +138,14 @@ def cmd_analyze(cfg, out_dir: Path) -> dict:
     env = build_envelope_from_config(model, cfg["envelope"])
     crit_cfg = cfg["criteria"]
     reports = []
-    for name in crit_cfg.get("run", []):
+    for name in crit_cfg["run"]:
         if name not in _CRITERIA:
             raise ConfigError(
                 f"unknown criterion '{name}'; known: {sorted(_CRITERIA)}"
             )
         reports.append(_CRITERIA[name](env, crit_cfg))
 
-    heat_times = [float(t) for t in crit_cfg.get("heat_times", [])]
+    heat_times = [float(t) for t in crit_cfg["heat_times"]]
     heat = {}
     for t in heat_times:
         heat[str(t)] = heat_kernel_sup_bound(env, t, rel_tol=cfg["tolerances"]["rel_tol"])
@@ -202,7 +200,7 @@ def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
     env = build_envelope_from_config(model, cfg["envelope"])
     steps = _simulation_from_config(model, cfg, seed, levy_steps, stable_like_steps)
     val = cfg["validation"]
-    n_sigma = float(val.get("n_sigma", 3.0))
+    n_sigma = float(val["n_sigma"])
 
     # each accumulator rejects its part of the config before the first step
     # is drawn; no char fn is evaluated at any t when there is no xi
@@ -288,7 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        seed = int(cfg.get("seed", 0)) if args.seed is None else int(args.seed)
+        seed = int(cfg["seed"]) if args.seed is None else int(args.seed)
         out_dir = Path(args.out if args.out is not None else cfg["output"]["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.name == "analyze":

@@ -104,104 +104,62 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _levy(dimension=1, x_dependent=True, name="levy", **chars) -> SymbolModel:
+    return levy_symbol(
+        LevyCharacteristics(**chars), dimension, x_dependent=x_dependent, name=name
+    )
+
+
+def _subordinate(base, bernstein, growth_constant=1.0, name=None) -> SymbolModel:
+    return subordinate(build_model(base), bernstein, growth_constant, name=name)
+
+
+# symbol type -> (required keys, optional keys, builder); build_model checks
+# the keys, then calls the builder with the section's other entries as
+# keyword arguments, so an omitted optional key takes the builder's default
+_SYMBOL_TYPES = {
+    "brownian": ((), ("dimension", "drift"), brownian),
+    "alpha_stable": (("alpha",), ("dimension", "drift"), alpha_stable),
+    "cauchy": ((), ("dimension",), cauchy),
+    "compound_poisson": (("rate",), ("jump_mean", "jump_std", "dimension"), compound_poisson),
+    "zero": ((), ("dimension",), zero_symbol),
+    "stable_like": (
+        ("alpha", "alpha_min", "alpha_max"), ("dimension", "smooth", "name"), stable_like_symbol
+    ),
+    "closed_form": (
+        ("re",),
+        ("im", "dimension", "radial_in_xi", "conservative", "name", "x_dependent"),
+        closed_form_symbol,
+    ),
+    "levy": (
+        (),
+        (
+            "kill", "drift", "diffusion", "jump_density", "singularity_exponent",
+            "radial", "symmetric", "dimension", "x_dependent", "name",
+        ),
+        _levy,
+    ),
+    "subordinate": (("base", "bernstein"), ("growth_constant", "name"), _subordinate),
+    "symmetrize": (("base",), (), lambda base: symmetrize(build_model(base))),
+}
+
+
 def build_model(symbol_cfg: dict) -> SymbolModel:
     """Construct the process model described by the symbol section."""
     if not isinstance(symbol_cfg, dict):
         raise ConfigError("the symbol section must be an object")
     kind = _require(symbol_cfg, "type", "the symbol section")
+    if not isinstance(kind, str) or kind not in _SYMBOL_TYPES:
+        raise ConfigError(
+            f"unknown symbol type '{kind}'; known types: {', '.join(_SYMBOL_TYPES)}"
+        )
+    required, optional, builder = _SYMBOL_TYPES[kind]
     body = {k: v for k, v in symbol_cfg.items() if k != "type"}
     where = f"symbol type '{kind}'"
-
-    if kind == "brownian":
-        _check_keys(body, {"dimension", "drift"}, where)
-        return brownian(body.get("dimension", 1), body.get("drift"))
-    if kind == "alpha_stable":
-        _check_keys(body, {"alpha", "dimension", "drift"}, where)
-        return alpha_stable(
-            _require(body, "alpha", where), body.get("dimension", 1), body.get("drift")
-        )
-    if kind == "cauchy":
-        _check_keys(body, {"dimension"}, where)
-        return cauchy(body.get("dimension", 1))
-    if kind == "compound_poisson":
-        _check_keys(body, {"rate", "jump_mean", "jump_std", "dimension"}, where)
-        return compound_poisson(
-            _require(body, "rate", where),
-            body.get("jump_mean", 0.0),
-            body.get("jump_std", 1.0),
-            body.get("dimension", 1),
-        )
-    if kind == "zero":
-        _check_keys(body, {"dimension"}, where)
-        return zero_symbol(body.get("dimension", 1))
-    if kind == "stable_like":
-        _check_keys(
-            body, {"alpha", "alpha_min", "alpha_max", "dimension", "smooth", "name"}, where
-        )
-        return stable_like_symbol(
-            _require(body, "alpha", where),
-            _require(body, "alpha_min", where),
-            _require(body, "alpha_max", where),
-            body.get("dimension", 1),
-            smooth=body.get("smooth", True),
-            name=body.get("name", "stable-like"),
-        )
-    if kind == "closed_form":
-        _check_keys(
-            body,
-            {"re", "im", "dimension", "radial_in_xi", "conservative", "name", "x_dependent"},
-            where,
-        )
-        return closed_form_symbol(
-            _require(body, "re", where),
-            body.get("im"),
-            dimension=body.get("dimension", 1),
-            x_dependent=body.get("x_dependent"),
-            radial_in_xi=body.get("radial_in_xi", False),
-            conservative=body.get("conservative", True),
-            name=body.get("name", "closed-form"),
-        )
-    if kind == "levy":
-        _check_keys(
-            body,
-            {
-                "kill", "drift", "diffusion", "jump_density", "singularity_exponent",
-                "radial", "symmetric", "dimension", "x_dependent", "name",
-            },
-            where,
-        )
-        chars = LevyCharacteristics(
-            kill=body.get("kill", 0.0),
-            drift=body.get("drift", 0.0),
-            diffusion=body.get("diffusion", 0.0),
-            jump_density=body.get("jump_density"),
-            singularity_exponent=body.get("singularity_exponent", 1.0),
-            radial=body.get("radial", False),
-            symmetric=body.get("symmetric", False),
-        )
-        return levy_symbol(
-            chars,
-            body.get("dimension", 1),
-            x_dependent=body.get("x_dependent", True),
-            name=body.get("name", "levy"),
-        )
-    if kind == "subordinate":
-        _check_keys(body, {"base", "bernstein", "growth_constant", "name"}, where)
-        base = build_model(_require(body, "base", where))
-        return subordinate(
-            base,
-            _require(body, "bernstein", where),
-            body.get("growth_constant", 1.0),
-            name=body.get("name"),
-        )
-    if kind == "symmetrize":
-        _check_keys(body, {"base"}, where)
-        return symmetrize(build_model(_require(body, "base", where)))
-    raise ConfigError(
-        f"unknown symbol type '{kind}'; known types: brownian, alpha_stable,"
-        " cauchy, compound_poisson, zero, stable_like, closed_form, levy,"
-        " subordinate, symmetrize"
-    )
+    _check_keys(body, required + optional, where)
+    for key in required:
+        _require(body, key, where)
+    return builder(**body)
 
 
 def build_envelope_from_config(model: SymbolModel, env_cfg: dict) -> Envelope:

@@ -20,6 +20,7 @@ from scipy import special
 from .envelopes import Envelope
 from .errors import ConfigError, NumericalError
 from .quadrature import IntegralResult, classify_improper, direction_set, surface_area
+from .symbol_checks import ball_sup
 from .symbols import SymbolModel, as_points
 
 __all__ = [
@@ -488,19 +489,7 @@ def exit_time_bound(
     d = model.dimension
     if resolution is None:
         resolution = 65 if d == 1 else 17
-    x0 = np.asarray(x, dtype=float).reshape(d)
-
-    axes = [np.linspace(-r, r, resolution)] * d
-    offs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    offs = offs[np.linalg.norm(offs, axis=1) <= r + 1e-12]
-    ys = x0[None, :] + offs
-
-    xi_axes = [np.linspace(-1.0 / r, 1.0 / r, resolution)] * d
-    xis = np.stack(np.meshgrid(*xi_axes, indexing="ij"), axis=-1).reshape(-1, d)
-    xis = xis[np.linalg.norm(xis, axis=1) <= 1.0 / r + 1e-12]
-
-    vals = np.abs(model.evaluator(ys[:, None, :], xis[None, :, :]))
-    sup = float(vals.max())
+    sup = ball_sup(model, x, r, resolution, resolution)
     c_u = bump_constant(d, profile)
     raw = c_u * t * sup
     return ExitTimeBound(raw=raw, value=min(1.0, max(0.0, raw)), c_u=c_u, sup_symbol=sup)

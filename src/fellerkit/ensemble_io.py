@@ -21,7 +21,6 @@ import hashlib
 import json
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +31,8 @@ __all__ = ["write_ensemble", "read_ensemble", "export_csv", "file_checksum", "MA
 
 MAGIC = b"FLPE"
 VERSION = 1
+#: bytes that file_checksum reads at a time
+CHECKSUM_BLOCK = 1 << 20
 
 
 def _header_dict(ens) -> dict:
@@ -103,7 +104,14 @@ def read_ensemble(path) -> PathEnsemble:
 
 
 def file_checksum(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 hex digest of a file, read through one fixed-size block."""
+    digest = hashlib.sha256()
+    block = bytearray(CHECKSUM_BLOCK)
+    view = memoryview(block)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(block):
+            digest.update(view[:n])
+    return digest.hexdigest()
 
 
 def export_csv(path, ens, max_paths: int | None = None) -> None:

@@ -39,6 +39,9 @@ GRID_CAVEAT = (
 MAX_EVAL_POINTS = 1 << 13
 #: nodes per bracket-search step along one coordinate
 BRACKET_NODES = 65
+#: most points the query memo of one envelope holds; a query that would
+#: take it past this is computed and not stored
+MEMO_POINTS = 200_000
 
 # libm's pow, elementwise: numpy's vectorized power differs from it in the
 # last bit for a few percent of arguments, which would move the closed-form
@@ -54,9 +57,10 @@ class Envelope:
     :func:`~fellerkit.symbols.as_points` and returns a Python float for a
     single point, else an array of floats.  The functions it wraps
     (``q_inf_fn`` and so on) take an ``(n, d)`` array of frequencies and
-    return an ``(n,)`` array.  Instances are immutable by convention; the
-    internal cache only memoizes pure queries, and each query computes all
-    of its cache misses in one call.
+    return an ``(n,)`` array.  Instances are immutable by convention.  The
+    wrapped function sees all points of a query in one call, and a query
+    asked again with the same points is answered from a memo of whole
+    queries; the arrays returned are the caller's to write to.
     """
 
     dimension: int
@@ -67,22 +71,19 @@ class Envelope:
     provenance: str
     radial: bool = False
     caveats: tuple = ()
-    _cache: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
+    _memo_points: int = field(default=0, repr=False)
 
     def _eval(self, tag: str, fn, xi) -> float | np.ndarray:
-        arr, lead = as_points(xi, self.dimension)
-        rows = arr.reshape(-1, self.dimension)
-        keys = [(tag, row.tobytes()) for row in rows]
-        cache = self._cache
-        # nan marks a miss; a nan value is recomputed, never wrong
-        out = np.array([cache.get(key, math.nan) for key in keys], dtype=float)
-        miss = np.flatnonzero(np.isnan(out))
-        if miss.size:
-            vals = np.asarray(fn(rows[miss]), dtype=float)
-            out[miss] = vals
-            room = max(200_000 - len(cache), 0)
-            cache.update(zip([keys[i] for i in miss[:room]], vals[:room].tolist()))
-        return float(out[0]) if lead == () else out.reshape(lead)
+        points, lead = as_points(xi, self.dimension)
+        key = (tag, points.shape, points.tobytes())
+        vals = self._memo.get(key)
+        if vals is None:
+            vals = np.asarray(fn(points.reshape(-1, self.dimension)), dtype=float)
+            if self._memo_points + vals.size <= MEMO_POINTS:
+                self._memo[key] = vals
+                self._memo_points += vals.size
+        return float(vals[0]) if lead == () else vals.reshape(lead).copy()
 
     def q_inf(self, xi):
         return self._eval("qi", self.q_inf_fn, xi)

@@ -40,6 +40,15 @@ def _ball_grid(radius: float, d: int, per_axis: int) -> np.ndarray:
     return pts[keep]
 
 
+def ball_sup(model: SymbolModel, center, r: float, x_resolution: int, xi_resolution: int) -> float:
+    """sup |p(y, xi)| over ball grids of |y - center| <= r (``x_resolution``
+    nodes per axis) and |xi| <= 1/r (``xi_resolution`` nodes per axis)."""
+    d = model.dimension
+    ys = np.asarray(center, dtype=float).reshape(d) + _ball_grid(r, d, x_resolution)
+    xis = _ball_grid(1.0 / r, d, xi_resolution)
+    return float(np.abs(model.evaluator(ys[:, None, :], xis[None, :, :])).max())
+
+
 @dataclass
 class BoundedCoefficientsCheck:
     c_est: float
@@ -124,13 +133,14 @@ def check_sector_condition(
     im_sup = np.abs(np.imag(vals)).max(axis=0)
     re_inf = np.real(vals).min(axis=0)
 
-    constant = 0.0
-    for j in range(xis.shape[0]):
-        if im_sup[j] <= tol * (1.0 + np.abs(vals[:, j]).max()):
-            continue
-        if re_inf[j] <= tol:
-            return SectorConditionCheck(constant=np.inf, verdict="fails", witness_xi=xis[j])
-        constant = max(constant, float(im_sup[j] / re_inf[j]))
+    # a nan |Im p| counts as active; fmax below skips a nan ratio
+    active = ~(im_sup <= tol * (1.0 + np.abs(vals).max(axis=0)))
+    bad = active & (re_inf <= tol)
+    if bad.any():
+        return SectorConditionCheck(
+            constant=np.inf, verdict="fails", witness_xi=xis[np.argmax(bad)]
+        )
+    constant = float(np.fmax.reduce(im_sup[active] / re_inf[active], initial=0.0))
     verdict = "holds" if constant < 1.0 else "fails"
     return SectorConditionCheck(constant=constant, verdict=verdict)
 
@@ -156,13 +166,8 @@ def check_feller_decay(
     sequence tends to zero along growing radii; the verdict holds when the
     recorded sups are (within 5 percent) nonincreasing and end below ``tol``.
     """
-    d = model.dimension
-    sups = []
-    for r in radii:
-        xg = _ball_grid(float(r), d, x_resolution)
-        xig = _ball_grid(1.0 / float(r), d, xi_resolution)
-        vals = np.abs(model.evaluator(xg[:, None, :], xig[None, :, :]))
-        sups.append(float(vals.max()))
+    origin = np.zeros(model.dimension)
+    sups = [ball_sup(model, origin, float(r), x_resolution, xi_resolution) for r in radii]
     decreasing = all(sups[i + 1] <= 1.05 * sups[i] for i in range(len(sups) - 1))
     verdict = "holds" if (decreasing and sups[-1] < tol) else "fails"
     return FellerDecayCheck(radii=[float(r) for r in radii], sups=sups, verdict=verdict)

@@ -1,0 +1,96 @@
+"""Symbol-section errors of ``build_model``, pinned message by message."""
+
+import copy
+
+import pytest
+
+import fellerkit as fk
+from fellerkit.config import build_model
+
+# type -> (a section that builds, its required keys, its optional keys)
+SYMBOL_TYPES = {
+    "brownian": ({"type": "brownian"}, [], ["dimension", "drift"]),
+    "alpha_stable": (
+        {"type": "alpha_stable", "alpha": 1.5}, ["alpha"], ["dimension", "drift"]
+    ),
+    "cauchy": ({"type": "cauchy"}, [], ["dimension"]),
+    "compound_poisson": (
+        {"type": "compound_poisson", "rate": 2.0},
+        ["rate"],
+        ["dimension", "jump_mean", "jump_std"],
+    ),
+    "zero": ({"type": "zero"}, [], ["dimension"]),
+    "stable_like": (
+        {"type": "stable_like", "alpha": "1.5 + 0.3*sin(x)", "alpha_min": 1.2, "alpha_max": 1.8},
+        ["alpha", "alpha_min", "alpha_max"],
+        ["dimension", "name", "smooth"],
+    ),
+    "closed_form": (
+        {"type": "closed_form", "re": "(1 + 0.5*sin(x))*xi**2"},
+        ["re"],
+        ["conservative", "dimension", "im", "name", "radial_in_xi", "x_dependent"],
+    ),
+    "levy": (
+        {"type": "levy", "diffusion": 1.0, "x_dependent": False},
+        [],
+        [
+            "diffusion", "dimension", "drift", "jump_density", "kill", "name",
+            "radial", "singularity_exponent", "symmetric", "x_dependent",
+        ],
+    ),
+    "subordinate": (
+        {"type": "subordinate", "base": {"type": "brownian"}, "bernstein": "s**0.5"},
+        ["base", "bernstein"],
+        ["growth_constant", "name"],
+    ),
+    "symmetrize": ({"type": "symmetrize", "base": {"type": "cauchy"}}, ["base"], []),
+}
+
+MISSING = [(kind, key) for kind, (_, required, _) in SYMBOL_TYPES.items() for key in required]
+
+
+def _message(section) -> str:
+    with pytest.raises(fk.ConfigError) as info:
+        build_model(section)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("kind", SYMBOL_TYPES)
+def test_every_type_builds(kind):
+    section, _, _ = SYMBOL_TYPES[kind]
+    assert build_model(copy.deepcopy(section)).dimension == 1
+
+
+@pytest.mark.parametrize("kind", SYMBOL_TYPES)
+def test_unknown_key_names_the_allowed_keys(kind):
+    section, required, optional = SYMBOL_TYPES[kind]
+    section = {**copy.deepcopy(section), "bogus": 1}
+    assert _message(section) == (
+        f"unknown key(s) ['bogus'] in symbol type '{kind}';"
+        f" allowed: {sorted(required + optional)}"
+    )
+
+
+@pytest.mark.parametrize("kind, key", MISSING)
+def test_missing_required_key(kind, key):
+    section = copy.deepcopy(SYMBOL_TYPES[kind][0])
+    del section[key]
+    assert _message(section) == f"missing required key '{key}' in symbol type '{kind}'"
+
+
+def test_unknown_type_lists_every_type():
+    assert _message({"type": "warp_drive"}) == (
+        "unknown symbol type 'warp_drive'; known types: " + ", ".join(SYMBOL_TYPES)
+    )
+
+
+def test_section_shape_errors():
+    assert _message([1, 2]) == "the symbol section must be an object"
+    assert _message({"alpha": 1.5}) == "missing required key 'type' in the symbol section"
+
+
+def test_nested_base_errors_surface():
+    section = {"type": "symmetrize", "base": {"type": "cauchy", "bogus": 1}}
+    assert _message(section) == (
+        "unknown key(s) ['bogus'] in symbol type 'cauchy'; allowed: ['dimension']"
+    )

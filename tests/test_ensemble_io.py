@@ -3,6 +3,7 @@
 import hashlib
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,26 @@ def test_digest_is_reproducible(stored, small_ensemble, tmp_path):
     again = fk.write_ensemble(tmp_path / "copy.flpe", small_ensemble)
     assert again == digest
     assert fk.file_checksum(path) == digest
+
+
+def test_checksum_of_a_large_file_reads_it_in_blocks(tmp_path):
+    positions = np.arange(2 * 1024 * 1024, dtype=float).reshape(1024, 1024, 2)
+    ens = fk.PathEnsemble(
+        positions=positions, time_grid=np.linspace(0.0, 1.0, 1024),
+        start=np.zeros(2), scheme="test",
+    )
+    path = tmp_path / "large.flpe"
+    digest = fk.write_ensemble(path, ens)
+    size = path.stat().st_size
+    assert size >= 16 * 1024 * 1024
+    tracemalloc.start()
+    try:
+        checksum = fk.file_checksum(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert checksum == digest
+    assert peak < size / 8
 
 
 def test_file_is_the_documented_layout(stored, small_ensemble):

@@ -91,13 +91,23 @@ class TestGridEnvelope:
         env = fk.build_envelope(band_model)
         seen = []
         fn = env.q_inf_fn
-        env.q_inf_fn = lambda xi: seen.append(len(xi)) or fn(xi)
+        env.q_inf_fn = lambda xi: seen.append(xi.ravel().tolist()) or fn(xi)
         first = env.q_inf(np.array([0.5, 2.0, 4.0]))
-        again = env.q_inf(np.array([[4.0, 0.25], [0.5, 8.0]]))
-        assert seen == [3, 2]
-        assert again[0, 0] == first[2] and again[1, 0] == first[0]
-        assert env.q_inf(2.0) == first[1]
-        assert seen == [3, 2]
+        # a new query is one call with all of its points
+        assert seen == [[0.5, 2.0, 4.0]]
+        overlap = env.q_inf(np.array([[4.0, 0.25], [0.5, 8.0]]))
+        assert seen[1:] == [[4.0, 0.25, 0.5, 8.0]]
+        assert overlap[0, 0] == first[2] and overlap[1, 0] == first[0]
+        # the same query again makes no call
+        expected = first.copy()
+        first[:] = -1.0
+        again = env.q_inf(np.array([0.5, 2.0, 4.0]))
+        assert len(seen) == 2
+        # and writing to an answer changes no later answer
+        assert np.array_equal(again, expected)
+        again[:] = -1.0
+        assert np.array_equal(env.q_inf(np.array([0.5, 2.0, 4.0])), expected)
+        assert len(seen) == 2
 
     def test_grid_envelope_carries_caveat(self, band_model):
         grid = fk.build_envelope(
@@ -179,8 +189,7 @@ class TestPointRule:
         )
         xi = np.array(flat, dtype=float).reshape(shape)
         for query in ("q_inf", "q_sup"):
-            # separate envelopes, so the batch is computed and not read
-            # back from the single-point cache
+            # separate envelopes, so no answer is read back from a memo
             _, batch_env = _point_rule_envelope(kind, d)
             model, single_env = _point_rule_envelope(kind, d)
             batch = getattr(batch_env, query)(xi)

@@ -87,6 +87,16 @@ class TestSectorCondition:
         assert np.allclose(rep.witness_xi, [-8.0])
 
 
+    def test_first_failing_frequency_in_grid_order_is_the_witness(self):
+        # Re p vanishes at xi = 1 and xi = 2 while Im p = xi does not
+        m = fk.closed_form_symbol("(xi - 1)**2 * (xi - 2)**2", im="xi", conservative=False)
+        rep = check_sector_condition(m, X_GRID, [0.5, 2.0, 1.5, 1.0, 3.0])
+        assert rep.verdict == "fails"
+        assert rep.constant == np.inf
+        assert rep.witness_xi.tolist() == [2.0]
+        rep = check_sector_condition(m, X_GRID, [3.0, 1.0, 2.0])
+        assert rep.witness_xi.tolist() == [1.0]
+
 class TestFellerDecay:
     def test_stable_symbol_decays(self):
         rep = check_feller_decay(fk.alpha_stable(0.5, 1), np.geomspace(1.0, 1e5, 6))
