@@ -12,7 +12,12 @@ Three subcommands share a JSON configuration:
     fellerkit validate --config cfg.json [--out DIR] [--seed N]
         simulate step by step, accumulating the empirical statistics
         without keeping the paths; compare them against the bounds,
-        write report.json and margins.csv
+        write report.json and margins.csv.  The accumulators run on one
+        worker thread beside the simulation (``empirics.feed``); the
+        outputs are bit-identical to a serial run.
+
+``--threads`` is accepted and ignored: BLAS threads are set only by
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` before launch.
 
 Exit codes: 0 success, 2 configuration problems (including bad CLI
 arguments), 3 numerical failures or unexpected errors.  Reports are

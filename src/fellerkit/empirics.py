@@ -11,14 +11,20 @@ the positions at chosen times for the characteristic-function estimators,
 :class:`ExitSup` the running sup of |X_k - x0| for exit frequencies, and
 :class:`OccupationSums` the discounted Fourier sums of the occupation
 check.  The ensemble functions replay ``positions[:, k, :]`` through the
-same accumulators.
+same accumulators.  :func:`feed` draws the steps on the calling thread and
+runs the accumulators on one worker thread beside it, so the simulation
+and the accumulation overlap; every output is bit-identical to a serial
+run.  BLAS threads are still set only by ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +32,7 @@ from .criteria import char_fn_bound, local_time_fourier_bound
 from .envelopes import Envelope
 from .errors import ConfigError
 from .simulate import PathEnsemble
+from .symbols import as_points
 
 __all__ = [
     "feed",
@@ -51,21 +58,55 @@ __all__ = [
 ]
 
 
-def _as_direction(xi, d: int) -> np.ndarray:
-    v = np.asarray(xi, dtype=float)
-    if d == 1 and v.ndim == 0:
-        v = v[None]
-    if v.shape != (d,):
-        raise ConfigError(f"xi must be a single frequency of dimension {d}")
-    return v
+FEED_DEPTH = 4  # steps the step source may run ahead of the accumulators
 
 
 def feed(steps, *accumulators) -> None:
     """Pass every ``(k, X_k)`` of a step source to each accumulator, in
-    step order."""
-    for k, x in steps:
-        for acc in accumulators:
-            acc.update(k, x)
+    step order.
+
+    The step source is iterated on the calling thread; one worker thread
+    takes the steps from a queue of ``FEED_DEPTH`` and calls every
+    accumulator's ``update``, so numpy work on both sides overlaps.  Each
+    accumulator sees the same steps in the same order as in a serial loop,
+    and no step is copied: a source must yield a fresh array per step (as
+    :class:`PathSteps` does) or a view of stored positions.  An exception
+    in an accumulator stops the source within ``FEED_DEPTH + 1`` further
+    steps and is re-raised here; one in the source (or an interrupt) stops
+    the worker before it propagates.  The worker has ended when this
+    returns.
+    """
+    handoff = queue.Queue(maxsize=FEED_DEPTH)
+    stop = threading.Event()
+    errors = []
+
+    def consume():
+        # after a failure keep taking steps, so the source is never blocked
+        while (item := handoff.get()) is not None:
+            if stop.is_set():
+                continue
+            try:
+                for acc in accumulators:
+                    acc.update(*item)
+            except BaseException as exc:
+                errors.append(exc)
+                stop.set()
+
+    worker = threading.Thread(target=consume, name="fellerkit-feed", daemon=True)
+    worker.start()
+    try:
+        for item in steps:
+            handoff.put(item)
+            if stop.is_set():
+                break
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        handoff.put(None)
+        worker.join()
+    if errors:
+        raise errors[0]
 
 
 def _replay(ens, stop: int | None = None):
@@ -122,7 +163,7 @@ class CharFnEstimate:
 def empirical_char_fn(ens, t: float, xi) -> CharFnEstimate:
     """Monte Carlo estimate of E exp(i <xi, X_t - x0>) across the ensemble."""
     d = ens.positions.shape[2]
-    v = _as_direction(xi, d)
+    v, _ = as_points(xi, d, single=True)
     n = ens.positions.shape[0]
     if n < 2:
         raise ConfigError("need at least two paths for a standard error")
@@ -187,7 +228,7 @@ def validate_char_bound(
     n_bad = 0
     for t in t_values:
         for xi in xi_values:
-            v = _as_direction(xi, d)
+            v, _ = as_points(xi, d, single=True)
             est = empirical_char_fn(ens, t, v)
             bound = float(char_fn_bound(env, t, v if d > 1 else v[0]))
             margin = bound - abs(est.value)
@@ -407,7 +448,7 @@ class OccupationSums:
             )
         self.horizon = horizon
         self.dimension = d = source.dimension
-        self.xi = [_as_direction(xi, d) for xi in xi_values]
+        self.xi = [as_points(xi, d, single=True)[0] for xi in xi_values]
         decay = np.exp(-np.asarray(source.time_grid, dtype=float))
         self._w = np.zeros(decay.size)
         self._w[:-1] = decay[:-1] - decay[1:]
@@ -455,7 +496,7 @@ class OccupationSums:
 
 
 def occupation_fourier_check(
-    ens, env: Envelope, xi_values, *, n_sigma: float = 3.0, chunk: int = 1024
+    ens, env: Envelope, xi_values, *, n_sigma: float = 3.0, chunk: int | None = None
 ) -> OccupationFourierReport:
     """Compare E |integral_0^inf e^{-t} e^{i xi (X_t - x0)} dt|^2 against
     16 / (16 + q_inf(xi)).
@@ -467,9 +508,15 @@ def occupation_fourier_check(
     estimator is (1 - e^{-T})^2 <= 1 up to rounding, with zero variance; a
     trapezoid would overshoot there by its convexity bias with no noise to
     hide behind.  The sums are those of :class:`OccupationSums`, fed the
-    stored steps; ``chunk`` is accepted for compatibility and has no
-    effect, since no temporary grows with the number of steps.
+    stored steps.  ``chunk`` is deprecated: it has no effect, since no
+    temporary grows with the number of steps, and passing it warns.
     """
+    if chunk is not None:
+        warnings.warn(
+            "occupation_fourier_check's chunk has no effect and is deprecated",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     sums = OccupationSums(ens, xi_values)
     feed(_replay(ens), sums)
     return sums.report(env, n_sigma)

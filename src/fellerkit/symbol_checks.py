@@ -121,8 +121,9 @@ def check_sector_condition(
     """Smallest c with sup_x |Im p(x, xi)| <= c * inf_x Re p(x, xi) on the grid.
 
     Real symbols give exactly 0.  A vanishing real infimum against a
-    non-vanishing imaginary sup has no finite constant; the verdict is then
-    "fails" with the witness frequency.
+    non-vanishing imaginary sup has no finite constant, and a nan value
+    gives no constant at all; the verdict is then "fails" with the first
+    such frequency in grid order as the witness.
     """
     d = model.dimension
     xs = _grid_points(x_grid, d)
@@ -133,9 +134,8 @@ def check_sector_condition(
     im_sup = np.abs(np.imag(vals)).max(axis=0)
     re_inf = np.real(vals).min(axis=0)
 
-    # a nan |Im p| counts as active; fmax below skips a nan ratio
     active = ~(im_sup <= tol * (1.0 + np.abs(vals).max(axis=0)))
-    bad = active & (re_inf <= tol)
+    bad = np.isnan(vals).any(axis=0) | (active & (re_inf <= tol))
     if bad.any():
         return SectorConditionCheck(
             constant=np.inf, verdict="fails", witness_xi=xis[np.argmax(bad)]

@@ -97,7 +97,7 @@ def _coeff_of_x(fn, d: int, extra: tuple[str, ...] = ()):
     return const
 
 
-def as_points(v, d: int) -> tuple[np.ndarray, tuple]:
+def as_points(v, d: int, *, single: bool = False) -> tuple[np.ndarray, tuple]:
     """Read ``v`` as points of R^d; return ``(points, lead_shape)``.
 
     This is the package's one rule for points.  In d = 1 an array is read
@@ -107,8 +107,18 @@ def as_points(v, d: int) -> tuple[np.ndarray, tuple]:
     Queries that take points answer with an array of shape ``lead_shape``,
     or a Python scalar for a single point (``lead_shape == ()``).  A last
     axis of the wrong length raises ValueError.
+
+    With ``single=True``, ``v`` must be one frequency: shape (d,), or in
+    d = 1 also a scalar.  It is returned with shape (d,) and lead shape ();
+    anything else raises :class:`ConfigError`.
     """
     arr = np.asarray(v, dtype=float)
+    if single:
+        if d == 1 and arr.ndim == 0:
+            arr = arr[None]
+        if arr.shape != (d,):
+            raise ConfigError(f"xi must be a single frequency of dimension {d}")
+        return arr, ()
     if d == 1:
         return arr[..., None], arr.shape
     if arr.ndim == 0 or arr.shape[-1] != d:

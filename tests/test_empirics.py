@@ -7,6 +7,9 @@ tolerance needs justifying.
 
 import math
 import re
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -15,6 +18,8 @@ import pytest
 import fellerkit as fk
 import fellerkit.simulate as sim
 from fellerkit import ConfigError
+from fellerkit.empirics import FEED_DEPTH, feed
+from fellerkit.symbols import as_points
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,18 @@ class TestCharFnEstimator:
         ens2 = fk.simulate_levy(fk.alpha_stable(1.2, 2), 5, 0.5, 4, seed=4)
         with pytest.raises(ConfigError, match="xi must be a single frequency of dimension 2"):
             fk.empirical_char_fn(ens2, 0.5, np.array([1.0, 2.0, 3.0]))
+
+
+    def test_one_frequency_in_each_accepted_form(self, brownian_paths):
+        # in d = 1 a scalar and a one-element list are the same frequency
+        bare = fk.empirical_char_fn(brownian_paths, 0.5, 1.7)
+        listed = fk.empirical_char_fn(brownian_paths, 0.5, [1.7])
+        assert (listed.value, listed.se_abs) == (bare.value, bare.se_abs)
+        assert listed.xi.tolist() == bare.xi.tolist() == [1.7]
+        for xi, d in [([1.0, 2.0], 1), ([[1.0]], 1), ([[1.0, 2.0]], 2), (1.0, 2)]:
+            msg = f"xi must be a single frequency of dimension {d}"
+            with pytest.raises(ConfigError, match=msg):
+                as_points(xi, d, single=True)
 
 
 class TestValidateCharBound:
@@ -267,9 +284,112 @@ class TestOccupationFourier:
         assert rep.verdict == "fails"
         assert not rep.rows[0]["ok"]
 
+    def test_chunk_is_deprecated(self):
+        ens = fk.simulate_levy(fk.brownian(1), 50, 14.0, 700, seed=4)
+        env = fk.build_envelope(fk.brownian(1))
+        with pytest.warns(DeprecationWarning, match="chunk has no effect"):
+            chunked = fk.occupation_fourier_check(ens, env, [1.0], chunk=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain = fk.occupation_fourier_check(ens, env, [1.0])
+        assert chunked.rows == plain.rows
+
     def test_short_horizon_guard(self):
         ens = fk.simulate_levy(fk.brownian(1), 50, 5.0, 100, seed=2)
         env = fk.build_envelope(fk.brownian(1))
         msg = "horizon 5.0 too short: e^-T must be at most 1e-6 (T >= 13.9)"
         with pytest.raises(ConfigError, match=re.escape(msg)):
             fk.occupation_fourier_check(ens, env, [1.0])
+
+
+class Recorder:
+    """An accumulator that keeps every step it is fed."""
+
+    def __init__(self):
+        self.seen = []
+
+    def update(self, k, x):
+        self.seen.append((k, x))
+
+
+class Slow(Recorder):
+    """A recorder that lags behind the source, keeping the queue full."""
+
+    def update(self, k, x):
+        time.sleep(5e-4)
+        super().update(k, x)
+
+
+class FailsAt:
+    def __init__(self, k):
+        self.k = k
+
+    def update(self, k, x):
+        if k == self.k:
+            raise ConfigError(f"rejected step {k}")
+
+
+def counted(n_steps, drawn, fail_at=None, error=RuntimeError):
+    """A step source of n_steps that records each step it yields."""
+    for k in range(n_steps):
+        if k == fail_at:
+            raise error(f"source failed at step {k}")
+        drawn.append(k)
+        yield k, np.full((3, 1), float(k))
+
+
+class TestFeed:
+    """``feed`` runs the accumulators on a worker thread; they must see what
+    a serial loop would give them, and no thread may outlive the call."""
+
+    @pytest.fixture(autouse=True)
+    def no_leftover_thread(self):
+        baseline = threading.active_count()
+        yield
+        assert threading.active_count() == baseline
+        assert not [t for t in threading.enumerate() if t.name == "fellerkit-feed"]
+
+    def test_accumulators_see_the_serial_steps(self):
+        model = fk.stable_like_symbol("1.5 + 0.3*sin(x)", 1.2, 1.8)
+        steps = sim.stable_like_steps(model, 200, 1.0, n_steps=300, seed=11)
+        recorders = [Recorder(), Slow(), Recorder()]
+        baseline = threading.active_count()
+        # a short switch interval interleaves the two threads far more often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            feed(steps, *recorders)
+        finally:
+            sys.setswitchinterval(interval)
+        # the worker has finished every step by the time feed returns
+        assert threading.active_count() == baseline
+        assert [len(rec.seen) for rec in recorders] == [301, 301, 301]
+        serial = list(steps)
+        assert len(serial) == 301
+        for rec in recorders:
+            assert [k for k, _ in rec.seen] == [k for k, _ in serial]
+            for (_, got), (_, want) in zip(rec.seen, serial):
+                assert np.array_equal(got, want)
+
+    def test_an_accumulator_error_stops_the_source(self):
+        drawn = []
+        rec = Recorder()
+        with pytest.raises(ConfigError, match="^rejected step 5$"):
+            feed(counted(10_000, drawn), rec, FailsAt(5))
+        # past the failing step: at most FEED_DEPTH queued steps and the
+        # one the source was holding
+        assert drawn[-1] <= 5 + FEED_DEPTH + 1
+        # a serial loop would also have fed step 5 to the recorder first
+        assert [k for k, _ in rec.seen] == list(range(6))
+
+    @pytest.mark.parametrize("error, fail_at", [
+        (RuntimeError, 1), (KeyboardInterrupt, 1), (RuntimeError, 0),
+    ])
+    def test_a_source_error_surfaces(self, error, fail_at):
+        drawn = []
+        rec = Recorder()
+        with pytest.raises(error, match=f"^source failed at step {fail_at}$"):
+            feed(counted(10, drawn, fail_at, error), rec)
+        assert drawn == list(range(fail_at))
+        # the worker may stop before it has taken the steps already queued
+        assert [k for k, _ in rec.seen] in ([], [0][:fail_at])

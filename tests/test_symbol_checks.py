@@ -97,6 +97,17 @@ class TestSectorCondition:
         rep = check_sector_condition(m, X_GRID, [3.0, 1.0, 2.0])
         assert rep.witness_xi.tolist() == [1.0]
 
+    def test_nan_value_fails_with_its_frequency(self):
+        # 1 + 0.5j at xi = 1 alone would give constant 0.5 and "holds"
+        def evaluator(x, xi):
+            xi = np.broadcast_to(xi, np.broadcast_shapes(x.shape, xi.shape))[..., 0]
+            return np.where(xi == 2.0, complex(np.nan, np.nan), 1.0 + 0.5j)
+
+        m = fk.SymbolModel(kind="closed_form", dimension=1, evaluator=evaluator, conservative=False)
+        rep = check_sector_condition(m, X_GRID, [1.0, 2.0])
+        assert rep.verdict == "fails"
+        assert rep.witness_xi.tolist() == [2.0]
+
 class TestFellerDecay:
     def test_stable_symbol_decays(self):
         rep = check_feller_decay(fk.alpha_stable(0.5, 1), np.geomspace(1.0, 1e5, 6))
