@@ -60,9 +60,11 @@ from .errors import ConfigError, NumericalError
 from .simulate import levy_steps, simulate_levy, simulate_stable_like, stable_like_steps
 
 _CRITERIA = {
-    "ultracontractivity": lambda env, cfg: test_ultracontractivity(env),
-    "transience": lambda env, cfg: test_transience(env, cfg["transience_radius"]),
-    "local_times": lambda env, cfg: test_local_times(env),
+    "ultracontractivity": lambda env, cfg, rel_tol: test_ultracontractivity(env),
+    "transience": lambda env, cfg, rel_tol: test_transience(
+        env, cfg["transience_radius"], rel_tol=rel_tol
+    ),
+    "local_times": lambda env, cfg, rel_tol: test_local_times(env, rel_tol=rel_tol),
 }
 
 
@@ -119,45 +121,38 @@ def _simulation_from_config(model, cfg, seed, levy, stable_like):
     """Call ``levy`` or ``stable_like`` (the simulate_* collectors or their
     step sources, which share signatures) with the config's settings."""
     sim = cfg["simulation"]
-    n_paths = int(sim["n_paths"])
-    t_max = float(sim["t_max"])
-    start = sim.get("start")
-    if model.kind == "stable_like":
-        return stable_like(
-            model,
-            n_paths,
-            t_max,
-            n_steps=sim.get("n_steps"),
-            h_max=float(sim["h_max"]),
-            seed=seed,
-            start=start,
-        )
-    n_steps = sim.get("n_steps")
-    if n_steps is None:
-        n_steps = max(1, int(np.ceil(t_max / float(sim["h_max"]))))
-    return levy(model, n_paths, t_max, int(n_steps), seed=seed, start=start)
+    return (stable_like if model.kind == "stable_like" else levy)(
+        model,
+        int(sim["n_paths"]),
+        float(sim["t_max"]),
+        n_steps=sim.get("n_steps"),
+        h_max=float(sim["h_max"]),
+        seed=seed,
+        start=sim.get("start"),
+    )
 
 
 def cmd_analyze(cfg, out_dir: Path) -> dict:
     model = build_model(cfg["symbol"])
     env = build_envelope_from_config(model, cfg["envelope"])
     crit_cfg = cfg["criteria"]
+    rel_tol = cfg["tolerances"]["rel_tol"]
     reports = []
     for name in crit_cfg["run"]:
         if name not in _CRITERIA:
             raise ConfigError(
                 f"unknown criterion '{name}'; known: {sorted(_CRITERIA)}"
             )
-        reports.append(_CRITERIA[name](env, crit_cfg))
+        reports.append(_CRITERIA[name](env, crit_cfg, rel_tol))
 
     heat_times = [float(t) for t in crit_cfg["heat_times"]]
     heat = {}
     for t in heat_times:
-        heat[str(t)] = heat_kernel_sup_bound(env, t, rel_tol=cfg["tolerances"]["rel_tol"])
+        heat[str(t)] = heat_kernel_sup_bound(env, t, rel_tol=rel_tol)
 
     occ = {}
     for r in crit_cfg.get("occupation_radii", []):
-        occ[str(r)] = occupation_bound(env, float(r))
+        occ[str(r)] = occupation_bound(env, float(r), rel_tol=rel_tol)
 
     rho = np.geomspace(0.01, 100.0, 61)
     xi = rho[:, None] * np.eye(env.dimension)[0]

@@ -18,7 +18,6 @@ between grid nodes, so reports built from them carry a caveat.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,11 +41,6 @@ BRACKET_NODES = 65
 #: most points the query memo of one envelope holds; a query that would
 #: take it past this is computed and not stored
 MEMO_POINTS = 200_000
-
-# libm's pow, elementwise: numpy's vectorized power differs from it in the
-# last bit for a few percent of arguments, which would move the closed-form
-# envelope values that reports print
-_libm_pow = np.frompyfunc(math.pow, 2, 1)
 
 
 @dataclass(eq=False)
@@ -103,7 +97,10 @@ def _stable_closed_form(spec: StableLikeSpec, d: int) -> Envelope:
 
     def band_power(xi, inner: float, outer: float):
         rho = np.linalg.norm(xi, axis=-1)
-        return _libm_pow(rho, np.where(rho <= 1.0, inner, outer)).astype(float)
+        # float_power, not np.power: the reports print these values, and
+        # np.power's vectorized loop differs from libm's pow in the last bit
+        # for a few percent of arguments, where float_power agrees with it
+        return np.float_power(rho, np.where(rho <= 1.0, inner, outer))
 
     def q_sup(xi):
         return band_power(xi, amin, amax)

@@ -26,7 +26,6 @@ from .symbols import SymbolModel
 __all__ = [
     "PathEnsemble",
     "PathSteps",
-    "SymmetrizedEnsemble",
     "grid_index",
     "levy_steps",
     "sample_stable",
@@ -171,7 +170,8 @@ def _resolve_grid(t_max: float, n_steps: int | None, h_max: float | None):
     if n_steps is None:
         if h_max is None or h_max <= 0:
             raise ConfigError("give n_steps or a positive h_max")
-        n_steps = int(np.ceil(t_max / h_max))
+        n_steps = np.ceil(t_max / h_max)
+    n_steps = int(n_steps)
     if n_steps < 1:
         raise ConfigError("need at least one step")
     grid = np.linspace(0.0, t_max, n_steps + 1)
@@ -237,8 +237,9 @@ def levy_steps(
     model: SymbolModel,
     n_paths: int,
     t_max: float,
-    n_steps: int,
+    n_steps: int | None = None,
     *,
+    h_max: float | None = None,
     seed: int = 0,
     start=None,
 ) -> PathSteps:
@@ -248,7 +249,7 @@ def levy_steps(
         raise ConfigError("exact simulation needs one of the built-in Levy families")
     family = data["family"]
     d = model.dimension
-    grid, h, n_steps = _resolve_grid(t_max, n_steps, None)
+    grid, h, n_steps = _resolve_grid(t_max, n_steps, h_max)
     x0 = _start_point(start, d)
     if family not in _EXACT_FAMILIES:
         raise ConfigError(f"no exact sampler for family '{family}'")
@@ -292,8 +293,9 @@ def simulate_levy(
     model: SymbolModel,
     n_paths: int,
     t_max: float,
-    n_steps: int,
+    n_steps: int | None = None,
     *,
+    h_max: float | None = None,
     seed: int = 0,
     start=None,
 ) -> PathEnsemble:
@@ -302,8 +304,12 @@ def simulate_levy(
     Supported families: brownian, alpha_stable (cauchy is alpha = 1),
     compound_poisson, zero.  Each step draws increments from the true
     marginal law, so the scheme introduces no time-discretization bias.
+    Give ``n_steps``, or ``h_max`` for the fewest equal steps no longer
+    than it.
     """
-    return levy_steps(model, n_paths, t_max, n_steps, seed=seed, start=start).collect()
+    return levy_steps(
+        model, n_paths, t_max, n_steps, h_max=h_max, seed=seed, start=start
+    ).collect()
 
 
 def stable_like_steps(
@@ -362,30 +368,7 @@ def simulate_stable_like(
     ).collect()
 
 
-@dataclass
-class SymmetrizedEnsemble:
-    """Paths of the symmetrization (X + 2 x0 - X*) / 2 built from two
-    independent ensembles started at the same point.
-
-    Exposes positions / time_grid / start / scheme like PathEnsemble so the
-    empirical estimators accept it unchanged.
-    """
-
-    base: PathEnsemble
-    mirror: PathEnsemble
-    positions: np.ndarray
-    time_grid: np.ndarray
-    start: np.ndarray
-    scheme: str
-    seed_lineage: dict
-
-    n_paths = PathEnsemble.n_paths
-    dimension = PathEnsemble.dimension
-    time_index = PathEnsemble.time_index
-    at = PathEnsemble.at
-
-
-def symmetrize_paths(ens: PathEnsemble, mirror: PathEnsemble) -> SymmetrizedEnsemble:
+def symmetrize_paths(ens: PathEnsemble, mirror: PathEnsemble) -> PathEnsemble:
     """Combine two ensembles into paths of the symmetrized process.
 
     The two inputs must share the time grid and start point and should be
@@ -405,9 +388,7 @@ def symmetrize_paths(ens: PathEnsemble, mirror: PathEnsemble) -> SymmetrizedEnse
             stacklevel=2,
         )
     positions = 0.5 * (ens.positions + 2.0 * ens.start - mirror.positions)
-    return SymmetrizedEnsemble(
-        base=ens,
-        mirror=mirror,
+    return PathEnsemble(
         positions=positions,
         time_grid=ens.time_grid,
         start=ens.start.copy(),

@@ -7,7 +7,10 @@ A model is one of five kinds:
 ``levy_characteristics``
     p assembled from a kill rate c(x), drift b(x), diffusion matrix a(x)
     and a jump density n(x, z) through the Levy-Khintchine integral, done
-    by adaptive quadrature.
+    by adaptive quadrature.  One routine integrates the jump part over the
+    sides of the jump measure, the half-lines r -> n(x, s r): one side
+    weighted by the sphere area for a radial density, s = +1 and s = -1
+    for a signed density in d = 1.
 ``stable_like``
     p(x, xi) = |xi| ** alpha(x) with a variable order alpha taking values
     in a declared band [alpha_min, alpha_max] inside (0, 2).
@@ -66,26 +69,30 @@ class QuadratureSettings:
     abs_tol: float = 1e-12
 
 
-def _x_variables(d: int) -> tuple[str, ...]:
-    return ("x",) if d == 1 else tuple(f"x{i + 1}" for i in range(d))
+def _point_expression(source: str, d: int, points: tuple[str, ...], extra: tuple[str, ...] = ()):
+    """Compile an expression string against point arrays.
 
+    Each name in ``points`` is one argument shaped (..., d), read in the
+    expression as that name in d = 1 and as name1..named otherwise; the
+    scalar variables ``extra`` follow as further arguments.
+    """
+    names = tuple(p if d == 1 else f"{p}{i + 1}" for p in points for i in range(d))
+    compiled = compile_expression(source, names + tuple(extra))
+    k = len(points)
 
-def _xi_variables(d: int) -> tuple[str, ...]:
-    return ("xi",) if d == 1 else tuple(f"xi{i + 1}" for i in range(d))
+    def evaluate(*args):
+        comps = tuple(a[..., i] for a in args[:k] for i in range(d))
+        return compiled(*comps, *args[k:])
+
+    evaluate.source = source
+    return evaluate
 
 
 def _coeff_of_x(fn, d: int, extra: tuple[str, ...] = ()):
     """Turn a scalar coefficient (constant, expression, callable) into a
     callable of point arrays shaped (..., d) plus optional extra scalar args."""
     if isinstance(fn, str):
-        compiled = compile_expression(fn, _x_variables(d) + extra)
-
-        def from_expr(x, *args):
-            comps = tuple(x[..., i] for i in range(d))
-            return compiled(*comps, *args)
-
-        from_expr.source = fn
-        return from_expr
+        return _point_expression(fn, d, ("x",), extra)
     if callable(fn):
         return fn
     value = float(fn)
@@ -134,7 +141,11 @@ def as_points(v, d: int, *, single: bool = False) -> tuple[np.ndarray, tuple]:
 class LevyCharacteristics:
     """State-dependent Levy characteristics (kill, drift, diffusion, jumps).
 
-    ``jump_density`` is a callable (x, z) -> density value, vectorized in z.
+    ``kill`` may be a constant, an expression string in x (x1..xd) or a
+    callable of points; so may ``drift`` and ``diffusion`` in dimension
+    one, while in higher dimension they are a constant vector and matrix
+    or callables.  ``jump_density`` is an expression string in x and z (r
+    when radial) or a callable (x, z) -> density value, vectorized in z.
     For ``radial=True`` the density is a function of r = |z| and the drift
     compensator of the jump part vanishes by symmetry; this is the only
     supported form in dimension greater than one.  ``singularity_exponent``
@@ -228,26 +239,10 @@ def closed_form_symbol(
     ``re`` and ``im`` are expression strings over the variables
     x, xi (or x1..xd, xi1..xid) or callables (x_pts, xi_pts) -> array.
     """
-    var_names = _x_variables(dimension) + _xi_variables(dimension)
-
-    def part(fn):
-        if fn is None:
-            return None
-        if isinstance(fn, str):
-            compiled = compile_expression(fn, var_names)
-
-            def from_expr(xp, xip):
-                comps = tuple(xp[..., i] for i in range(dimension)) + tuple(
-                    xip[..., i] for i in range(dimension)
-                )
-                return compiled(*comps)
-
-            from_expr.source = fn
-            return from_expr
-        return fn
-
-    re_fn = part(re)
-    im_fn = part(im)
+    re_fn, im_fn = (
+        _point_expression(fn, dimension, ("x", "xi")) if isinstance(fn, str) else fn
+        for fn in (re, im)
+    )
 
     def evaluator(xp, xip):
         xb, xib = np.broadcast_arrays(xp, xip)
@@ -263,8 +258,8 @@ def closed_form_symbol(
 
         sources = [getattr(f, "source", None) for f in (re_fn, im_fn) if f is not None]
         if all(src is not None for src in sources):
-            pat = _re.compile(r"\b(" + "|".join(_x_variables(dimension)) + r")\b")
-            x_dependent = any(pat.search(src) for src in sources)
+            # x, or x1..xd; the compiler has already rejected any other x name
+            x_dependent = any(_re.search(r"\bx\d*\b", src) for src in sources)
         else:
             x_dependent = True
 
@@ -612,45 +607,41 @@ class _LevyEvaluator:
         self.u_max = min(37.0 / (2.0 - ae), 600.0 / (d + ae))
         self.near_decay = 2.0 - ae
         self.kill = _coeff_of_x(chars.kill, d)
+        for key, shape in (("drift", "vector"), ("diffusion", "matrix")):
+            if d > 1 and isinstance(getattr(chars, key), str):
+                raise ConfigError(
+                    f"levy {key} may be an expression string only in dimension 1;"
+                    f" in dimension {d} give a constant {shape}"
+                )
         drift = chars.drift
-        if callable(drift):
-            self.drift = drift
+        if callable(drift) or isinstance(drift, str):
+            self.drift = _coeff_of_x(drift, d)
         else:
             vec = np.broadcast_to(np.asarray(drift, float), (d,)).copy()
             self.drift = lambda x: np.broadcast_to(vec, np.shape(x)[:-1] + (d,))
         diff = chars.diffusion
-        if callable(diff):
-            self.diffusion = diff
+        if callable(diff) or isinstance(diff, str):
+            self.diffusion = _coeff_of_x(diff, d)
         else:
-            mat = np.asarray(diff, float)
-            if mat.ndim == 0:
-                mat = float(mat) * np.eye(d)
-            self.diffusion = lambda x, m=mat: m
-        if chars.jump_density is None:
-            self.density = None
-        elif isinstance(chars.jump_density, str):
+            self.diffusion = lambda x, m=np.asarray(diff, float): m
+        self.density = None
+        if chars.jump_density is not None:
             var = ("r",) if chars.radial else ("z",)
-            compiled = compile_expression(chars.jump_density, _x_variables(d) + var)
-
-            def density(x, z):
-                comps = tuple(np.broadcast_to(x[..., i], np.shape(z)) for i in range(d))
-                return compiled(*comps, z)
-
-            self.density = density
-        else:
-            self.density = chars.jump_density
+            self.density = _coeff_of_x(chars.jump_density, d, extra=var)
+        # the jump measure is integrated along half-lines r -> n(x, s r),
+        # r > 0: a radial density is the one side s = 1 weighted by the
+        # sphere area, a signed d = 1 density the two sides s = 1 and s = -1
+        self.sides = (1.0,) if chars.radial else (1.0, -1.0)
+        self.side_weight = surface_area(d) if chars.radial else 1.0
 
     def integrability_witness(self, x) -> float:
         """integral of min(1, r^2) against the jump measure at x; must be finite."""
         if self.density is None:
             return 0.0
-        d = self.d
-        n = self.density
-        surf = surface_area(d)
-        u_hi = self.u_max
-
-        def near_side(s: float):
-            fn = lambda u: np.exp(-u * (d + 2)) * n(x, s * math.exp(-u))
+        d, n, u_hi = self.d, self.density, self.u_max
+        total = 0.0
+        for s in self.sides:
+            fn = lambda u, s=s: np.exp(-u * (d + 2)) * n(x, s * math.exp(-u))
             # on the exponential scale an integrand still growing at the
             # truncation point means the small-jump second moment diverges
             # (or the declared singularity exponent understates the blow-up)
@@ -659,72 +650,45 @@ class _LevyEvaluator:
                 raise ConfigError(
                     "jump measure fails the min(1, |z|^2) integrability check"
                 )
-            return _quad(fn, 0.0, u_hi)
-
-        near, near_err = near_side(1.0)
-        far, far_err = _quad(lambda r: r ** (d - 1) * n(x, r), 1.0, np.inf)
-        sides = 2 if (d == 1 and not self.chars.radial) else 1
-        if sides == 2:
-            near2, e1 = near_side(-1.0)
-            far2, e2 = _quad(lambda r: r ** (d - 1) * n(x, -r), 1.0, np.inf)
-            total = near + far + near2 + far2
-            surf = 1.0
-        else:
-            total = surf * (near + far)
+            near, _ = _quad(fn, 0.0, u_hi)
+            far, _ = _quad(lambda r, s=s: r ** (d - 1) * n(x, s * r), 1.0, np.inf)
+            total = total + near + far
+        total = self.side_weight * total
         if not np.isfinite(total):
             raise ConfigError("jump measure fails the min(1, |z|^2) integrability check")
         return float(total)
 
-    def _jump_radial(self, x, rho: float):
-        """Real jump part for radial densities, any supported dimension."""
-        d = self.d
-        n = self.density
-        surf = surface_area(d)
-        errs = []
-        near_fn = lambda u: (
-            _one_minus_kernel(d, math.exp(-u) * rho)
-            * n(x, math.exp(-u))
-            * math.exp(-u * d)
-        )
-        near, e = _quad(near_fn, 0.0, self.u_max)
-        errs.append(e)
-        errs.append(abs(float(near_fn(self.u_max))) / self.near_decay)
-        mass, e = _quad(lambda r: r ** (d - 1) * n(x, r), 1.0, np.inf)
-        errs.append(e)
-        if d == 1:
-            osc, e = _quad(lambda r: n(x, r), 1.0, np.inf, weight="cos", wvar=rho)
-        elif d == 2:
-            osc, e = _j0_tail(lambda r: r * n(x, r), rho, self.settings.abs_tol)
-        else:
-            osc, e = _quad(
-                lambda r: r * n(x, r) / rho, 1.0, np.inf, weight="sin", wvar=rho
-            )
-        errs.append(e)
-        return surf * (near + mass - osc), surf * sum(errs)
-
-    def _jump_two_sided(self, x, xi: float):
-        """Real and imaginary jump parts for signed densities, dimension 1."""
-        n = self.density
-        rho = abs(xi)
-        sgn = 1.0 if xi > 0 else -1.0
-        errs = []
-        re_total = 0.0
-        for s in (1.0, -1.0):
-            near_fn = lambda u, s=s: (
-                2.0 * math.sin(0.5 * math.exp(-u) * rho) ** 2
-                * n(x, s * math.exp(-u))
-                * math.exp(-u)
+    def _jump_real(self, x, rho: float):
+        """Real jump part at |xi| = rho, and the error terms of its sides
+        before the side weight."""
+        d, n = self.d, self.density
+        total, errs = 0.0, []
+        for s in self.sides:
+            side = lambda r, s=s: n(x, s * r)
+            near_fn = lambda u: (
+                _one_minus_kernel(d, math.exp(-u) * rho) * side(math.exp(-u)) * math.exp(-u * d)
             )
             near, e = _quad(near_fn, 0.0, self.u_max)
             errs.append(e)
             errs.append(abs(float(near_fn(self.u_max))) / self.near_decay)
-            mass, e = _quad(lambda r: n(x, s * r), 1.0, np.inf)
+            mass, e = _quad(lambda r: r ** (d - 1) * side(r), 1.0, np.inf)
             errs.append(e)
-            osc, e = _quad(lambda r: n(x, s * r), 1.0, np.inf, weight="cos", wvar=rho)
+            if d == 1:
+                osc, e = _quad(side, 1.0, np.inf, weight="cos", wvar=rho)
+            elif d == 2:
+                osc, e = _j0_tail(lambda r: r * side(r), rho, self.settings.abs_tol)
+            else:
+                osc, e = _quad(lambda r: r * side(r) / rho, 1.0, np.inf, weight="sin", wvar=rho)
             errs.append(e)
-            re_total += near + mass - osc
-        if self.chars.symmetric:
-            return re_total, 0.0, sum(errs)
+            total += near + mass - osc
+        return self.side_weight * total, errs
+
+    def _jump_imag(self, x, xi: float):
+        """Imaginary jump part of a signed d = 1 density, and its error terms."""
+        n = self.density
+        rho = abs(xi)
+        sgn = 1.0 if xi > 0 else -1.0
+        errs = []
         ddens = lambda r: n(x, r) - n(x, -r)
         defect_fn = lambda u: (
             _sin_defect(math.exp(-u) * rho) * ddens(math.exp(-u)) * math.exp(-u)
@@ -734,8 +698,7 @@ class _LevyEvaluator:
         errs.append(abs(float(defect_fn(self.u_max))) / self.near_decay)
         tail, e = _quad(ddens, 1.0, np.inf, weight="sin", wvar=rho)
         errs.append(e)
-        im_total = sgn * (defect - tail)
-        return re_total, im_total, sum(errs)
+        return sgn * (defect - tail), errs
 
     def eval_scalar(self, xv: np.ndarray, xiv: np.ndarray) -> complex:
         d = self.d
@@ -751,13 +714,14 @@ class _LevyEvaluator:
         rho = float(np.linalg.norm(xiv))
         if rho == 0.0:
             return val
-        if self.chars.radial or d > 1:
-            # isotropic jump part depends on |xi| only
-            jump_re, err = self._jump_radial(xv, rho)
-            jump_im = 0.0
-        else:
-            jump_re, jump_im, err = self._jump_two_sided(xv, float(xiv[0]))
+        jump_re, errs = self._jump_real(xv, rho)
+        jump_im = 0.0
+        if not (self.chars.radial or self.chars.symmetric):
+            jump_im, im_errs = self._jump_imag(xv, float(xiv[0]))
+            errs += im_errs
         val = val + jump_re + 1j * jump_im
+        # the imaginary terms only arise for signed densities, of weight 1
+        err = self.side_weight * sum(errs)
         budget = 50.0 * (self.settings.rel_tol * max(1.0, abs(val)) + self.settings.abs_tol)
         if err > budget:
             raise NumericalError(
@@ -797,8 +761,9 @@ def levy_symbol(
     """
     ev = _LevyEvaluator(chars, dimension, settings)
     ev.integrability_witness(np.zeros(dimension))
-    radial = chars.radial and not callable(chars.drift) and not np.any(
-        np.asarray(chars.drift, float)
+    drift = chars.drift
+    radial = chars.radial and not (
+        callable(drift) or isinstance(drift, str) or np.any(np.asarray(drift, float))
     )
     kill_at_origin = float(np.asarray(ev.kill(np.zeros((1, dimension)))).reshape(-1)[0])
     return SymbolModel(

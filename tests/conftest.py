@@ -3,11 +3,42 @@
 The acceptance module records one PASS/FAIL line per criterion; the
 collected lines are printed as a dedicated section at the end of the
 pytest run so the verdicts are visible at a glance.
+
+Every test runs under a watchdog: a test still running after
+``WATCHDOG_S`` seconds (a deadlocked worker thread, say) prints the stack
+of every thread to the real stderr and ends the run with a nonzero exit,
+instead of hanging it.  The slowest test takes a few seconds.
 """
+
+import faulthandler
+import os
+import sys
 
 import pytest
 
+WATCHDOG_S = 120
+
+_STDERR_FD = pytest.StashKey[int]()
+
 _acceptance_lines = []
+
+
+def pytest_configure(config):
+    # a copy of stderr taken outside output capture, so the dump reaches
+    # the terminal when the watchdog ends the process
+    config.stash[_STDERR_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR_FD])
+
+
+@pytest.fixture(autouse=True)
+def watchdog(request):
+    fd = request.config.stash[_STDERR_FD]
+    faulthandler.dump_traceback_later(WATCHDOG_S, exit=True, file=fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

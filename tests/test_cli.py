@@ -410,3 +410,62 @@ class TestValidateRejectsBeforeSimulating:
         rc = cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "error: AssertionError: a step was drawn" in capsys.readouterr().err
+
+
+class TestSimulationGrid:
+    """Both simulation schemes turn (t_max, n_steps, h_max) into a grid by
+    the one rule of the simulate module."""
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("h_max", [-0.5, 0])
+    def test_levy_config_needs_a_positive_h_max(self, command, h_max, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "grid.json", {
+            "symbol": {"type": "brownian"},
+            "simulation": {"n_paths": 10, "t_max": 1.0, "h_max": h_max},
+        })
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: give n_steps or a positive h_max\n"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_levy_config_takes_the_fewest_steps_within_h_max(self, tmp_path):
+        cfg = write_cfg(tmp_path, "grid.json", {
+            "symbol": {"type": "brownian"},
+            "simulation": {"n_paths": 10, "t_max": 1.0, "h_max": 0.3},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["ensemble"]["n_times"] == 5
+
+
+class TestTolerances:
+    def test_rel_tol_reaches_every_criterion_integral(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, "tol.json", {
+            "symbol": {"type": "alpha_stable", "alpha": 0.5},
+            "criteria": {
+                "run": ["transience", "local_times"],
+                "heat_times": [1.0],
+                "occupation_radii": [1.0],
+            },
+            "tolerances": {"rel_tol": 1e-9},
+        })
+        seen = []
+        for name in ("heat_kernel_sup_bound", "occupation_bound"):
+            real = getattr(cli, name)
+
+            def spy(env, arg, *, real=real, name=name, **kw):
+                seen.append((name, kw.get("rel_tol")))
+                return real(env, arg, **kw)
+
+            monkeypatch.setattr(cli, name, spy)
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert [(c["criterion"], c["config"]["rel_tol"]) for c in rep["criteria"]] == [
+            ("transience", 1e-9), ("local_times", 1e-9),
+        ]
+        assert seen == [("heat_kernel_sup_bound", 1e-9), ("occupation_bound", 1e-9)]

@@ -94,3 +94,10 @@ def test_nested_base_errors_surface():
     assert _message(section) == (
         "unknown key(s) ['bogus'] in symbol type 'cauchy'; allowed: ['dimension']"
     )
+
+
+def test_levy_expression_drift_builds_in_one_dimension():
+    model = build_model({"type": "levy", "drift": "sin(x)", "diffusion": "1 + 0.5*cos(x)"})
+    assert fk.eval_symbol(model, 0.0, 2.0) == pytest.approx(3.0)
+    with pytest.raises(fk.ConfigError, match="levy drift may be an expression string only"):
+        build_model({"type": "levy", "drift": "sin(x1)", "dimension": 2})

@@ -62,6 +62,22 @@ class TestClosedFormEnvelope:
         with pytest.raises(ValueError):
             env.q_inf(np.zeros(3))
 
+    def test_band_power_is_libm_pow(self, band_model):
+        # the band envelope raises radii with np.float_power because it
+        # matches libm's pow bit for bit, so the printed values do not
+        # depend on numpy's vectorized power; a numpy build where the two
+        # differ must fail here rather than change report bytes
+        rng = np.random.default_rng(20)
+        rho = np.concatenate([
+            rng.uniform(0.0, 1.0, 20000), np.exp(rng.uniform(-20.0, 20.0, 20000)),
+            [0.0, 0.5, 1.0, 4.0],
+        ])
+        for a in (1.2, 1.8, 0.5, 1.5, 1.9, 0.89, 0.91):
+            want = np.array([math.pow(r, a) for r in rho.tolist()])
+            assert np.array_equal(np.float_power(rho, a), want), a
+        env = fk.build_envelope(band_model)
+        assert np.array_equal(env.q_inf(rho), np.float_power(rho, np.where(rho <= 1.0, 1.8, 1.2)))
+
 
 class TestGridEnvelope:
     def test_periodic_grid_matches_closed_form(self, band_model):

@@ -263,3 +263,26 @@ class TestSymmetrize:
         est = fk.empirical_char_fn(sym, 1.0, 1.5)
         assert est.n_paths == 500
         assert est.t == 1.0
+
+
+class TestTimeGrid:
+    """levy_steps and stable_like_steps share one (t_max, n_steps, h_max) rule."""
+
+    def test_levy_takes_h_max(self):
+        m = fk.brownian(1)
+        by_h = fk.simulate_levy(m, 20, 1.0, h_max=0.3, seed=3)
+        by_n = fk.simulate_levy(m, 20, 1.0, 4, seed=3)
+        assert np.array_equal(by_h.time_grid, np.linspace(0.0, 1.0, 5))
+        assert np.array_equal(by_h.positions, by_n.positions)
+        steps = sim.levy_steps(m, 20, 1.0, h_max=0.3, seed=3)
+        assert np.array_equal(steps.time_grid, by_h.time_grid)
+
+    @pytest.mark.parametrize("h_max", [None, 0.0, -0.5])
+    def test_levy_without_steps_needs_a_positive_h_max(self, h_max):
+        with pytest.raises(ConfigError, match="give n_steps or a positive h_max"):
+            fk.simulate_levy(fk.brownian(1), 4, 1.0, h_max=h_max)
+
+    def test_symmetrized_paths_are_a_plain_ensemble(self, pair):
+        sym = fk.symmetrize_paths(*pair)
+        assert type(sym) is fk.PathEnsemble
+        assert not hasattr(sym, "base") and not hasattr(sym, "mirror")

@@ -316,3 +316,28 @@ class TestValidateModel:
         rep = fk.validate_model(m)
         assert rep["nonnegative_ok"] is False
         assert rep["min_real_part"] < 0
+
+
+class TestLevyExpressionCoefficients:
+    def test_string_drift_and_diffusion_in_one_dimension(self):
+        chars = fk.LevyCharacteristics(
+            kill="0.1*x**2", drift="sin(x)", diffusion="1 + x**2", radial=True
+        )
+        m = fk.levy_symbol(chars, dimension=1)
+        x, xi = 0.7, 2.0
+        want = 0.1 * x**2 - 1j * math.sin(x) * xi + 0.5 * (1 + x**2) * xi**2
+        assert ev(m, x, xi) == pytest.approx(want, rel=1e-14)
+        assert ev(m, x, -xi) == pytest.approx(want.conjugate(), rel=1e-14)
+        # a state-dependent drift is never radial in xi
+        assert not m.radial_in_xi
+
+    @pytest.mark.parametrize(
+        "key, value, shape", [("drift", "sin(x1)", "vector"), ("diffusion", "1 + x2**2", "matrix")]
+    )
+    def test_string_drift_or_diffusion_needs_dimension_one(self, key, value, shape):
+        with pytest.raises(
+            fk.ConfigError,
+            match=f"levy {key} may be an expression string only in dimension 1;"
+            f" in dimension 2 give a constant {shape}",
+        ):
+            fk.levy_symbol(fk.LevyCharacteristics(**{key: value}), dimension=2)
