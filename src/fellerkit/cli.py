@@ -146,9 +146,8 @@ def cmd_analyze(cfg, out_dir: Path) -> dict:
         reports.append(_CRITERIA[name](env, crit_cfg, rel_tol))
 
     heat_times = [float(t) for t in crit_cfg["heat_times"]]
-    heat = {}
-    for t in heat_times:
-        heat[str(t)] = heat_kernel_sup_bound(env, t, rel_tol=rel_tol)
+    bounds = heat_kernel_sup_bound(env, heat_times, rel_tol=rel_tol).tolist()
+    heat = dict(zip(map(str, heat_times), bounds))
 
     occ = {}
     for r in crit_cfg.get("occupation_radii", []):

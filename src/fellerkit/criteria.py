@@ -19,7 +19,13 @@ from scipy import special
 
 from .envelopes import Envelope
 from .errors import ConfigError, NumericalError
-from .quadrature import IntegralResult, classify_improper, direction_set, surface_area
+from .quadrature import (
+    IntegralResult,
+    classify_family,
+    classify_improper,
+    direction_set,
+    surface_area,
+)
 from .symbol_checks import ball_sup
 from .symbols import SymbolModel, as_points
 
@@ -85,36 +91,55 @@ def local_time_fourier_bound(env: Envelope, xi) -> float | np.ndarray:
 
 
 def heat_kernel_sup_bound(
-    env: Envelope, t: float, *, rel_tol: float = 1e-6, full: bool = False
+    env: Envelope, t, *, rel_tol: float = 1e-6, full: bool = False
 ):
     """Off-diagonal-uniform transition density bound
     (4 pi)^{-d} * integral exp(-(t/16) q_inf(xi)) dxi.
 
-    Returns math.inf when the frequency integral diverges (symbol too flat
-    at infinity for an ultracontractive bound at this t).
+    ``t`` is one time or a 1-D sequence of times; every time must be finite
+    and positive, and all of them share one walk over the frequency shells
+    (:func:`~fellerkit.quadrature.classify_family`).  Returns a float for
+    one time, else an array of bounds; with ``full``, also the scaled
+    :class:`IntegralResult`, or a list of them.  A bound is math.inf when
+    its frequency integral diverges (symbol too flat at infinity for an
+    ultracontractive bound at that t).
     """
-    if t <= 0:
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ConfigError("the density bound takes one time or a 1-D sequence of times")
+    if not np.isfinite(times).all():
+        raise ConfigError("the density bound needs a finite t")
+    if (times <= 0).any():
         raise ConfigError("the density bound needs t > 0")
     d = env.dimension
+    rates = -(times.ravel() / 16.0)
 
-    result = classify_improper(
-        lambda xi: np.exp(-(t / 16.0) * env.q_inf(xi)),
-        d, radius=1.0, include_tail=True, radial=env.radial, rel_tol=rel_tol
+    def integrand(xi):
+        q = env.q_inf(xi)
+        return np.exp(rates.reshape((-1,) + (1,) * np.ndim(q)) * q)
+
+    results = classify_family(
+        integrand, rates.size, d, radius=1.0, include_tail=True, radial=env.radial,
+        rel_tol=rel_tol,
     )
-    if result.classification == "undetermined":
+    if any(result.classification == "undetermined" for result in results):
         raise NumericalError(
             "heat kernel bound integral could not be classified", error_estimate=math.nan
         )
-    value = math.inf if result.infinite else (4.0 * math.pi) ** (-d) * result.value
-    if full:
-        scaled = IntegralResult(
+    scale = (4.0 * math.pi) ** (-d)
+    values = [math.inf if result.infinite else scale * result.value for result in results]
+    scaled = [
+        IntegralResult(
             value=value,
-            abs_error_estimate=(4.0 * math.pi) ** (-d) * result.abs_error_estimate,
+            abs_error_estimate=scale * result.abs_error_estimate,
             classification=result.classification,
             annulus_trace=result.annulus_trace,
         )
-        return value, scaled
-    return value
+        for value, result in zip(values, results)
+    ]
+    if times.ndim == 0:
+        return (values[0], scaled[0]) if full else values[0]
+    return (np.array(values), scaled) if full else np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +542,7 @@ def heat_exponent_fit(env: Envelope, t_grid=None, *, rel_tol: float = 1e-6) -> H
     if t_grid is None:
         t_grid = np.concatenate([np.logspace(-4, -2, 9), np.logspace(2, 4, 9)])
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    bounds = np.array([heat_kernel_sup_bound(env, t, rel_tol=rel_tol) for t in t_grid])
+    bounds = heat_kernel_sup_bound(env, t_grid, rel_tol=rel_tol)
     if not np.all(np.isfinite(bounds)):
         raise NumericalError("density bound diverges on the fit grid")
     small = t_grid <= 0.01

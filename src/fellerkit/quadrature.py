@@ -13,7 +13,9 @@ Each shell is integrated with QUADPACK's 21-point Gauss-Kronrod rule and
 its embedded 10-point Gauss rule (qk21), with QUADPACK's error estimate.
 All nodes of all live subintervals of a shell go to the integrand in one
 array call; only the subintervals whose error misses their share of the
-budget are bisected for the next call.
+budget are bisected for the next call.  A family of integrands (the heat
+bound at many times, say) walks the shells once: the integrand returns one
+row per member, and every call serves all members still walking.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "IntegralResult",
     "integrate_radial",
     "classify_improper",
+    "classify_family",
     "direction_set",
 ]
 
@@ -157,7 +160,8 @@ def _shell_profile(f, d: int, radial: bool):
 
     The profile maps an array of radii to an array of values with one call
     to f: at ``r`` (d = 1), ``r[:, None] * e1`` (radial) or
-    ``r[:, None, None] * dirs`` (every direction of :func:`direction_set`).
+    ``r[:, None, None] * dirs`` (every direction of :func:`direction_set`,
+    averaged over the last axis, so a leading axis of family rows stays).
     """
     if d == 1:
         if radial:
@@ -177,7 +181,7 @@ def _shell_profile(f, d: int, radial: bool):
     def direction_mean(r):
         vals = f(r[:, None, None] * dirs)
         with np.errstate(invalid="ignore"):
-            return vals.mean(axis=1)
+            return vals.mean(axis=-1)
 
     return direction_mean
 
@@ -210,19 +214,28 @@ SHELL_REL_TOL = 1e-9
 SHELL_PIECES = 200
 
 
-def _gauss_kronrod(g, lo: np.ndarray, hi: np.ndarray):
-    """qk21 on each [lo_i, hi_i] with one call to ``g``: the Kronrod values
-    and QUADPACK's error estimates, or a nonfinite value and an infinite
-    error where a node value is not finite."""
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_NODES
-    vals = np.reshape(g(nodes.ravel()), nodes.shape)
+def _gauss_kronrod(vals: np.ndarray, half: np.ndarray):
+    """qk21 on pieces of half-width ``half`` (shape (p,)) from the node
+    values ``vals`` (shape (k, p, 21), one row per integrand): the Kronrod
+    values and QUADPACK's error estimates, each (k, p).  A row with a
+    nonfinite node value gets nonfinite values and infinite errors.
+
+    The products are stacked over rows, so each row is reduced as its own
+    (p, 21) block and comes out bit for bit as if it were integrated alone.
+    """
     if not np.isfinite(vals).all():
+        finite = np.isfinite(vals).reshape(len(vals), -1).all(axis=1)
+        kronrod = np.empty(vals.shape[:2])
+        err = np.full(vals.shape[:2], math.inf)
         with np.errstate(invalid="ignore"):
-            return (vals * _GK_WK).sum(axis=1) * half, np.full(len(half), math.inf)
-    kronrod, gauss = (vals @ _GK_WEIGHTS).T
+            kronrod[~finite] = (vals[~finite] * _GK_WK).sum(axis=-1) * half
+        if finite.any():
+            kronrod[finite], err[finite] = _gauss_kronrod(vals[finite], half)
+        return kronrod, err
+    both = vals @ _GK_WEIGHTS
+    kronrod, gauss = both[..., 0], both[..., 1]
     resabs = np.abs(vals) @ _GK_WK
-    resasc = np.abs(vals - 0.5 * kronrod[:, None]) @ _GK_WK
+    resasc = np.abs(vals - 0.5 * kronrod[..., None]) @ _GK_WK
     err = np.abs(kronrod - gauss)
     # resasc * min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs
     ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0)
@@ -231,41 +244,91 @@ def _gauss_kronrod(g, lo: np.ndarray, hi: np.ndarray):
     return kronrod * half, err
 
 
-def _shell_integral(profile, d: int, lo: float, hi: float) -> tuple[float, float]:
-    """Integral of profile(r) r^(d-1) over lo <= r <= hi, times the sphere area.
+def _row_patterns(live: np.ndarray):
+    """(rows, pieces) index pairs that group the rows of the boolean
+    ``live`` by equal row, each with the pieces that row marks."""
+    keys, inverse = np.unique(live, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    return [(np.flatnonzero(inverse == k), np.flatnonzero(key)) for k, key in enumerate(keys)]
 
-    Every live subinterval of the shell is evaluated in one array call.  The
-    shell is accepted when the summed error estimate meets its budget; else
-    the pieces whose error exceeds their share of the budget (by length)
-    are bisected, up to SHELL_PIECES pieces.  A nonfinite node value gives
-    a nonfinite shell value.
+
+def _masked_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Sum of each row of ``x`` over its ``mask``, added in the order numpy
+    sums that row's selected entries on their own (up to two terms, the
+    zeros in between change nothing)."""
+    sums = np.where(mask, x, 0.0).sum(axis=1)
+    for i in np.flatnonzero(mask.sum(axis=1) > 2):
+        sums[i] = x[i, mask[i]].sum()
+    return sums
+
+
+def _shell_integrals(g, rows: list, d: int, lo: float, hi: float):
+    """Integral of row i of g(r) over lo <= r <= hi, times the sphere area,
+    for each family row i in ``rows``: the values and error estimates.
+
+    The rows share one list of pieces, and each pass makes one call to
+    ``g`` over the nodes of all of them.  Each row keeps its own live
+    pieces and runs the rule of a shell integrated alone: it is done once
+    its summed error is within max(SHELL_ABS_TOL, SHELL_REL_TOL |value|)
+    or its value is not finite; else its pieces whose error exceeds their
+    share of the budget (by length) are bisected, and when none does it is
+    done as it stands.  A piece is bisected when any row still open
+    bisects it, and SHELL_PIECES caps the shared pieces, done and live.
     """
-
-    def g(r):
-        return profile(r) * r ** (d - 1)
-
     surf = surface_area(d)
+    rows = np.asarray(rows)
+    value_out = np.empty(len(rows))
+    error_out = np.empty(len(rows))
+    pos = np.arange(len(rows))  # the open rows, as positions in ``rows``
+    live = None  # live[i, p]: piece p is open for row pos[i]; None: all are
+    done_val = np.zeros(len(rows))
+    done_err = np.zeros(len(rows))
     los, his = np.array([lo]), np.array([hi])
-    done_val = done_err = 0.0
     n_done = 0
     while True:
-        vals, errs = _gauss_kronrod(g, los, his)
-        value = done_val + float(vals.sum())
-        error = done_err + float(errs.sum())
-        budget = max(SHELL_ABS_TOL, SHELL_REL_TOL * abs(value))
-        if error <= budget or not math.isfinite(value):
+        half = 0.5 * (his - los)
+        nodes = (0.5 * (his + los))[:, None] + half[:, None] * _GK_NODES
+        node_vals = g(nodes.ravel())[rows[pos]].reshape(len(pos), *nodes.shape)
+        if live is None:
+            vals, errs = _gauss_kronrod(node_vals, half)
+            value = done_val + vals.sum(axis=1)
+            error = done_err + errs.sum(axis=1)
+        else:
+            # each group of rows alike in their pieces is reduced on just
+            # those pieces, as it would be alone
+            vals, errs = np.zeros(live.shape), np.zeros(live.shape)
+            for members, pieces in _row_patterns(live):
+                block = np.ascontiguousarray(node_vals[members][:, pieces])
+                cells = np.ix_(members, pieces)
+                vals[cells], errs[cells] = _gauss_kronrod(block, half[pieces])
+            value = done_val + _masked_sums(vals, live)
+            error = done_err + _masked_sums(errs, live)
+        budget = np.maximum(SHELL_ABS_TOL, SHELL_REL_TOL * np.abs(value))
+        done = (error <= budget) | ~np.isfinite(value)
+        if not done.all():
+            rejected = errs > budget[:, None] * (his - los) / (hi - lo)
+            if live is not None:
+                rejected &= live
+            done |= ~rejected.any(axis=1)
+            split = rejected[~done].any(axis=0)
+            if n_done + len(los) + int(split.sum()) > SHELL_PIECES:
+                done[:] = True
+        if done.all() and len(pos) == len(rows):  # all open until now
             return surf * value, surf * error
-        rejected = errs > budget * (his - los) / (hi - lo)
-        n_rejected = int(rejected.sum())
-        if n_rejected == 0 or n_done + len(los) + n_rejected > SHELL_PIECES:
-            return surf * value, surf * error
-        keep = ~rejected
-        done_val += float(vals[keep].sum())
-        done_err += float(errs[keep].sum())
-        n_done += int(keep.sum())
-        mids = 0.5 * (los[rejected] + his[rejected])
-        los = np.concatenate([los[rejected], mids])
-        his = np.concatenate([mids, his[rejected]])
+        value_out[pos[done]] = surf * value[done]
+        error_out[pos[done]] = surf * error[done]
+        if done.all():
+            return value_out, error_out
+        go = ~done
+        kept = ~rejected[go] if live is None else live[go] & ~rejected[go]
+        done_val = done_val[go] + _masked_sums(vals[go], kept)
+        done_err = done_err[go] + _masked_sums(errs[go], kept)
+        n_done += len(los) - int(split.sum())
+        mids = 0.5 * (los[split] + his[split])
+        los, his = np.concatenate([los[split], mids]), np.concatenate([mids, his[split]])
+        halves = rejected[go][:, split]
+        live = None if halves.all() else np.concatenate([halves, halves], axis=1)
+        pos = pos[go]
 
 
 def _nondecreasing(vals) -> bool:
@@ -299,6 +362,110 @@ def _geometric_tail(shells):
     return tail, uncertainty
 
 
+def _verdict(shells, total: float, rel_tol: float, abs_tol: float):
+    """("divergent", no tail) or ("convergent", tail) for a walk whose
+    shells so far sum to ``total``, or None while neither is clear."""
+    if _nondecreasing([v for _, v in shells]):
+        return "divergent", (0.0, 0.0)
+    tail = _geometric_tail(shells)
+    if tail is not None and tail[0] + tail[1] <= rel_tol * max(abs(total), abs_tol) + abs_tol:
+        return "convergent", tail
+    return None
+
+
+def classify_family(
+    f,
+    m: int,
+    d: int,
+    *,
+    radius: float = 1.0,
+    include_tail: bool = False,
+    radial: bool = True,
+    rel_tol: float = 1e-6,
+    abs_tol: float = 1e-12,
+) -> list[IntegralResult]:
+    """:func:`classify_improper` for m integrands at once, in one shell walk.
+
+    ``f`` takes points as :func:`classify_improper` describes and returns
+    an array of shape (m,) + their leading shape, one row per integrand.
+    Each pass over a shell makes one call to ``f`` for every row still
+    walking; the rows share the shell's pieces, and a piece is bisected
+    when any of them needs it.  Each row keeps its own shell sums, error
+    budget, ratio test, geometric tail and classification, and leaves the
+    walk once it has its verdict, so it gets the result it would get
+    alone, bit for bit, unless the shared pieces of a shell reach
+    SHELL_PIECES before its own would.  A row with a nonfinite value at a
+    node of its pieces gets a nonfinite shell; the other rows go on.
+    """
+    profile = _shell_profile(f, d, radial)
+
+    def g(r):
+        vals = profile(r) * r ** (d - 1)
+        if np.size(vals) == m * r.size:
+            return np.reshape(vals, (m, r.size))
+        return np.broadcast_to(vals, (m, r.size))
+
+    err_sums = [0.0] * m
+
+    def run_direction(start: int, step: int, min_shells: int):
+        """Walk shells from ``start`` in direction ``step`` until every row
+        has a verdict; per row its shells, status and tail."""
+        shells = [[] for _ in range(m)]
+        status = ["undetermined"] * m
+        tails = [(0.0, 0.0)] * m
+        totals = [0.0] * m
+        rows = list(range(m))
+        j = start
+        for k in range(min_shells + MAX_EXTRA_SHELLS):
+            if not rows:
+                break
+            lo = radius * 2.0**j
+            hi = radius * 2.0 ** (j + 1)
+            vals, errs = _shell_integrals(g, rows, d, lo, hi)
+            walking = []
+            for i, val, err in zip(rows, vals.tolist(), errs.tolist()):
+                err_sums[i] += err
+                shells[i].append((j, val))
+                totals[i] += val
+                if not math.isfinite(val):
+                    status[i] = "nonfinite"
+                    continue
+                verdict = None
+                if k + 1 >= min_shells:
+                    verdict = _verdict(shells[i], totals[i], rel_tol, abs_tol)
+                if verdict is None:
+                    walking.append(i)
+                else:
+                    status[i], tails[i] = verdict
+            rows = walking
+            j += step
+        return shells, status, tails
+
+    inner = run_direction(-1, -1, INNER_SHELLS)
+    no_walk = ([[] for _ in range(m)], ["skipped"] * m, [(0.0, 0.0)] * m)
+    outer = run_direction(0, +1, OUTER_SHELLS) if include_tail else no_walk
+
+    results = []
+    for i in range(m):
+        inner_shells, inner_status, inner_tail = (part[i] for part in inner)
+        outer_shells, outer_status, outer_tail = (part[i] for part in outer)
+        trace = inner_shells[::-1] + outer_shells
+        if inner_status in ("divergent", "nonfinite"):
+            results.append(IntegralResult(math.inf, math.inf, "divergent_at_zero", trace))
+        elif outer_status in ("divergent", "nonfinite"):
+            results.append(IntegralResult(math.inf, math.inf, "divergent_at_infinity", trace))
+        elif inner_status != "convergent" or (include_tail and outer_status != "convergent"):
+            results.append(IntegralResult(math.nan, math.nan, "undetermined", trace))
+        else:
+            total = 0.0
+            for _, v in trace:  # in index order, one addition at a time
+                total += v
+            total = total + inner_tail[0] + outer_tail[0]
+            unc = err_sums[i] + inner_tail[1] + outer_tail[1]
+            results.append(IntegralResult(float(total), float(unc), "convergent", trace))
+    return results
+
+
 def classify_improper(
     f,
     d: int,
@@ -326,51 +493,10 @@ def classify_improper(
     Divergence is declared when the trailing RATIO_WINDOW shell
     contributions fail to decrease by more than RATIO_SLACK; convergence
     requires clean geometric decay plus a tail extrapolation within the
-    requested tolerance.  Everything else is undetermined.
+    requested tolerance.  Everything else is undetermined.  This is
+    :func:`classify_family` with a family of one.
     """
-    profile = _shell_profile(f, d, radial)
-    err_sum = 0.0
-
-    def run_direction(start: int, step: int, min_shells: int):
-        """Walk shells from ``start`` in direction ``step`` until a verdict."""
-        nonlocal err_sum
-        shells: list[tuple[int, float]] = []
-        j = start
-        for k in range(min_shells + MAX_EXTRA_SHELLS):
-            lo = radius * 2.0**j
-            hi = radius * 2.0 ** (j + 1)
-            val, err = _shell_integral(profile, d, lo, hi)
-            err_sum += err
-            shells.append((j, val))
-            if not np.isfinite(val):
-                return shells, "nonfinite", (0.0, 0.0)
-            if k + 1 >= min_shells:
-                vals = [v for _, v in shells]
-                if _nondecreasing(vals):
-                    return shells, "divergent", (0.0, 0.0)
-                tail = _geometric_tail(shells)
-                if tail is not None:
-                    t, unc = tail
-                    scale = max(abs(sum(vals)), abs_tol)
-                    if t + unc <= rel_tol * scale + abs_tol:
-                        return shells, "convergent", tail
-            j += step
-        return shells, "undetermined", (0.0, 0.0)
-
-    inner_shells, inner_status, inner_tail = run_direction(-1, -1, INNER_SHELLS)
-    outer_shells, outer_status, outer_tail = [], "skipped", (0.0, 0.0)
-    if include_tail:
-        outer_shells, outer_status, outer_tail = run_direction(0, +1, OUTER_SHELLS)
-
-    trace = sorted(inner_shells + outer_shells, key=lambda pair: pair[0])
-
-    if inner_status in ("divergent", "nonfinite"):
-        return IntegralResult(math.inf, math.inf, "divergent_at_zero", trace)
-    if outer_status in ("divergent", "nonfinite"):
-        return IntegralResult(math.inf, math.inf, "divergent_at_infinity", trace)
-    if inner_status != "convergent" or (include_tail and outer_status != "convergent"):
-        return IntegralResult(math.nan, math.nan, "undetermined", trace)
-
-    total = sum(v for _, v in trace) + inner_tail[0] + outer_tail[0]
-    unc = err_sum + inner_tail[1] + outer_tail[1]
-    return IntegralResult(float(total), float(unc), "convergent", trace)
+    return classify_family(
+        f, 1, d, radius=radius, include_tail=include_tail, radial=radial,
+        rel_tol=rel_tol, abs_tol=abs_tol,
+    )[0]

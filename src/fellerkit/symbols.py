@@ -142,9 +142,10 @@ class LevyCharacteristics:
     """State-dependent Levy characteristics (kill, drift, diffusion, jumps).
 
     ``kill`` may be a constant, an expression string in x (x1..xd) or a
-    callable of points; so may ``drift`` and ``diffusion`` in dimension
-    one, while in higher dimension they are a constant vector and matrix
-    or callables.  ``jump_density`` is an expression string in x and z (r
+    callable of points; only a constant zero kill rate leaves the model
+    conservative.  ``drift`` and ``diffusion`` take the same three forms
+    in dimension one; in higher dimension they are a constant vector and
+    matrix or callables.  ``jump_density`` is an expression string in x and z (r
     when radial) or a callable (x, z) -> density value, vectorized in z.
     For ``radial=True`` the density is a function of r = |z| and the drift
     compensator of the jump part vanishes by symmetry; this is the only
@@ -771,7 +772,8 @@ def levy_symbol(
         dimension=dimension,
         eval_data=chars,
         name=name,
-        conservative=not callable(chars.kill) and kill_at_origin == 0.0,
+        conservative=not (callable(chars.kill) or isinstance(chars.kill, str))
+        and kill_at_origin == 0.0,
         x_dependent=x_dependent,
         radial_in_xi=radial,
         evaluator=ev,

@@ -469,3 +469,39 @@ class TestTolerances:
             ("transience", 1e-9), ("local_times", 1e-9),
         ]
         assert seen == [("heat_kernel_sup_bound", 1e-9), ("occupation_bound", 1e-9)]
+
+
+class TestHeatTimes:
+    @pytest.mark.parametrize("entry", ["NaN", "1e999", "-Infinity"])
+    def test_nonfinite_heat_time_exits_2(self, tmp_path, capsys, entry):
+        # the JSON reader takes NaN and Infinity, and 1e999 overflows to inf
+        path = tmp_path / "heat.json"
+        path.write_text(
+            '{"symbol": {"type": "alpha_stable", "alpha": 1.5},'
+            ' "criteria": {"run": ["transience"], "heat_times": [1.0, %s]}}' % entry
+        )
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: the density bound needs a finite t\n"
+        assert not (out / "report.json").exists()
+
+    def test_one_bound_call_for_all_heat_times(self, tmp_path, monkeypatch):
+        times = [0.01, 0.1, 1.0, 10.0, 100.0]
+        cfg = write_cfg(tmp_path, "heat.json", {
+            "symbol": {"type": "alpha_stable", "alpha": 1.5},
+            "criteria": {"run": [], "heat_times": times},
+        })
+        real = cli.heat_kernel_sup_bound
+        seen = []
+
+        def spy(env, t, **kw):
+            seen.append(list(t))
+            return real(env, t, **kw)
+
+        monkeypatch.setattr(cli, "heat_kernel_sup_bound", spy)
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        assert seen == [times]
+        heat = json.loads((out / "report.json").read_text())["heat_kernel_bounds"]
+        env = fk.build_envelope(fk.alpha_stable(1.5, 1))
+        assert heat == {str(t): fk.heat_kernel_sup_bound(env, t) for t in times}

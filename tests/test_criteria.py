@@ -14,6 +14,24 @@ import numpy as np
 import pytest
 
 import fellerkit as fk
+from fellerkit import envelopes
+
+# 161 heat times, 1e-4 ... 1e4, twenty to a decade
+HEAT_TIMES = [10.0 ** ((k - 80) / 20.0) for k in range(161)]
+
+
+def _counted_envelope(model, **kwargs):
+    """A fresh envelope of ``model`` and a list that counts its q_inf_fn calls."""
+    env = fk.build_envelope(model, **kwargs)
+    calls = []
+    real = env.q_inf_fn
+
+    def q_inf_fn(xi):
+        calls.append(len(xi))
+        return real(xi)
+
+    env.q_inf_fn = q_inf_fn
+    return env, calls
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +120,80 @@ class TestHeatKernelBound:
         # a numerical explosion
         env = fk.build_envelope(fk.compound_poisson(2.0, 0.3, 1.0))
         assert math.isinf(fk.heat_kernel_sup_bound(env, 1.0))
+
+
+class TestHeatKernelTimes:
+    @pytest.mark.parametrize(
+        "t", [math.nan, math.inf, -math.inf, [1.0, math.nan], np.array([0.5, 2.0, math.inf])]
+    )
+    def test_nonfinite_time_rejected_before_the_walk(self, t):
+        env, calls = _counted_envelope(fk.brownian(1))
+        with pytest.raises(fk.ConfigError, match="the density bound needs a finite t"):
+            fk.heat_kernel_sup_bound(env, t)
+        assert calls == []
+
+    def test_nonpositive_time_in_a_sequence_rejected(self):
+        env, calls = _counted_envelope(fk.brownian(1))
+        with pytest.raises(fk.ConfigError, match="the density bound needs t > 0"):
+            fk.heat_kernel_sup_bound(env, [1.0, 2.0, 0.0])
+        assert calls == []
+
+    def test_return_types(self):
+        env = fk.build_envelope(fk.brownian(1))
+        one = fk.heat_kernel_sup_bound(env, 1.0)
+        assert type(one) is float
+        many = fk.heat_kernel_sup_bound(env, [0.1, 1.0])
+        assert isinstance(many, np.ndarray) and many.shape == (2,)
+        assert many[1] == one
+        values, results = fk.heat_kernel_sup_bound(env, [0.1, 1.0], full=True)
+        assert np.array_equal(values, many)
+        assert [r.value for r in results] == many.tolist()
+        assert all(r.classification == "convergent" for r in results)
+        assert fk.heat_kernel_sup_bound(env, []).shape == (0,)
+
+    def test_times_equal_the_scalar_loop_bit_for_bit_on_the_closed_form(self):
+        model = fk.stable_like_symbol("1.5 + 0.3*sin(x1)*cos(x2)", 1.2, 1.8, dimension=2)
+        env = fk.build_envelope(model)
+        values, results = fk.heat_kernel_sup_bound(env, HEAT_TIMES, full=True)
+        for t, value, result in zip(HEAT_TIMES, values.tolist(), results):
+            want, want_result = fk.heat_kernel_sup_bound(env, t, full=True)
+            assert value == want, t
+            assert result.abs_error_estimate == want_result.abs_error_estimate, t
+            assert result.annulus_trace == want_result.annulus_trace, t
+
+    @pytest.mark.parametrize(
+        "model, kwargs",
+        [
+            (
+                fk.closed_form_symbol("(1.25 + 0.5*sin(x)) * abs(xi)**1.5", radial_in_xi=True),
+                {"x_domain": [(0.0, 2.0 * math.pi)], "resolution": 33, "tail": "periodic"},
+            ),
+            (fk.closed_form_symbol("xi1**2 + 4*xi2**2", dimension=2, radial_in_xi=False), {}),
+        ],
+        ids=["grid", "nonradial_state_free"],
+    )
+    def test_times_match_the_scalar_loop_within_the_error_estimate(self, model, kwargs):
+        env = fk.build_envelope(model, **kwargs)
+        times = np.logspace(-3, 3, 13)
+        values = fk.heat_kernel_sup_bound(env, times)
+        for t, value in zip(times, values):
+            want, result = fk.heat_kernel_sup_bound(env, t, full=True)
+            assert abs(value - want) <= result.abs_error_estimate, t
+
+    def test_all_times_share_one_shell_walk(self, monkeypatch):
+        # with the query memo off every envelope query reaches q_inf_fn, so
+        # a walk per heat time would make about 161 times the calls of one
+        monkeypatch.setattr(envelopes, "MEMO_POINTS", 0)
+        model = fk.stable_like_symbol("1.5 + 0.3*sin(x1)*cos(x2)", 1.2, 1.8, dimension=2)
+        env, calls = _counted_envelope(model)
+        fk.heat_kernel_sup_bound(env, HEAT_TIMES)
+        together = len(calls)
+        longest = 0
+        for t in HEAT_TIMES:
+            env, calls = _counted_envelope(model)
+            fk.heat_kernel_sup_bound(env, t)
+            longest = max(longest, len(calls))
+        assert together <= 2 * longest
 
 
 class TestUltracontractivity:
@@ -309,6 +401,11 @@ class TestHeatExponentFit:
         env = fk.build_envelope(fk.compound_poisson(2.0, 0.3, 1.0))
         with pytest.raises(fk.NumericalError, match="diverges on the fit grid"):
             fk.heat_exponent_fit(env)
+
+    def test_bounds_equal_the_per_time_loop(self):
+        env = fk.build_envelope(fk.stable_like_symbol("1.5 + 0.3*sin(x)", 1.2, 1.8))
+        rep = fk.heat_exponent_fit(env)
+        assert rep.bounds.tolist() == [fk.heat_kernel_sup_bound(env, t) for t in rep.t_values]
 
 
 class TestStableLikeTailTransience:

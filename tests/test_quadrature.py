@@ -12,6 +12,7 @@ import pytest
 
 import fellerkit as fk
 from fellerkit.quadrature import (
+    classify_family,
     classify_improper,
     direction_set,
     integrate_radial,
@@ -140,6 +141,97 @@ class TestClassifyImproper:
         res = classify_improper(f, 2, include_tail=True, radial=False)
         assert res.classification == "convergent"
         assert res.value == pytest.approx(1.5 * math.pi, rel=1e-6)
+
+
+def _norm(xi, d):
+    xi = np.asarray(xi)
+    return np.abs(xi) if d == 1 else np.linalg.norm(xi, axis=-1)
+
+
+def _angle_weight(xi, d, a, b):
+    """a + b sin(angle) in the plane, 1 in d = 1; a radial walk reads it on
+    the e_1 ray only."""
+    if d == 1:
+        return 1.0
+    xi = np.asarray(xi)
+    return a + b * np.sin(np.arctan2(xi[..., 1], xi[..., 0]))
+
+
+def _family_rows(d):
+    """Integrands over R^d, one per classification, plus two rows kinked
+    inside the shell [0.5, 1], whose bisections part after the first cut."""
+    def convergent(xi):
+        return _angle_weight(xi, d, 1.0, 0.5) * np.exp(-_norm(xi, d) ** 2)
+
+    def divergent_at_zero(xi):  # |xi|^(-d - 1/2)
+        return _angle_weight(xi, d, 1.5, 1.0) * _norm(xi, d) ** (-d - 0.5)
+
+    def divergent_at_infinity(xi):  # decays like |xi|^(-d + 1/2)
+        return _angle_weight(xi, d, 1.0, 0.5) / (1.0 + _norm(xi, d)) ** (d - 0.5)
+
+    def nonfinite(xi):  # +inf on the ball of radius 0.3
+        r = _norm(xi, d)
+        return np.where(r < 0.3, np.inf, np.exp(-r))
+
+    def kinked_at(k):
+        return lambda xi: np.sqrt(np.abs(_norm(xi, d) - k)) * np.exp(-_norm(xi, d))
+
+    return {
+        "convergent": convergent,
+        "divergent_at_zero": divergent_at_zero,
+        "divergent_at_infinity": divergent_at_infinity,
+        "nonfinite": nonfinite,
+        "kinked_at_0.6": kinked_at(0.6),
+        "kinked_at_0.9": kinked_at(0.9),
+    }
+
+
+def _same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or a == b
+
+
+class TestClassifyFamily:
+    @pytest.mark.parametrize("d, radial", [(1, True), (2, True), (2, False)])
+    def test_each_row_gets_its_result_alone(self, d, radial):
+        rows = _family_rows(d)
+        fns = list(rows.values())
+
+        def family(xi):
+            return np.stack([fn(xi) for fn in fns])
+
+        with np.errstate(divide="ignore", over="ignore"):
+            together = classify_family(family, len(fns), d, include_tail=True, radial=radial)
+            alone = [classify_improper(fn, d, include_tail=True, radial=radial) for fn in fns]
+        assert [res.classification for res in together] == [
+            "convergent", "divergent_at_zero", "divergent_at_infinity", "divergent_at_zero",
+            "convergent", "convergent",
+        ]
+        for name, got, want in zip(rows, together, alone):
+            assert _same_float(got.value, want.value), name
+            assert _same_float(got.abs_error_estimate, want.abs_error_estimate), name
+            assert got.classification == want.classification, name
+            assert [j for j, _ in got.annulus_trace] == [j for j, _ in want.annulus_trace], name
+            assert all(
+                _same_float(v, w) for (_, v), (_, w) in zip(got.annulus_trace, want.annulus_trace)
+            ), name
+
+    def test_one_call_per_pass_for_all_rows(self):
+        # the walk asks f once per shell pass, never once per row
+        calls = []
+
+        def family(xi):
+            calls.append(len(xi))
+            return np.exp(-np.outer([1.0, 2.0, 4.0], np.asarray(xi) ** 2))
+
+        res = classify_family(family, 3, 1, include_tail=True)
+        assert [r.classification for r in res] == ["convergent"] * 3
+        for scale, r in zip([1.0, 2.0, 4.0], res):
+            assert r.value == pytest.approx(math.sqrt(math.pi / scale), rel=1e-9)
+        longest = max(len(r.annulus_trace) for r in res)
+        assert len(calls) <= 2 * longest
+
+    def test_empty_family(self):
+        assert classify_family(lambda xi: np.zeros((0, np.size(xi))), 0, 1) == []
 
 
 class TestDirectionHelpers:

@@ -341,3 +341,25 @@ class TestLevyExpressionCoefficients:
             f" in dimension 2 give a constant {shape}",
         ):
             fk.levy_symbol(fk.LevyCharacteristics(**{key: value}), dimension=2)
+
+
+class TestLevyConservative:
+    def test_expression_kill_rate_is_not_conservative(self):
+        # c(x) = 0.1 x^2 vanishes at the origin only: p(2, 0) = 0.4
+        m = fk.levy_symbol(fk.LevyCharacteristics(kill="0.1*x**2", diffusion=1.0))
+        assert ev(m, 2.0, 0.0) == pytest.approx(0.4, rel=1e-14)
+        assert not m.conservative
+        assert fk.validate_model(m)["conservative_ok"] is True
+
+    def test_callable_kill_rate_is_not_conservative(self):
+        chars = fk.LevyCharacteristics(kill=lambda x: 0.1 * x[..., 0] ** 2, diffusion=1.0)
+        assert not fk.levy_symbol(chars).conservative
+
+    @pytest.mark.parametrize("kill", [0, 0.0])
+    def test_constant_zero_kill_rate_stays_conservative(self, kill):
+        m = fk.levy_symbol(fk.LevyCharacteristics(kill=kill, diffusion=1.0))
+        assert m.conservative
+        assert fk.validate_model(m)["conservative_ok"] is True
+
+    def test_constant_positive_kill_rate_is_not_conservative(self):
+        assert not fk.levy_symbol(fk.LevyCharacteristics(kill=0.3, diffusion=1.0)).conservative
