@@ -42,10 +42,8 @@ from .config import build_envelope_from_config, build_model, load_config
 from .criteria import (
     char_fn_bound,
     exit_time_bound,
-    heat_kernel_sup_bound,
+    frequency_criteria,
     occupation_bound,
-    test_local_times,
-    test_transience,
     test_ultracontractivity,
 )
 from .empirics import (
@@ -58,15 +56,6 @@ from .empirics import (
 from .ensemble_io import write_ensemble
 from .errors import ConfigError, NumericalError
 from .simulate import levy_steps, simulate_levy, simulate_stable_like, stable_like_steps
-
-_CRITERIA = {
-    "ultracontractivity": lambda env, cfg, rel_tol: test_ultracontractivity(env),
-    "transience": lambda env, cfg, rel_tol: test_transience(
-        env, cfg["transience_radius"], rel_tol=rel_tol
-    ),
-    "local_times": lambda env, cfg, rel_tol: test_local_times(env, rel_tol=rel_tol),
-}
-
 
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
@@ -132,23 +121,45 @@ def _simulation_from_config(model, cfg, seed, levy, stable_like):
     )
 
 
+def _check_numbers(crit_cfg: dict) -> None:
+    """Raise ConfigError unless the criteria section holds a number under
+    'transience_radius' and lists of numbers under 'heat_times' and
+    'occupation_radii'."""
+
+    def number(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    if not number(crit_cfg["transience_radius"]):
+        raise ConfigError("'transience_radius' in the criteria section must be a number")
+    for key in ("heat_times", "occupation_radii"):
+        values = crit_cfg.get(key, [])
+        if not isinstance(values, list) or not all(map(number, values)):
+            raise ConfigError(f"'{key}' in the criteria section must be a list of numbers")
+
+
 def cmd_analyze(cfg, out_dir: Path) -> dict:
     model = build_model(cfg["symbol"])
     env = build_envelope_from_config(model, cfg["envelope"])
     crit_cfg = cfg["criteria"]
     rel_tol = cfg["tolerances"]["rel_tol"]
-    reports = []
-    for name in crit_cfg["run"]:
-        if name not in _CRITERIA:
-            raise ConfigError(
-                f"unknown criterion '{name}'; known: {sorted(_CRITERIA)}"
-            )
-        reports.append(_CRITERIA[name](env, crit_cfg, rel_tol))
-
+    run = crit_cfg["run"]
+    known = ["local_times", "transience", "ultracontractivity"]
+    for name in run:
+        if name not in known:
+            raise ConfigError(f"unknown criterion '{name}'; known: {known}")
+    _check_numbers(crit_cfg)
     heat_times = [float(t) for t in crit_cfg["heat_times"]]
-    bounds = heat_kernel_sup_bound(env, heat_times, rel_tol=rel_tol).tolist()
-    heat = dict(zip(map(str, heat_times), bounds))
-
+    transience, local_times, bounds, _ = frequency_criteria(
+        env,
+        crit_cfg["transience_radius"] if "transience" in run else None,
+        "local_times" in run,
+        heat_times,
+        rel_tol=rel_tol,
+    )
+    reports = {"transience": transience, "local_times": local_times}
+    if "ultracontractivity" in run:
+        reports["ultracontractivity"] = test_ultracontractivity(env)
+    heat = dict(zip(map(str, heat_times), bounds.tolist()))
     occ = {}
     for r in crit_cfg.get("occupation_radii", []):
         occ[str(r)] = occupation_bound(env, float(r), rel_tol=rel_tol)
@@ -169,7 +180,7 @@ def cmd_analyze(cfg, out_dir: Path) -> dict:
         "command": "analyze",
         "model": {"name": model.name, "kind": model.kind, "dimension": model.dimension},
         "envelope": {"provenance": env.provenance, "caveats": list(env.caveats)},
-        "criteria": _report_criteria(reports),
+        "criteria": _report_criteria(reports[name] for name in run),
         "heat_kernel_bounds": heat,
         "occupation_bounds": occ,
     }

@@ -12,20 +12,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
 
 from .envelopes import Envelope
 from .errors import ConfigError, NumericalError
-from .quadrature import (
-    IntegralResult,
-    classify_family,
-    classify_improper,
-    direction_set,
-    surface_area,
-)
+from .quadrature import classify_family, classify_improper, direction_set, surface_area
 from .symbol_checks import ball_sup
 from .symbols import SymbolModel, as_points
 
@@ -33,6 +27,7 @@ __all__ = [
     "CriterionReport",
     "char_fn_bound",
     "heat_kernel_sup_bound",
+    "frequency_criteria",
     "test_ultracontractivity",
     "test_transience",
     "test_local_times",
@@ -98,48 +93,16 @@ def heat_kernel_sup_bound(
 
     ``t`` is one time or a 1-D sequence of times; every time must be finite
     and positive, and all of them share one walk over the frequency shells
-    (:func:`~fellerkit.quadrature.classify_family`).  Returns a float for
-    one time, else an array of bounds; with ``full``, also the scaled
-    :class:`IntegralResult`, or a list of them.  A bound is math.inf when
-    its frequency integral diverges (symbol too flat at infinity for an
-    ultracontractive bound at that t).
+    (:func:`frequency_criteria`).  Returns a float for one time, else an
+    array of bounds; with ``full``, also the scaled :class:`IntegralResult`,
+    or a list of them.  A bound is math.inf when its frequency integral
+    diverges (symbol too flat at infinity for an ultracontractive bound at
+    that t).
     """
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ConfigError("the density bound takes one time or a 1-D sequence of times")
-    if not np.isfinite(times).all():
-        raise ConfigError("the density bound needs a finite t")
-    if (times <= 0).any():
-        raise ConfigError("the density bound needs t > 0")
-    d = env.dimension
-    rates = -(times.ravel() / 16.0)
-
-    def integrand(xi):
-        q = env.q_inf(xi)
-        return np.exp(rates.reshape((-1,) + (1,) * np.ndim(q)) * q)
-
-    results = classify_family(
-        integrand, rates.size, d, radius=1.0, include_tail=True, radial=env.radial,
-        rel_tol=rel_tol,
-    )
-    if any(result.classification == "undetermined" for result in results):
-        raise NumericalError(
-            "heat kernel bound integral could not be classified", error_estimate=math.nan
-        )
-    scale = (4.0 * math.pi) ** (-d)
-    values = [math.inf if result.infinite else scale * result.value for result in results]
-    scaled = [
-        IntegralResult(
-            value=value,
-            abs_error_estimate=scale * result.abs_error_estimate,
-            classification=result.classification,
-            annulus_trace=result.annulus_trace,
-        )
-        for value, result in zip(values, results)
-    ]
-    if times.ndim == 0:
-        return (values[0], scaled[0]) if full else values[0]
-    return (np.array(values), scaled) if full else np.array(values)
+    _, _, values, scaled = frequency_criteria(env, None, False, t, rel_tol=rel_tol)
+    if np.ndim(t) == 0:
+        values, scaled = float(values[0]), scaled[0]
+    return (values, scaled) if full else values
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +131,114 @@ def _query(query, xi: np.ndarray) -> np.ndarray:
     return np.reshape(query(xi), xi.shape[:-1])
 
 
-def _negative_q_inf(criterion: str, env: Envelope, start: float) -> CriterionReport | None:
-    """The "fails" report when q_inf dips below zero on a probe of spheres."""
-    radii = np.array([0.1, 1.0, 10.0])
-    if _query(env.q_inf, radii[:, None, None] * _directions(env, 8)).min() < -1e-10:
-        return CriterionReport(
-            criterion=criterion,
-            verdict="fails",
-            evidence={"note": "q_inf takes negative values; not a symbol envelope"},
-            caveats=env.caveats,
-            wall_time=time.perf_counter() - start,
+def _positive_radius(r) -> float:
+    r = float(r)
+    if not (math.isfinite(r) and r > 0):
+        raise ConfigError("radius must be positive")
+    return r
+
+
+def frequency_criteria(
+    env: Envelope,
+    r: float | None,
+    local_times: bool,
+    t,
+    *,
+    rel_tol: float = 1e-6,
+    radial_shortcut: bool = False,
+):
+    """Transience at radius ``r`` (none when ``r`` is None), local times
+    (when ``local_times``) and the density bound at the times ``t``.
+
+    The three are integrals of q_inf: of 1 / q_inf over |xi| <= r, and of
+    1 / (1 + q_inf) and exp(-(t/16) q_inf) over R^d.  Rows of one radius
+    share one :func:`~fellerkit.quadrature.classify_family` walk, so each
+    shell pass makes one envelope query for all of them, and each row gets
+    the result of its own walk.  ``t`` is one finite, positive time or a
+    1-D sequence of them.  Returns the transience and local-times reports
+    (None when not asked for; "fails", without a walk, when q_inf dips
+    below zero on a probe of spheres), the array of density bounds
+    (math.inf where the integral diverges) and their scaled
+    :class:`IntegralResult` list.
+    """
+    start = time.perf_counter()
+    r = None if r is None else _positive_radius(r)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ConfigError("the density bound takes one time or a 1-D sequence of times")
+    if not np.isfinite(times).all():
+        raise ConfigError("the density bound needs a finite t")
+    if (times <= 0).any():
+        raise ConfigError("the density bound needs t > 0")
+    rates = -(times.ravel() / 16.0)
+    probe = np.array([0.1, 1.0, 10.0])[:, None, None] * _directions(env, 8)
+    negative = (r is not None or local_times) and _query(env.q_inf, probe).min() < -1e-10
+
+    # name -> (radius, include_tail, row count, the rows from q_inf)
+    parts = {}
+    if r is not None and not negative:
+        parts["transience"] = (r, False, 1, lambda q: _reciprocal(q)[None])
+    if local_times and not negative:
+        parts["local_times"] = (1.0, True, 1, lambda q: (1.0 / (1.0 + q))[None])
+    # the heat times stay one block, so a pass makes one exp for all of them
+    parts["heat"] = (
+        1.0, True, rates.size, lambda q: np.exp(rates.reshape((-1,) + (1,) * np.ndim(q)) * q)
+    )
+    results = {}
+    for radius in dict.fromkeys(part[0] for part in parts.values()):
+        walk = {name: part for name, part in parts.items() if part[0] == radius}
+
+        def integrand(xi, walk=walk):
+            q = env.q_inf(xi)
+            return np.concatenate([rows(q) for *_, rows in walk.values()])
+
+        family = classify_family(
+            integrand, sum(n for _, _, n, _ in walk.values()), env.dimension, radius=radius,
+            include_tail=[tail for _, tail, n, _ in walk.values() for _ in range(n)],
+            radial=env.radial, rel_tol=rel_tol,
         )
-    return None
+        for name, (_, _, n, _) in walk.items():
+            results[name], family = family[:n], family[n:]
+
+    if any(result.classification == "undetermined" for result in results["heat"]):
+        raise NumericalError(
+            "heat kernel bound integral could not be classified", error_estimate=math.nan
+        )
+    scale = (4.0 * math.pi) ** (-env.dimension)
+    heat = [
+        replace(
+            result,
+            value=math.inf if result.infinite else scale * result.value,
+            abs_error_estimate=scale * result.abs_error_estimate,
+        )
+        for result in results["heat"]
+    ]
+
+    note = (
+        "radial symbol with unbounded real part declared: one radius decides"
+        if radial_shortcut
+        else "criterion applied at a single radius; transience needs it for every r > 0"
+    )
+    reports = {}
+    for name, wanted, evidence, config_echo in (
+        ("transience", r is not None, {"radius": r, "note": note},
+         {"radial_shortcut": radial_shortcut, "rel_tol": rel_tol}),
+        ("local_times", local_times, {}, {"rel_tol": rel_tol}),
+    ):
+        if not wanted:
+            reports[name] = None
+            continue
+        if negative:
+            verdict, config_echo = "fails", {}
+            evidence = {"note": "q_inf takes negative values; not a symbol envelope"}
+        else:
+            (result,) = results[name]
+            verdict = "holds" if result.classification == "convergent" else "inconclusive"
+            evidence = {"integral": result.to_dict(), **evidence}
+        reports[name] = CriterionReport(
+            name, verdict, evidence, config_echo, env.caveats, time.perf_counter() - start
+        )
+    return reports["transience"], reports["local_times"], np.array([h.value for h in heat]), heat
 
 
 def test_ultracontractivity(
@@ -227,56 +286,17 @@ def test_transience(
     A convergent integral over |xi| <= r certifies transience.  Divergence
     leaves the criterion silent (inconclusive); with ``radial_shortcut`` the
     report notes that a single radius suffices for radial symbols with
-    unbounded real part, instead of all r > 0.
+    unbounded real part, instead of all r > 0.  ``r`` must be finite and
+    positive.
     """
-    start = time.perf_counter()
-    negative = _negative_q_inf("transience", env, start)
-    if negative is not None:
-        return negative
-
-    result = classify_improper(
-        lambda xi: _reciprocal(env.q_inf(xi)),
-        env.dimension, radius=float(r), include_tail=False, radial=env.radial, rel_tol=rel_tol
-    )
-    if result.classification == "convergent":
-        verdict = "holds"
-    else:
-        verdict = "inconclusive"
-    note = (
-        "radial symbol with unbounded real part declared: one radius decides"
-        if radial_shortcut
-        else "criterion applied at a single radius; transience needs it for every r > 0"
-    )
-    return CriterionReport(
-        criterion="transience",
-        verdict=verdict,
-        evidence={"integral": result.to_dict(), "radius": float(r), "note": note},
-        config_echo={"radial_shortcut": radial_shortcut, "rel_tol": rel_tol},
-        caveats=env.caveats,
-        wall_time=time.perf_counter() - start,
-    )
+    return frequency_criteria(
+        env, r, False, [], rel_tol=rel_tol, radial_shortcut=radial_shortcut
+    )[0]
 
 
 def test_local_times(env: Envelope, *, rel_tol: float = 1e-6) -> CriterionReport:
     """Existence of local times via integrability of 1 / (1 + q_inf) on R^d."""
-    start = time.perf_counter()
-    negative = _negative_q_inf("local_times", env, start)
-    if negative is not None:
-        return negative
-
-    result = classify_improper(
-        lambda xi: 1.0 / (1.0 + env.q_inf(xi)),
-        env.dimension, radius=1.0, include_tail=True, radial=env.radial, rel_tol=rel_tol
-    )
-    verdict = "holds" if result.classification == "convergent" else "inconclusive"
-    return CriterionReport(
-        criterion="local_times",
-        verdict=verdict,
-        evidence={"integral": result.to_dict()},
-        config_echo={"rel_tol": rel_tol},
-        caveats=env.caveats,
-        wall_time=time.perf_counter() - start,
-    )
+    return frequency_criteria(env, None, True, [], rel_tol=rel_tol)[1]
 
 
 def occupation_bound(env: Envelope, r: float, *, rel_tol: float = 1e-6, full: bool = False):
@@ -287,8 +307,7 @@ def occupation_bound(env: Envelope, r: float, *, rel_tol: float = 1e-6, full: bo
 
     Returns math.inf when the integral diverges.
     """
-    if r <= 0:
-        raise ConfigError("radius must be positive")
+    r = _positive_radius(r)
     d = env.dimension
 
     result = classify_improper(

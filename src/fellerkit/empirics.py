@@ -224,13 +224,14 @@ def validate_char_bound(
     is expected to sit outside by chance under a normal error model.
     """
     d = ens.positions.shape[2]
+    points = np.reshape([as_points(xi, d, single=True)[0] for xi in xi_values], (-1, d))
     rows = []
     n_bad = 0
     for t in t_values:
-        for xi in xi_values:
-            v, _ = as_points(xi, d, single=True)
+        # one envelope query per time, for every frequency
+        bounds = np.reshape(char_fn_bound(env, t, points), -1).tolist() if len(points) else []
+        for v, bound in zip(points, bounds):
             est = empirical_char_fn(ens, t, v)
-            bound = float(char_fn_bound(env, t, v if d > 1 else v[0]))
             margin = bound - abs(est.value)
             ok = margin >= -n_sigma * est.se_abs
             if not ok:

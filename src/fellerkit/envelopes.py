@@ -18,7 +18,7 @@ between grid nodes, so reports built from them carry a caveat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,9 +38,6 @@ GRID_CAVEAT = (
 MAX_EVAL_POINTS = 1 << 13
 #: nodes per bracket-search step along one coordinate
 BRACKET_NODES = 65
-#: most points the query memo of one envelope holds; a query that would
-#: take it past this is computed and not stored
-MEMO_POINTS = 200_000
 
 
 @dataclass(eq=False)
@@ -52,9 +49,8 @@ class Envelope:
     single point, else an array of floats.  The functions it wraps
     (``q_inf_fn`` and so on) take an ``(n, d)`` array of frequencies and
     return an ``(n,)`` array.  Instances are immutable by convention.  The
-    wrapped function sees all points of a query in one call, and a query
-    asked again with the same points is answered from a memo of whole
-    queries; the arrays returned are the caller's to write to.
+    wrapped function sees all points of a query in one call, and the
+    arrays returned are the caller's to write to.
     """
 
     dimension: int
@@ -65,31 +61,24 @@ class Envelope:
     provenance: str
     radial: bool = False
     caveats: tuple = ()
-    _memo: dict = field(default_factory=dict, repr=False)
-    _memo_points: int = field(default=0, repr=False)
 
-    def _eval(self, tag: str, fn, xi) -> float | np.ndarray:
+    def _eval(self, fn, xi) -> float | np.ndarray:
         points, lead = as_points(xi, self.dimension)
-        key = (tag, points.shape, points.tobytes())
-        vals = self._memo.get(key)
-        if vals is None:
-            vals = np.asarray(fn(points.reshape(-1, self.dimension)), dtype=float)
-            if self._memo_points + vals.size <= MEMO_POINTS:
-                self._memo[key] = vals
-                self._memo_points += vals.size
-        return float(vals[0]) if lead == () else vals.reshape(lead).copy()
+        # a copy: fn may return a read-only view or an array it keeps
+        vals = np.array(fn(points.reshape(-1, self.dimension)), dtype=float)
+        return float(vals[0]) if lead == () else vals.reshape(lead)
 
     def q_inf(self, xi):
-        return self._eval("qi", self.q_inf_fn, xi)
+        return self._eval(self.q_inf_fn, xi)
 
     def q_sup(self, xi):
-        return self._eval("qs", self.q_sup_fn, xi)
+        return self._eval(self.q_sup_fn, xi)
 
     def re_sup(self, xi):
-        return self._eval("rs", self.re_sup_fn, xi)
+        return self._eval(self.re_sup_fn, xi)
 
     def im_sup(self, xi):
-        return self._eval("is", self.im_sup_fn, xi)
+        return self._eval(self.im_sup_fn, xi)
 
 
 def _stable_closed_form(spec: StableLikeSpec, d: int) -> Envelope:

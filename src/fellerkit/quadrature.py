@@ -379,7 +379,7 @@ def classify_family(
     d: int,
     *,
     radius: float = 1.0,
-    include_tail: bool = False,
+    include_tail: bool | list[bool] = False,
     radial: bool = True,
     rel_tol: float = 1e-6,
     abs_tol: float = 1e-12,
@@ -396,8 +396,11 @@ def classify_family(
     alone, bit for bit, unless the shared pieces of a shell reach
     SHELL_PIECES before its own would.  A row with a nonfinite value at a
     node of its pieces gets a nonfinite shell; the other rows go on.
+    ``include_tail`` is one bool for every row or one per row; a row
+    without a tail skips the outward walk.
     """
     profile = _shell_profile(f, d, radial)
+    has_tail = np.broadcast_to(include_tail, (m,)).tolist()
 
     def g(r):
         vals = profile(r) * r ** (d - 1)
@@ -407,14 +410,13 @@ def classify_family(
 
     err_sums = [0.0] * m
 
-    def run_direction(start: int, step: int, min_shells: int):
-        """Walk shells from ``start`` in direction ``step`` until every row
-        has a verdict; per row its shells, status and tail."""
+    def run_direction(start: int, step: int, min_shells: int, rows: list):
+        """Walk shells from ``start`` in direction ``step`` until each of
+        ``rows`` has a verdict; per row its shells, status and tail."""
         shells = [[] for _ in range(m)]
         status = ["undetermined"] * m
         tails = [(0.0, 0.0)] * m
         totals = [0.0] * m
-        rows = list(range(m))
         j = start
         for k in range(min_shells + MAX_EXTRA_SHELLS):
             if not rows:
@@ -441,9 +443,8 @@ def classify_family(
             j += step
         return shells, status, tails
 
-    inner = run_direction(-1, -1, INNER_SHELLS)
-    no_walk = ([[] for _ in range(m)], ["skipped"] * m, [(0.0, 0.0)] * m)
-    outer = run_direction(0, +1, OUTER_SHELLS) if include_tail else no_walk
+    inner = run_direction(-1, -1, INNER_SHELLS, list(range(m)))
+    outer = run_direction(0, +1, OUTER_SHELLS, [i for i in range(m) if has_tail[i]])
 
     results = []
     for i in range(m):
@@ -454,7 +455,7 @@ def classify_family(
             results.append(IntegralResult(math.inf, math.inf, "divergent_at_zero", trace))
         elif outer_status in ("divergent", "nonfinite"):
             results.append(IntegralResult(math.inf, math.inf, "divergent_at_infinity", trace))
-        elif inner_status != "convergent" or (include_tail and outer_status != "convergent"):
+        elif inner_status != "convergent" or (has_tail[i] and outer_status != "convergent"):
             results.append(IntegralResult(math.nan, math.nan, "undetermined", trace))
         else:
             total = 0.0

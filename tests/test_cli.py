@@ -121,6 +121,41 @@ class TestAnalyze:
         rc = cli.main(["analyze", "--config", analyze_cfg, "--out", str(out), "--threads", "2"])
         assert rc == 0
 
+    def test_one_shell_walk_serves_transience_local_times_and_heat(self, tmp_path, monkeypatch):
+        symbol = {
+            "type": "closed_form", "re": "(1.25 + 0.5*sin(x)) * abs(xi)**1.5",
+            "radial_in_xi": True,
+        }
+        envelope = {
+            "method": "grid", "x_domain": [[0.0, 2.0 * math.pi]], "resolution": 17,
+            "tail": "periodic",
+        }
+        cfg = write_cfg(tmp_path, "walk.json", {
+            "symbol": symbol, "envelope": envelope,
+            "criteria": {"run": ["transience", "local_times"], "heat_times": [1.0]},
+        })
+
+        def counted(model, env_cfg, calls):
+            env = build_envelope_from_config(model, env_cfg)
+            fn = env.q_inf_fn
+            env.q_inf_fn = lambda xi: calls.append(xi.tobytes()) or fn(xi)
+            return env
+
+        analyze = []
+        monkeypatch.setattr(cli, "build_envelope_from_config", lambda m, c: counted(m, c, analyze))
+        assert cli.main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(set(analyze)) == len(analyze)  # no points are asked for twice
+        local_times, heat = [], []
+        rep = fk.test_local_times(counted(build_model(symbol), envelope, local_times))
+        assert rep.verdict == "holds"
+        env = counted(build_model(symbol), envelope, heat)
+        _, result = fk.heat_kernel_sup_bound(env, 1.0, full=True)
+        # a call beyond one per shell is a bisection pass, so the shared walk
+        # makes at most the calls of the local-times walk (with its probe)
+        # plus the heat row's bisection passes; analyze adds two curve queries
+        bisections = len(heat) - len(result.annulus_trace)
+        assert len(analyze) <= len(local_times) + bisections + 2
+
 
 class TestSimulate:
     @pytest.fixture()
@@ -454,12 +489,12 @@ class TestTolerances:
             "tolerances": {"rel_tol": 1e-9},
         })
         seen = []
-        for name in ("heat_kernel_sup_bound", "occupation_bound"):
+        for name in ("frequency_criteria", "occupation_bound"):
             real = getattr(cli, name)
 
-            def spy(env, arg, *, real=real, name=name, **kw):
+            def spy(env, *args, real=real, name=name, **kw):
                 seen.append((name, kw.get("rel_tol")))
-                return real(env, arg, **kw)
+                return real(env, *args, **kw)
 
             monkeypatch.setattr(cli, name, spy)
         out = tmp_path / "out"
@@ -468,21 +503,45 @@ class TestTolerances:
         assert [(c["criterion"], c["config"]["rel_tol"]) for c in rep["criteria"]] == [
             ("transience", 1e-9), ("local_times", 1e-9),
         ]
-        assert seen == [("heat_kernel_sup_bound", 1e-9), ("occupation_bound", 1e-9)]
+        assert seen == [("frequency_criteria", 1e-9), ("occupation_bound", 1e-9)]
 
 
 class TestHeatTimes:
-    @pytest.mark.parametrize("entry", ["NaN", "1e999", "-Infinity"])
-    def test_nonfinite_heat_time_exits_2(self, tmp_path, capsys, entry):
-        # the JSON reader takes NaN and Infinity, and 1e999 overflows to inf
+    FINITE_T = "the density bound needs a finite t"
+    HEAT_LIST = "'heat_times' in the criteria section must be a list of numbers"
+    RADII_LIST = "'occupation_radii' in the criteria section must be a list of numbers"
+
+    @pytest.mark.parametrize("entry, message", [
+        pytest.param('"heat_times": [1.0, NaN]', FINITE_T, id="NaN"),
+        pytest.param('"heat_times": [1.0, 1e999]', FINITE_T, id="1e999"),
+        pytest.param('"heat_times": [1.0, -Infinity]', FINITE_T, id="-Infinity"),
+        pytest.param('"heat_times": ["abc"]', HEAT_LIST, id="heat_times-string"),
+        pytest.param('"heat_times": 5', HEAT_LIST, id="heat_times-int"),
+        pytest.param('"heat_times": 1.0', HEAT_LIST, id="heat_times-float"),
+        pytest.param('"occupation_radii": ["abc"]', RADII_LIST, id="radii-string"),
+        pytest.param('"occupation_radii": 5', RADII_LIST, id="radii-int"),
+        pytest.param('"occupation_radii": 1.0', RADII_LIST, id="radii-float"),
+        pytest.param('"occupation_radii": [NaN]', "radius must be positive", id="radii-NaN"),
+        pytest.param(
+            '"transience_radius": "abc"',
+            "'transience_radius' in the criteria section must be a number",
+            id="transience-string",
+        ),
+        pytest.param(
+            '"transience_radius": -1.0', "radius must be positive", id="transience-negative"
+        ),
+    ])
+    def test_nonfinite_heat_time_exits_2(self, tmp_path, capsys, entry, message):
+        # the JSON reader takes NaN and Infinity, and 1e999 overflows to inf;
+        # malformed criteria values exit 2 as well, naming their key
         path = tmp_path / "heat.json"
         path.write_text(
             '{"symbol": {"type": "alpha_stable", "alpha": 1.5},'
-            ' "criteria": {"run": ["transience"], "heat_times": [1.0, %s]}}' % entry
+            ' "criteria": {"run": ["transience"], %s}}' % entry
         )
         out = tmp_path / "out"
         assert cli.main(["analyze", "--config", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "configuration error: the density bound needs a finite t\n"
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not (out / "report.json").exists()
 
     def test_one_bound_call_for_all_heat_times(self, tmp_path, monkeypatch):
@@ -491,14 +550,14 @@ class TestHeatTimes:
             "symbol": {"type": "alpha_stable", "alpha": 1.5},
             "criteria": {"run": [], "heat_times": times},
         })
-        real = cli.heat_kernel_sup_bound
+        real = cli.frequency_criteria
         seen = []
 
-        def spy(env, t, **kw):
+        def spy(env, r, local_times, t, **kw):
             seen.append(list(t))
-            return real(env, t, **kw)
+            return real(env, r, local_times, t, **kw)
 
-        monkeypatch.setattr(cli, "heat_kernel_sup_bound", spy)
+        monkeypatch.setattr(cli, "frequency_criteria", spy)
         out = tmp_path / "out"
         assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 0
         assert seen == [times]

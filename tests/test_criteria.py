@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import fellerkit as fk
-from fellerkit import envelopes
 
 # 161 heat times, 1e-4 ... 1e4, twenty to a decade
 HEAT_TIMES = [10.0 ** ((k - 80) / 20.0) for k in range(161)]
@@ -180,10 +179,9 @@ class TestHeatKernelTimes:
             want, result = fk.heat_kernel_sup_bound(env, t, full=True)
             assert abs(value - want) <= result.abs_error_estimate, t
 
-    def test_all_times_share_one_shell_walk(self, monkeypatch):
-        # with the query memo off every envelope query reaches q_inf_fn, so
-        # a walk per heat time would make about 161 times the calls of one
-        monkeypatch.setattr(envelopes, "MEMO_POINTS", 0)
+    def test_all_times_share_one_shell_walk(self):
+        # every envelope query reaches q_inf_fn, so a walk per heat time
+        # would make about 161 times the calls of one
         model = fk.stable_like_symbol("1.5 + 0.3*sin(x1)*cos(x2)", 1.2, 1.8, dimension=2)
         env, calls = _counted_envelope(model)
         fk.heat_kernel_sup_bound(env, HEAT_TIMES)
@@ -273,6 +271,15 @@ class TestOccupationBound:
     def test_bounded_symbol_is_infinite(self):
         env = fk.build_envelope(fk.compound_poisson(2.0, 0.3, 1.0))
         assert math.isinf(fk.occupation_bound(env, 1.0))
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("criterion", [fk.test_transience, fk.occupation_bound])
+def test_radius_must_be_finite_and_positive(criterion, radius):
+    # the ball |xi| <= r needs a finite r > 0, and NaN passes a plain r <= 0
+    env = fk.build_envelope(fk.alpha_stable(1.5, 2))
+    with pytest.raises(fk.ConfigError, match="radius must be positive"):
+        criterion(env, radius)
 
 
 class TestSmallTimeHorizon:

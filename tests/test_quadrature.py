@@ -215,6 +215,25 @@ class TestClassifyFamily:
                 _same_float(v, w) for (_, v), (_, w) in zip(got.annulus_trace, want.annulus_trace)
             ), name
 
+    @pytest.mark.parametrize("d, radial", [(1, True), (2, False)])
+    def test_rows_with_and_without_a_tail(self, d, radial):
+        fns = list(_family_rows(d).values())
+        tails = [True, False] * (len(fns) // 2)
+
+        def family(xi):
+            return np.stack([fn(xi) for fn in fns])
+
+        with np.errstate(divide="ignore", over="ignore"):
+            together = classify_family(family, len(fns), d, include_tail=tails, radial=radial)
+            alone = [
+                classify_improper(fn, d, include_tail=tail, radial=radial)
+                for fn, tail in zip(fns, tails)
+            ]
+        for got, want, tail in zip(together, alone, tails):
+            # repr round-trips a float, so equal reprs are equal bits
+            assert repr(got) == repr(want)
+            assert tail or all(j < 0 for j, _ in got.annulus_trace)
+
     def test_one_call_per_pass_for_all_rows(self):
         # the walk asks f once per shell pass, never once per row
         calls = []
