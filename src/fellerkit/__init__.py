@@ -68,66 +68,8 @@ from .symbols import (
     zero_symbol,
 )
 
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "NumericalError",
-    "SymbolModel",
-    "LevyCharacteristics",
-    "StableLikeSpec",
-    "BernsteinSpec",
-    "eval_symbol",
-    "closed_form_symbol",
-    "brownian",
-    "alpha_stable",
-    "cauchy",
-    "compound_poisson",
-    "zero_symbol",
-    "stable_like_symbol",
-    "stable_like_constant",
-    "levy_symbol",
-    "subordinate",
-    "symmetrize",
-    "validate_model",
-    "check_bounded_coefficients",
-    "check_sector_condition",
-    "check_feller_decay",
-    "check_sqrt_subadditivity",
-    "Envelope",
-    "build_envelope",
-    "IntegralResult",
-    "integrate_radial",
-    "classify_improper",
-    "CriterionReport",
-    "char_fn_bound",
-    "heat_kernel_sup_bound",
-    "frequency_criteria",
-    "test_ultracontractivity",
-    "test_transience",
-    "test_local_times",
-    "occupation_bound",
-    "small_time_horizon",
-    "exit_time_bound",
-    "bump_constant",
-    "heat_exponent_fit",
-    "local_time_fourier_bound",
-    "stable_like_tail_transience",
-    "PathEnsemble",
-    "sample_stable",
-    "sample_positive_stable",
-    "simulate_levy",
-    "simulate_stable_like",
-    "symmetrize_paths",
-    "write_ensemble",
-    "read_ensemble",
-    "export_csv",
-    "file_checksum",
-    "empirical_char_fn",
-    "validate_char_bound",
-    "generator_finite_difference",
-    "validate_small_t_approx",
-    "estimate_local_time",
-    "occupation_fourier_check",
-    "exit_frequency",
-    "transience_diagnostic",
+# the names imported above from the submodules
+__all__ = ["__version__"] + [
+    name for name, obj in globals().items()
+    if str(getattr(obj, "__module__", "")).startswith("fellerkit.")
 ]

@@ -18,9 +18,8 @@ so typos fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-
-import numpy as np
 
 from .envelopes import Envelope, build_envelope
 from .errors import ConfigError
@@ -41,25 +40,91 @@ from .symbols import (
 
 __all__ = ["load_config", "build_model", "build_envelope_from_config", "DEFAULTS"]
 
-DEFAULTS = {
-    "envelope": {"method": "auto", "resolution": 513, "refine_rounds": 3},
+_ABSENT = object()  # the default of a key that stays out of the merged config
+_CRITERIA = ["ultracontractivity", "transience", "local_times"]
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _list_of(test):
+    return lambda v: isinstance(v, list) and all(map(test, v))
+
+
+def _or_null(kind):
+    test, what = kind
+    return (lambda v: v is None or test(v)), f"{what}, or null"
+
+
+def _criteria(names) -> bool:
+    for name in names if isinstance(names, list) else ():
+        if name not in _CRITERIA:
+            raise ConfigError(f"unknown criterion '{name}'; known: {sorted(_CRITERIA)}")
+    return isinstance(names, list)
+
+
+def _pair(v) -> bool:
+    return _NUMBERS[0](v) and len(v) == 2
+
+
+# kinds of value: (test, what the error message says the value must be)
+_NUMBER = (_number, "a number")
+_INTEGER = (lambda v: _number(v) and isinstance(v, int), "an integer")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_NUMBERS = (_list_of(_number), "a list of numbers")
+_POINT = (lambda v: _number(v) or _NUMBERS[0](v), "a number or a list of numbers")
+_POINTS = (_list_of(_POINT[0]), "a list of numbers or lists of numbers")
+_BOX = (lambda v: _pair(v) or _list_of(_pair)(v), "a [low, high] pair or a list of them")
+_EXITS = (
+    _list_of(lambda v: isinstance(v, dict) and set(v) == {"r", "t"}
+             and all(map(_number, v.values()))),
+    'a list of {"r": number, "t": number} objects',
+)
+
+# section -> key -> (default or _ABSENT, kind); ``seed`` is the one top-level
+# key.  Ranges that the library functions taking the values check (a finite
+# positive radius or time, a grid time, a box per dimension) stay there.
+_SCHEMA = {
+    "envelope": {
+        "method": ("auto", (lambda v: v in ("auto", "grid"), "'auto' or 'grid'")),
+        "resolution": (513, _INTEGER),
+        "refine_rounds": (3, _INTEGER),
+        "x_domain": (_ABSENT, _or_null(_BOX)),
+        "tail": (_ABSENT, _or_null(_STRING)),
+    },
     "criteria": {
-        "run": ["ultracontractivity", "transience", "local_times"],
-        "transience_radius": 1.0,
-        "heat_times": [0.1, 1.0, 10.0],
+        "run": (list(_CRITERIA), (_criteria, "a list of criterion names")),
+        "transience_radius": (1.0, _NUMBER),
+        "heat_times": ([0.1, 1.0, 10.0], _NUMBERS),
+        "occupation_radii": (_ABSENT, _NUMBERS),
     },
-    "simulation": {"n_paths": 1000, "t_max": 1.0, "h_max": 1e-3},
+    "simulation": {
+        "n_paths": (1000, _INTEGER),
+        "t_max": (1.0, _NUMBER),
+        "h_max": (1e-3, _NUMBER),
+        "n_steps": (_ABSENT, _or_null(_INTEGER)),
+        "start": (_ABSENT, _or_null(_POINT)),
+    },
     "validation": {
-        "t_values": [0.25, 0.5, 1.0],
-        "xi_values": [0.5, 1.0, 2.0, 4.0],
-        "n_sigma": 3.0,
+        "t_values": ([0.25, 0.5, 1.0], _NUMBERS),
+        "xi_values": ([0.5, 1.0, 2.0, 4.0], _POINTS),
+        "n_sigma": (3.0, _NUMBER),
+        "exit": (_ABSENT, _or_null(_EXITS)),
+        "occupation_xi": (_ABSENT, _or_null(_POINTS)),
     },
-    "output": {"directory": "fellerkit-out"},
-    "tolerances": {"rel_tol": 1e-6},
-    "seed": 0,
+    "output": {"directory": ("fellerkit-out", _STRING)},
+    "tolerances": {
+        "rel_tol": (1e-6, (lambda v: _number(v) and 0 < v < math.inf, "a positive number")),
+    },
+    "seed": (0, (lambda v: _INTEGER[0](v) and v >= 0, "a non-negative integer")),
 }
 
-_SECTIONS = set(DEFAULTS) | {"symbol"}
+DEFAULTS = {
+    name: {key: default for key, (default, _) in spec.items() if default is not _ABSENT}
+    if isinstance(spec, dict) else spec[0]
+    for name, spec in _SCHEMA.items()
+}
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
@@ -71,10 +136,31 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         )
 
 
-def load_config(path) -> dict:
-    """Read and structurally validate a configuration file.
+def _check(kind, key: str, value, where: str) -> None:
+    test, what = kind
+    if not test(value):
+        raise ConfigError(f"'{key}' in {where} must be {what}")
 
-    Returns the parsed dict with defaults merged in for missing sections.
+
+def _section(name: str, given) -> dict:
+    """The section ``name`` with its given values checked against the table
+    and the defaults merged under them."""
+    where = f"the {name} section"
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be an object")
+    spec = _SCHEMA[name]
+    _check_keys(given, spec, where)
+    for key, value in given.items():
+        _check(spec[key][1], key, value, where)
+    return {**DEFAULTS[name], **given}
+
+
+def load_config(path) -> dict:
+    """Read a configuration file and check every section but ``symbol``
+    against the table (``build_model`` checks that one).
+
+    Returns the parsed dict with defaults merged in for missing entries;
+    a key without a default stays absent unless given.
     """
     p = Path(path)
     if not p.exists():
@@ -85,15 +171,16 @@ def load_config(path) -> dict:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{p}: top level must be a JSON object")
-    _check_keys(cfg, _SECTIONS, "the top-level config")
+    _check_keys(cfg, [*_SCHEMA, "symbol"], "the top-level config")
     if "symbol" not in cfg:
         raise ConfigError("config needs a 'symbol' section")
     merged = {}
-    for key, default in DEFAULTS.items():
-        if isinstance(default, dict):
-            merged[key] = {**default, **cfg.get(key, {})}
+    for name, spec in _SCHEMA.items():
+        if isinstance(spec, dict):
+            merged[name] = _section(name, cfg.get(name, {}))
         else:
-            merged[key] = cfg.get(key, default)
+            merged[name] = cfg.get(name, spec[0])
+            _check(spec[1], name, merged[name], "the top-level config")
     merged["symbol"] = cfg["symbol"]
     return merged
 
@@ -163,22 +250,12 @@ def build_model(symbol_cfg: dict) -> SymbolModel:
 
 
 def build_envelope_from_config(model: SymbolModel, env_cfg: dict) -> Envelope:
-    _check_keys(
-        env_cfg,
-        {"method", "x_domain", "resolution", "tail", "refine_rounds"},
-        "the envelope section",
-    )
-    method = env_cfg.get("method", "auto")
-    if method not in ("auto", "grid"):
-        raise ConfigError(f"envelope method must be 'auto' or 'grid', got '{method}'")
-    domain = env_cfg.get("x_domain")
-    if domain is not None:
-        domain = np.asarray(domain, dtype=float)
+    env_cfg = _section("envelope", env_cfg)
     return build_envelope(
         model,
-        x_domain=domain,
-        resolution=int(env_cfg.get("resolution", 513)),
+        x_domain=env_cfg.get("x_domain"),
+        resolution=env_cfg["resolution"],
         tail=env_cfg.get("tail"),
-        use_closed_form=(method == "auto"),
-        refine_rounds=int(env_cfg.get("refine_rounds", 3)),
+        use_closed_form=(env_cfg["method"] == "auto"),
+        refine_rounds=env_cfg["refine_rounds"],
     )

@@ -19,7 +19,7 @@ from scipy import special
 
 from .envelopes import Envelope
 from .errors import ConfigError, NumericalError
-from .quadrature import classify_family, classify_improper, direction_set, surface_area
+from .quadrature import classify_family, direction_set, surface_area
 from .symbol_checks import ball_sup
 from .symbols import SymbolModel, as_points
 
@@ -99,7 +99,7 @@ def heat_kernel_sup_bound(
     diverges (symbol too flat at infinity for an ultracontractive bound at
     that t).
     """
-    _, _, values, scaled = frequency_criteria(env, None, False, t, rel_tol=rel_tol)
+    values, scaled = frequency_criteria(env, None, False, t, rel_tol=rel_tol)[2:4]
     if np.ndim(t) == 0:
         values, scaled = float(values[0]), scaled[0]
     return (values, scaled) if full else values
@@ -144,14 +144,17 @@ def frequency_criteria(
     local_times: bool,
     t,
     *,
+    occupation_radii=(),
     rel_tol: float = 1e-6,
     radial_shortcut: bool = False,
 ):
     """Transience at radius ``r`` (none when ``r`` is None), local times
-    (when ``local_times``) and the density bound at the times ``t``.
+    (when ``local_times``), the density bound at the times ``t`` and the
+    occupation bound at each of ``occupation_radii``.
 
-    The three are integrals of q_inf: of 1 / q_inf over |xi| <= r, and of
-    1 / (1 + q_inf) and exp(-(t/16) q_inf) over R^d.  Rows of one radius
+    All are integrals of q_inf: of 1 / q_inf over |xi| <= r, of
+    1 / (1 + q_inf) and exp(-(t/16) q_inf) over R^d, and of 1 / q_inf over
+    |eta| <= 4 r sqrt(d) (:func:`occupation_bound`).  Rows of one radius
     share one :func:`~fellerkit.quadrature.classify_family` walk, so each
     shell pass makes one envelope query for all of them, and each row gets
     the result of its own walk.  ``t`` is one finite, positive time or a
@@ -159,10 +162,13 @@ def frequency_criteria(
     (None when not asked for; "fails", without a walk, when q_inf dips
     below zero on a probe of spheres), the array of density bounds
     (math.inf where the integral diverges) and their scaled
-    :class:`IntegralResult` list.
+    :class:`IntegralResult` list, and likewise the occupation bounds and
+    the xi-space results of :func:`occupation_bound`.
     """
     start = time.perf_counter()
     r = None if r is None else _positive_radius(r)
+    occupation_radii = [_positive_radius(r_occ) for r_occ in occupation_radii]
+    d = env.dimension
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ConfigError("the density bound takes one time or a 1-D sequence of times")
@@ -184,6 +190,10 @@ def frequency_criteria(
     parts["heat"] = (
         1.0, True, rates.size, lambda q: np.exp(rates.reshape((-1,) + (1,) * np.ndim(q)) * q)
     )
+    for i, r_occ in enumerate(occupation_radii):
+        parts["occupation", i] = (
+            4.0 * r_occ * math.sqrt(d), False, 1, lambda q: _reciprocal(q)[None]
+        )
     results = {}
     for radius in dict.fromkeys(part[0] for part in parts.values()):
         walk = {name: part for name, part in parts.items() if part[0] == radius}
@@ -193,7 +203,7 @@ def frequency_criteria(
             return np.concatenate([rows(q) for *_, rows in walk.values()])
 
         family = classify_family(
-            integrand, sum(n for _, _, n, _ in walk.values()), env.dimension, radius=radius,
+            integrand, sum(n for _, _, n, _ in walk.values()), d, radius=radius,
             include_tail=[tail for _, tail, n, _ in walk.values() for _ in range(n)],
             radial=env.radial, rel_tol=rel_tol,
         )
@@ -204,7 +214,7 @@ def frequency_criteria(
         raise NumericalError(
             "heat kernel bound integral could not be classified", error_estimate=math.nan
         )
-    scale = (4.0 * math.pi) ** (-env.dimension)
+    scale = (4.0 * math.pi) ** (-d)
     heat = [
         replace(
             result,
@@ -212,6 +222,20 @@ def frequency_criteria(
             abs_error_estimate=scale * result.abs_error_estimate,
         )
         for result in results["heat"]
+    ]
+    # the eta-space integral is 2^d times the xi-space one, and halving is exact
+    occ, half = [], 2.0**-d
+    for i in range(len(occupation_radii)):
+        (result,) = results["occupation", i]
+        if result.classification == "undetermined":
+            raise NumericalError("occupation bound integral could not be classified")
+        occ.append(replace(
+            result, value=half * result.value, abs_error_estimate=half * result.abs_error_estimate,
+            annulus_trace=[(j, half * v) for j, v in result.annulus_trace],
+        ))
+    occ_bounds = [
+        math.inf if res.infinite else 4.0 ** (d + 2) / (math.pi * r_occ) ** d * res.value
+        for r_occ, res in zip(occupation_radii, occ)
     ]
 
     note = (
@@ -238,7 +262,8 @@ def frequency_criteria(
         reports[name] = CriterionReport(
             name, verdict, evidence, config_echo, env.caveats, time.perf_counter() - start
         )
-    return reports["transience"], reports["local_times"], np.array([h.value for h in heat]), heat
+    heat_bounds = np.array([h.value for h in heat])
+    return reports["transience"], reports["local_times"], heat_bounds, heat, occ_bounds, occ
 
 
 def test_ultracontractivity(
@@ -305,26 +330,14 @@ def occupation_bound(env: Envelope, r: float, *, rel_tol: float = 1e-6, full: bo
 
         4^{d+2} / (pi r)^d * integral_{|xi| <= 2 r sqrt(d)} dxi / q_inf(2 xi)
 
-    Returns math.inf when the integral diverges.
+    Returns math.inf when the integral diverges; ``full`` also returns its
+    :class:`IntegralResult`.  It is walked in eta = 2 xi, as a row of
+    :func:`frequency_criteria`.
     """
-    r = _positive_radius(r)
-    d = env.dimension
-
-    result = classify_improper(
-        lambda xi: _reciprocal(env.q_inf(2.0 * xi)),
-        d,
-        radius=2.0 * r * math.sqrt(d),
-        include_tail=False,
-        radial=env.radial,
-        rel_tol=rel_tol,
-    )
-    prefactor = 4.0 ** (d + 2) / (math.pi * r) ** d
-    value = math.inf if result.infinite else prefactor * result.value
-    if result.classification == "undetermined":
-        raise NumericalError("occupation bound integral could not be classified")
-    if full:
-        return value, result
-    return value
+    (value,), (result,) = frequency_criteria(
+        env, None, False, [], occupation_radii=[r], rel_tol=rel_tol
+    )[4:]
+    return (value, result) if full else value
 
 
 # ---------------------------------------------------------------------------

@@ -497,7 +497,7 @@ class OccupationSums:
 
 
 def occupation_fourier_check(
-    ens, env: Envelope, xi_values, *, n_sigma: float = 3.0, chunk: int | None = None
+    ens, env: Envelope, xi_values, *, n_sigma: float = 3.0
 ) -> OccupationFourierReport:
     """Compare E |integral_0^inf e^{-t} e^{i xi (X_t - x0)} dt|^2 against
     16 / (16 + q_inf(xi)).
@@ -509,15 +509,8 @@ def occupation_fourier_check(
     estimator is (1 - e^{-T})^2 <= 1 up to rounding, with zero variance; a
     trapezoid would overshoot there by its convexity bias with no noise to
     hide behind.  The sums are those of :class:`OccupationSums`, fed the
-    stored steps.  ``chunk`` is deprecated: it has no effect, since no
-    temporary grows with the number of steps, and passing it warns.
+    stored steps.
     """
-    if chunk is not None:
-        warnings.warn(
-            "occupation_fourier_check's chunk has no effect and is deprecated",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     sums = OccupationSums(ens, xi_values)
     feed(_replay(ens), sums)
     return sums.report(env, n_sigma)
@@ -543,9 +536,10 @@ class ExitSup:
     def __init__(self, source, rows):
         self.rows = []
         for r, t in rows:
+            r, t = float(r), float(t)
             if r <= 0:
                 raise ConfigError("radius must be positive")
-            self.rows.append((float(r), float(t), source.time_index(t)))
+            self.rows.append((r, t, source.time_index(t)))
         self._read = {idx for _, _, idx in self.rows}
         self.stop = 1 + max(self._read, default=-1)
         self._x0 = np.asarray(source.start, dtype=float)

@@ -296,6 +296,65 @@ class TestConfigErrors:
         )
 
 
+class TestConfigTable:
+    """Every section's keys and value types are checked by load_config's
+    table before any work, so each malformed entry exits 2 naming its
+    section and key."""
+
+    BASE = {
+        "symbol": {"type": "brownian"},
+        "simulation": {"n_paths": 20, "t_max": 1.0, "h_max": 0.01},
+        "validation": {"t_values": [0.5], "xi_values": [1.0]},
+    }
+    TOP = "the top-level config"
+
+    @pytest.mark.parametrize("command, section, entry, key", [
+        ("analyze", "criteria", {"heat_time": [2.0], "bogus": 1}, "bogus"),
+        ("analyze", "tolerances", {"abs_tol": 1e-9}, "abs_tol"),
+        ("simulate", "simulation", {"n_path": 10}, "n_path"),
+        ("validate", "validation", {"t_value": [0.5]}, "t_value"),
+        ("analyze", "output", {"dir": "elsewhere"}, "dir"),
+        ("validate", "validation", {"exit": [{"r": 1, "t": 0.5, "x": 1}]}, "exit"),
+        ("analyze", "envelope", {"refine_rounds": True}, "refine_rounds"),
+        ("analyze", "envelope", {"resolution": "abc"}, "resolution"),
+        ("analyze", "tolerances", {"rel_tol": "x"}, "rel_tol"),
+        ("analyze", "tolerances", {"rel_tol": -1}, "rel_tol"),
+        ("simulate", "simulation", {"n_paths": "abc"}, "n_paths"),
+        ("simulate", "simulation", {"h_max": None}, "h_max"),
+        ("simulate", "simulation", {"start": "abc"}, "start"),
+        ("validate", "validation", {"exit": [{"r": 1.0}]}, "exit"),
+        ("validate", "validation", {"n_sigma": "x"}, "n_sigma"),
+        ("validate", "validation", {"t_values": 0.5}, "t_values"),
+        ("simulate", None, {"seed": "abc"}, "seed"),
+        ("simulate", None, {"seed": -1}, "seed"),
+        ("analyze", None, {"envelope": "grid"}, "envelope"),
+        ("analyze", None, {"criteria": [1]}, "criteria"),
+    ])
+    def test_malformed_entry_exits_2(self, command, section, entry, key, tmp_path, capsys):
+        cfg = {**self.BASE, **entry} if section is None else {
+            **self.BASE, section: {**self.BASE.get(section, {}), **entry}
+        }
+        path = write_cfg(tmp_path, "bad.json", cfg)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        if section is None and key != "seed":  # a section that is not an object
+            assert f"the {key} section must be an object" in err
+        else:
+            assert f"'{key}'" in err
+            assert (self.TOP if section is None else f"the {section} section") in err
+        assert not (out / "report.json").exists()
+
+    def test_unknown_key_lists_the_allowed_keys(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "bad.json", {**self.BASE, "tolerances": {"abs_tol": 1}})
+        assert cli.main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: unknown key(s) ['abs_tol'] in the tolerances section;"
+            " allowed: ['rel_tol']\n"
+        )
+
+
 class TestFailureExitCodes:
     def test_numerical_failure_exits_3(self, analyze_cfg, tmp_path, monkeypatch, capsys):
         def boom(cfg, out_dir):
@@ -489,21 +548,21 @@ class TestTolerances:
             "tolerances": {"rel_tol": 1e-9},
         })
         seen = []
-        for name in ("frequency_criteria", "occupation_bound"):
-            real = getattr(cli, name)
+        real = cli.frequency_criteria
 
-            def spy(env, *args, real=real, name=name, **kw):
-                seen.append((name, kw.get("rel_tol")))
-                return real(env, *args, **kw)
+        def spy(env, *args, **kw):
+            seen.append((kw.get("occupation_radii"), kw.get("rel_tol")))
+            return real(env, *args, **kw)
 
-            monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(cli, "frequency_criteria", spy)
         out = tmp_path / "out"
         assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
         assert [(c["criterion"], c["config"]["rel_tol"]) for c in rep["criteria"]] == [
             ("transience", 1e-9), ("local_times", 1e-9),
         ]
-        assert seen == [("frequency_criteria", 1e-9), ("occupation_bound", 1e-9)]
+        # one call walks every criterion integral, the occupation bounds too
+        assert seen == [([1.0], 1e-9)]
 
 
 class TestHeatTimes:

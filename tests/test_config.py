@@ -1,11 +1,16 @@
-"""Symbol-section errors of ``build_model``, pinned message by message."""
+"""Symbol-section errors of ``build_model``, pinned message by message, and
+the merge that ``load_config`` makes of the benchmark and README configs."""
 
 import copy
+import importlib.util
+import json
+import re
+from pathlib import Path
 
 import pytest
 
 import fellerkit as fk
-from fellerkit.config import build_model
+from fellerkit.config import DEFAULTS, build_model, load_config
 
 # type -> (a section that builds, its required keys, its optional keys)
 SYMBOL_TYPES = {
@@ -101,3 +106,65 @@ def test_levy_expression_drift_builds_in_one_dimension():
     assert fk.eval_symbol(model, 0.0, 2.0) == pytest.approx(3.0)
     with pytest.raises(fk.ConfigError, match="levy drift may be an expression string only"):
         build_model({"type": "levy", "drift": "sin(x1)", "dimension": 2})
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the defaults as a literal, and the merge of a loader without a key table:
+# each section's defaults overlaid by its given entries
+DEFAULTS_LITERAL = {
+    "envelope": {"method": "auto", "resolution": 513, "refine_rounds": 3},
+    "criteria": {
+        "run": ["ultracontractivity", "transience", "local_times"],
+        "transience_radius": 1.0,
+        "heat_times": [0.1, 1.0, 10.0],
+    },
+    "simulation": {"n_paths": 1000, "t_max": 1.0, "h_max": 1e-3},
+    "validation": {
+        "t_values": [0.25, 0.5, 1.0],
+        "xi_values": [0.5, 1.0, 2.0, 4.0],
+        "n_sigma": 3.0,
+    },
+    "output": {"directory": "fellerkit-out"},
+    "tolerances": {"rel_tol": 1e-6},
+    "seed": 0,
+}
+
+
+def _overlaid(cfg: dict) -> dict:
+    merged = {
+        key: {**default, **cfg.get(key, {})} if isinstance(default, dict)
+        else cfg.get(key, default)
+        for key, default in DEFAULTS_LITERAL.items()
+    }
+    merged["symbol"] = cfg["symbol"]
+    return merged
+
+
+def _benchmark_configs() -> dict:
+    """The configs of ``perfbench/workloads.py`` at seed 1, read without
+    importing the benchmark package, and the README's JSON block."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    configs = {name: make(1) for name, (_, make) in module.WORKLOADS.items()}
+    (block,) = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    configs["readme"] = json.loads(block)
+    return configs
+
+
+BENCHMARK_CONFIGS = _benchmark_configs()
+
+
+def test_defaults_are_the_literal():
+    assert DEFAULTS == DEFAULTS_LITERAL
+
+
+@pytest.mark.parametrize("name", BENCHMARK_CONFIGS)
+def test_benchmark_config_merges_as_overlaid_defaults(name, tmp_path):
+    cfg = BENCHMARK_CONFIGS[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert load_config(path) == _overlaid(cfg)

@@ -272,6 +272,48 @@ class TestOccupationBound:
         env = fk.build_envelope(fk.compound_poisson(2.0, 0.3, 1.0))
         assert math.isinf(fk.occupation_bound(env, 1.0))
 
+    @staticmethod
+    def _envelope(name):
+        if name == "grid_envelope_2d":
+            model = fk.closed_form_symbol(
+                "(1.25 + 0.5*sin(x1)*cos(x2)) * (xi1**2 + xi2**2)**0.75",
+                dimension=2, radial_in_xi=True,
+            )
+            box = [(0.0, 2.0 * math.pi)] * 2
+            return fk.build_envelope(
+                model, box, 33, "periodic", use_closed_form=False
+            )
+        if name == "heat_curve_stable_2d":
+            return fk.build_envelope(
+                fk.stable_like_symbol("1.5 + 0.3*sin(x1)*cos(x2)", 1.2, 1.8, dimension=2)
+            )
+        return fk.build_envelope({
+            "stable_d1": fk.alpha_stable(0.5, 1),
+            "stable_d3": fk.alpha_stable(1.5, 3),
+            "drifted_stable_d2": fk.alpha_stable(1.0, 2, drift=[0.0, 0.1]),
+            "brownian_d3": fk.brownian(3),
+        }[name])
+
+    @pytest.mark.parametrize("name, r", [
+        ("grid_envelope_2d", 1.0),
+        *[("heat_curve_stable_2d", r) for r in (0.25, 0.5, 1.0, 2.0)],
+        *[(name, r) for name in ("stable_d1", "stable_d3", "drifted_stable_d2", "brownian_d3")
+          for r in (0.5, 2.0)],
+    ])
+    def test_eta_space_walk_matches_the_xi_space_integral(self, name, r):
+        # reference: the bound as its own walk over |xi| <= 2 r sqrt(d) of
+        # 1 / q_inf(2 xi); the frequency_criteria row walks eta = 2 xi
+        env = self._envelope(name)
+        d = env.dimension
+        reference = fk.classify_improper(
+            lambda xi: np.reciprocal(env.q_inf(2.0 * xi)), d, radius=2.0 * r * math.sqrt(d),
+            include_tail=False, radial=env.radial,
+        )
+        prefactor = 4.0 ** (d + 2) / (math.pi * r) ** d
+        value, result = fk.occupation_bound(env, r, full=True)
+        assert result == reference
+        assert value == prefactor * reference.value
+
 
 @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("criterion", [fk.test_transience, fk.occupation_bound])

@@ -284,16 +284,6 @@ class TestOccupationFourier:
         assert rep.verdict == "fails"
         assert not rep.rows[0]["ok"]
 
-    def test_chunk_is_deprecated(self):
-        ens = fk.simulate_levy(fk.brownian(1), 50, 14.0, 700, seed=4)
-        env = fk.build_envelope(fk.brownian(1))
-        with pytest.warns(DeprecationWarning, match="chunk has no effect"):
-            chunked = fk.occupation_fourier_check(ens, env, [1.0], chunk=64)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            plain = fk.occupation_fourier_check(ens, env, [1.0])
-        assert chunked.rows == plain.rows
-
     def test_short_horizon_guard(self):
         ens = fk.simulate_levy(fk.brownian(1), 50, 5.0, 100, seed=2)
         env = fk.build_envelope(fk.brownian(1))
