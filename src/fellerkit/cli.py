@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import build_envelope_from_config, build_model, load_config
+from .config import build_envelope_from_config, build_model, check_seed_flag, load_config
 from .criteria import (
     char_fn_bound,
     exit_time_bound,
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        seed = cfg["seed"] if args.seed is None else args.seed
+        seed = cfg["seed"] if args.seed is None else check_seed_flag(args.seed)
         out_dir = Path(args.out if args.out is not None else cfg["output"]["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.name == "analyze":

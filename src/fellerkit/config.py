@@ -38,7 +38,9 @@ from .symbols import (
     zero_symbol,
 )
 
-__all__ = ["load_config", "build_model", "build_envelope_from_config", "DEFAULTS"]
+__all__ = [
+    "load_config", "check_seed_flag", "build_model", "build_envelope_from_config", "DEFAULTS",
+]
 
 _ABSENT = object()  # the default of a key that stays out of the merged config
 _CRITERIA = ["ultracontractivity", "transience", "local_times"]
@@ -71,6 +73,7 @@ def _pair(v) -> bool:
 # kinds of value: (test, what the error message says the value must be)
 _NUMBER = (_number, "a number")
 _INTEGER = (lambda v: _number(v) and isinstance(v, int), "an integer")
+_POSITIVE_INTEGER = (lambda v: _INTEGER[0](v) and v >= 1, "a positive integer")
 _STRING = (lambda v: isinstance(v, str), "a string")
 _NUMBERS = (_list_of(_number), "a list of numbers")
 _POINT = (lambda v: _number(v) or _NUMBERS[0](v), "a number or a list of numbers")
@@ -100,7 +103,7 @@ _SCHEMA = {
         "occupation_radii": (_ABSENT, _NUMBERS),
     },
     "simulation": {
-        "n_paths": (1000, _INTEGER),
+        "n_paths": (1000, _POSITIVE_INTEGER),
         "t_max": (1.0, _NUMBER),
         "h_max": (1e-3, _NUMBER),
         "n_steps": (_ABSENT, _or_null(_INTEGER)),
@@ -153,6 +156,13 @@ def _section(name: str, given) -> dict:
     for key, value in given.items():
         _check(spec[key][1], key, value, where)
     return {**DEFAULTS[name], **given}
+
+
+def check_seed_flag(seed):
+    """The ``--seed`` command-line value, checked as the config's ``seed``
+    is; returns it."""
+    _check(_SCHEMA["seed"][1], "--seed", seed, "the command line")
+    return seed
 
 
 def load_config(path) -> dict:

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import special
 
 from .envelopes import Envelope
 from .errors import ConfigError, NumericalError
@@ -485,6 +484,8 @@ def bump_constant(d: int, profile=None) -> float:
         if d == 1:
             return np.cos(s)
         if d == 2:
+            from scipy import special
+
             return special.j0(s)
         if d == 3:
             with np.errstate(invalid="ignore", divide="ignore"):

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import NumericalError
 
@@ -79,8 +78,14 @@ class IntegralResult:
 
 
 def surface_area(d: int) -> float:
-    """Surface measure of the unit sphere in R^d (2 for d = 1)."""
-    return 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
+    """Surface measure of the unit sphere in R^d, by the exact recursion
+    S_d = 2 pi / (d - 2) * S_{d-2} from S_1 = 2 and S_2 = 2 pi."""
+    if d < 1:
+        raise ValueError("the sphere's dimension must be a positive integer")
+    area = 2.0 if d % 2 else 2.0 * math.pi
+    for k in range(4 - d % 2, d + 1, 2):
+        area *= 2.0 * math.pi / (k - 2)
+    return area
 
 
 def direction_set(d: int) -> np.ndarray:
@@ -121,6 +126,8 @@ def integrate_radial(
     the requested tolerance budget is reported as undetermined, never as a
     silently inaccurate value.
     """
+    from scipy import integrate
+
     surf = surface_area(d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

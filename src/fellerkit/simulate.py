@@ -19,6 +19,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # loaded with the package, not on the first draw
 
 from .errors import ConfigError
 from .symbols import SymbolModel
@@ -178,6 +179,12 @@ def _resolve_grid(t_max: float, n_steps: int | None, h_max: float | None):
     return grid, t_max / n_steps, n_steps
 
 
+def _check_n_paths(n_paths) -> int:
+    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
+        raise ConfigError(f"n_paths must be a positive integer, got {n_paths!r}")
+    return int(n_paths)
+
+
 def _start_point(start, d: int) -> np.ndarray:
     if start is None:
         return np.zeros(d)
@@ -249,6 +256,7 @@ def levy_steps(
         raise ConfigError("exact simulation needs one of the built-in Levy families")
     family = data["family"]
     d = model.dimension
+    n_paths = _check_n_paths(n_paths)
     grid, h, n_steps = _resolve_grid(t_max, n_steps, h_max)
     x0 = _start_point(start, d)
     if family not in _EXACT_FAMILIES:
@@ -328,6 +336,7 @@ def stable_like_steps(
         raise ConfigError("this scheme is for stable-like models")
     spec = model.eval_data
     d = model.dimension
+    n_paths = _check_n_paths(n_paths)
     grid, h, n_steps = _resolve_grid(t_max, n_steps, h_max)
 
     def advance(k: int, current: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import ConfigError, NumericalError
 from .expressions import compile_expression
@@ -372,6 +371,8 @@ def stable_like_constant(alpha: float, dimension: int) -> float:
     d = int(dimension)
     if d < 1:
         raise ConfigError("dimension must be a positive integer")
+    from scipy import special
+
     num = alpha * 2.0 ** (alpha - 1.0) * special.gamma((alpha + d) / 2.0)
     den = math.pi ** (d / 2.0) * special.gamma(1.0 - alpha / 2.0)
     return float(num / den)
@@ -534,6 +535,8 @@ def _one_minus_kernel(d: int, s):
     small = np.abs(s) < 1e-3
     s2 = s * s
     if d == 2:
+        from scipy import special
+
         series = s2 / 4.0 * (1.0 - s2 / 16.0 * (1.0 - s2 / 36.0))
         with np.errstate(invalid="ignore"):
             direct = 1.0 - special.j0(s)
@@ -556,6 +559,8 @@ def _sin_defect(v):
 
 
 def _quad(f, a, b, **kw):
+    from scipy import integrate
+
     opts = dict(_QUAD_OPTS)
     opts.update(kw)
     if "weight" in opts and b is np.inf:
@@ -572,6 +577,8 @@ def _quad(f, a, b, **kw):
 
 def _j0_tail(f, rho, eps):
     """integral_1^inf f(r) * J0(rho * r) dr by summing oscillation blocks."""
+    from scipy import special
+
     total, err_total = 0.0, 0.0
     a = 1.0
     block = max(np.pi / rho, 0.5)

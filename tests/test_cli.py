@@ -299,7 +299,7 @@ class TestConfigErrors:
 class TestConfigTable:
     """Every section's keys and value types are checked by load_config's
     table before any work, so each malformed entry exits 2 naming its
-    section and key."""
+    section and key, and writes nothing."""
 
     BASE = {
         "symbol": {"type": "brownian"},
@@ -320,6 +320,10 @@ class TestConfigTable:
         ("analyze", "tolerances", {"rel_tol": "x"}, "rel_tol"),
         ("analyze", "tolerances", {"rel_tol": -1}, "rel_tol"),
         ("simulate", "simulation", {"n_paths": "abc"}, "n_paths"),
+        ("simulate", "simulation", {"n_paths": 0}, "n_paths"),
+        ("simulate", "simulation", {"n_paths": -3}, "n_paths"),
+        ("validate", "simulation", {"n_paths": 0}, "n_paths"),
+        ("validate", "simulation", {"n_paths": -3}, "n_paths"),
         ("simulate", "simulation", {"h_max": None}, "h_max"),
         ("simulate", "simulation", {"start": "abc"}, "start"),
         ("validate", "validation", {"exit": [{"r": 1.0}]}, "exit"),
@@ -344,7 +348,7 @@ class TestConfigTable:
         else:
             assert f"'{key}'" in err
             assert (self.TOP if section is None else f"the {section} section") in err
-        assert not (out / "report.json").exists()
+        assert not out.exists()  # no report.json, no ensemble.flpe
 
     def test_unknown_key_lists_the_allowed_keys(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "bad.json", {**self.BASE, "tolerances": {"abs_tol": 1}})
@@ -353,6 +357,20 @@ class TestConfigTable:
             "configuration error: unknown key(s) ['abs_tol'] in the tolerances section;"
             " allowed: ['rel_tol']\n"
         )
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "validate"])
+    def test_negative_seed_exits_2_before_the_output_directory(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, "c.json", TestConfigTable.BASE)
+        rc = cli.main([command, "--config", path, "--out", str(out), "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: '--seed' in the command line must be"
+            " a non-negative integer\n"
+        )
+        assert not out.exists()
 
 
 class TestFailureExitCodes:

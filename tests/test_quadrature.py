@@ -265,9 +265,20 @@ class TestDirectionHelpers:
         assert np.allclose(np.linalg.norm(d3, axis=1), 1.0)
 
     def test_surface_areas(self):
-        assert surface_area(1) == pytest.approx(2.0)
-        assert surface_area(2) == pytest.approx(2 * math.pi)
-        assert surface_area(3) == pytest.approx(4 * math.pi)
+        # the recursion S_d = 2 pi / (d - 2) * S_{d-2} is exact in the
+        # dimensions the package works in
+        assert surface_area(1) == 2.0
+        assert surface_area(2) == 2 * math.pi
+        assert surface_area(3) == 4 * math.pi
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_surface_area_matches_the_gamma_formula(self, d):
+        gamma_form = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+        assert surface_area(d) == pytest.approx(gamma_form, rel=1e-15, abs=0.0)
+
+    def test_surface_area_dimension_guard(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            surface_area(0)
 
     def test_direction_dimension_guard(self):
         with pytest.raises(ValueError, match="dimensions 1 to 3"):

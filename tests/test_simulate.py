@@ -282,6 +282,21 @@ class TestTimeGrid:
         with pytest.raises(ConfigError, match="give n_steps or a positive h_max"):
             fk.simulate_levy(fk.brownian(1), 4, 1.0, h_max=h_max)
 
+    @pytest.mark.parametrize("n_paths", [0, -3, 2.0, True])
+    def test_step_sources_need_a_positive_path_count(self, n_paths):
+        mx = fk.stable_like_symbol("1.5 + 0.3*sin(x)", 1.2, 1.8)
+        match = "n_paths must be a positive integer"
+        with pytest.raises(ConfigError, match=match):
+            sim.levy_steps(fk.brownian(1), n_paths, 1.0, 4)
+        with pytest.raises(ConfigError, match=match):
+            sim.stable_like_steps(mx, n_paths, 1.0, n_steps=4)
+        with pytest.raises(ConfigError, match=match):
+            fk.simulate_levy(fk.alpha_stable(1.5, 2), n_paths, 1.0, 4)
+
+    def test_numpy_path_count_is_accepted(self):
+        steps = sim.levy_steps(fk.brownian(1), np.int64(3), 1.0, 4)
+        assert type(steps.n_paths) is int and steps.n_paths == 3
+
     def test_symmetrized_paths_are_a_plain_ensemble(self, pair):
         sym = fk.symmetrize_paths(*pair)
         assert type(sym) is fk.PathEnsemble
