@@ -16,7 +16,14 @@ Three subcommands share a JSON configuration:
         worker thread beside the simulation (``empirics.feed``); the
         outputs are bit-identical to a serial run.
 
-``--threads`` is accepted and ignored: BLAS threads are set only by
+``simulate`` and ``validate`` draw the increments of the built-in Levy
+families in blocks of steps, on one worker thread per CPU the process may
+run on; ensembles and reports are byte-identical to a serial run.  The
+stable-like Euler scheme steps serially, since each step depends on the
+last.
+
+``--threads`` is deprecated: it prints a note to stderr, has no effect and
+will be removed in the next release.  BLAS threads are set only by
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` before launch.
 
 Exit codes: 0 success, 2 configuration problems (including bad CLI
@@ -55,6 +62,12 @@ from .empirics import (
 from .ensemble_io import write_ensemble
 from .errors import ConfigError, NumericalError
 from .simulate import levy_steps, simulate_levy, simulate_stable_like, stable_like_steps
+
+THREADS_DEPRECATED = (
+    "fellerkit: --threads is deprecated, has no effect and will be removed in the"
+    " next release; set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS before launch"
+)
+
 
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
@@ -260,12 +273,15 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument(
             "--threads", type=int, default=None,
-            help="accepted and ignored: importing fellerkit has already started BLAS;"
-            " set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS before launch instead",
+            help="deprecated and ignored, and to be removed in the next release:"
+            " importing fellerkit has already started BLAS; set OPENBLAS_NUM_THREADS"
+            " or OMP_NUM_THREADS before launch instead",
         )
         p.set_defaults(name=name)
 
     args = parser.parse_args(argv)
+    if args.threads is not None:
+        print(THREADS_DEPRECATED, file=sys.stderr)
     try:
         cfg = load_config(args.config)
         seed = cfg["seed"] if args.seed is None else check_seed_flag(args.seed)

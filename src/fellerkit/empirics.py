@@ -69,12 +69,12 @@ def feed(steps, *accumulators) -> None:
     takes the steps from a queue of ``FEED_DEPTH`` and calls every
     accumulator's ``update``, so numpy work on both sides overlaps.  Each
     accumulator sees the same steps in the same order as in a serial loop,
-    and no step is copied: a source must yield a fresh array per step (as
-    :class:`PathSteps` does) or a view of stored positions.  An exception
-    in an accumulator stops the source within ``FEED_DEPTH + 1`` further
-    steps and is re-raised here; one in the source (or an interrupt) stops
-    the worker before it propagates.  The worker has ended when this
-    returns.
+    and no step is copied: a source must never write to a step it has
+    yielded, as :class:`PathSteps` and views of stored positions do not.
+    An exception in an accumulator stops the source within
+    ``FEED_DEPTH + 1`` further steps and is re-raised here; one in the
+    source (or an interrupt) stops the worker before it propagates.  The
+    worker has ended when this returns.
     """
     handoff = queue.Queue(maxsize=FEED_DEPTH)
     stop = threading.Event()

@@ -7,13 +7,21 @@ held at its value at the current position, so the step increment is
 h**(1/alpha(X_k)) times a standard symmetric stable variate.
 
 Randomness is organized as one counter-based stream per (purpose, step)
-pair, derived from the root seed via SeedSequence spawn keys.  Draws are
-vectorized across paths inside a step, which makes ensembles reproducible
-from (seed, n_paths, grid) alone and independent of chunking.
+pair, derived from the root seed via SeedSequence spawn keys.  Each step
+draws from its own streams, vectorized across paths, which makes ensembles
+reproducible from (seed, n_paths, grid) alone and independent of chunking.
+A state-free step source therefore computes its increments in blocks of
+steps, on one worker thread per allowed CPU, and the ensembles are
+bit-identical to a serial run.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
+import os
+import queue
+import threading
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -36,6 +44,10 @@ __all__ = [
     "stable_like_steps",
     "symmetrize_paths",
 ]
+
+# increment elements (steps x paths x dimension) in one block of a
+# state-free step source
+BLOCK_ELEMENTS = 1 << 15
 
 # purpose tags for the per-step substreams
 _STREAM_MAIN = 1
@@ -88,6 +100,11 @@ class PathEnsemble:
         return self.positions[:, self.time_index(t), :]
 
 
+def _per_step(rngs, draw) -> np.ndarray:
+    """draw(rng) for each step's stream, stacked along a new first axis."""
+    return np.array([draw(rng) for rng in rngs])
+
+
 def sample_stable(alpha, size, rng: np.random.Generator) -> np.ndarray:
     """Symmetric stable variates with characteristic function
     exp(-|xi| ** alpha).
@@ -103,11 +120,15 @@ def sample_stable(alpha, size, rng: np.random.Generator) -> np.ndarray:
     2 sin(phi) sqrt(W), a normal with variance 2, and at alpha = 1 to
     tan(phi), a standard Cauchy.
     """
-    a = np.broadcast_to(np.asarray(alpha, dtype=float), size)
+    phi = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
+    return _stable(alpha, phi, rng.exponential(1.0, size))
+
+
+def _stable(alpha, phi, w) -> np.ndarray:
+    """The polar formula of :func:`sample_stable` on drawn phi and W."""
+    a = np.broadcast_to(np.asarray(alpha, dtype=float), phi.shape)
     if np.any(a <= 0.0) or np.any(a > 2.0):
         raise ConfigError("stable index must lie in (0, 2]")
-    phi = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
-    w = rng.exponential(1.0, size)
     cos_phi = np.cos(phi)
     s = np.sin(a * phi) / cos_phi ** (1.0 / a)
     exponent = (1.0 - a) / a
@@ -125,11 +146,16 @@ def sample_positive_stable(gamma, size, rng: np.random.Generator) -> np.ndarray:
         a(theta) = sin(gamma theta) ** (gamma / (1 - gamma))
                    * sin((1 - gamma) theta) / sin(theta) ** (1 / (1 - gamma)).
     """
-    g = np.broadcast_to(np.asarray(gamma, dtype=float), size)
+    theta = rng.uniform(0.0, np.pi, size)
+    return _positive_stable(gamma, theta, rng.exponential(1.0, size))
+
+
+def _positive_stable(gamma, theta, w) -> np.ndarray:
+    """The Kanter formula of :func:`sample_positive_stable` on drawn theta
+    and W."""
+    g = np.broadcast_to(np.asarray(gamma, dtype=float), theta.shape)
     if np.any(g <= 0.0) or np.any(g >= 1.0):
         raise ConfigError("positive stable index must lie in (0, 1)")
-    theta = rng.uniform(0.0, np.pi, size)
-    w = rng.exponential(1.0, size)
     sin_t = np.sin(theta)
     a = (
         np.sin(g * theta) ** (g / (1.0 - g))
@@ -139,30 +165,39 @@ def sample_positive_stable(gamma, size, rng: np.random.Generator) -> np.ndarray:
     return (a / w) ** ((1.0 - g) / g)
 
 
-def _isotropic_stable_increment(alpha, h, n, d, rng) -> np.ndarray:
-    """One time step of the isotropic stable process, char fn
-    exp(-h |xi| ** alpha), for scalar or per-path alpha."""
-    a = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
-    scale = h ** (1.0 / a)
+def _isotropic_stable_increments(alpha, h, n, d, rngs) -> np.ndarray:
+    """Increments of the isotropic stable process, char fn
+    exp(-h |xi| ** alpha), over the steps whose streams are ``rngs``:
+    shape (len(rngs), n, d).  alpha is a scalar or one order per path.
+
+    Each step draws from its own stream, in the order a single step
+    draws (z, then theta and W); the formulas then run once on the block.
+    """
+    a = np.asarray(alpha, dtype=float)
+    # a constant order's scale is computed once, on a length-1 array: numpy's
+    # array power, unlike Python's scalar **, gives the per-path bits
+    scale = h ** (1.0 / (a.reshape(1) if a.ndim == 0 else a))
+    a = np.broadcast_to(a, (len(rngs), n))
     if d == 1:
-        return (scale * sample_stable(a, (n,), rng))[:, None]
-    out = np.empty((n, d))
-    is_normal = a >= 2.0 - 1e-12
-    z = rng.standard_normal((n, d))
-    if np.any(~is_normal):
-        # subordinated normal: sqrt(2 A) Z has char fn exp(-|xi| ** alpha)
-        # when A is positive stable of index alpha / 2
-        theta_w_rng = rng  # same stream, sequential draws stay deterministic
-        amp = np.empty(n)
-        sub = ~is_normal
+        phi = _per_step(rngs, lambda rng: rng.uniform(-np.pi / 2.0, np.pi / 2.0, n))
+        w = _per_step(rngs, lambda rng: rng.exponential(1.0, n))
+        return (scale * _stable(a, phi, w))[..., None]
+    # subordinated normal: sqrt(2 A) Z has char fn exp(-|xi| ** alpha) when A
+    # is positive stable of index alpha / 2; a step with no such path draws
+    # only Z
+    sub = a < 2.0 - 1e-12
+    z, theta, w = [], [], []
+    for rng, m in zip(rngs, sub.sum(axis=1).tolist()):
+        z.append(rng.standard_normal((n, d)))
+        if m:
+            theta.append(rng.uniform(0.0, np.pi, m))
+            w.append(rng.exponential(1.0, m))
+    amp = np.full(a.shape, np.sqrt(2.0))
+    if theta:
         amp[sub] = np.sqrt(
-            2.0 * sample_positive_stable(a[sub] / 2.0, (int(sub.sum()),), theta_w_rng)
+            2.0 * _positive_stable(a[sub] / 2.0, np.concatenate(theta), np.concatenate(w))
         )
-        amp[is_normal] = np.sqrt(2.0)
-    else:
-        amp = np.full(n, np.sqrt(2.0))
-    out[:] = (scale * amp)[:, None] * z
-    return out
+    return (scale * amp)[..., None] * np.array(z)
 
 
 def _resolve_grid(t_max: float, n_steps: int | None, h_max: float | None):
@@ -191,15 +226,78 @@ def _start_point(start, d: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(start, dtype=float), (d,)).copy()
 
 
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(increments, bounds, workers: int) -> Iterator[np.ndarray]:
+    """Yield ``increments(k0, k1, None)`` for each (k0, k1) of ``bounds``, in
+    order, computed on ``workers`` threads at most ``workers + 1`` blocks
+    ahead of the caller.
+
+    An exception in a block is re-raised here.  The threads have ended
+    once the generator is exhausted, closed or has raised.
+    """
+    jobs = queue.SimpleQueue()
+
+    def work():
+        while (job := jobs.get()) is not None:
+            (k0, k1), done = job
+            try:
+                done.put((increments(k0, k1, None), None))
+            except BaseException as exc:
+                done.put((None, exc))
+
+    def submit(block):
+        done = queue.SimpleQueue()
+        jobs.put((block, done))
+        pending.append(done)
+
+    pending = collections.deque()
+    todo = iter(bounds)
+    threads = [
+        threading.Thread(target=work, name="fellerkit-steps", daemon=True)
+        for _ in range(workers)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        for block in itertools.islice(todo, workers + 1):
+            submit(block)
+        while pending:
+            inc, exc = pending.popleft().get()
+            if exc is not None:
+                raise exc
+            for block in itertools.islice(todo, 1):
+                submit(block)
+            yield inc
+    finally:
+        for _ in threads:
+            jobs.put(None)
+        for thread in threads:
+            thread.join()
+
+
 @dataclass
 class PathSteps:
     """A simulation delivered one grid step at a time.
 
     Iterating yields ``(k, X_k)`` for k = 0, ..., n_steps, where X_k has
     shape (n_paths, dimension) and X_0 is the start point on every path.
-    Each X_k is a fresh array.  Nothing is drawn until iteration starts,
-    and every pass re-runs the simulation from the seed, so two passes
-    yield the same positions.
+    No X_k is written again once it is yielded.  Nothing is drawn until
+    iteration starts, and every pass re-runs the simulation from the seed,
+    so two passes yield the same positions.
+
+    ``increments(k0, k1, x)`` returns the increments of steps k0, ...,
+    k1 - 1, shaped (k1 - k0, n_paths, dimension), where x is X_{k0}.  A
+    state-free source ignores x; its blocks of ``BLOCK_ELEMENTS`` are
+    computed on one worker thread per allowed CPU.  A state-dependent one
+    is asked for one step at a time, in step order.  Either way the
+    positions are the increments summed in step order, so they do not
+    depend on the block size or the number of workers.
     """
 
     time_grid: np.ndarray
@@ -207,7 +305,8 @@ class PathSteps:
     scheme: str
     seed_lineage: dict
     n_paths: int
-    advance: Callable[[int, np.ndarray], np.ndarray]  # (k, X_k) -> X_{k+1}
+    increments: Callable[[int, int, np.ndarray | None], np.ndarray]
+    state_free: bool
 
     @property
     def dimension(self) -> int:
@@ -216,18 +315,36 @@ class PathSteps:
     def time_index(self, t: float) -> int:
         return grid_index(self.time_grid, t)
 
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+    def _blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(k0, X)`` for consecutive blocks of steps, where
+        ``X[i]`` is X_{k0 + 1 + i}."""
+        n_steps = len(self.time_grid) - 1
         current = np.broadcast_to(self.start, (self.n_paths, self.dimension)).copy()
-        yield 0, current
-        for k in range(len(self.time_grid) - 1):
-            current = self.advance(k, current)
-            yield k + 1, current
+        size = max(1, BLOCK_ELEMENTS // current.size) if self.state_free else 1
+        bounds = [(k0, min(k0 + size, n_steps)) for k0 in range(0, n_steps, size)]
+        workers = min(_worker_count(), len(bounds)) if self.state_free else 1
+        pool = _in_order(self.increments, bounds, workers) if workers > 1 else None
+        try:
+            for k0, k1 in bounds:
+                block = self.increments(k0, k1, current) if pool is None else next(pool)
+                for row in block:  # X_{k+1} = X_k + increment k, step by step
+                    current = np.add(current, row, out=row)
+                yield k0, block
+        finally:
+            if pool is not None:
+                pool.close()
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        yield 0, np.broadcast_to(self.start, (self.n_paths, self.dimension)).copy()
+        for k0, block in self._blocks():
+            yield from enumerate(block, k0 + 1)
 
     def collect(self) -> PathEnsemble:
         """Run the simulation and keep every step."""
         positions = np.empty((self.n_paths, len(self.time_grid), self.dimension))
-        for k, x in self:
-            positions[:, k, :] = x
+        positions[:, 0, :] = self.start
+        for k0, block in self._blocks():
+            positions[:, k0 + 1 : k0 + 1 + len(block), :] = block.transpose(1, 0, 2)
         return PathEnsemble(
             positions=positions,
             time_grid=self.time_grid,
@@ -263,29 +380,26 @@ def levy_steps(
         raise ConfigError(f"no exact sampler for family '{family}'")
     drift = data.get("drift")
 
-    def advance(k: int, current: np.ndarray) -> np.ndarray:
-        rng = _step_rng(seed, _STREAM_MAIN, k)
-        if family == "brownian":
-            inc = np.sqrt(2.0 * h) * rng.standard_normal((n_paths, d))
-        elif family == "alpha_stable":
-            alpha = data["alpha"]
-            if alpha >= 2.0 - 1e-12:
-                inc = np.sqrt(2.0 * h) * rng.standard_normal((n_paths, d))
-            else:
-                inc = _isotropic_stable_increment(alpha, h, n_paths, d, rng)
-        elif family == "compound_poisson":
-            counts = _step_rng(seed, _STREAM_COUNTS, k).poisson(
-                data["rate"] * h, n_paths
+    def increments(k0: int, k1: int, _x) -> np.ndarray:
+        def streams(purpose):
+            return [_step_rng(seed, purpose, k) for k in range(k0, k1)]
+
+        if family == "brownian" or (family == "alpha_stable" and data["alpha"] >= 2.0 - 1e-12):
+            inc = np.sqrt(2.0 * h) * _per_step(
+                streams(_STREAM_MAIN), lambda rng: rng.standard_normal((n_paths, d))
             )
-            z = _step_rng(seed, _STREAM_AUX, k).standard_normal(n_paths)
-            inc = (data["jump_mean"] * counts + data["jump_std"] * np.sqrt(counts) * z)[
-                :, None
-            ]
+        elif family == "alpha_stable":
+            inc = _isotropic_stable_increments(data["alpha"], h, n_paths, d, streams(_STREAM_MAIN))
+        elif family == "compound_poisson":
+            rate_h = data["rate"] * h
+            counts = _per_step(streams(_STREAM_COUNTS), lambda rng: rng.poisson(rate_h, n_paths))
+            z = _per_step(streams(_STREAM_AUX), lambda rng: rng.standard_normal(n_paths))
+            inc = (data["jump_mean"] * counts + data["jump_std"] * np.sqrt(counts) * z)[..., None]
         else:  # zero
-            inc = np.zeros((n_paths, d))
+            inc = np.zeros((k1 - k0, n_paths, d))
         if drift is not None:
             inc = inc + h * np.asarray(drift)
-        return current + inc
+        return inc
 
     return PathSteps(
         time_grid=grid,
@@ -293,7 +407,8 @@ def levy_steps(
         scheme="exact_increments",
         seed_lineage={"root_seed": int(seed), "streams": "per-step philox"},
         n_paths=n_paths,
-        advance=advance,
+        increments=increments,
+        state_free=True,
     )
 
 
@@ -339,10 +454,9 @@ def stable_like_steps(
     n_paths = _check_n_paths(n_paths)
     grid, h, n_steps = _resolve_grid(t_max, n_steps, h_max)
 
-    def advance(k: int, current: np.ndarray) -> np.ndarray:
-        rng = _step_rng(seed, _STREAM_MAIN, k)
+    def increments(k: int, _k1: int, current: np.ndarray) -> np.ndarray:
         a = np.asarray(spec.alpha(current), dtype=float)
-        return current + _isotropic_stable_increment(a, h, n_paths, d, rng)
+        return _isotropic_stable_increments(a, h, n_paths, d, [_step_rng(seed, _STREAM_MAIN, k)])
 
     return PathSteps(
         time_grid=grid,
@@ -350,7 +464,8 @@ def stable_like_steps(
         scheme="euler_frozen",
         seed_lineage={"root_seed": int(seed), "streams": "per-step philox"},
         n_paths=n_paths,
-        advance=advance,
+        increments=increments,
+        state_free=False,
     )
 
 

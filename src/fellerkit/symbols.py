@@ -246,10 +246,17 @@ def closed_form_symbol(
 
     def evaluator(xp, xip):
         xb, xib = np.broadcast_arrays(xp, xip)
-        val = np.asarray(re_fn(xb, xib), dtype=complex)
+
+        def part(fn, given):
+            # an expression broadcasts by itself, so a term in x alone is
+            # computed once per x; a callable gets the broadcast points
+            return fn(xp, xip) if isinstance(given, str) else fn(xb, xib)
+
+        val = np.asarray(part(re_fn, re), dtype=complex)
         if im_fn is not None:
-            val = val + 1j * np.asarray(im_fn(xb, xib), dtype=float)
-        return val
+            val = val + 1j * np.asarray(part(im_fn, im), dtype=float)
+        shape = xb.shape[:-1]
+        return val if val.shape == shape else np.broadcast_to(val, shape).copy()
 
     if x_dependent is None:
         # expressions that never mention an x variable are state-free;

@@ -116,10 +116,17 @@ class TestAnalyze:
         assert rc == 0
         assert (tmp_path / "fellerkit-out" / "report.json").exists()
 
-    def test_threads_flag_is_accepted(self, analyze_cfg, tmp_path):
+    def test_threads_flag_is_accepted(self, analyze_cfg, tmp_path, capsys):
         out = tmp_path / "outt"
         rc = cli.main(["analyze", "--config", analyze_cfg, "--out", str(out), "--threads", "2"])
         assert rc == 0
+        # a one-line deprecation note on stderr, and the same report as without the flag
+        assert capsys.readouterr().err == cli.THREADS_DEPRECATED + "\n"
+        assert "--threads is deprecated" in cli.THREADS_DEPRECATED
+        first = (out / "report.json").read_bytes()
+        assert cli.main(["analyze", "--config", analyze_cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "report.json").read_bytes() == first
 
     def test_one_shell_walk_serves_transience_local_times_and_heat(self, tmp_path, monkeypatch):
         symbol = {

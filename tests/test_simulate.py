@@ -6,8 +6,11 @@ every run is deterministic; the z values quoted in comments were recorded once
 and sit well inside the asserted bands.
 """
 
+import dataclasses
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -16,6 +19,55 @@ import pytest
 import fellerkit as fk
 import fellerkit.simulate as sim
 from fellerkit import ConfigError
+from fellerkit.empirics import ExitSup, feed
+
+
+def reference_increment(data, h, n, d, seed, k, alpha=None):
+    """Step k's increment as a loop over single steps draws it: from step
+    k's own streams, with the formulas applied to that step's draws alone.
+    ``alpha`` (per path) stands in for the family's order, as in the
+    frozen-coefficient scheme."""
+    rng = sim._step_rng(seed, sim._STREAM_MAIN, k)
+    family = data.get("family", "alpha_stable")
+    if alpha is None and family == "alpha_stable":
+        alpha = data["alpha"] if data["alpha"] < 2.0 - 1e-12 else None
+        family = "alpha_stable" if alpha is not None else "brownian"
+    if alpha is not None:
+        a = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
+        scale = h ** (1.0 / a)
+        if d == 1:
+            inc = (scale * fk.sample_stable(a, (n,), rng))[:, None]
+        else:
+            z = rng.standard_normal((n, d))
+            sub = a < 2.0 - 1e-12
+            amp = np.full(n, np.sqrt(2.0))
+            if sub.any():
+                amp[sub] = np.sqrt(
+                    2.0 * fk.sample_positive_stable(a[sub] / 2.0, (int(sub.sum()),), rng)
+                )
+            inc = (scale * amp)[:, None] * z
+    elif family == "brownian":
+        inc = np.sqrt(2.0 * h) * rng.standard_normal((n, d))
+    elif family == "compound_poisson":
+        counts = sim._step_rng(seed, sim._STREAM_COUNTS, k).poisson(data["rate"] * h, n)
+        z = sim._step_rng(seed, sim._STREAM_AUX, k).standard_normal(n)
+        inc = (data["jump_mean"] * counts + data["jump_std"] * np.sqrt(counts) * z)[:, None]
+    else:
+        inc = np.zeros((n, d))
+    if data.get("drift") is not None:
+        inc = inc + h * np.asarray(data["drift"])
+    return inc
+
+
+def reference_positions(model, n, t_max, n_steps, seed, start=0.0):
+    """The positions a serial loop over single steps writes."""
+    d = model.dimension
+    ref = np.empty((n, n_steps + 1, d))
+    ref[:, 0, :] = start
+    for k in range(n_steps):
+        inc = reference_increment(model.eval_data, t_max / n_steps, n, d, seed, k)
+        ref[:, k + 1, :] = ref[:, k, :] + inc
+    return ref
 
 
 def _char_z(ens, t, xi, exact):
@@ -140,12 +192,153 @@ class TestDeterminism:
         for k in range(n_steps):
             current = ref[:, k, :].copy()
             a = np.asarray(model.eval_data.alpha(current), dtype=float)
-            rng = sim._step_rng(9, sim._STREAM_MAIN, k)
-            ref[:, k + 1, :] = current + sim._isotropic_stable_increment(
-                a, t_max / n_steps, n, 1, rng
+            ref[:, k + 1, :] = current + reference_increment(
+                {}, t_max / n_steps, n, 1, 9, k, alpha=a
             )
         assert np.array_equal(steps.collect().positions, ref)
         assert np.array_equal(np.stack([x for _, x in steps], axis=1), ref)
+
+
+EXACT_CASES = {
+    "brownian": fk.brownian(1),
+    "alpha_stable_d1": fk.alpha_stable(1.3),
+    "alpha_stable_d2": fk.alpha_stable(0.7, 2),
+    "alpha_stable_alpha_2": fk.alpha_stable(2.0, 2),
+    "compound_poisson": fk.compound_poisson(3.0, 0.2, 0.5),
+    "zero": fk.zero_symbol(2),
+    "drift": fk.alpha_stable(1.5, 2, drift=[1.0, -0.5]),
+}
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """Set the worker count and the block budget of the step sources."""
+
+    def configure(workers, block_elements):
+        monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+        monkeypatch.setattr(sim, "BLOCK_ELEMENTS", block_elements)
+
+    return configure
+
+
+def _calls(steps):
+    """The steps with their increments recorded as (k0, k1, thread name)."""
+    calls = []
+
+    def increments(k0, k1, x):
+        calls.append((k0, k1, threading.current_thread().name))
+        return steps.increments(k0, k1, x)
+
+    return dataclasses.replace(steps, increments=increments), calls
+
+
+class TestBlockSampler:
+    """State-free sources draw blocks of steps on a worker pool; the paths
+    must be what a serial loop over single steps gives, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def no_leftover_thread(self):
+        baseline = threading.active_count()
+        yield
+        assert threading.active_count() == baseline
+        assert not [t for t in threading.enumerate() if t.name == "fellerkit-steps"]
+
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    @pytest.mark.parametrize("workers, n_paths", [(1, 7), (2, 7), (3, 1)])
+    def test_blocks_match_a_per_step_loop(self, pool, case, workers, n_paths):
+        model = EXACT_CASES[case]
+        d = model.dimension
+        # three steps per block, so 17 steps end on a partial block
+        pool(workers, 3 * n_paths * d)
+        steps, calls = _calls(sim.levy_steps(model, n_paths, 0.5, 17, seed=4, start=0.25))
+        ref = reference_positions(model, n_paths, 0.5, 17, 4, start=0.25)
+        assert steps.collect().positions.tobytes() == ref.tobytes()
+        assert [(k0, k1) for k0, k1, _ in calls] == [(k, min(k + 3, 17)) for k in range(0, 17, 3)]
+        on_pool = {name == "fellerkit-steps" for _, _, name in calls}
+        assert on_pool == {workers > 1}
+        assert np.stack([x for _, x in steps], axis=1).tobytes() == ref.tobytes()
+
+    def test_ensembles_do_not_depend_on_blocks_or_workers(self, pool):
+        """Also with more workers than CPUs and a thread switch every
+        microsecond: the blocks are summed in step order."""
+        model = fk.alpha_stable(1.5, 2)
+        pool(1, 1)
+        serial = fk.simulate_levy(model, 50, 1.0, 120, seed=8).positions
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers, budget in [(2, 300), (3, 1000), (8, 100), (2, 10**6)]:
+                pool(workers, budget)
+                blocked = fk.simulate_levy(model, 50, 1.0, 120, seed=8).positions
+                assert blocked.tobytes() == serial.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_two_passes_yield_the_same_arrays(self, pool):
+        pool(2, 40)
+        steps = sim.levy_steps(fk.alpha_stable(1.2, 2), 10, 1.0, 23, seed=5)
+        first, second = list(steps), list(steps)
+        assert [k for k, _ in first] == list(range(24))
+        for (k, x), (j, y) in zip(first, second):
+            assert k == j and x.tobytes() == y.tobytes()
+        assert steps.collect().positions.tobytes() == np.stack(
+            [x for _, x in first], axis=1
+        ).tobytes()
+
+    def test_an_early_stop_ends_the_pool(self, pool):
+        """Stopping at exit_frequency's last needed step leaves no thread,
+        and the pool ran at most workers + 1 blocks ahead."""
+        pool(2, 10)
+        steps, calls = _calls(sim.levy_steps(fk.brownian(1), 10, 1.0, 100, seed=2))
+        sup = ExitSup(steps, [(0.5, 0.02)])
+        assert sup.stop == 3
+        for k, x in steps:
+            sup.update(k, x)
+            if k + 1 == sup.stop:
+                break
+        # two blocks were taken, and at most workers + 1 were queued behind them
+        assert len(calls) <= 2 + 2 + 1
+        ens = fk.simulate_levy(fk.brownian(1), 10, 1.0, 100, seed=2)
+        assert sup.frequencies()[0] == fk.exit_frequency(ens, 0.5, 0.02)
+
+    def test_a_failing_accumulator_ends_the_pool(self, pool):
+        pool(2, 8)
+
+        class FailsAt:
+            def update(self, k, x):
+                if k == 5:
+                    raise ConfigError("rejected step 5")
+
+        steps = sim.levy_steps(fk.alpha_stable(1.5), 4, 1.0, 1000, seed=3)
+        with pytest.raises(ConfigError, match="^rejected step 5$"):
+            feed(steps, FailsAt())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_sampler_surfaces(self, pool, workers):
+        pool(workers, 6)
+        steps = sim.levy_steps(fk.brownian(2), 3, 1.0, 40, seed=1)
+
+        def increments(k0, k1, x):
+            if k0 >= 10:
+                raise RuntimeError(f"sampler failed at step {k0}")
+            return steps.increments(k0, k1, x)
+
+        failing = dataclasses.replace(steps, increments=increments)
+        with pytest.raises(RuntimeError, match="^sampler failed at step 10$"):
+            failing.collect()
+        seen = []
+        with pytest.raises(RuntimeError, match="^sampler failed at step 10$"):
+            for k, _ in failing:
+                seen.append(k)
+        assert seen == list(range(11))
+
+    def test_state_dependent_steps_stay_serial(self, pool):
+        pool(3, 10**6)
+        model = fk.stable_like_symbol("1.5 + 0.3*sin(x)", 1.2, 1.8)
+        steps, calls = _calls(sim.stable_like_steps(model, 20, 0.1, n_steps=9, seed=6))
+        steps.collect()
+        assert [(k0, k1) for k0, k1, _ in calls] == [(k, k + 1) for k in range(9)]
+        assert {name for _, _, name in calls} == {threading.current_thread().name}
 
 
 class TestStableLikeScheme:

@@ -74,6 +74,28 @@ class TestClosedFormFamilies:
         vals = fk.eval_symbol(m, 0.0, xis)
         assert np.allclose(vals, xis**2)
 
+    def test_closed_forms_answer_in_the_broadcast_shape(self):
+        """An expression sees the points as given and only its value is
+        broadcast; a callable still gets the broadcast points."""
+        x = np.array([0.0, 0.5, 1.0])[:, None]
+        xi = np.array([1.0, 2.0, 3.0, 4.0])
+        in_x = fk.eval_symbol(fk.closed_form_symbol("1.5 + sin(x)", im="cos(x)"), x, xi)
+        want = (1.5 + np.sin(x)) + 1j * np.cos(x)
+        assert in_x.shape == (3, 4) and in_x.flags.writeable
+        assert np.array_equal(in_x, np.broadcast_to(want, (3, 4)))
+        both = fk.closed_form_symbol("(1.25 + 0.5*sin(x)) * abs(xi)**1.5")
+        assert np.array_equal(
+            fk.eval_symbol(both, x, xi), (1.25 + 0.5 * np.sin(x)) * np.abs(xi) ** 1.5 + 0j
+        )
+        seen = []
+
+        def re(xp, xip):
+            seen.append((xp.shape, xip.shape))
+            return xip[..., 0] ** 2
+
+        assert fk.eval_symbol(fk.closed_form_symbol(re), x, xi).shape == (3, 4)
+        assert seen == [((3, 4, 1), (3, 4, 1))]
+
     def test_dimension_mismatch_raises(self):
         m = fk.brownian(2)
         with pytest.raises(ValueError, match="last axis of length 2"):
