@@ -12,8 +12,10 @@ construction paths exist: state-free models read the envelope off directly;
 stable-like models have the closed form q_inf(xi) = |xi|^amax for |xi| <= 1
 and |xi|^amin outside (roles swapped for q_sup); everything else is
 minimized over an x grid with coordinate bracket searches around the grid
-optimum.  Grid envelopes can overstate q_inf when the optimizing x falls
-between grid nodes, so reports built from them carry a caveat.
+optimum.  A frequency leaves the searches after d consecutive sweeps (one
+per axis) that do not move it, so ``refine_rounds`` is a maximum.  Grid
+envelopes can overstate q_inf when the optimizing x falls between grid
+nodes, so reports built from them carry a caveat.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ GRID_CAVEAT = (
     " q_inf may be overstated between nodes"
 )
 
-#: most symbol points one evaluator call of a grid envelope may see; larger
-#: chunks run no faster and raise the peak memory
+#: most symbol points one evaluator call of a grid envelope sees, unless one
+#: frequency's grid alone has more; larger chunks run no faster and raise the
+#: peak memory
 MAX_EVAL_POINTS = 1 << 13
 #: nodes per bracket-search step along one coordinate
 BRACKET_NODES = 65
@@ -182,8 +185,15 @@ class _GridOptimizer:
         """Minimize reduce_fn(p(x, xi)) over x for each row of ``xi``
         (shape (n, d)); reduce_fn must act elementwise.
 
-        The grid pass and the sweeps are chunked so that no evaluator call
-        sees more than about MAX_EVAL_POINTS symbol points.
+        The grid pass scores all grid nodes of a row in one evaluator call,
+        with as many rows as fit in about MAX_EVAL_POINTS points but at
+        least one, so a call sees at least resolution^d points (263,169 at
+        the d = 2 default).  The sweeps take the rows in chunks of about
+        MAX_EVAL_POINTS / BRACKET_NODES.  A sweep of a row depends only on
+        that row and moves it only to a strictly lower score, so once d
+        consecutive sweeps (one per axis) leave a row where it was, every
+        later sweep would repeat one of them: the row leaves refinement
+        there, and ``refine_rounds`` is the most rounds a row gets.
         """
         n = len(xi)
         x = np.empty((n, self.d))
@@ -196,11 +206,15 @@ class _GridOptimizer:
             x[s : s + step] = self.points[k]
             best[s : s + step] = scores[np.arange(len(block)), k]
         step = max(1, MAX_EVAL_POINTS // BRACKET_NODES)
-        for s in range(0, n, step):
-            chunk = slice(s, s + step)
-            for _ in range(self.refine_rounds):
-                for axis in range(self.d):
-                    self._sweep(x[chunk], best[chunk], axis, reduce_fn, xi[chunk])
+        quiet = np.zeros(n, int)  # consecutive sweeps that left each row unmoved
+        for sweep in range(self.refine_rounds * self.d):
+            live = np.flatnonzero(quiet < self.d)
+            for s in range(0, live.size, step):
+                rows = live[s : s + step]
+                x_rows, best_rows = x[rows], best[rows]
+                self._sweep(x_rows, best_rows, sweep % self.d, reduce_fn, xi[rows])
+                quiet[rows] = np.where(best_rows < best[rows], 0, quiet[rows] + 1)
+                x[rows], best[rows] = x_rows, best_rows
         return best
 
 
@@ -233,6 +247,8 @@ def build_envelope(
     box = [(float(lo), float(hi)) for lo, hi in np.reshape(np.asarray(x_domain, float), (-1, 2))]
     if len(box) != model.dimension:
         raise ConfigError(f"x_domain must provide {model.dimension} (lo, hi) pairs")
+    if not np.isfinite(box).all():
+        raise ConfigError(f"x_domain bounds must be finite; got {box}")
     if any(hi <= lo for lo, hi in box):
         raise ConfigError("x_domain intervals must be increasing")
     if tail not in ("periodic", "constant_at_infinity"):
@@ -240,6 +256,10 @@ def build_envelope(
             "grid envelopes need tail='periodic' or 'constant_at_infinity';"
             " got " + repr(tail)
         )
+    if resolution < 2:
+        raise ConfigError(f"resolution must be an integer >= 2; got {resolution}")
+    if refine_rounds < 0:
+        raise ConfigError(f"refine_rounds must be an integer >= 0; got {refine_rounds}")
 
     opt = _GridOptimizer(model, box, resolution, periodic=(tail == "periodic"), refine_rounds=refine_rounds)
 

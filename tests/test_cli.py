@@ -380,6 +380,39 @@ class TestSeedFlag:
         assert not out.exists()
 
 
+class TestGridEnvelopeInputs:
+    """Grid inputs that the value types admit but no grid can use exit 2
+    naming their key, and write no report."""
+
+    GRID = {
+        "method": "grid", "x_domain": [[0.0, 6.25], [0.0, 6.25]], "resolution": 9,
+        "tail": "periodic",
+    }
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"resolution": 1}, "resolution must be an integer >= 2; got 1"),
+        ({"resolution": 0}, "resolution must be an integer >= 2; got 0"),
+        ({"resolution": -3}, "resolution must be an integer >= 2; got -3"),
+        ({"refine_rounds": -1}, "refine_rounds must be an integer >= 0; got -1"),
+        ({"x_domain": [[0.0, math.nan], [0.0, 1.0]]},
+         "x_domain bounds must be finite; got [(0.0, nan), (0.0, 1.0)]"),
+        ({"x_domain": [[0.0, math.inf], [0.0, 1.0]]},
+         "x_domain bounds must be finite; got [(0.0, inf), (0.0, 1.0)]"),
+    ])
+    def test_bad_grid_exits_2(self, entry, message, tmp_path, capsys):
+        path = write_cfg(tmp_path, "grid.json", {
+            "symbol": {
+                "type": "closed_form", "dimension": 2,
+                "re": "(1.25 + 0.5*sin(x1)*cos(x2)) * (xi1**2 + xi2**2)**0.75",
+            },
+            "envelope": {**self.GRID, **entry},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (out / "report.json").exists()
+
+
 class TestFailureExitCodes:
     def test_numerical_failure_exits_3(self, analyze_cfg, tmp_path, monkeypatch, capsys):
         def boom(cfg, out_dir):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fellerkit as fk
+from fellerkit.envelopes import _GridOptimizer
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +104,7 @@ class TestGridEnvelope:
         xi = np.geomspace(0.01, 100.0, 7)
         np.testing.assert_allclose(env.q_inf(xi), 0.75 * xi**1.5, rtol=1e-9, atol=0.0)
 
-    def test_cache_misses_are_computed_in_one_call(self, band_model):
+    def test_each_query_is_one_call(self, band_model):
         env = fk.build_envelope(band_model)
         seen = []
         fn = env.q_inf_fn
@@ -151,6 +152,115 @@ class TestGridEnvelope:
             fk.build_envelope(
                 band_model, x_domain=[(-3, 3)], tail="wrap", use_closed_form=False
             )
+
+    @pytest.mark.parametrize("x_domain", [[(0.0, math.nan)], [(0.0, math.inf)], [(-math.inf, 1.0)]])
+    def test_domain_bounds_must_be_finite(self, band_model, x_domain):
+        with pytest.raises(fk.ConfigError, match="x_domain bounds must be finite"):
+            fk.build_envelope(band_model, x_domain=x_domain, tail="periodic", use_closed_form=False)
+
+    @pytest.mark.parametrize("resolution", [1, 0, -3])
+    def test_resolution_needs_two_nodes(self, band_model, resolution):
+        with pytest.raises(fk.ConfigError, match=r"resolution must be an integer >= 2"):
+            fk.build_envelope(
+                band_model, x_domain=[(-3, 3)], resolution=resolution, tail="periodic",
+                use_closed_form=False,
+            )
+
+    def test_refine_rounds_not_negative(self, band_model):
+        with pytest.raises(fk.ConfigError, match=r"refine_rounds must be an integer >= 0"):
+            fk.build_envelope(
+                band_model, x_domain=[(-3, 3)], tail="periodic", use_closed_form=False,
+                refine_rounds=-1,
+            )
+
+
+_REDUCTIONS = {
+    "q_inf": np.real,
+    "q_sup": lambda v: -np.abs(v),
+    "re_sup": lambda v: -np.real(v),
+    "im_sup": lambda v: -np.abs(np.imag(v)),
+}
+
+
+def _product_symbol(d: int, shift: float, coupling: float = 0.0):
+    """(1.25 + 0.5 sin(x1 + s) cos(x2 - s) ... + c cos(x1 xd / 7)) |xi|^2
+    + 0.2i cos(xd + s) xi1.  At s = c = 0 the extrema in x of the real part
+    sit on the nodes of any grid over [0, 2 pi] whose node count is 1 mod 4;
+    a coupling c != 0 makes the sweeps move rows in later rounds too."""
+    xs = ["x"] if d == 1 else [f"x{i + 1}" for i in range(d)]
+    xis = ["xi"] if d == 1 else [f"xi{i + 1}" for i in range(d)]
+    factors = [f"sin({xs[0]} + {shift!r})"] + [f"cos({v} - {shift!r})" for v in xs[1:]]
+    coupled = f"{coupling!r}*cos({xs[0]}*{xs[-1]}/7)"
+    re = f"(1.25 + 0.5*{'*'.join(factors)} + {coupled}) * ({' + '.join(v + '**2' for v in xis)})"
+    return fk.closed_form_symbol(re, f"0.2*cos({xs[-1]} + {shift!r})*{xis[0]}", dimension=d)
+
+
+def _optimizer(model, resolution, tail, refine_rounds):
+    box = [(0.0, 2.0 * math.pi)] * model.dimension
+    return _GridOptimizer(model, box, resolution, tail == "periodic", refine_rounds)
+
+
+def _every_round(opt, xi, reduce_fn):
+    """The grid optimum, then every round sweeps every row along every axis."""
+    scores = opt._scores(opt.points[None], xi[:, None, :], reduce_fn)
+    k = np.argmin(scores, axis=1)
+    x, best = opt.points[k], scores[np.arange(len(xi)), k]
+    for _ in range(opt.refine_rounds):
+        for axis in range(opt.d):
+            opt._sweep(x, best, axis, reduce_fn, xi)
+    return best
+
+
+class TestRefinement:
+    """A row leaves the coordinate sweeps once d consecutive sweeps leave it
+    unmoved; every later sweep would repeat one of them."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 3),
+        tail=st.sampled_from(["periodic", "constant_at_infinity"]),
+        reduction=st.sampled_from(sorted(_REDUCTIONS)),
+        refine_rounds=st.integers(0, 4),
+        resolution=st.sampled_from([3, 5, 9]),
+        shift=st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False)),
+        coupling=st.sampled_from([0.0, 0.1]),
+        data=st.data(),
+    )
+    def test_equals_sweeping_every_round(
+        self, d, tail, reduction, refine_rounds, resolution, shift, coupling, data
+    ):
+        n = data.draw(st.integers(1, 4))
+        flat = data.draw(
+            st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=n * d, max_size=n * d)
+        )
+        xi = np.array(flat).reshape(n, d)
+        opt = _optimizer(_product_symbol(d, shift, coupling), resolution, tail, refine_rounds)
+        reduce_fn = _REDUCTIONS[reduction]
+        got = opt.extremize(xi, reduce_fn)
+        assert np.array_equal(got, _every_round(opt, xi, reduce_fn))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_on_a_grid_node_get_d_sweeps(self, d):
+        # the minimizer in x is a node of the 5-node grid, so no sweep moves
+        # a row, and rounds after the first make no evaluator call
+        inner = _product_symbol(d, 0.0).evaluator
+        calls = []
+
+        def re(x, xi):
+            calls.append(x.shape)
+            return inner(x, xi).real
+
+        model = fk.closed_form_symbol(re, dimension=d, x_dependent=True)
+        xi = np.linspace(0.5, 3.0, 3 * d).reshape(3, d)
+        counts = []
+        for refine_rounds in range(5):
+            calls.clear()
+            opt = _optimizer(model, 5, "periodic", refine_rounds)
+            np.testing.assert_array_equal(opt.extremize(xi, np.real), 0.75 * np.sum(xi**2, axis=1))
+            counts.append(len(calls))
+        assert counts[0] == 1  # the grid pass alone
+        assert counts[1] > counts[0]
+        assert counts[2:] == [counts[1]] * 3
 
 
 def _point_rule_model(kind: str, d: int):
