@@ -27,7 +27,9 @@ will be removed in the next release.  BLAS threads are set only by
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` before launch.
 
 Exit codes: 0 success, 2 configuration problems (including bad CLI
-arguments), 3 numerical failures or unexpected errors.  Reports are
+arguments), 3 numerical failures or unexpected errors.  Each command
+makes the output directory once it has built the model and envelope, so
+a configuration error found up to then leaves none behind.  Reports are
 deterministic for a fixed config and seed: timing fields are zeroed and
 keys are sorted before writing.
 """
@@ -131,6 +133,7 @@ def _simulation_from_config(model, cfg, seed, levy, stable_like):
 def cmd_analyze(cfg, out_dir: Path) -> dict:
     model = build_model(cfg["symbol"])
     env = build_envelope_from_config(model, cfg["envelope"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     crit_cfg = cfg["criteria"]
     run = crit_cfg["run"]
     heat_times = [float(t) for t in crit_cfg["heat_times"]]
@@ -173,6 +176,7 @@ def cmd_analyze(cfg, out_dir: Path) -> dict:
 
 def cmd_simulate(cfg, out_dir: Path, seed: int) -> dict:
     model = build_model(cfg["symbol"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     ens = _simulation_from_config(model, cfg, seed, simulate_levy, simulate_stable_like)
     digest = write_ensemble(out_dir / "ensemble.flpe", ens)
     return {
@@ -193,6 +197,7 @@ def cmd_simulate(cfg, out_dir: Path, seed: int) -> dict:
 def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
     model = build_model(cfg["symbol"])
     env = build_envelope_from_config(model, cfg["envelope"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     steps = _simulation_from_config(model, cfg, seed, levy_steps, stable_like_steps)
     val = cfg["validation"]
     n_sigma = float(val["n_sigma"])
@@ -286,7 +291,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         seed = cfg["seed"] if args.seed is None else check_seed_flag(args.seed)
         out_dir = Path(args.out if args.out is not None else cfg["output"]["directory"])
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.name == "analyze":
             payload = cmd_analyze(cfg, out_dir)
         elif args.name == "simulate":

@@ -153,16 +153,18 @@ def frequency_criteria(
 
     All are integrals of q_inf: of 1 / q_inf over |xi| <= r, of
     1 / (1 + q_inf) and exp(-(t/16) q_inf) over R^d, and of 1 / q_inf over
-    |eta| <= 4 r sqrt(d) (:func:`occupation_bound`).  Rows of one radius
-    share one :func:`~fellerkit.quadrature.classify_family` walk, so each
-    shell pass makes one envelope query for all of them, and each row gets
-    the result of its own walk.  ``t`` is one finite, positive time or a
-    1-D sequence of them.  Returns the transience and local-times reports
-    (None when not asked for; "fails", without a walk, when q_inf dips
-    below zero on a probe of spheres), the array of density bounds
-    (math.inf where the integral diverges) and their scaled
-    :class:`IntegralResult` list, and likewise the occupation bounds and
-    the xi-space results of :func:`occupation_bound`.
+    |eta| <= 4 r sqrt(d) (:func:`occupation_bound`).  They are the rows of
+    one :func:`~fellerkit.quadrature.classify_family` call, whose walks at
+    every radius and in both directions run in lockstep: each round makes
+    one envelope query for all of them, a row is computed only at the
+    nodes of its own walk, and each row gets the result of its own walk.
+    ``t`` is one finite, positive time or a 1-D sequence of them.  Returns
+    the transience and local-times reports (None when not asked for;
+    "fails", without a walk, when q_inf dips below zero on a probe of
+    spheres), the array of density bounds (math.inf where the integral
+    diverges) and their scaled :class:`IntegralResult` list, and likewise
+    the occupation bounds and the xi-space results of
+    :func:`occupation_bound`.
     """
     start = time.perf_counter()
     r = None if r is None else _positive_radius(r)
@@ -179,35 +181,39 @@ def frequency_criteria(
     probe = np.array([0.1, 1.0, 10.0])[:, None, None] * _directions(env, 8)
     negative = (r is not None or local_times) and _query(env.q_inf, probe).min() < -1e-10
 
-    # name -> (radius, include_tail, row count, the rows from q_inf)
+    # name -> (radius, include_tail, row count, its rows k from q_inf)
     parts = {}
     if r is not None and not negative:
-        parts["transience"] = (r, False, 1, lambda q: _reciprocal(q)[None])
+        parts["transience"] = (r, False, 1, lambda q, k: _reciprocal(q)[None])
     if local_times and not negative:
-        parts["local_times"] = (1.0, True, 1, lambda q: (1.0 / (1.0 + q))[None])
+        parts["local_times"] = (1.0, True, 1, lambda q, k: (1.0 / (1.0 + q))[None])
     # the heat times stay one block, so a pass makes one exp for all of them
     parts["heat"] = (
-        1.0, True, rates.size, lambda q: np.exp(rates.reshape((-1,) + (1,) * np.ndim(q)) * q)
+        1.0, True, rates.size, lambda q, k: np.exp(rates[k].reshape((-1,) + (1,) * q.ndim) * q)
     )
     for i, r_occ in enumerate(occupation_radii):
         parts["occupation", i] = (
-            4.0 * r_occ * math.sqrt(d), False, 1, lambda q: _reciprocal(q)[None]
+            4.0 * r_occ * math.sqrt(d), False, 1, lambda q, k: _reciprocal(q)[None]
         )
+    starts = np.cumsum([0] + [n for _, _, n, _ in parts.values()])
+    blocks = [block for *_, block in parts.values()]
+
+    def rows_of(q, idx):
+        cuts = np.searchsorted(idx, starts).tolist()
+        return np.concatenate([
+            block(q, idx[a:b] - start)
+            for block, start, a, b in zip(blocks, starts.tolist(), cuts, cuts[1:])
+            if a < b
+        ])
+
+    family = classify_family(
+        env.q_inf, int(starts[-1]), d, rows_of=rows_of, radial=env.radial, rel_tol=rel_tol,
+        radius=[radius for radius, _, n, _ in parts.values() for _ in range(n)],
+        include_tail=[tail for _, tail, n, _ in parts.values() for _ in range(n)],
+    )
     results = {}
-    for radius in dict.fromkeys(part[0] for part in parts.values()):
-        walk = {name: part for name, part in parts.items() if part[0] == radius}
-
-        def integrand(xi, walk=walk):
-            q = env.q_inf(xi)
-            return np.concatenate([rows(q) for *_, rows in walk.values()])
-
-        family = classify_family(
-            integrand, sum(n for _, _, n, _ in walk.values()), d, radius=radius,
-            include_tail=[tail for _, tail, n, _ in walk.values() for _ in range(n)],
-            radial=env.radial, rel_tol=rel_tol,
-        )
-        for name, (_, _, n, _) in walk.items():
-            results[name], family = family[:n], family[n:]
+    for name, (_, _, n, _) in parts.items():
+        results[name], family = family[:n], family[n:]
 
     if any(result.classification == "undetermined" for result in results["heat"]):
         raise NumericalError(

@@ -15,7 +15,10 @@ All nodes of all live subintervals of a shell go to the integrand in one
 array call; only the subintervals whose error misses their share of the
 budget are bisected for the next call.  A family of integrands (the heat
 bound at many times, say) walks the shells once: the integrand returns one
-row per member, and every call serves all members still walking.
+row per member, and every call serves all members still walking.  Members
+may have radii of their own; the walks at every radius and in both
+directions run in lockstep, and each round makes one call to the
+integrand for the nodes of all of them.
 """
 
 from __future__ import annotations
@@ -162,35 +165,57 @@ def integrate_radial(
     )
 
 
-def _shell_profile(f, d: int, radial: bool):
-    """Reduce f on R^d to a radial profile, averaging over directions if needed.
+def _node_values(f, rows_of, m: int, d: int, radial: bool):
+    """The one call to ``f`` that a lockstep round makes, and each walk's
+    share of its values.
 
-    The profile maps an array of radii to an array of values with one call
-    to f: at ``r`` (d = 1), ``r[:, None] * e1`` (radial) or
-    ``r[:, None, None] * dirs`` (every direction of :func:`direction_set`,
-    averaged over the last axis, so a leading axis of family rows stays).
+    Returns ``(query, take)``.  ``query(r)`` calls ``f`` once at the radii
+    ``r`` of every request of the round, joined: at ``r`` (d = 1), at
+    ``r[:, None] * e1`` (radial) or at ``r[:, None, None] * dirs`` (every
+    direction of :func:`direction_set`); in d = 1 without ``radial``, at
+    ``r`` and then at ``-r``.  ``take(values, start, r, idx)`` is the
+    share of the request whose radii ``r`` start at position ``start`` of
+    the joined ones: its rows ``idx`` at each radius, averaged over the
+    directions (both signs in d = 1), times r^(d-1), shape
+    (len(idx), len(r)).  Without ``rows_of``, ``f`` returns all m rows;
+    with it, ``f`` returns one value per point and ``rows_of`` computes
+    just the rows ``idx`` of each request.
     """
+    if rows_of is None:
+        def query(points):
+            lead = points.shape if d == 1 else points.shape[:-1]
+            return np.broadcast_to(f(points), (m,) + lead)
+
+        def rows_of(values, idx):
+            return values[idx]
+    else:
+        query = f
+
     if d == 1:
-        if radial:
-            return f
-
-        def both_signs(r):
-            plus, minus = f(r), f(-r)
-            with np.errstate(invalid="ignore"):  # inf - inf: a nonfinite shell
-                return 0.5 * (plus + minus)
-
-        return both_signs
-    if radial:
+        points = (lambda r: r) if radial else (lambda r: np.concatenate([r, -r]))
+    elif radial:
         e1 = np.eye(d)[0]
-        return lambda r: f(r[:, None] * e1)
-    dirs = direction_set(d)
+        points = lambda r: r[:, None] * e1  # noqa: E731
+    else:
+        dirs = direction_set(d)
+        points = lambda r: r[:, None, None] * dirs  # noqa: E731
 
-    def direction_mean(r):
-        vals = f(r[:, None, None] * dirs)
-        with np.errstate(invalid="ignore"):
-            return vals.mean(axis=-1)
+    def take(values, start, r, idx):
+        part = slice(start, start + len(r))
+        if d == 1 and not radial:
+            n = values.shape[-1] // 2
+            plus = rows_of(values[..., :n][..., part], idx)
+            minus = rows_of(values[..., n:][..., part], idx)
+            with np.errstate(invalid="ignore"):  # inf - inf: a nonfinite shell
+                vals = 0.5 * (plus + minus)
+        elif d == 1 or radial:
+            vals = rows_of(values[..., part], idx)
+        else:
+            with np.errstate(invalid="ignore"):
+                vals = rows_of(values[..., part, :], idx).mean(axis=-1)
+        return vals * r ** (d - 1)
 
-    return direction_mean
+    return lambda r: query(points(r)), take
 
 
 # QUADPACK's qk21 rule on [-1, 1], rounded to double: per node x >= 0 (the
@@ -269,17 +294,18 @@ def _masked_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _shell_integrals(g, rows: list, d: int, lo: float, hi: float):
-    """Integral of row i of g(r) over lo <= r <= hi, times the sphere area,
-    for each family row i in ``rows``: the values and error estimates.
+def _shell_integrals(rows, d: int, lo: float, hi: float):
+    """Integral of family row i over lo <= r <= hi, times the sphere area,
+    for each row i in ``rows``: the values and error estimates.
 
-    The rows share one list of pieces, and each pass makes one call to
-    ``g`` over the nodes of all of them.  Each row keeps its own live
-    pieces and runs the rule of a shell integrated alone: it is done once
-    its summed error is within max(SHELL_ABS_TOL, SHELL_REL_TOL |value|)
-    or its value is not finite; else its pieces whose error exceeds their
-    share of the budget (by length) are bisected, and when none does it is
-    done as it stands.  A piece is bisected when any row still open
+    A generator: each pass yields the radii of its nodes and the rows it
+    needs there, and is sent back their values, shape (rows, nodes).  The
+    rows share one list of pieces, so a pass is one request for all of
+    them.  Each row keeps its own live pieces and runs the rule of a shell
+    integrated alone: it is done once its summed error is within
+    max(SHELL_ABS_TOL, SHELL_REL_TOL |value|) or its value is not finite;
+    else its pieces whose error exceeds their share of the budget (by
+    length) are bisected, and when none does it is done as it stands.  A piece is bisected when any row still open
     bisects it, and SHELL_PIECES caps the shared pieces, done and live.
     """
     surf = surface_area(d)
@@ -295,7 +321,7 @@ def _shell_integrals(g, rows: list, d: int, lo: float, hi: float):
     while True:
         half = 0.5 * (his - los)
         nodes = (0.5 * (his + los))[:, None] + half[:, None] * _GK_NODES
-        node_vals = g(nodes.ravel())[rows[pos]].reshape(len(pos), *nodes.shape)
+        node_vals = (yield nodes.ravel(), rows[pos]).reshape(len(pos), *nodes.shape)
         if live is None:
             vals, errs = _gauss_kronrod(node_vals, half)
             value = done_val + vals.sum(axis=1)
@@ -380,83 +406,113 @@ def _verdict(shells, total: float, rel_tol: float, abs_tol: float):
     return None
 
 
+def _walk(radius: float, start: int, step: int, min_shells: int, rows: list, d: int,
+          rel_tol: float, abs_tol: float):
+    """Walk the shells at ``radius`` from index ``start`` in direction
+    ``step`` until each of ``rows`` has a verdict.
+
+    A generator that passes on the requests of :func:`_shell_integrals`
+    and returns, per row, its shells, status, tail and shell errors.
+    """
+    shells = {i: [] for i in rows}
+    errs = {i: [] for i in rows}
+    status = dict.fromkeys(rows, "undetermined")
+    tails = dict.fromkeys(rows, (0.0, 0.0))
+    totals = dict.fromkeys(rows, 0.0)
+    j = start
+    for k in range(min_shells + MAX_EXTRA_SHELLS):
+        if not rows:
+            break
+        lo = radius * 2.0**j
+        hi = radius * 2.0 ** (j + 1)
+        vals, shell_errs = yield from _shell_integrals(rows, d, lo, hi)
+        walking = []
+        for i, val, err in zip(rows, vals.tolist(), shell_errs.tolist()):
+            errs[i].append(err)
+            shells[i].append((j, val))
+            totals[i] += val
+            if not math.isfinite(val):
+                status[i] = "nonfinite"
+                continue
+            verdict = None
+            if k + 1 >= min_shells:
+                verdict = _verdict(shells[i], totals[i], rel_tol, abs_tol)
+            if verdict is None:
+                walking.append(i)
+            else:
+                status[i], tails[i] = verdict
+        rows = walking
+        j += step
+    return {i: (shells[i], status[i], tails[i], errs[i]) for i in shells}
+
+
 def classify_family(
     f,
     m: int,
     d: int,
     *,
-    radius: float = 1.0,
+    radius: float | list[float] = 1.0,
     include_tail: bool | list[bool] = False,
     radial: bool = True,
     rel_tol: float = 1e-6,
     abs_tol: float = 1e-12,
+    rows_of=None,
 ) -> list[IntegralResult]:
-    """:func:`classify_improper` for m integrands at once, in one shell walk.
+    """:func:`classify_improper` for m integrands at once, in one lockstep walk.
 
     ``f`` takes points as :func:`classify_improper` describes and returns
     an array of shape (m,) + their leading shape, one row per integrand.
-    Each pass over a shell makes one call to ``f`` for every row still
-    walking; the rows share the shell's pieces, and a piece is bisected
-    when any of them needs it.  Each row keeps its own shell sums, error
-    budget, ratio test, geometric tail and classification, and leaves the
-    walk once it has its verdict, so it gets the result it would get
-    alone, bit for bit, unless the shared pieces of a shell reach
-    SHELL_PIECES before its own would.  A row with a nonfinite value at a
-    node of its pieces gets a nonfinite shell; the other rows go on.
-    ``include_tail`` is one bool for every row or one per row; a row
-    without a tail skips the outward walk.
+    With ``rows_of``, ``f`` instead returns one array of the points'
+    leading shape, shared by every row, and ``rows_of(values, idx)`` maps
+    a slice of it to the rows ``idx`` (ascending), shape (len(idx),) + its
+    shape; a row is then computed only where its own walk needs it.
+
+    ``radius`` and ``include_tail`` are one value for every row or one per
+    row.  A walk is one radius and one direction: the inner shells of the
+    rows at that radius, or the outer shells of those with a tail.  The
+    walks run in lockstep: each round makes one call to ``f`` for the
+    nodes of every walk still running, whatever their radii.  The rows of
+    a walk share its shells' pieces, and a piece is bisected when any of
+    them needs it.  Each row keeps its own shell sums, error budget, ratio
+    test, geometric tail and classification, and leaves its walk once it
+    has its verdict, so it gets the result it would get alone, bit for
+    bit, as long as the value of ``f`` at a point does not depend on the
+    other points of the call, and unless the shared pieces of a shell
+    reach SHELL_PIECES before its own would.  A row with a nonfinite value
+    at a node of its pieces gets a nonfinite shell; the other rows go on.
     """
-    profile = _shell_profile(f, d, radial)
+    radii = np.broadcast_to(np.asarray(radius, dtype=float), (m,)).tolist()
     has_tail = np.broadcast_to(include_tail, (m,)).tolist()
+    query, take = _node_values(f, rows_of, m, d, radial)
+    inner, outer = {}, {}
+    walks = []  # (walk, where it puts its rows' results)
+    for r in dict.fromkeys(radii):
+        members = [i for i in range(m) if radii[i] == r]
+        tailed = [i for i in members if has_tail[i]]
+        walks.append((_walk(r, -1, -1, INNER_SHELLS, members, d, rel_tol, abs_tol), inner))
+        walks.append((_walk(r, 0, +1, OUTER_SHELLS, tailed, d, rel_tol, abs_tol), outer))
+    sent = [None] * len(walks)
+    while walks:
+        requests, running = [], []
+        for (walk, results), value in zip(walks, sent):
+            try:
+                requests.append(walk.send(value))
+            except StopIteration as stop:
+                results.update(stop.value)
+            else:
+                running.append((walk, results))
+        walks, sent, start = running, [], 0
+        if requests:
+            values = query(np.concatenate([r for r, _ in requests]))
+            for r, idx in requests:
+                sent.append(take(values, start, r, idx))
+                start += len(r)
 
-    def g(r):
-        vals = profile(r) * r ** (d - 1)
-        if np.size(vals) == m * r.size:
-            return np.reshape(vals, (m, r.size))
-        return np.broadcast_to(vals, (m, r.size))
-
-    err_sums = [0.0] * m
-
-    def run_direction(start: int, step: int, min_shells: int, rows: list):
-        """Walk shells from ``start`` in direction ``step`` until each of
-        ``rows`` has a verdict; per row its shells, status and tail."""
-        shells = [[] for _ in range(m)]
-        status = ["undetermined"] * m
-        tails = [(0.0, 0.0)] * m
-        totals = [0.0] * m
-        j = start
-        for k in range(min_shells + MAX_EXTRA_SHELLS):
-            if not rows:
-                break
-            lo = radius * 2.0**j
-            hi = radius * 2.0 ** (j + 1)
-            vals, errs = _shell_integrals(g, rows, d, lo, hi)
-            walking = []
-            for i, val, err in zip(rows, vals.tolist(), errs.tolist()):
-                err_sums[i] += err
-                shells[i].append((j, val))
-                totals[i] += val
-                if not math.isfinite(val):
-                    status[i] = "nonfinite"
-                    continue
-                verdict = None
-                if k + 1 >= min_shells:
-                    verdict = _verdict(shells[i], totals[i], rel_tol, abs_tol)
-                if verdict is None:
-                    walking.append(i)
-                else:
-                    status[i], tails[i] = verdict
-            rows = walking
-            j += step
-        return shells, status, tails
-
-    inner = run_direction(-1, -1, INNER_SHELLS, list(range(m)))
-    outer = run_direction(0, +1, OUTER_SHELLS, [i for i in range(m) if has_tail[i]])
-
+    no_walk = ([], "undetermined", (0.0, 0.0), [])
     results = []
     for i in range(m):
-        inner_shells, inner_status, inner_tail = (part[i] for part in inner)
-        outer_shells, outer_status, outer_tail = (part[i] for part in outer)
+        inner_shells, inner_status, inner_tail, inner_errs = inner[i]
+        outer_shells, outer_status, outer_tail, outer_errs = outer.get(i, no_walk)
         trace = inner_shells[::-1] + outer_shells
         if inner_status in ("divergent", "nonfinite"):
             results.append(IntegralResult(math.inf, math.inf, "divergent_at_zero", trace))
@@ -469,7 +525,10 @@ def classify_family(
             for _, v in trace:  # in index order, one addition at a time
                 total += v
             total = total + inner_tail[0] + outer_tail[0]
-            unc = err_sums[i] + inner_tail[1] + outer_tail[1]
+            unc = 0.0
+            for err in inner_errs + outer_errs:  # inner shells first, as walked
+                unc += err
+            unc = unc + inner_tail[1] + outer_tail[1]
             results.append(IntegralResult(float(total), float(unc), "convergent", trace))
     return results
 

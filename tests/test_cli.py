@@ -159,8 +159,12 @@ class TestAnalyze:
         _, result = fk.heat_kernel_sup_bound(env, 1.0, full=True)
         # a call beyond one per shell is a bisection pass, so the shared walk
         # makes at most the calls of the local-times walk (with its probe)
-        # plus the heat row's bisection passes; analyze adds two curve queries
-        bisections = len(heat) - len(result.annulus_trace)
+        # plus the heat row's bisection passes; analyze adds two curve queries.
+        # The inner and outer walks run in lockstep, so one call may hold a
+        # pass of each: inner nodes lie below |xi| = 1, outer ones above it.
+        radii = [np.abs(np.frombuffer(points)) for points in heat]
+        passes = sum(int((r < 1).any()) + int((r > 1).any()) for r in radii)
+        bisections = passes - len(result.annulus_trace)
         assert len(analyze) <= len(local_times) + bisections + 2
 
 
@@ -410,6 +414,56 @@ class TestGridEnvelopeInputs:
         out = tmp_path / "out"
         assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (out / "report.json").exists()
+
+
+class TestNoOutputDirectoryOnFailure:
+    """A configuration error raised while the envelope is built leaves no
+    output directory, as one from the config table does."""
+
+    @pytest.mark.parametrize("entry", [
+        {"resolution": 1},
+        {"refine_rounds": -1},
+        {"x_domain": [[0.0, math.nan], [0.0, 1.0]]},
+        {"tail": "reflecting"},
+    ])
+    def test_bad_grid_envelope_leaves_no_directory(self, entry, tmp_path, capsys):
+        path = write_cfg(tmp_path, "grid.json", {
+            "symbol": {
+                "type": "closed_form", "dimension": 2,
+                "re": "(1.25 + 0.5*sin(x1)*cos(x2)) * (xi1**2 + xi2**2)**0.75",
+            },
+            "envelope": {**TestGridEnvelopeInputs.GRID, **entry},
+        })
+        out = tmp_path / "out" / "nested"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_envelope_error_in_an_outer_shell_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the probe and the inner shells stay below |xi| = 10; only the outer
+        # walk of local times and heat goes past 1e3
+        def failing(model, env_cfg):
+            env = build_envelope_from_config(model, env_cfg)
+            fn = env.q_inf_fn
+
+            def q_inf(xi):
+                if np.linalg.norm(xi, axis=-1).max() > 1e3:
+                    raise RuntimeError("no envelope beyond |xi| = 1e3")
+                return fn(xi)
+
+            env.q_inf_fn = q_inf
+            return env
+
+        path = write_cfg(tmp_path, "c.json", {
+            "symbol": {"type": "alpha_stable", "alpha": 1.5},
+            "criteria": {"run": ["transience", "local_times"]},
+        })
+        monkeypatch.setattr(cli, "build_envelope_from_config", failing)
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.endswith("error: RuntimeError: no envelope beyond |xi| = 1e3\n")
         assert not (out / "report.json").exists()
 
 

@@ -315,6 +315,56 @@ class TestOccupationBound:
         assert value == prefactor * reference.value
 
 
+class TestOneLockstepWalk:
+    """frequency_criteria walks every criterion's shells, at every radius
+    and in both directions, in one lockstep classify_family call."""
+
+    def test_one_call_gives_each_criterion_its_own_result(self, monkeypatch):
+        env = fk.build_envelope(fk.alpha_stable(1.5, 2))
+        calls = []
+        real = fk.criteria.classify_family
+        monkeypatch.setattr(
+            fk.criteria, "classify_family", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        transience, local_times, bounds, heat, occ_bounds, occ = fk.criteria.frequency_criteria(
+            env, 0.5, True, [0.1, 1.0], occupation_radii=[0.25, 1.0]
+        )
+        assert calls == [1]
+        assert transience.evidence == fk.test_transience(env, 0.5).evidence
+        assert local_times.evidence == fk.test_local_times(env).evidence
+        for t, bound, result in zip([0.1, 1.0], bounds, heat):
+            assert (bound, result) == fk.heat_kernel_sup_bound(env, t, full=True)
+        for r, bound, result in zip([0.25, 1.0], occ_bounds, occ):
+            assert (bound, result) == fk.occupation_bound(env, r, full=True)
+
+    def test_grid_envelope_2d_makes_one_query_per_round(self):
+        # the walks are inner at radius 1 (transience, local times, heat),
+        # outer at radius 1 (local times, heat) and inner at 4 sqrt(2) (the
+        # occupation row), of about 40 passes each; one after the other
+        # they made 121 queries besides the probe
+        env, calls = _counted_envelope(
+            fk.closed_form_symbol(
+                "(1.25 + 0.5*sin(x1)*cos(x2)) * (xi1**2 + xi2**2)**0.75",
+                dimension=2, radial_in_xi=True,
+            ),
+            x_domain=[(0.0, 2.0 * math.pi)] * 2, resolution=33, tail="periodic",
+        )
+        transience, local_times, _, heat, _, occ = fk.criteria.frequency_criteria(
+            env, 1.0, True, [1.0], occupation_radii=[1.0]
+        )
+        traces = [
+            transience.evidence["integral"]["annulus_trace"],
+            local_times.evidence["integral"]["annulus_trace"],
+            *(result.annulus_trace for result in heat + occ),
+        ]
+        longest = max(
+            max(sum(j < 0 for j, _ in trace), sum(j >= 0 for j, _ in trace)) for trace in traces
+        )
+        # one query for the probe, then one per round, and a walk makes at
+        # least one pass per shell
+        assert longest <= len(calls) - 1 <= 44
+
+
 @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("criterion", [fk.test_transience, fk.occupation_bound])
 def test_radius_must_be_finite_and_positive(criterion, radius):

@@ -340,3 +340,44 @@ class TestPointRule:
                     query(bad)
             with pytest.raises(ValueError):
                 fk.eval_symbol(model, np.zeros(d), bad)
+
+
+class TestPointIndependence:
+    """The value of an envelope at a point does not depend on the other
+    points of the call.  The frequency walk relies on it when it joins the
+    nodes of all its walks into one query."""
+
+    @staticmethod
+    def _envelope(kind: str, d: int):
+        if kind == "stable_like":
+            return fk.build_envelope(_point_rule_model("closed_form", d))
+        if kind == "state_free":
+            return fk.build_envelope(_point_rule_model("state_free", d))
+        xs = ["x"] if d == 1 else ["x1", "x2"]
+        xis = ["xi"] if d == 1 else ["xi1", "xi2"]
+        model = fk.closed_form_symbol(
+            f"(1.25 + 0.5*sin({xs[0]})*cos({xs[-1]})) * ({' + '.join(v + '**2' for v in xis)})**0.75",
+            dimension=d,
+        )
+        box = [(0.0, 2.0 * math.pi)] * d
+        tail = "periodic" if kind == "grid_periodic" else "constant_at_infinity"
+        return fk.build_envelope(model, x_domain=box, resolution=9, tail=tail)
+
+    @pytest.mark.parametrize("kind", [
+        "grid_periodic", "grid_constant_at_infinity", "stable_like", "state_free",
+    ])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_query_of_a_concatenation_is_the_concatenation_of_queries(self, kind, d):
+        rng = np.random.default_rng(7)
+        # 193 points: more than one chunk of the grid pass and of the sweeps
+        parts = [
+            np.logspace(-3, 3, n)[:, None] * rng.standard_normal((n, d)) for n in (3, 150, 40)
+        ]
+        if d == 1:
+            parts = [p[:, 0] for p in parts]
+        for query in ("q_inf", "q_sup"):
+            # separate envelopes, so no answer is read back from a memo
+            whole = getattr(self._envelope(kind, d), query)(np.concatenate(parts))
+            env = self._envelope(kind, d)
+            pieces = np.concatenate([getattr(env, query)(p) for p in parts])
+            assert whole.tobytes() == pieces.tobytes()

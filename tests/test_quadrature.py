@@ -253,6 +253,107 @@ class TestClassifyFamily:
         assert classify_family(lambda xi: np.zeros((0, np.size(xi))), 0, 1) == []
 
 
+class TestLockstep:
+    """Walks at several radii and in both directions share each envelope
+    call, and every row still gets the result of one call per radius."""
+
+    @staticmethod
+    def _rows(d):
+        """Each row of _family_rows twice: at radius 1 with a tail (both
+        directions, so inner and outer errors add up), and at radius 0.5
+        or 2 with every third row tailed."""
+        rows = []
+        for k, fn in enumerate(_family_rows(d).values()):
+            rows += [(fn, 1.0, True), (fn, (0.5, 2.0)[k % 2], k % 3 == 0)]
+        return rows
+
+    @pytest.mark.parametrize("d, radial", [
+        (1, True), (1, False), (2, True), (2, False), (3, True), (3, False),
+    ])
+    def test_per_row_radii_match_one_call_per_radius(self, d, radial):
+        rows = self._rows(d)
+        if d > 1 and not radial:  # 1024 directions: keep one row of each kind
+            rows = rows[:8]
+        fns, radii, tails = map(list, zip(*rows))
+
+        def family(fns):
+            return lambda xi: np.stack([fn(xi) for fn in fns])
+
+        with np.errstate(divide="ignore", over="ignore"):
+            together = classify_family(
+                family(fns), len(fns), d, radius=radii, include_tail=tails, radial=radial
+            )
+            alone = {}
+            for r in dict.fromkeys(radii):
+                at_r = [i for i, radius in enumerate(radii) if radius == r]
+                results = classify_family(
+                    family([fns[i] for i in at_r]), len(at_r), d, radius=r,
+                    include_tail=[tails[i] for i in at_r], radial=radial,
+                )
+                alone.update(zip(at_r, results))
+        assert {res.classification for res in together} == {
+            "convergent", "divergent_at_zero", "divergent_at_infinity"
+        }
+        for i, got in enumerate(together):
+            # repr round-trips a float, so equal reprs are equal bits
+            assert repr(got) == repr(alone[i]), i
+
+    @pytest.mark.parametrize("d, radial", [(1, False), (2, True), (2, False)])
+    def test_a_row_is_computed_only_at_its_own_walks_nodes(self, d, radial):
+        # f returns |xi|, so ``rows_of`` sees the radii it is asked at
+        radii = [1.0, 1.0, 0.5, 2.0, 2.0]
+        tails = [True, False, False, True, False]
+        scales = np.array([1.0, 2.0, 0.5, 1.0, 3.0])
+        asked = []
+
+        def rows_of(q, idx):
+            asked.append((idx.tolist(), float(q.min()), float(q.max())))
+            return np.exp(-scales[idx].reshape((-1,) + (1,) * q.ndim) * q**2)
+
+        def family(xi):
+            r = _norm(xi, d)
+            return np.exp(-scales.reshape((-1,) + (1,) * r.ndim) * r**2)
+
+        split = classify_family(
+            lambda xi: _norm(xi, d), 5, d, rows_of=rows_of, radius=radii, include_tail=tails,
+            radial=radial,
+        )
+        whole = classify_family(family, 5, d, radius=radii, include_tail=tails, radial=radial)
+        assert [repr(res) for res in split] == [repr(res) for res in whole]
+        for idx, low, top in asked:
+            (radius,) = {radii[i] for i in idx}  # the rows of one walk
+            # an inner walk stays below its radius; an outer one, above it,
+            # serves only rows with a tail
+            assert top < radius or (low > radius and all(tails[i] for i in idx))
+
+    @pytest.mark.parametrize("radial, error", [
+        (True, 1.9582714767450023e-13), (False, 1.9582714759450484e-13),
+    ])
+    def test_errors_add_inner_shells_first(self, radial, error):
+        # pinned from the walk that ran all inner shells before the outer
+        # ones; adding the outer errors first ends in ...026e-13 and ...486e-13
+        fn = _family_rows(2)["convergent"]
+        (res,) = classify_family(
+            lambda xi: fn(xi)[None], 1, 2, include_tail=True, radial=radial
+        )
+        assert res.classification == "convergent"
+        assert res.abs_error_estimate == error
+
+    def test_an_error_in_an_outer_shell_propagates(self):
+        class EnvelopeFailure(Exception):
+            pass
+
+        def f(xi):
+            if np.abs(xi).max() > 1e3:
+                raise EnvelopeFailure("no envelope beyond |xi| = 1e3")
+            return np.exp(-np.asarray(xi) ** 2)
+
+        with pytest.raises(EnvelopeFailure, match=r"no envelope beyond \|xi\| = 1e3"):
+            classify_family(f, 1, 1, radius=[1.0], include_tail=True)
+        # without the outward walk nothing reaches 1e3
+        assert classify_improper(f, 1).classification == "convergent"
+
+
 class TestDirectionHelpers:
     def test_direction_counts(self):
         d1 = direction_set(1)
