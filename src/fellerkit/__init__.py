@@ -14,7 +14,6 @@ from .criteria import (
     heat_kernel_sup_bound,
     local_time_fourier_bound,
     occupation_bound,
-    small_time_horizon,
     stable_like_tail_transience,
     test_local_times,
     test_transience,
@@ -22,13 +21,10 @@ from .criteria import (
 )
 from .empirics import (
     empirical_char_fn,
-    estimate_local_time,
     exit_frequency,
     generator_finite_difference,
     occupation_fourier_check,
-    transience_diagnostic,
     validate_char_bound,
-    validate_small_t_approx,
 )
 from .ensemble_io import export_csv, file_checksum, read_ensemble, write_ensemble
 from .envelopes import Envelope, build_envelope

@@ -20,7 +20,7 @@ from .envelopes import Envelope
 from .errors import ConfigError, NumericalError
 from .quadrature import classify_family, direction_set, surface_area
 from .symbol_checks import ball_sup
-from .symbols import SymbolModel, as_points
+from .symbols import SymbolModel
 
 __all__ = [
     "CriterionReport",
@@ -31,8 +31,6 @@ __all__ = [
     "test_transience",
     "test_local_times",
     "occupation_bound",
-    "small_time_horizon",
-    "SmallTimeHorizon",
     "exit_time_bound",
     "ExitTimeBound",
     "bump_constant",
@@ -71,8 +69,8 @@ class CriterionReport:
 
 def char_fn_bound(env: Envelope, t: float, xi) -> float | np.ndarray:
     """Uniform-in-x bound exp(-(t/16) q_inf(2 xi)) for |E^x e^{i<X_t - x, xi>}|."""
-    if t < 0:
-        raise ConfigError("time must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ConfigError("time must be nonnegative and finite")
     q = env.q_inf(2.0 * np.asarray(xi, dtype=float))
     return np.exp(-(t / 16.0) * q)
 
@@ -130,10 +128,10 @@ def _query(query, xi: np.ndarray) -> np.ndarray:
     return np.reshape(query(xi), xi.shape[:-1])
 
 
-def _positive_radius(r) -> float:
+def _positive_radius(r, message: str = "radius must be positive") -> float:
     r = float(r)
     if not (math.isfinite(r) and r > 0):
-        raise ConfigError("radius must be positive")
+        raise ConfigError(message)
     return r
 
 
@@ -346,94 +344,6 @@ def occupation_bound(env: Envelope, r: float, *, rel_tol: float = 1e-6, full: bo
 
 
 # ---------------------------------------------------------------------------
-# small-time horizons and exit bounds
-
-
-@dataclass
-class SmallTimeHorizon:
-    """Horizons below which the decay exp(-(1 - c - eps) t q_inf(xi)) is
-    guaranteed for the characteristic function, with the frequency windows
-    g1, g2 used to control the drift and carre-du-champ terms."""
-
-    t1: float
-    t2: float
-    g1: float
-    g2: float
-    sector_constant: float
-    decay_rate: float
-
-
-def _sector_constant(env: Envelope) -> float:
-    xi = np.logspace(-2, 2, 17)[:, None, None] * _directions(env, 64)
-    im = _query(env.im_sup, xi)
-    active = im > 1e-12
-    if not active.any():
-        return 0.0
-    q = _query(env.q_inf, xi[active])
-    if np.any(q <= 0):
-        return math.inf
-    return float(np.max(im[active] / q))
-
-
-def small_time_horizon(
-    model: SymbolModel,
-    env: Envelope,
-    xi,
-    eps: float,
-    *,
-    sector_constant: float | None = None,
-    sup_resolution: int = 257,
-) -> SmallTimeHorizon:
-    """Compute the guaranteed decay horizons t1 <= t2 at one frequency.
-
-    ``eps`` must lie in (0, 1 - c) for the sector constant c (0 for real
-    symbols).  t1 only uses the symbol magnitude at xi; t2 additionally
-    controls remainder terms through sups of the symbol over the frequency
-    windows of widths 1/g1 and 1/g2.
-    """
-    d = env.dimension
-    xiv, lead = as_points(xi, d)
-    if lead:
-        raise ValueError("small_time_horizon takes a single frequency")
-    c = _sector_constant(env) if sector_constant is None else float(sector_constant)
-    if not 0.0 < eps < 1.0 - c:
-        raise ConfigError(
-            f"eps must lie in (0, 1 - c) = (0, {1.0 - c:.6g}); got {eps}"
-        )
-    rho = float(np.linalg.norm(xiv))
-    if rho == 0.0:
-        raise ConfigError("the horizon is defined for xi != 0")
-    q_i = env.q_inf(xi)
-    if q_i <= 0.0:
-        raise ConfigError("q_inf(xi) must be positive at the requested frequency")
-    q_s = env.q_sup(xi)
-    i_s = env.im_sup(xi)
-    r_s = env.re_sup(xi)
-
-    g1 = eps / (4.0 * rho) * min(q_i / (1.0 + i_s), 1.0)
-    g2 = eps / (4.0 * rho) * (q_i / r_s)
-    t1 = eps / (8.0 * q_s)
-
-    dirs = _directions(env, 64 if d == 2 else 128)
-
-    def window_sup(radius: float) -> float:
-        radii = np.linspace(0.0, radius, sup_resolution)[1:]
-        return float(_query(env.q_sup, radii[:, None, None] * dirs).max(initial=0.0))
-
-    c1 = bump_constant(d)
-    denom = 2.0 * c1 * q_s * (3.0 * window_sup(1.0 / g1) + window_sup(1.0 / g2))
-    t2 = min(t1, eps * q_i / denom)
-    return SmallTimeHorizon(
-        t1=float(t1),
-        t2=float(t2),
-        g1=float(g1),
-        g2=float(g2),
-        sector_constant=c,
-        decay_rate=float((1.0 - c - eps) * q_i),
-    )
-
-
-# ---------------------------------------------------------------------------
 # exit time bound and the bump constant
 
 
@@ -548,8 +458,10 @@ def exit_time_bound(
     the reported bound is exact for the sampled sups and typically tight in
     practice for the smooth coefficient fields used here).
     """
-    if r <= 0 or t < 0:
-        raise ConfigError("need r > 0 and t >= 0")
+    message = "need r > 0 and t >= 0, both finite"
+    r = _positive_radius(r, message)
+    if not (math.isfinite(t) and t >= 0):
+        raise ConfigError(message)
     d = model.dimension
     if resolution is None:
         resolution = 65 if d == 1 else 17

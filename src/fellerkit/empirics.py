@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 import queue
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import char_fn_bound, local_time_fourier_bound
+from .criteria import _positive_radius, char_fn_bound, local_time_fourier_bound
 from .envelopes import Envelope
 from .errors import ConfigError
 from .simulate import PathEnsemble
@@ -43,18 +42,12 @@ __all__ = [
     "validate_char_bound",
     "GeneratorFDEstimate",
     "generator_finite_difference",
-    "SmallTimeCheck",
-    "validate_small_t_approx",
-    "LocalTimeEstimate",
-    "estimate_local_time",
     "OccupationFourierReport",
     "OccupationSums",
     "occupation_fourier_check",
     "ExitFrequency",
     "ExitSup",
     "exit_frequency",
-    "TransienceDiagnostic",
-    "transience_diagnostic",
 ]
 
 
@@ -317,111 +310,6 @@ def generator_finite_difference(ensembles, xi) -> GeneratorFDEstimate:
 
 
 @dataclass
-class SmallTimeCheck:
-    slope: float
-    rates: np.ndarray
-    t_used: np.ndarray
-    noise_floor: np.ndarray
-    verdict: str
-    expected_rate: float | None = None
-
-
-def validate_small_t_approx(
-    ens,
-    xi,
-    t_values,
-    *,
-    expected_rate: float | None = None,
-    slope_tol: float = 0.2,
-    n_sigma: float = 3.0,
-) -> SmallTimeCheck:
-    """Check 1 - Re lambda_t ~ t * Re p(x0, xi) on small grid times.
-
-    Times where the deficit is within n_sigma standard errors of zero are
-    below the noise floor and excluded from the slope fit.  The verdict
-    holds when the log-log slope is at least 1 - slope_tol (linear decay of
-    the deficit) and, if an expected rate is supplied, the smallest usable
-    time reproduces it within 25 percent.
-    """
-    ts, defs, ses = [], [], []
-    for t in t_values:
-        est = empirical_char_fn(ens, t, xi)
-        ts.append(float(t))
-        defs.append(1.0 - est.value.real)
-        ses.append(est.se_real)
-    ts = np.asarray(ts)
-    defs = np.asarray(defs)
-    ses = np.asarray(ses)
-    floor = defs <= n_sigma * ses
-    usable = (~floor) & (defs > 0)
-    if usable.sum() < 3:
-        return SmallTimeCheck(
-            slope=math.nan, rates=defs / ts, t_used=ts[usable],
-            noise_floor=floor, verdict="inconclusive", expected_rate=expected_rate,
-        )
-    slope = float(np.polyfit(np.log(ts[usable]), np.log(defs[usable]), 1)[0])
-    verdict = "holds" if slope >= 1.0 - slope_tol else "fails"
-    if expected_rate is not None and verdict == "holds":
-        t0 = ts[usable].min()
-        rate = defs[usable][ts[usable] == t0][0] / t0
-        if not math.isclose(rate, expected_rate, rel_tol=0.25):
-            verdict = "fails"
-    return SmallTimeCheck(
-        slope=slope, rates=defs / ts, t_used=ts[usable], noise_floor=floor,
-        verdict=verdict, expected_rate=expected_rate,
-    )
-
-
-@dataclass
-class LocalTimeEstimate:
-    centers: np.ndarray
-    density: np.ndarray
-    total_mass: float
-    horizon: float
-    missing_fraction: float
-
-
-def estimate_local_time(
-    ens, *, bins: int = 200, y_range=None, t_max: float | None = None
-) -> LocalTimeEstimate:
-    """Average occupation density over [0, t_max] for scalar ensembles.
-
-    The estimate histograms path positions with weight h per visit, so
-    integrating the density over the range recovers the time spent there;
-    mass outside the binning range is reported and warned about above five
-    percent, since a truncated range silently understates occupation.
-    """
-    n, m, d = ens.positions.shape
-    if d != 1:
-        raise ConfigError("occupation densities are binned for dimension 1 only")
-    idx = m - 1 if t_max is None else ens.time_index(t_max)
-    if idx < 1:
-        raise ConfigError("horizon must cover at least one step")
-    horizon = float(ens.time_grid[idx])
-    h = float(ens.time_grid[1] - ens.time_grid[0])
-    samples = ens.positions[:, 1 : idx + 1, 0].ravel()
-    if y_range is None:
-        y_range = (float(samples.min()), float(samples.max()))
-    counts, edges = np.histogram(samples, bins=bins, range=y_range)
-    widths = np.diff(edges)
-    density = counts * h / (n * widths)
-    total = float((density * widths).sum())
-    missing = max(0.0, 1.0 - total / horizon)
-    if missing > 0.05:
-        warnings.warn(
-            f"{missing:.1%} of occupation mass falls outside the binning range",
-            stacklevel=2,
-        )
-    return LocalTimeEstimate(
-        centers=0.5 * (edges[:-1] + edges[1:]),
-        density=density,
-        total_mass=total,
-        horizon=horizon,
-        missing_fraction=missing,
-    )
-
-
-@dataclass
 class OccupationFourierReport:
     rows: list
     verdict: str
@@ -529,16 +417,15 @@ class ExitSup:
     """Running sup_{j <= k} |X_j - x0| per path, read at the grid times of
     the requested (radius, time) rows.
 
-    A radius <= 0 or a time off the source's grid raises
-    :class:`ConfigError` here, row by row, before any step.
+    A radius that is not finite and positive, or a time off the source's
+    grid (nan and inf included), raises :class:`ConfigError` here, row by
+    row, before any step.
     """
 
     def __init__(self, source, rows):
         self.rows = []
         for r, t in rows:
-            r, t = float(r), float(t)
-            if r <= 0:
-                raise ConfigError("radius must be positive")
+            r, t = _positive_radius(r), float(t)
             self.rows.append((r, t, source.time_index(t)))
         self._read = {idx for _, _, idx in self.rows}
         self.stop = 1 + max(self._read, default=-1)
@@ -576,34 +463,3 @@ def exit_frequency(ens, r: float, t: float) -> ExitFrequency:
     feed(_replay(ens, sup.stop), sup)
     return sup.frequencies()[0]
 
-
-@dataclass
-class TransienceDiagnostic:
-    slope: float
-    label: str
-    times: np.ndarray
-    displacement: np.ndarray
-    caveat: str = (
-        "descriptive only: a finite-horizon displacement trend is not a"
-        " transience proof"
-    )
-
-
-def transience_diagnostic(ens, *, slope_threshold: float = 0.15) -> TransienceDiagnostic:
-    """Median displacement growth on a log-log scale over the second half of
-    the horizon.  Labels the ensemble "growing" or "saturating"; never a
-    verdict about transience or recurrence."""
-    m = ens.positions.shape[1]
-    ks = np.unique(np.geomspace(1, m - 1, 24).astype(int))
-    times = ens.time_grid[ks]
-    disp = np.linalg.norm(ens.positions[:, ks, :] - np.asarray(ens.start), axis=2)
-    med = np.median(disp, axis=0)
-    half = times >= times[-1] / 10.0
-    good = half & (med > 0)
-    if good.sum() < 3:
-        return TransienceDiagnostic(
-            slope=math.nan, label="undetermined", times=times, displacement=med
-        )
-    slope = float(np.polyfit(np.log(times[good]), np.log(med[good]), 1)[0])
-    label = "growing" if slope > slope_threshold else "saturating"
-    return TransienceDiagnostic(slope=slope, label=label, times=times, displacement=med)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 import os
 import queue
 import threading
@@ -61,9 +62,14 @@ def _step_rng(root_seed: int, purpose: int, step: int) -> np.random.Generator:
 
 
 def grid_index(grid: np.ndarray, t: float) -> int:
-    """Index of t on the grid; exact match required, no interpolation."""
+    """Index of t on the grid; exact match required, no interpolation.
+
+    A nan or infinite t is rejected too: the comparison is negated so that
+    nan fails it, and inf is checked apart, since it lies within its own
+    infinite tolerance.
+    """
     idx = int(np.argmin(np.abs(grid - t)))
-    if abs(grid[idx] - t) > 1e-12 * max(1.0, abs(t)):
+    if not (math.isfinite(t) and abs(grid[idx] - t) <= 1e-12 * max(1.0, abs(t))):
         raise ConfigError(
             f"t = {t} is not a grid time; nearest grid times are"
             f" {grid[max(0, idx - 1): idx + 2].tolist()}"

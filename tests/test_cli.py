@@ -585,6 +585,7 @@ class TestValidateRejectsBeforeSimulating:
     OFF_GRID = "t = 0.123 is not a grid time; nearest grid times are [0.11, 0.12, 0.13]"
     OFF_GRID_EXIT = "t = 0.3333 is not a grid time; nearest grid times are [0.32, 0.33, 0.34]"
     HORIZON = "horizon 5.0 too short: e^-T must be at most 1e-6 (T >= 13.9)"
+    NON_FINITE = "t = {} is not a grid time; nearest grid times are [0.0, 0.01]"
 
     @pytest.fixture(autouse=True)
     def no_steps(self, monkeypatch):
@@ -602,6 +603,13 @@ class TestValidateRejectsBeforeSimulating:
         (5.0, {"t_values": [0.123], "exit": [{"r": -1.0, "t": 0.3333}]}, OFF_GRID),
         (5.0, {"exit": [{"r": -1.0, "t": 0.25}]}, HORIZON),
         (14.0, {"exit": [{"r": 1.0, "t": 0.3333}, {"r": -1.0, "t": 0.25}]}, OFF_GRID_EXIT),
+        # nan and inf, written as NaN and Infinity in the JSON config
+        (14.0, {"t_values": [0.25, math.nan]}, NON_FINITE.format("nan")),
+        (14.0, {"t_values": [math.inf]}, NON_FINITE.format("inf")),
+        (14.0, {"exit": [{"r": 0.5, "t": math.nan}]}, NON_FINITE.format("nan")),
+        (14.0, {"exit": [{"r": 0.5, "t": -math.inf}]}, NON_FINITE.format("-inf")),
+        (14.0, {"exit": [{"r": math.nan, "t": 0.25}]}, "radius must be positive"),
+        (14.0, {"exit": [{"r": math.inf, "t": 0.25}]}, "radius must be positive"),
     ])
     def test_bad_config_exits_2_without_a_step(self, t_max, override, message, tmp_path, capsys):
         simulation = {"n_paths": 50, "t_max": t_max, "h_max": 0.01}

@@ -1,6 +1,6 @@
 """Envelope-driven criteria: characteristic function and heat kernel
-bounds, ultracontractivity, transience, local times, occupation measure,
-small-time horizons, and exit-time estimates.
+bounds, ultracontractivity, transience, local times, occupation measure
+and exit-time estimates.
 
 Closed-form oracles: the Brownian heat bound at t = 1 is 1/sqrt(pi); the
 Cauchy bound at t = 1 is 8/pi; the occupation bound for the 1/2-stable
@@ -38,12 +38,6 @@ def stable_env():
     return {a: fk.build_envelope(fk.alpha_stable(a, 1)) for a in (0.5, 1.0, 1.5)}
 
 
-@pytest.fixture(scope="module")
-def stable_three_halves():
-    m = fk.alpha_stable(1.5, 1)
-    return m, fk.build_envelope(m)
-
-
 class TestCharFnBound:
     def test_brownian_value(self):
         env = fk.build_envelope(fk.brownian(1))
@@ -58,6 +52,13 @@ class TestCharFnBound:
         env = fk.build_envelope(fk.brownian(1))
         with pytest.raises(fk.ConfigError):
             fk.char_fn_bound(env, -0.5, 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        # a nan or infinite t used to give a nan bound
+        env = fk.build_envelope(fk.brownian(1))
+        with pytest.raises(fk.ConfigError, match="time must be nonnegative and finite"):
+            fk.char_fn_bound(env, t, 1.0)
 
     def test_vectorized_in_xi(self):
         env = fk.build_envelope(fk.alpha_stable(0.5, 1))
@@ -374,49 +375,6 @@ def test_radius_must_be_finite_and_positive(criterion, radius):
         criterion(env, radius)
 
 
-class TestSmallTimeHorizon:
-    def test_three_halves_frozen_values(self, stable_three_halves):
-        m, env = stable_three_halves
-        rep = fk.small_time_horizon(m, env, 2.0, 0.5)
-        assert rep.t1 == 0.022097086912079608
-        assert rep.g1 == 0.0625
-        assert rep.g2 == 0.0625
-        assert rep.t2 <= rep.t1
-        assert rep.sector_constant == 0.0
-
-    def test_drift_sector_constant(self):
-        m = fk.alpha_stable(1.0, 1, drift=0.2)
-        rep = fk.small_time_horizon(m, fk.build_envelope(m), 2.0, 0.5)
-        assert abs(rep.sector_constant - 0.2) < 1e-12
-
-    def test_three_halves_t2_pin(self, stable_three_halves):
-        # t2 carries bump_constant, which moves by about 1e-10 with the last
-        # bits of the Legendre rule
-        m, env = stable_three_halves
-        rep = fk.small_time_horizon(m, env, 2.0, 0.5)
-        assert rep.t2 == pytest.approx(3.0119056600159107e-05, rel=1e-9)
-
-    def test_sector_constant_sees_every_direction(self):
-        # the drift acts along e_2 only, so the sector constant 0.1 is seen
-        # only by directions near the vertical axis
-        m = fk.alpha_stable(1.0, 2, drift=[0.0, 0.1])
-        rep = fk.small_time_horizon(m, fk.build_envelope(m), [0.0, 2.0], 0.5)
-        assert rep.sector_constant == pytest.approx(0.1, rel=1e-12)
-        assert rep.decay_rate == pytest.approx(0.8, rel=1e-12)
-
-    def test_epsilon_validated(self, stable_three_halves):
-        m, env = stable_three_halves
-        with pytest.raises(fk.ConfigError, match="eps must lie in"):
-            fk.small_time_horizon(m, env, 2.0, 0.0)
-        with pytest.raises(fk.ConfigError, match="eps must lie in"):
-            fk.small_time_horizon(m, env, 2.0, 1.0)
-
-    def test_xi_validated(self, stable_three_halves):
-        m, env = stable_three_halves
-        with pytest.raises(fk.ConfigError, match="xi != 0"):
-            fk.small_time_horizon(m, env, 0.0, 0.5)
-
-
 class TestBumpConstant:
     def test_frozen_values_by_dimension(self):
         assert fk.bump_constant(1) == pytest.approx(32.42340930521713, rel=1e-12)
@@ -474,6 +432,14 @@ class TestExitTimeBound:
             fk.exit_time_bound(fk.brownian(1), 0.0, 0.0, 0.01)
         with pytest.raises(fk.ConfigError, match="need r > 0"):
             fk.exit_time_bound(fk.brownian(1), 0.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("r, t", [
+        (math.nan, 0.01), (math.inf, 0.01), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_non_finite_arguments_rejected(self, r, t):
+        # a nan t used to give the bound 0.0, on the unsafe side
+        with pytest.raises(fk.ConfigError, match="need r > 0 and t >= 0, both finite"):
+            fk.exit_time_bound(fk.brownian(1), 0.0, r, t)
 
 
 class TestHeatExponentFit:

@@ -1,5 +1,5 @@
 """Estimator tests: characteristic functions, bound validation, generator
-finite differences, small-time rates, occupation and exit statistics.
+finite differences, occupation and exit statistics.
 
 Seeds are fixed throughout; recorded Monte Carlo margins are quoted where a
 tolerance needs justifying.
@@ -10,7 +10,6 @@ import re
 import sys
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -137,69 +136,6 @@ class TestGeneratorFiniteDifference:
             fk.generator_finite_difference(narrow, 1.0)
 
 
-@pytest.fixture(scope="module")
-def fine_paths():
-    return fk.simulate_levy(fk.brownian(1), 20000, 0.1, 100, seed=91)
-
-
-class TestSmallTimeApprox:
-    def test_linear_rate_holds(self, fine_paths):
-        chk = fk.validate_small_t_approx(
-            fine_paths, 4.0, [0.002, 0.005, 0.01, 0.02], expected_rate=16.0
-        )
-        assert chk.verdict == "holds"
-        assert 0.8 < chk.slope < 1.2  # recorded 0.933
-        assert chk.expected_rate == 16.0
-
-    def test_wrong_rate_fails(self, fine_paths):
-        chk = fk.validate_small_t_approx(
-            fine_paths, 4.0, [0.002, 0.005, 0.01, 0.02], expected_rate=4.0
-        )
-        assert chk.verdict == "fails"
-
-    def test_rate_is_optional(self, fine_paths):
-        chk = fk.validate_small_t_approx(fine_paths, 4.0, [0.002, 0.005, 0.01, 0.02])
-        assert chk.verdict == "holds"
-
-    def test_flat_signal_is_inconclusive(self):
-        still = fk.simulate_levy(fk.zero_symbol(1), 50, 0.1, 100, seed=95)
-        chk = fk.validate_small_t_approx(still, 4.0, [0.002, 0.005, 0.01, 0.02])
-        assert chk.verdict == "inconclusive"
-        assert math.isnan(chk.slope)
-
-
-class TestLocalTime:
-    def test_mass_equals_horizon(self, brownian_paths):
-        lt = fk.estimate_local_time(brownian_paths)
-        assert lt.total_mass == lt.horizon == 1.0
-        assert lt.missing_fraction == 0.0
-        assert lt.centers.shape == lt.density.shape == (200,)
-
-    def test_density_near_the_start(self, brownian_paths):
-        # mean occupation density at 0 for a |xi|^2 process up to T = 1
-        # is 1/sqrt(pi) ~ 0.56; recorded bin value 0.523
-        lt = fk.estimate_local_time(brownian_paths)
-        mid = int(np.argmin(np.abs(lt.centers)))
-        assert 0.3 < float(lt.density[mid]) < 0.9
-
-    def test_narrow_range_warns(self, brownian_paths):
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            lt = fk.estimate_local_time(brownian_paths, y_range=(-0.05, 0.05))
-        assert len(rec) == 1 and "outside" in str(rec[0].message)
-        assert lt.missing_fraction > 0.9  # recorded 0.948
-
-    def test_shorter_horizon(self, brownian_paths):
-        lt = fk.estimate_local_time(brownian_paths, t_max=0.5)
-        assert lt.horizon == 0.5
-        assert lt.total_mass == 0.5
-
-    def test_dimension_guard(self):
-        ens2 = fk.simulate_levy(fk.alpha_stable(1.2, 2), 50, 1.0, 4, seed=5)
-        with pytest.raises(ConfigError, match="occupation densities are binned for dimension 1 only"):
-            fk.estimate_local_time(ens2)
-
-
 class TestExitFrequency:
     def test_matches_direct_count(self, brownian_paths):
         ef = fk.exit_frequency(brownian_paths, 1.0, 0.5)
@@ -220,32 +156,15 @@ class TestExitFrequency:
         with pytest.raises(ConfigError, match="radius must be positive"):
             fk.exit_frequency(brownian_paths, -1.0, 0.5)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_radius_guard(self, brownian_paths, r):
+        with pytest.raises(ConfigError, match="radius must be positive"):
+            fk.exit_frequency(brownian_paths, r, 0.5)
 
-class TestTransienceDiagnostic:
-    def test_recurrent_style_growth(self, brownian_paths):
-        diag = fk.transience_diagnostic(brownian_paths)
-        assert diag.label == "growing"
-        assert 0.3 < diag.slope < 0.7  # recorded 0.513, sqrt(t) trend
-
-    def test_frozen_paths_are_undetermined(self):
-        still = fk.simulate_levy(fk.zero_symbol(1), 100, 1.0, 16, seed=7)
-        diag = fk.transience_diagnostic(still)
-        assert diag.label == "undetermined"
-        assert math.isnan(diag.slope)
-
-    def test_saturating_displacement(self):
-        tg = np.linspace(0.0, 10.0, 41)
-        rng = np.random.default_rng(0)
-        signs = rng.choice([-1.0, 1.0], size=(300, 1))
-        pos = (np.tanh(tg)[None, :] * signs + 0.01 * rng.standard_normal((300, 41)))[..., None]
-        pos[:, 0, :] = 0.0
-        ens = sim.PathEnsemble(
-            positions=pos, time_grid=tg, start=np.zeros(1),
-            scheme="synthetic", seed_lineage={},
-        )
-        diag = fk.transience_diagnostic(ens)
-        assert diag.label == "saturating"
-        assert diag.slope < 0.15  # recorded 0.0883
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_time_guard(self, brownian_paths, t):
+        with pytest.raises(ConfigError, match=re.escape(f"t = {t} is not a grid time")):
+            fk.exit_frequency(brownian_paths, 1.0, t)
 
 
 class TestOccupationFourier:

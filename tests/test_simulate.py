@@ -417,6 +417,13 @@ class TestEnsembleInterface:
         with pytest.raises(ConfigError, match=re.escape(msg)):
             eight_step.time_index(0.1234)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_rejected(self, eight_step, t):
+        # nan passes a plain "distance > tol", and inf is within tol = inf
+        msg = f"t = {t} is not a grid time; nearest grid times are [0.0, 0.125]"
+        with pytest.raises(ConfigError, match=re.escape(msg)):
+            sim.grid_index(eight_step.time_grid, t)
+
 
 class TestSymmetrize:
     def test_positions_halve_the_difference(self, pair):
