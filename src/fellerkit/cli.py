@@ -13,14 +13,15 @@ Three subcommands share a JSON configuration:
         simulate step by step, accumulating the empirical statistics
         without keeping the paths; compare them against the bounds,
         write report.json and margins.csv.  The accumulators run on one
-        worker thread beside the simulation (``empirics.feed``); the
-        outputs are bit-identical to a serial run.
+        worker thread beside the simulation (``empirics.feed``).
 
 ``simulate`` and ``validate`` draw the increments of the built-in Levy
 families in blocks of steps, on one worker thread per CPU the process may
-run on; ensembles and reports are byte-identical to a serial run.  The
-stable-like Euler scheme steps serially, since each step depends on the
-last.
+run on; the stable-like Euler scheme steps serially, since each step
+depends on the last.  Both pools are ``simulate._in_order``: after an
+error or an early stop it starts no later queued job, closes its source
+and joins its threads.  Ensembles and reports are byte-identical to a
+serial run.
 
 ``--threads`` is deprecated: it prints a note to stderr, has no effect and
 will be removed in the next release.  BLAS threads are set only by
@@ -58,6 +59,7 @@ from .empirics import (
     ExitSup,
     GridSnapshots,
     OccupationSums,
+    _frequencies,
     feed,
     validate_char_bound,
 )
@@ -202,9 +204,10 @@ def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
     val = cfg["validation"]
     n_sigma = float(val["n_sigma"])
 
-    # each accumulator rejects its part of the config before the first step
-    # is drawn; no char fn is evaluated at any t when there is no xi
+    # each accumulator and frequency rejects its part of the config before the
+    # first step is drawn; no char fn is evaluated at any t when there is no xi
     snapshots = GridSnapshots(steps, val["t_values"] if val["xi_values"] else [])
+    xi_points = _frequencies(val["xi_values"], steps.dimension)
     accumulators = [snapshots]
     occ_xi = val.get("occupation_xi")
     if occ_xi:
@@ -217,7 +220,7 @@ def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
     feed(steps, *accumulators)
 
     report = validate_char_bound(
-        snapshots.ensemble(), env, val["t_values"], val["xi_values"], n_sigma=n_sigma
+        snapshots.ensemble(), env, val["t_values"], xi_points, n_sigma=n_sigma
     )
     _write_csv(
         out_dir / "margins.csv",

@@ -112,7 +112,7 @@ _SCHEMA = {
     "validation": {
         "t_values": ([0.25, 0.5, 1.0], _NUMBERS),
         "xi_values": ([0.5, 1.0, 2.0, 4.0], _POINTS),
-        "n_sigma": (3.0, _NUMBER),
+        "n_sigma": (3.0, (lambda v: _number(v) and 0 <= v < math.inf, "a finite number >= 0")),
         "exit": (_ABSENT, _or_null(_EXITS)),
         "occupation_xi": (_ABSENT, _or_null(_POINTS)),
     },

@@ -12,17 +12,15 @@ the positions at chosen times for the characteristic-function estimators,
 :class:`OccupationSums` the discounted Fourier sums of the occupation
 check.  The ensemble functions replay ``positions[:, k, :]`` through the
 same accumulators.  :func:`feed` draws the steps on the calling thread and
-runs the accumulators on one worker thread beside it, so the simulation
-and the accumulation overlap; every output is bit-identical to a serial
-run.  BLAS threads are still set only by ``OPENBLAS_NUM_THREADS`` or
-``OMP_NUM_THREADS``.
+runs the accumulators on one worker thread beside it, on the step pool's
+pipeline ``simulate._in_order``: the two overlap, outputs are bit-identical
+to a serial run, and an error ends the source and the worker before it
+propagates.  BLAS threads are set only by ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +28,7 @@ import numpy as np
 from .criteria import _positive_radius, char_fn_bound, local_time_fourier_bound
 from .envelopes import Envelope
 from .errors import ConfigError
-from .simulate import PathEnsemble
+from .simulate import PathEnsemble, _in_order
 from .symbols import as_points
 
 __all__ = [
@@ -59,47 +57,21 @@ def feed(steps, *accumulators) -> None:
     step order.
 
     The step source is iterated on the calling thread; one worker thread
-    takes the steps from a queue of ``FEED_DEPTH`` and calls every
-    accumulator's ``update``, so numpy work on both sides overlaps.  Each
-    accumulator sees the same steps in the same order as in a serial loop,
-    and no step is copied: a source must never write to a step it has
-    yielded, as :class:`PathSteps` and views of stored positions do not.
-    An exception in an accumulator stops the source within
-    ``FEED_DEPTH + 1`` further steps and is re-raised here; one in the
-    source (or an interrupt) stops the worker before it propagates.  The
-    worker has ended when this returns.
+    calls every accumulator's ``update``, at most ``FEED_DEPTH`` steps
+    behind it.  Each accumulator sees the same steps in the same order as
+    in a serial loop, and no step is copied: a source must never write to
+    a step it has yielded, as :class:`PathSteps` and views of stored
+    positions do not.  An exception in an accumulator or the source (or
+    an interrupt) starts no further update, closes the source and is
+    re-raised here once the worker has ended.
     """
-    handoff = queue.Queue(maxsize=FEED_DEPTH)
-    stop = threading.Event()
-    errors = []
 
-    def consume():
-        # after a failure keep taking steps, so the source is never blocked
-        while (item := handoff.get()) is not None:
-            if stop.is_set():
-                continue
-            try:
-                for acc in accumulators:
-                    acc.update(*item)
-            except BaseException as exc:
-                errors.append(exc)
-                stop.set()
+    def update(item):
+        for acc in accumulators:
+            acc.update(*item)
 
-    worker = threading.Thread(target=consume, name="fellerkit-feed", daemon=True)
-    worker.start()
-    try:
-        for item in steps:
-            handoff.put(item)
-            if stop.is_set():
-                break
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        handoff.put(None)
-        worker.join()
-    if errors:
-        raise errors[0]
+    for _ in _in_order(update, steps, 1, FEED_DEPTH, "fellerkit-feed"):
+        pass
 
 
 def _replay(ens, stop: int | None = None):
@@ -200,6 +172,12 @@ class CharBoundReport:
         return [dict(r) for r in self.rows]
 
 
+def _frequencies(xi_values, d: int) -> np.ndarray:
+    """The frequencies as an (n, d) array; each must be one finite frequency
+    of dimension d (:class:`ConfigError` otherwise)."""
+    return np.reshape([as_points(xi, d, single=True)[0] for xi in xi_values], (-1, d))
+
+
 def validate_char_bound(
     ens,
     env: Envelope,
@@ -217,7 +195,7 @@ def validate_char_bound(
     is expected to sit outside by chance under a normal error model.
     """
     d = ens.positions.shape[2]
-    points = np.reshape([as_points(xi, d, single=True)[0] for xi in xi_values], (-1, d))
+    points = _frequencies(xi_values, d)
     rows = []
     n_bad = 0
     for t in t_values:
@@ -337,12 +315,11 @@ class OccupationSums:
             )
         self.horizon = horizon
         self.dimension = d = source.dimension
-        self.xi = [as_points(xi, d, single=True)[0] for xi in xi_values]
+        self.xi = _frequencies(xi_values, d)
         decay = np.exp(-np.asarray(source.time_grid, dtype=float))
         self._w = np.zeros(decay.size)
         self._w[:-1] = decay[:-1] - decay[1:]
         self._x0 = np.asarray(source.start, dtype=float)
-        self._v = np.reshape(self.xi, (len(self.xi), d))
         shape = (len(self.xi), source.n_paths)
         self._re = np.zeros(shape)
         self._im = np.zeros(shape)
@@ -351,7 +328,7 @@ class OccupationSums:
 
     def update(self, k: int, x: np.ndarray) -> None:
         w = self._w[k]
-        np.matmul(self._v, (x - self._x0).T, out=self._phase)
+        np.matmul(self.xi, (x - self._x0).T, out=self._phase)
         for trig, acc in ((np.cos, self._re), (np.sin, self._im)):
             trig(self._phase, out=self._term)
             self._term *= w

@@ -12,7 +12,9 @@ draws from its own streams, vectorized across paths, which makes ensembles
 reproducible from (seed, n_paths, grid) alone and independent of chunking.
 A state-free step source therefore computes its increments in blocks of
 steps, on one worker thread per allowed CPU, and the ensembles are
-bit-identical to a serial run.
+bit-identical to a serial run.  That pool is :func:`_in_order`, the one
+thread pipeline (``empirics.feed`` too): once a job raises or the caller
+stops, no later job starts, the source is closed and the threads join.
 """
 
 from __future__ import annotations
@@ -207,10 +209,11 @@ def _isotropic_stable_increments(alpha, h, n, d, rngs) -> np.ndarray:
 
 
 def _resolve_grid(t_max: float, n_steps: int | None, h_max: float | None):
-    if t_max <= 0:
-        raise ConfigError("t_max must be positive")
+    # the comparisons are negated so that nan fails them
+    if not 0 < t_max < math.inf:
+        raise ConfigError("t_max must be positive and finite")
     if n_steps is None:
-        if h_max is None or h_max <= 0:
+        if h_max is None or not h_max > 0:
             raise ConfigError("give n_steps or a positive h_max")
         n_steps = np.ceil(t_max / h_max)
     n_steps = int(n_steps)
@@ -227,9 +230,10 @@ def _check_n_paths(n_paths) -> int:
 
 
 def _start_point(start, d: int) -> np.ndarray:
-    if start is None:
-        return np.zeros(d)
-    return np.broadcast_to(np.asarray(start, dtype=float), (d,)).copy()
+    x0 = np.zeros(d) if start is None else np.asarray(start, dtype=float)
+    if x0.ndim > 1 or x0.size not in (1, d) or not np.isfinite(x0).all():
+        raise ConfigError(f"start must be finite: a number or a point of dimension {d}")
+    return np.broadcast_to(x0, (d,)).copy()
 
 
 def _worker_count() -> int:
@@ -239,50 +243,57 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _in_order(increments, bounds, workers: int) -> Iterator[np.ndarray]:
-    """Yield ``increments(k0, k1, None)`` for each (k0, k1) of ``bounds``, in
-    order, computed on ``workers`` threads at most ``workers + 1`` blocks
-    ahead of the caller.
+def _in_order(fn, items, workers: int, ahead: int, name: str) -> Iterator:
+    """Yield ``fn(item)`` for each item of ``items``, in order.
 
-    An exception in a block is re-raised here.  The threads have ended
-    once the generator is exhausted, closed or has raised.
+    ``items`` is iterated on the calling thread and the calls run on
+    ``workers`` threads named ``name``, at most ``ahead`` items past the
+    one the caller waits for.  An exception in a call is re-raised here,
+    after every earlier item has run.  Once a call raises or the caller
+    stops, no later queued item starts, the item iterator is closed (a
+    generator source ends its own threads at once) and the threads join.
     """
     jobs = queue.SimpleQueue()
+    last = [math.inf]  # no queued job past this index starts: nobody waits for it
 
     def work():
         while (job := jobs.get()) is not None:
-            (k0, k1), done = job
+            k, item, done = job
+            if k > last[0]:
+                continue
             try:
-                done.put((increments(k0, k1, None), None))
+                done.put((fn(item), None))
             except BaseException as exc:
+                last[0] = min(last[0], k)
                 done.put((None, exc))
 
-    def submit(block):
+    def submit(k, item):
         done = queue.SimpleQueue()
-        jobs.put((block, done))
+        jobs.put((k, item, done))
         pending.append(done)
 
     pending = collections.deque()
-    todo = iter(bounds)
-    threads = [
-        threading.Thread(target=work, name="fellerkit-steps", daemon=True)
-        for _ in range(workers)
-    ]
+    source = iter(items)
+    todo = enumerate(source)
+    threads = [threading.Thread(target=work, name=name, daemon=True) for _ in range(workers)]
     for thread in threads:
         thread.start()
     try:
-        for block in itertools.islice(todo, workers + 1):
-            submit(block)
+        for job in itertools.islice(todo, ahead + 1):
+            submit(*job)
         while pending:
-            inc, exc = pending.popleft().get()
+            result, exc = pending.popleft().get()
             if exc is not None:
                 raise exc
-            for block in itertools.islice(todo, 1):
-                submit(block)
-            yield inc
+            for job in itertools.islice(todo, 1):
+                submit(*job)
+            yield result
     finally:
+        last[0] = -1
         for _ in threads:
             jobs.put(None)
+        if hasattr(source, "close"):
+            source.close()
         for thread in threads:
             thread.join()
 
@@ -329,7 +340,9 @@ class PathSteps:
         size = max(1, BLOCK_ELEMENTS // current.size) if self.state_free else 1
         bounds = [(k0, min(k0 + size, n_steps)) for k0 in range(0, n_steps, size)]
         workers = min(_worker_count(), len(bounds)) if self.state_free else 1
-        pool = _in_order(self.increments, bounds, workers) if workers > 1 else None
+        pool = None
+        if workers > 1:
+            pool = _in_order(lambda b: self.increments(*b, None), bounds, workers, workers, "fellerkit-steps")
         try:
             for k0, k1 in bounds:
                 block = self.increments(k0, k1, current) if pool is None else next(pool)

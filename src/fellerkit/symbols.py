@@ -114,16 +114,16 @@ def as_points(v, d: int, *, single: bool = False) -> tuple[np.ndarray, tuple]:
     or a Python scalar for a single point (``lead_shape == ()``).  A last
     axis of the wrong length raises ValueError.
 
-    With ``single=True``, ``v`` must be one frequency: shape (d,), or in
-    d = 1 also a scalar.  It is returned with shape (d,) and lead shape ();
-    anything else raises :class:`ConfigError`.
+    With ``single=True``, ``v`` must be one frequency with finite
+    components: shape (d,), or in d = 1 also a scalar.  It is returned with
+    shape (d,) and lead shape (); anything else raises :class:`ConfigError`.
     """
     arr = np.asarray(v, dtype=float)
     if single:
         if d == 1 and arr.ndim == 0:
             arr = arr[None]
-        if arr.shape != (d,):
-            raise ConfigError(f"xi must be a single frequency of dimension {d}")
+        if arr.shape != (d,) or not np.isfinite(arr).all():
+            raise ConfigError(f"xi must be a single frequency of dimension {d}, all finite")
         return arr, ()
     if d == 1:
         return arr[..., None], arr.shape

@@ -8,11 +8,16 @@ Every test runs under a watchdog: a test still running after
 ``WATCHDOG_S`` seconds (a deadlocked worker thread, say) prints the stack
 of every thread to the real stderr and ends the run with a nonzero exit,
 instead of hanging it.  The slowest test takes a few seconds.
+
+A test after which a fellerkit worker thread (named ``fellerkit-*``) is
+still alive fails at teardown: every pool must have joined its threads
+by the time the call that started it has returned or raised.
 """
 
 import faulthandler
 import os
 import sys
+import threading
 
 import pytest
 
@@ -39,6 +44,13 @@ def watchdog(request):
     faulthandler.dump_traceback_later(WATCHDOG_S, exit=True, file=fd)
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture(autouse=True)
+def no_worker_thread_left():
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith("fellerkit-")]
+    assert not left, f"worker threads still alive after the test: {left}"
 
 
 @pytest.fixture

@@ -369,6 +369,17 @@ class TestConfigTable:
             " allowed: ['rel_tol']\n"
         )
 
+    @pytest.mark.parametrize("n_sigma", [math.inf, math.nan, -1.0])
+    def test_n_sigma_must_be_finite_and_non_negative(self, n_sigma, tmp_path, capsys):
+        """An infinite n_sigma passed every row, a nan one failed every row."""
+        validation = {**self.BASE["validation"], "n_sigma": n_sigma}
+        path = write_cfg(tmp_path, "bad.json", {**self.BASE, "validation": validation})
+        assert cli.main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: 'n_sigma' in the validation section must be"
+            " a finite number >= 0\n"
+        )
+
 
 class TestSeedFlag:
     @pytest.mark.parametrize("command", ["analyze", "simulate", "validate"])
@@ -586,6 +597,7 @@ class TestValidateRejectsBeforeSimulating:
     OFF_GRID_EXIT = "t = 0.3333 is not a grid time; nearest grid times are [0.32, 0.33, 0.34]"
     HORIZON = "horizon 5.0 too short: e^-T must be at most 1e-6 (T >= 13.9)"
     NON_FINITE = "t = {} is not a grid time; nearest grid times are [0.0, 0.01]"
+    XI = "xi must be a single frequency of dimension 1, all finite"
 
     @pytest.fixture(autouse=True)
     def no_steps(self, monkeypatch):
@@ -610,6 +622,13 @@ class TestValidateRejectsBeforeSimulating:
         (14.0, {"exit": [{"r": 0.5, "t": -math.inf}]}, NON_FINITE.format("-inf")),
         (14.0, {"exit": [{"r": math.nan, "t": 0.25}]}, "radius must be positive"),
         (14.0, {"exit": [{"r": math.inf, "t": 0.25}]}, "radius must be positive"),
+        # char-bound frequencies: read after the char-bound times, before the horizon
+        (14.0, {"xi_values": [1.0, [1.0, 2.0]]}, XI),
+        (14.0, {"xi_values": [math.nan]}, XI),
+        (14.0, {"xi_values": [[-math.inf]]}, XI),
+        (14.0, {"occupation_xi": [1.0, math.nan]}, XI),
+        (14.0, {"t_values": [0.123], "xi_values": [math.nan]}, OFF_GRID),
+        (5.0, {"xi_values": [math.nan]}, XI),
     ])
     def test_bad_config_exits_2_without_a_step(self, t_max, override, message, tmp_path, capsys):
         simulation = {"n_paths": 50, "t_max": t_max, "h_max": 0.01}
@@ -643,6 +662,33 @@ class TestSimulationGrid:
         assert capsys.readouterr().err == (
             "configuration error: give n_steps or a positive h_max\n"
         )
+        assert list(out.iterdir()) == []
+
+    T_MAX = "t_max must be positive and finite"
+    H_MAX = "give n_steps or a positive h_max"
+    START = "start must be finite: a number or a point of dimension 1"
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("symbol, simulation, message", [
+        ({"type": "brownian"}, {"t_max": math.inf}, T_MAX),
+        ({"type": "brownian"}, {"t_max": math.nan}, T_MAX),
+        (TestValidateStreams.STABLE_LIKE, {"t_max": math.nan}, T_MAX),
+        ({"type": "brownian"}, {"h_max": math.nan}, H_MAX),
+        (TestValidateStreams.STABLE_LIKE, {"h_max": math.nan}, H_MAX),
+        ({"type": "brownian"}, {"start": math.nan}, START),
+        (TestValidateStreams.STABLE_LIKE, {"start": [-math.inf]}, START),
+        ({"type": "brownian"}, {"start": [0.0, 1.0]}, START),
+    ])
+    def test_bad_simulation_input_exits_2(
+        self, command, symbol, simulation, message, tmp_path, capsys
+    ):
+        cfg = write_cfg(tmp_path, "grid.json", {
+            "symbol": symbol,
+            "simulation": {"n_paths": 10, "t_max": 1.0, "h_max": 0.25, **simulation},
+        })
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert list(out.iterdir()) == []
 
     def test_levy_config_takes_the_fewest_steps_within_h_max(self, tmp_path):

@@ -63,7 +63,8 @@ class TestCharFnEstimator:
         listed = fk.empirical_char_fn(brownian_paths, 0.5, [1.7])
         assert (listed.value, listed.se_abs) == (bare.value, bare.se_abs)
         assert listed.xi.tolist() == bare.xi.tolist() == [1.7]
-        for xi, d in [([1.0, 2.0], 1), ([[1.0]], 1), ([[1.0, 2.0]], 2), (1.0, 2)]:
+        for xi, d in [([1.0, 2.0], 1), ([[1.0]], 1), ([[1.0, 2.0]], 2), (1.0, 2),
+                      (math.nan, 1), ([-math.inf], 1), ([1.0, math.nan], 2)]:
             msg = f"xi must be a single frequency of dimension {d}"
             with pytest.raises(ConfigError, match=msg):
                 as_points(xi, d, single=True)

@@ -8,9 +8,12 @@ and sit well inside the asserted bands.
 
 import dataclasses
 import math
+import queue
 import re
 import sys
 import threading
+import time
+import types
 import warnings
 
 import numpy as np
@@ -341,6 +344,135 @@ class TestBlockSampler:
         assert {name for _, _, name in calls} == {threading.current_thread().name}
 
 
+class TestInOrder:
+    """``_in_order``, the one worker pipeline of the package: results in
+    item order, and after a failure or an early stop no later queued job
+    starts, the item source is closed and no thread is left."""
+
+    NAME = "fellerkit-test"
+
+    @staticmethod
+    def source(n, drawn, closed):
+        """Items 0, ..., n - 1, recorded as drawn; closing records True in
+        ``closed`` and sets ``closed.event``, which the pipeline does only
+        after it has stopped every queued job."""
+        try:
+            for i in range(n):
+                drawn.append(i)
+                yield i
+        finally:
+            closed.append(True)
+            closed.event.set()
+
+    @staticmethod
+    def record():
+        closed = type("Closed", (list,), {})()
+        closed.event = threading.Event()
+        return [], closed, []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_come_in_order(self, workers):
+        delays = [0.004 * (i % 3 == 0) for i in range(30)]  # every third job is slow
+        names = set()
+
+        def job(i):
+            names.add(threading.current_thread().name)
+            time.sleep(delays[i])
+            return i * i
+
+        got = list(sim._in_order(job, range(30), workers, workers, self.NAME))
+        assert got == [i * i for i in range(30)]
+        assert names == {self.NAME}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_job_raises_and_no_later_job_starts(self, workers):
+        drawn, closed, started = self.record()
+        released = []
+
+        def job(i):
+            started.append(i)
+            if i == 4:
+                raise ConfigError("job 4 failed")
+            if i > 4:  # a job running beside job 4 stays busy until the stop
+                released.append(closed.event.wait(timeout=10))
+            return i
+
+        results = []
+        with pytest.raises(ConfigError, match="^job 4 failed$"):
+            for r in sim._in_order(job, self.source(100, drawn, closed), workers, 3, self.NAME):
+                results.append(r)
+        assert results == [0, 1, 2, 3]
+        # a job past 4 starts only on another worker, while job 4 runs
+        assert set(range(5)) <= set(started) <= set(range(4 + workers))
+        assert drawn == list(range(4 + 3 + 1))
+        assert closed == [True]
+        assert all(released)  # the source was closed before the threads were joined
+
+    def test_an_earlier_job_taken_before_a_failure_still_runs(self, monkeypatch):
+        """A worker takes job 0 and is held before it starts it, while job 1
+        fails on the other worker: job 0 still runs and its result comes
+        first, since the caller waits for it."""
+        name, asked = self.NAME, []
+        job_1_done = threading.Event()
+
+        class HoldJob0(queue.SimpleQueue):
+            def get(self, block=True, timeout=None):
+                if threading.current_thread().name != name:  # a result queue
+                    return super().get(block, timeout)
+                asked.append(True)
+                if len(asked) == 3:  # only the worker that ran job 1 asks again
+                    job_1_done.set()
+                job = super().get(block, timeout)
+                if job is not None and job[0] == 0:
+                    assert job_1_done.wait(timeout=10)
+                return job
+
+        def job(i):
+            if i == 1:
+                raise ConfigError("job 1 failed")
+            return i
+
+        monkeypatch.setattr(sim, "queue", types.SimpleNamespace(SimpleQueue=HoldJob0))
+        results, errors = [], []
+
+        def consume():
+            try:
+                results.extend(sim._in_order(job, range(10), 2, 2, name))
+            except ConfigError as exc:
+                errors.append(str(exc))
+
+        caller = threading.Thread(target=consume, name="caller", daemon=True)
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive(), "the caller waits forever for job 0"
+        assert job_1_done.is_set()
+        assert results == [0]
+        assert errors == ["job 1 failed"]
+
+    def test_closing_early_starts_no_further_job(self):
+        drawn, closed, started = self.record()
+        released = []
+        both_running = threading.Barrier(3, timeout=10)
+
+        def job(i):
+            started.append(i)
+            if i >= 2:  # jobs 2 and 3 hold both workers until the stop
+                both_running.wait()
+                released.append(closed.event.wait(timeout=10))
+            return i
+
+        pipeline = sim._in_order(job, self.source(100, drawn, closed), 2, 2, self.NAME)
+        assert [next(pipeline), next(pipeline)] == [0, 1]
+        both_running.wait()
+        pipeline.close()
+        # items 2, 3 and 4 were queued behind the two busy workers; 4 never starts
+        assert drawn == [0, 1, 2, 3, 4]
+        assert sorted(started) == [0, 1, 2, 3]
+        assert closed == [True]
+        assert released == [True, True]  # the source was closed before the join
+        assert not [t for t in threading.enumerate() if t.name == self.NAME]
+
+
 class TestStableLikeScheme:
     def test_constant_order_reduces_to_exact_sampler(self):
         """With a constant order the frozen-coefficient step draws the same
@@ -477,7 +609,7 @@ class TestTimeGrid:
         steps = sim.levy_steps(m, 20, 1.0, h_max=0.3, seed=3)
         assert np.array_equal(steps.time_grid, by_h.time_grid)
 
-    @pytest.mark.parametrize("h_max", [None, 0.0, -0.5])
+    @pytest.mark.parametrize("h_max", [None, 0.0, -0.5, math.nan])
     def test_levy_without_steps_needs_a_positive_h_max(self, h_max):
         with pytest.raises(ConfigError, match="give n_steps or a positive h_max"):
             fk.simulate_levy(fk.brownian(1), 4, 1.0, h_max=h_max)
@@ -492,6 +624,29 @@ class TestTimeGrid:
             sim.stable_like_steps(mx, n_paths, 1.0, n_steps=4)
         with pytest.raises(ConfigError, match=match):
             fk.simulate_levy(fk.alpha_stable(1.5, 2), n_paths, 1.0, 4)
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_t_max_must_be_finite(self, t_max):
+        mx = fk.stable_like_symbol("1.5 + 0.3*sin(x)", 1.2, 1.8)
+        with pytest.raises(ConfigError, match="^t_max must be positive and finite$"):
+            sim.levy_steps(fk.brownian(1), 4, t_max, 4)
+        with pytest.raises(ConfigError, match="^t_max must be positive and finite$"):
+            sim.stable_like_steps(mx, 4, t_max)
+
+    @pytest.mark.parametrize("start", [math.nan, [0.0, math.inf], [1.0, 2.0, 3.0], [[0.0, 0.0]]])
+    def test_start_must_be_a_finite_point(self, start):
+        mx = fk.stable_like_symbol("1.5 + 0.3*sin(x1)", 1.2, 1.8, dimension=2)
+        message = "^start must be finite: a number or a point of dimension 2$"
+        with pytest.raises(ConfigError, match=message):
+            sim.levy_steps(fk.brownian(2), 4, 1.0, 4, start=start)
+        with pytest.raises(ConfigError, match=message):
+            sim.stable_like_steps(mx, 4, 1.0, n_steps=4, start=start)
+
+    @pytest.mark.parametrize("start, point", [
+        (0.5, [0.5, 0.5]), ([0.5], [0.5, 0.5]), ([0.5, -1.0], [0.5, -1.0]), (None, [0.0, 0.0]),
+    ])
+    def test_start_forms(self, start, point):
+        assert sim.levy_steps(fk.brownian(2), 4, 1.0, 4, start=start).start.tolist() == point
 
     def test_numpy_path_count_is_accepted(self):
         steps = sim.levy_steps(fk.brownian(1), np.int64(3), 1.0, 4)
