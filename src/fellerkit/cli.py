@@ -13,12 +13,17 @@ Three subcommands share a JSON configuration:
         simulate step by step, accumulating the empirical statistics
         without keeping the paths; compare them against the bounds,
         write report.json and margins.csv.  The accumulators run on one
-        worker thread beside the simulation (``empirics.feed``).
+        worker thread beside the simulation (``empirics.feed``), and the
+        exit rows' bounds (a ball sup of the symbol and the bump constant
+        c_u), which need nothing from the paths, on another one, started
+        before the first step and collected after the last.  A bound that
+        fails ends the simulation at its next step; a simulation that
+        fails waits for the running bound before its error goes on.
 
 ``simulate`` and ``validate`` draw the increments of the built-in Levy
 families in blocks of steps, on one worker thread per CPU the process may
 run on; the stable-like Euler scheme steps serially, since each step
-depends on the last.  Both pools are ``simulate._in_order``: after an
+depends on the last.  Every pool is ``simulate._in_order``: after an
 error or an early stop it starts no later queued job, closes its source
 and joins its threads.  Ensembles and reports are byte-identical to a
 serial run.
@@ -50,6 +55,7 @@ import numpy as np
 from . import __version__
 from .config import build_envelope_from_config, build_model, check_seed_flag, load_config
 from .criteria import (
+    _bump_dimension,
     char_fn_bound,
     exit_time_bound,
     frequency_criteria,
@@ -65,7 +71,7 @@ from .empirics import (
 )
 from .ensemble_io import write_ensemble
 from .errors import ConfigError, NumericalError
-from .simulate import levy_steps, simulate_levy, simulate_stable_like, stable_like_steps
+from .simulate import _in_order, levy_steps, simulate_levy, simulate_stable_like, stable_like_steps
 
 THREADS_DEPRECATED = (
     "fellerkit: --threads is deprecated, has no effect and will be removed in the"
@@ -196,6 +202,19 @@ def cmd_simulate(cfg, out_dir: Path, seed: int) -> dict:
     }
 
 
+def _until_failed(steps, failed: list):
+    """The steps of ``steps``, ending before the first step drawn once
+    ``failed`` is not empty; the step source is closed either way."""
+    source = iter(steps)
+    try:
+        for item in source:
+            if failed:
+                return
+            yield item
+    finally:
+        source.close()
+
+
 def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
     model = build_model(cfg["symbol"])
     env = build_envelope_from_config(model, cfg["envelope"])
@@ -214,10 +233,33 @@ def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
         occupation = OccupationSums(steps, occ_xi)
         accumulators.append(occupation)
     exits = val.get("exit")
+    exit_rows = []
     if exits:
         exit_sup = ExitSup(steps, [(item["r"], item["t"]) for item in exits])
         accumulators.append(exit_sup)
-    feed(steps, *accumulators)
+        _bump_dimension(model.dimension)
+        exit_rows = exit_sup.rows
+
+    # the exit bounds need nothing from the paths: they run on one worker
+    # while the steps are drawn, and a bound that fails ends the simulation
+    # at its next step
+    failed = []
+
+    def exit_bound(row):
+        try:
+            return exit_time_bound(model, steps.start, row[0], row[1])
+        except BaseException:
+            failed.append(row)
+            raise
+
+    bounds = _in_order(
+        exit_bound, exit_rows, min(1, len(exit_rows)), len(exit_rows), "fellerkit-bounds"
+    )
+    try:
+        feed(_until_failed(steps, failed), *accumulators)
+        exit_bounds = list(bounds)
+    finally:
+        bounds.close()
 
     report = validate_char_bound(
         snapshots.ensemble(), env, val["t_values"], xi_points, n_sigma=n_sigma
@@ -249,8 +291,7 @@ def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
 
     if exits:
         rows = []
-        for freq in exit_sup.frequencies():
-            bound = exit_time_bound(model, steps.start, freq.radius, freq.t)
+        for freq, bound in zip(exit_sup.frequencies(), exit_bounds):
             rows.append(
                 {
                     "r": freq.radius,

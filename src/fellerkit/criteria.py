@@ -357,6 +357,14 @@ def _default_bump(r):
 _BUMP_CACHE: dict = {}
 
 
+def _bump_dimension(d: int) -> int:
+    """d, when :func:`bump_constant` has a kernel for it (ConfigError
+    otherwise)."""
+    if int(d) not in (1, 2, 3):
+        raise ConfigError("bump constants are provided for dimensions 1 to 3")
+    return int(d)
+
+
 def bump_constant(d: int, profile=None) -> float:
     """c_u = integral (1 + |xi|^2) |u_hat(xi)| dxi for a radial bump u
     supported in the unit ball, with the transform normalized so that
@@ -365,10 +373,11 @@ def bump_constant(d: int, profile=None) -> float:
     The value is computed once per (dimension, profile) and cached; it
     enters exit-time bounds multiplicatively.
     """
+    d = _bump_dimension(d)
     # only the default profile is cached: keying a temporary callable by id
     # would let a recycled id skip validation and return a stale constant
-    if profile is None and int(d) in _BUMP_CACHE:
-        return _BUMP_CACHE[int(d)]
+    if profile is None and d in _BUMP_CACHE:
+        return _BUMP_CACHE[d]
     u = _default_bump if profile is None else profile
     u0 = float(np.asarray(u(0.0)))
     if abs(u0 - 1.0) > 1e-8:
@@ -403,10 +412,8 @@ def bump_constant(d: int, profile=None) -> float:
             from scipy import special
 
             return special.j0(s)
-        if d == 3:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return np.where(s == 0.0, 1.0, np.sin(s) / np.where(s == 0.0, 1.0, s))
-        raise ConfigError("bump constants are provided for dimensions 1 to 3")
+        with np.errstate(invalid="ignore", divide="ignore"):  # d = 3
+            return np.where(s == 0.0, 1.0, np.sin(s) / np.where(s == 0.0, 1.0, s))
 
     surf = surface_area(d)
     rho = np.arange(0.0, rho_max, 0.02)
@@ -424,7 +431,7 @@ def bump_constant(d: int, profile=None) -> float:
             "bump transform tail not resolved; increase the cutoff", error_estimate=tail
         )
     if profile is None:
-        _BUMP_CACHE[int(d)] = c_u
+        _BUMP_CACHE[d] = c_u
     return c_u
 
 
@@ -462,7 +469,7 @@ def exit_time_bound(
     r = _positive_radius(r, message)
     if not (math.isfinite(t) and t >= 0):
         raise ConfigError(message)
-    d = model.dimension
+    d = _bump_dimension(model.dimension)  # before the ball grids, which grow as 17^d
     if resolution is None:
         resolution = 65 if d == 1 else 17
     sup = ball_sup(model, x, r, resolution, resolution)

@@ -15,7 +15,9 @@ same accumulators.  :func:`feed` draws the steps on the calling thread and
 runs the accumulators on one worker thread beside it, on the step pool's
 pipeline ``simulate._in_order``: the two overlap, outputs are bit-identical
 to a serial run, and an error ends the source and the worker before it
-propagates.  BLAS threads are set only by ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS``.
+propagates.  ``fellerkit validate`` computes its exit-time bounds on a
+third thread meanwhile; the accumulators never see them.  BLAS threads are
+set only by ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS``.
 """
 
 from __future__ import annotations

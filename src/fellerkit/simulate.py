@@ -208,6 +208,10 @@ def _isotropic_stable_increments(alpha, h, n, d, rngs) -> np.ndarray:
     return (scale * amp)[..., None] * np.array(z)
 
 
+# the most steps whose float64 grid numpy can allocate
+MAX_STEPS = np.iinfo(np.intp).max // 8 - 1
+
+
 def _resolve_grid(t_max: float, n_steps: int | None, h_max: float | None):
     # the comparisons are negated so that nan fails them
     if not 0 < t_max < math.inf:
@@ -215,10 +219,12 @@ def _resolve_grid(t_max: float, n_steps: int | None, h_max: float | None):
     if n_steps is None:
         if h_max is None or not h_max > 0:
             raise ConfigError("give n_steps or a positive h_max")
-        n_steps = np.ceil(t_max / h_max)
+        if h_max == math.inf:
+            raise ConfigError("give n_steps or a positive h_max that is finite")
+        n_steps = np.ceil(t_max / h_max)  # inf when the ratio overflows
+    if not 1 <= n_steps <= MAX_STEPS:
+        raise ConfigError(f"need at least one step and at most {MAX_STEPS}, got {n_steps}")
     n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ConfigError("need at least one step")
     grid = np.linspace(0.0, t_max, n_steps + 1)
     return grid, t_max / n_steps, n_steps
 
@@ -248,11 +254,22 @@ def _in_order(fn, items, workers: int, ahead: int, name: str) -> Iterator:
 
     ``items`` is iterated on the calling thread and the calls run on
     ``workers`` threads named ``name``, at most ``ahead`` items past the
-    one the caller waits for.  An exception in a call is re-raised here,
-    after every earlier item has run.  Once a call raises or the caller
-    stops, no later queued item starts, the item iterator is closed (a
-    generator source ends its own threads at once) and the threads join.
+    one the caller waits for.  The threads start and the first ``ahead +
+    1`` items are queued by this call, so they run while the caller does
+    other work before it asks for a result.  An exception in a call is
+    re-raised here, after every earlier item has run.  Once a call raises
+    or the caller stops (``close()``), no later queued item starts, the
+    item iterator is closed (a generator source ends its own threads at
+    once) and the threads join.
     """
+    pipeline = _pipeline(fn, items, workers, ahead, name)
+    next(pipeline)
+    return pipeline
+
+
+def _pipeline(fn, items, workers, ahead, name):
+    """The generator behind :func:`_in_order`; its first ``next`` starts
+    the threads, queues the first items and yields None."""
     jobs = queue.SimpleQueue()
     last = [math.inf]  # no queued job past this index starts: nobody waits for it
 
@@ -281,6 +298,7 @@ def _in_order(fn, items, workers: int, ahead: int, name: str) -> Iterator:
     try:
         for job in itertools.islice(todo, ahead + 1):
             submit(*job)
+        yield None
         while pending:
             result, exc = pending.popleft().get()
             if exc is not None:

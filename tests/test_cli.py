@@ -8,6 +8,7 @@ import csv
 import json
 import math
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -637,12 +638,112 @@ class TestValidateRejectsBeforeSimulating:
         assert rc == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_exit_rows_above_dimension_three_exit_2_without_a_step(self, d, tmp_path, capsys):
+        # the bound's ball grids in d = 4 would need a 12 GiB array
+        symbol = {"type": "alpha_stable", "alpha": 1.5, "dimension": d}
+        simulation = {"n_paths": 50, "t_max": 1.0, "h_max": 0.01}
+        validation = {"t_values": [0.25], "xi_values": [[1.0] * d],
+                      "exit": [{"r": 0.5, "t": 0.25}]}
+        cfg = validate_cfg(tmp_path, symbol, simulation, validation)
+        rc = cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: bump constants are provided for dimensions 1 to 3\n"
+        )
+
     def test_a_good_config_reaches_the_steps(self, tmp_path, capsys):
         simulation = {"n_paths": 50, "t_max": 14.0, "h_max": 0.01}
         cfg = validate_cfg(tmp_path, {"type": "brownian"}, simulation, self.BASE)
         rc = cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "error: AssertionError: a step was drawn" in capsys.readouterr().err
+
+
+class TestExitBoundsBesideTheSteps:
+    """`validate` computes its exit bounds on one worker while it draws the
+    steps.  The report is that of bounds computed after the simulation, a
+    failed bound ends the simulation early, and a failed simulation waits
+    for the bound worker before the error goes on."""
+
+    @staticmethod
+    def config(tmp_path, d, n_steps=256):
+        xi = 1.0 if d == 1 else [1.0, 0.5]
+        # the first row's bound is below 1, so it is not clipped
+        validation = {"t_values": [0.25, 1.0], "xi_values": [xi],
+                      "exit": [{"r": 2.0, "t": 1.0 / 256}, {"r": 1.0, "t": 0.25}]}
+        symbol = {"type": "alpha_stable", "alpha": 1.5, "dimension": d}
+        simulation = {"n_paths": 200, "t_max": 1.0, "n_steps": n_steps}
+        return validate_cfg(tmp_path, symbol, simulation, validation)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_report_matches_bounds_computed_after_the_steps(self, d, tmp_path, monkeypatch):
+        cfg = self.config(tmp_path, d)
+        monkeypatch.setattr(fk.criteria, "_BUMP_CACHE", {})  # a cold c_u, on the worker
+        assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "beside")]) == 0
+
+        def after_the_steps(fn, items, workers, ahead, name):
+            return (fn(item) for item in list(items))  # runs on list(), after feed
+
+        monkeypatch.setattr(cli, "_in_order", after_the_steps)
+        assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+        for name in ("report.json", "margins.csv"):
+            assert (tmp_path / "beside" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+        rows = json.loads((tmp_path / "beside" / "report.json").read_text())["exit_frequencies"]
+        model = build_model(load_config(cfg)["symbol"])
+        bounds = [fk.exit_time_bound(model, np.zeros(d), row["r"], row["t"]).value for row in rows]
+        assert [row["bound"] for row in rows] == bounds
+        assert bounds[0] < 1.0
+
+    def test_a_failed_bound_ends_the_simulation(self, tmp_path, monkeypatch, capsys):
+        failing = threading.Event()
+
+        def bump_constant(d, profile=None):
+            failing.set()
+            raise fk.NumericalError("bump transform tail not resolved")
+
+        drawn = []
+        iterate = fk.simulate.PathSteps.__iter__
+
+        def steps(self):
+            for k, x in iterate(self):
+                if k == 1:  # step 1 waits until the bound is failing
+                    assert failing.wait(timeout=10)
+                drawn.append(k)
+                yield k, x
+
+        monkeypatch.setattr(fk.criteria, "bump_constant", bump_constant)
+        monkeypatch.setattr(fk.simulate.PathSteps, "__iter__", steps)
+        n_steps = 1 << 17
+        cfg = self.config(tmp_path, 1, n_steps)
+        assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "numerical failure: bump transform tail not resolved\n"
+        assert max(drawn) < n_steps
+
+    def test_an_accumulator_error_joins_the_bound_worker(self, tmp_path, monkeypatch, capsys):
+        bound_running, accumulator_failed = threading.Event(), threading.Event()
+        finished = []
+
+        def bump_constant(d, profile=None):
+            bound_running.set()
+            assert accumulator_failed.wait(timeout=10)
+            finished.append(d)
+            return 1.0
+
+        def update(self, k, x):
+            if k == 3:
+                assert bound_running.wait(timeout=10)
+                accumulator_failed.set()
+                raise RuntimeError("accumulator failed")
+
+        monkeypatch.setattr(fk.criteria, "bump_constant", bump_constant)
+        monkeypatch.setattr(fk.empirics.ExitSup, "update", update)
+        cfg = self.config(tmp_path, 1)
+        assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "error: RuntimeError: accumulator failed" in capsys.readouterr().err
+        # the bound that was running when the accumulator failed has ended;
+        # the fixture no_worker_thread_left checks that its thread has too
+        assert finished[0] == 1
 
 
 class TestSimulationGrid:
@@ -667,6 +768,7 @@ class TestSimulationGrid:
     T_MAX = "t_max must be positive and finite"
     H_MAX = "give n_steps or a positive h_max"
     START = "start must be finite: a number or a point of dimension 1"
+    STEPS = f"need at least one step and at most {fk.simulate.MAX_STEPS}, got"
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     @pytest.mark.parametrize("symbol, simulation, message", [
@@ -678,6 +780,11 @@ class TestSimulationGrid:
         ({"type": "brownian"}, {"start": math.nan}, START),
         (TestValidateStreams.STABLE_LIKE, {"start": [-math.inf]}, START),
         ({"type": "brownian"}, {"start": [0.0, 1.0]}, START),
+        # step counts that no grid can hold: t_max / h_max overflows, or is
+        # finite but too large
+        ({"type": "brownian"}, {"t_max": 1e308, "h_max": 1e-3}, f"{STEPS} inf"),
+        (TestValidateStreams.STABLE_LIKE, {"h_max": 1e-300}, f"{STEPS} 9.999999999999999e+299"),
+        ({"type": "brownian"}, {"h_max": math.inf}, f"{H_MAX} that is finite"),
     ])
     def test_bad_simulation_input_exits_2(
         self, command, symbol, simulation, message, tmp_path, capsys

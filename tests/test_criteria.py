@@ -427,6 +427,15 @@ class TestExitTimeBound:
         r2 = fk.exit_time_bound(fk.brownian(1), 0.0, 2.0, 0.02)
         assert r1.c_u == r2.c_u
 
+    def test_dimension_is_checked_before_the_ball_grids(self, monkeypatch):
+        # in d = 4 the grids would hold 17^4 x 17^4 symbol values
+        def no_grids(*args):
+            raise AssertionError("the ball grids were built")
+
+        monkeypatch.setattr(fk.criteria, "ball_sup", no_grids)
+        with pytest.raises(fk.ConfigError, match="^bump constants are provided for dimensions 1 to 3$"):
+            fk.exit_time_bound(fk.alpha_stable(1.5, 4), np.zeros(4), 1.0, 0.01)
+
     def test_arguments_validated(self):
         with pytest.raises(fk.ConfigError, match="need r > 0"):
             fk.exit_time_bound(fk.brownian(1), 0.0, 0.0, 0.01)

@@ -449,6 +449,20 @@ class TestInOrder:
         assert results == [0]
         assert errors == ["job 1 failed"]
 
+    def test_jobs_start_before_the_first_result_is_asked_for(self):
+        ran = threading.Event()
+
+        def job(i):
+            ran.set()
+            return i
+
+        pipeline = sim._in_order(job, range(3), 1, 2, self.NAME)
+        try:
+            assert ran.wait(timeout=10)  # no next() yet
+            assert list(pipeline) == [0, 1, 2]
+        finally:
+            pipeline.close()
+
     def test_closing_early_starts_no_further_job(self):
         drawn, closed, started = self.record()
         released = []
@@ -613,6 +627,25 @@ class TestTimeGrid:
     def test_levy_without_steps_needs_a_positive_h_max(self, h_max):
         with pytest.raises(ConfigError, match="give n_steps or a positive h_max"):
             fk.simulate_levy(fk.brownian(1), 4, 1.0, h_max=h_max)
+
+    @pytest.mark.parametrize("t_max, n_steps, h_max, message", [
+        # t_max / h_max overflows to inf
+        (1e308, None, 1e-3, "^need at least one step and at most .*, got inf$"),
+        # a finite ratio too large for any grid
+        (1.0, None, 1e-300, "^need at least one step and at most "),
+        (1.0, 10**30, None, "^need at least one step and at most "),
+        (1.0, sim.MAX_STEPS + 1, None, "^need at least one step and at most "),
+        (1.0, None, math.inf, "^give n_steps or a positive h_max that is finite$"),
+    ])
+    def test_step_count_is_checked_before_the_grid_exists(
+        self, t_max, n_steps, h_max, message, monkeypatch
+    ):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(sim.np, "linspace", no_grid)
+        with pytest.raises(ConfigError, match=message):
+            sim._resolve_grid(t_max, n_steps, h_max)
 
     @pytest.mark.parametrize("n_paths", [0, -3, 2.0, True])
     def test_step_sources_need_a_positive_path_count(self, n_paths):
