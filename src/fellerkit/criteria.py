@@ -18,7 +18,7 @@ import numpy as np
 
 from .envelopes import Envelope
 from .errors import ConfigError, NumericalError
-from .quadrature import classify_family, direction_set, surface_area
+from .quadrature import classify_family, on_spheres, surface_area
 from .symbol_checks import ball_sup
 from .symbols import SymbolModel
 
@@ -111,23 +111,6 @@ def _reciprocal(q: np.ndarray) -> np.ndarray:
     return np.divide(1.0, q, out=np.full(np.shape(q), math.inf), where=q > 0)
 
 
-def _directions(env: Envelope, n: int | None = None) -> np.ndarray:
-    """Unit directions for sweeps over spheres: e_1 when the envelope is
-    radial, else every direction of ``direction_set``, or ``n`` of them
-    spread evenly over the whole set."""
-    if env.radial:
-        return np.eye(env.dimension)[:1]
-    dirs = direction_set(env.dimension)
-    return dirs if n is None else dirs[:: max(1, len(dirs) // n)]
-
-
-def _query(query, xi: np.ndarray) -> np.ndarray:
-    """One envelope query at the component-last points ``xi``, shaped
-    ``xi.shape[:-1]``; the reshape drops the trailing unit axis that the
-    elementwise d = 1 reading leaves."""
-    return np.reshape(query(xi), xi.shape[:-1])
-
-
 def _positive_radius(r, message: str = "radius must be positive") -> float:
     r = float(r)
     if not (math.isfinite(r) and r > 0):
@@ -176,8 +159,9 @@ def frequency_criteria(
     if (times <= 0).any():
         raise ConfigError("the density bound needs t > 0")
     rates = -(times.ravel() / 16.0)
-    probe = np.array([0.1, 1.0, 10.0])[:, None, None] * _directions(env, 8)
-    negative = (r is not None or local_times) and _query(env.q_inf, probe).min() < -1e-10
+    negative = (r is not None or local_times) and on_spheres(
+        env.q_inf, np.array([0.1, 1.0, 10.0]), d, env.radial, 8
+    ).min() < -1e-10
 
     # name -> (radius, include_tail, row count, its rows k from q_inf)
     parts = {}
@@ -287,7 +271,7 @@ def test_ultracontractivity(
     if radii is None:
         radii = np.logspace(1, 6, 6)
     radii = np.asarray(radii, dtype=float)
-    q_min = _query(env.q_inf, radii[:, None, None] * _directions(env)).min(axis=1)
+    q_min = on_spheres(env.q_inf, radii, env.dimension, env.radial).min(axis=1)
     margins = [float(q) / math.log1p(r) for q, r in zip(q_min, radii)]
     tail = margins[-n_increasing:]
     increasing = all(tail[i + 1] > tail[i] for i in range(len(tail) - 1))

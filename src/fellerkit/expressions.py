@@ -8,7 +8,9 @@ given as plain text over a fixed vocabulary:
 
 plus numeric literals and the variable names supplied by the caller.
 Anything else (attribute access, subscripts, names outside the allowed
-set, double-underscore tricks) is rejected at parse time.
+set, a function name that is not called, double-underscore tricks) is
+rejected at parse time with :class:`ExpressionError`, a
+:class:`~fellerkit.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ import functools
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["ExpressionError", "compile_expression"]
 
 
-class ExpressionError(ValueError):
+class ExpressionError(ConfigError):
     """Raised when an expression uses syntax outside the allowed vocabulary."""
 
 
@@ -70,7 +74,9 @@ def _check_node(node: ast.AST, variables: tuple[str, ...]) -> None:
         for arg in node.args:
             _check_node(arg, variables)
     elif isinstance(node, ast.Name):
-        if node.id not in variables and node.id not in _CONSTANTS and node.id not in _FUNCTIONS:
+        if node.id in _FUNCTIONS:
+            raise ExpressionError(f"function {node.id!r} may only be called")
+        if node.id not in variables and node.id not in _CONSTANTS:
             raise ExpressionError(f"unknown name {node.id!r}")
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):

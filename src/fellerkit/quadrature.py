@@ -13,12 +13,14 @@ Each shell is integrated with QUADPACK's 21-point Gauss-Kronrod rule and
 its embedded 10-point Gauss rule (qk21), with QUADPACK's error estimate.
 All nodes of all live subintervals of a shell go to the integrand in one
 array call; only the subintervals whose error misses their share of the
-budget are bisected for the next call.  A family of integrands (the heat
-bound at many times, say) walks the shells once: the integrand returns one
-row per member, and every call serves all members still walking.  Members
-may have radii of their own; the walks at every radius and in both
-directions run in lockstep, and each round makes one call to the
-integrand for the nodes of all of them.
+budget are bisected for the next call.  The integrand gets the nodes in
+one shape in every dimension, component-last points of shape (n, k, d):
+each radius times k unit directions (:func:`on_spheres`).  A family of
+integrands (the heat bound at many times, say) walks the shells once: the
+integrand returns one row per member, and every call serves all members
+still walking.  Members may have radii of their own; the walks at every
+radius and in both directions run in lockstep, and each round makes one
+call to the integrand for the nodes of all of them.
 """
 
 from __future__ import annotations
@@ -165,57 +167,51 @@ def integrate_radial(
     )
 
 
+def on_spheres(f, r: np.ndarray, d: int, radial: bool, n: int | None = None, rows: tuple = ()):
+    """``f`` at the points r_i u_j, read as shape ``rows + (len(r), k)``.
+
+    The directions u_j are the e_1 row when ``radial`` (k = 1), else every
+    direction of :func:`direction_set`, or ``n`` of them spread evenly
+    over it.  ``f`` gets all points in one (len(r), k, d) array and
+    answers with one value per point for each of ``rows``; in d = 1 the
+    answer may keep the trailing unit axis that
+    :func:`~fellerkit.symbols.as_points` leaves.
+    """
+    dirs = np.eye(d)[:1] if radial else direction_set(d)
+    if n is not None:
+        dirs = dirs[:: max(1, len(dirs) // n)]
+    points = r[:, None, None] * dirs
+    return np.reshape(f(points), rows + points.shape[:-1])
+
+
 def _node_values(f, rows_of, m: int, d: int, radial: bool):
     """The one call to ``f`` that a lockstep round makes, and each walk's
     share of its values.
 
-    Returns ``(query, take)``.  ``query(r)`` calls ``f`` once at the radii
-    ``r`` of every request of the round, joined: at ``r`` (d = 1), at
-    ``r[:, None] * e1`` (radial) or at ``r[:, None, None] * dirs`` (every
-    direction of :func:`direction_set`); in d = 1 without ``radial``, at
-    ``r`` and then at ``-r``.  ``take(values, start, r, idx)`` is the
-    share of the request whose radii ``r`` start at position ``start`` of
-    the joined ones: its rows ``idx`` at each radius, averaged over the
-    directions (both signs in d = 1), times r^(d-1), shape
-    (len(idx), len(r)).  Without ``rows_of``, ``f`` returns all m rows;
-    with it, ``f`` returns one value per point and ``rows_of`` computes
-    just the rows ``idx`` of each request.
+    Returns ``(query, take)``.  ``query(r)`` calls ``f`` once, by
+    :func:`on_spheres`, at the radii ``r`` of every request of the round,
+    joined.  ``take(values, start, r, idx)`` is the share of the request
+    whose radii ``r`` start at position ``start`` of the joined ones: its
+    rows ``idx`` at each radius, averaged over the directions, times
+    r^(d-1), shape (len(idx), len(r)).  Without ``rows_of``, ``f`` returns
+    all m rows; with it, ``f`` returns one value per point and ``rows_of``
+    computes just the rows ``idx`` of each request.
     """
+    rows = (m,) if rows_of is None else ()
     if rows_of is None:
-        def query(points):
-            lead = points.shape if d == 1 else points.shape[:-1]
-            return np.broadcast_to(f(points), (m,) + lead)
-
         def rows_of(values, idx):
             return values[idx]
-    else:
-        query = f
-
-    if d == 1:
-        points = (lambda r: r) if radial else (lambda r: np.concatenate([r, -r]))
-    elif radial:
-        e1 = np.eye(d)[0]
-        points = lambda r: r[:, None] * e1  # noqa: E731
-    else:
-        dirs = direction_set(d)
-        points = lambda r: r[:, None, None] * dirs  # noqa: E731
 
     def take(values, start, r, idx):
-        part = slice(start, start + len(r))
-        if d == 1 and not radial:
-            n = values.shape[-1] // 2
-            plus = rows_of(values[..., :n][..., part], idx)
-            minus = rows_of(values[..., n:][..., part], idx)
-            with np.errstate(invalid="ignore"):  # inf - inf: a nonfinite shell
-                vals = 0.5 * (plus + minus)
-        elif d == 1 or radial:
-            vals = rows_of(values[..., part], idx)
+        vals = rows_of(values[..., start : start + len(r), :], idx)
+        if radial:
+            vals = vals[..., 0]
         else:
-            with np.errstate(invalid="ignore"):
-                vals = rows_of(values[..., part, :], idx).mean(axis=-1)
+            with np.errstate(invalid="ignore"):  # inf - inf: a nonfinite shell
+                vals = vals.mean(axis=-1)
         return vals * r ** (d - 1)
 
-    return lambda r: query(points(r)), take
+    return lambda r: on_spheres(f, r, d, radial, rows=rows), take
 
 
 # QUADPACK's qk21 rule on [-1, 1], rounded to double: per node x >= 0 (the
@@ -460,12 +456,14 @@ def classify_family(
 ) -> list[IntegralResult]:
     """:func:`classify_improper` for m integrands at once, in one lockstep walk.
 
-    ``f`` takes points as :func:`classify_improper` describes and returns
-    an array of shape (m,) + their leading shape, one row per integrand.
-    With ``rows_of``, ``f`` instead returns one array of the points'
-    leading shape, shared by every row, and ``rows_of(values, idx)`` maps
-    a slice of it to the rows ``idx`` (ascending), shape (len(idx),) + its
-    shape; a row is then computed only where its own walk needs it.
+    ``f`` takes points as :func:`classify_improper` describes, shape
+    (n, k, d), and returns an array of shape (m, n, k), one row per
+    integrand.  With ``rows_of``, ``f`` instead returns one value per
+    point, shape (n, k), shared by every row, and ``rows_of(values, idx)``
+    maps a slice of it to the rows ``idx`` (ascending), shape
+    (len(idx),) + its shape; a row is then computed only where its own
+    walk needs it.  In d = 1 either answer may keep the trailing unit axis
+    that :func:`~fellerkit.symbols.as_points` leaves.
 
     ``radius`` and ``include_tail`` are one value for every row or one per
     row.  A walk is one radius and one direction: the inner shells of the
@@ -547,12 +545,13 @@ def classify_improper(
 
     Without ``include_tail`` the domain is the ball |xi| <= radius and only
     the origin can cause divergence; with it the domain is all of R^d and
-    the outward shells are classified as well.  ``f`` takes an array of
-    points of R^d in the form :func:`fellerkit.symbols.as_points` describes
-    and returns an array of their leading shape: a 1-D array of radii in
-    d = 1, else radii times e_1 (shape (n, d)), or with ``radial=False``
-    radii times every direction of :func:`direction_set` (shape
-    (n, k, d)), averaged per radius (both signs when d = 1).  Each shell
+    the outward shells are classified as well.  ``f`` takes component-last
+    points of R^d, shape (n, k, d) in every dimension, and returns one
+    value per point, shape (n, k) (in d = 1 also (n, k, 1), so a function
+    that works elementwise may be passed as it is): radii times e_1
+    (k = 1), or with ``radial=False`` radii times every direction of
+    :func:`direction_set` (both signs when d = 1), averaged per radius.
+    Each shell
     is integrated by the qk21 rule to max(1e-13, 1e-9 |shell|); a
     nonfinite value of ``f`` at a node makes the shell nonfinite and the
     integral divergent.

@@ -429,6 +429,30 @@ class TestGridEnvelopeInputs:
         assert not (out / "report.json").exists()
 
 
+class TestMalformedExpressions:
+    """An expression outside the allowed vocabulary is a configuration
+    error: exit 2 before any output directory is made."""
+
+    @pytest.mark.parametrize("symbol, message", [
+        ({"type": "closed_form", "re": "abs(xi)**1.5 + foo"}, "unknown name 'foo'"),
+        ({"type": "closed_form", "re": "abs(xi)**1.5 + x.real"},
+         "syntax element Attribute not allowed"),
+        ({"type": "closed_form", "re": "abs(xi)**1.5 + sin"}, "function 'sin' may only be called"),
+        ({"type": "stable_like", "alpha": "1.5 + 0.3*sin(y)", "alpha_min": 1.2, "alpha_max": 1.8},
+         "unknown name 'y'"),
+        ({"type": "closed_form", "dimension": 2,
+          "re": "(1.25 + 0.5*sin(x)) * (xi1**2 + xi2**2)**0.75"}, "unknown name 'x'"),
+    ])
+    def test_bad_expression_exits_2(self, symbol, message, tmp_path, capsys):
+        path = write_cfg(tmp_path, "expr.json", {"symbol": symbol})
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert message in err
+        assert not out.exists()
+
+
 class TestNoOutputDirectoryOnFailure:
     """A configuration error raised while the envelope is built leaves no
     output directory, as one from the config table does."""

@@ -58,6 +58,7 @@ def test_unary_and_arithmetic_operators():
         ("lambda: 1", "syntax element Lambda not allowed"),
         ("import os", "cannot parse"),
         ("min(x, default=1)", "keyword arguments not allowed"),
+        ("sin + x", "function 'sin' may only be called"),
     ],
 )
 def test_rejected_sources(source, fragment):

@@ -143,6 +143,24 @@ class TestClassifyImproper:
         assert res.value == pytest.approx(1.5 * math.pi, rel=1e-6)
 
 
+class TestPointShape:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("radial", [True, False])
+    def test_one_integrand_in_every_dimension(self, d, radial):
+        # points are component-last in every dimension, so one gaussian
+        # written with the norm over the last axis serves d = 1, 2 and 3
+        shapes = set()
+
+        def f(xi):
+            shapes.add(xi.shape[1:])
+            return np.exp(-np.linalg.norm(xi, axis=-1) ** 2)
+
+        res = classify_improper(f, d, include_tail=True, radial=radial)
+        assert res.classification == "convergent"
+        assert res.value == pytest.approx(math.pi ** (d / 2), rel=1e-9)
+        assert shapes == {(1 if radial else len(direction_set(d)), d)}
+
+
 def _norm(xi, d):
     xi = np.asarray(xi)
     return np.abs(xi) if d == 1 else np.linalg.norm(xi, axis=-1)
