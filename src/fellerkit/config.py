@@ -201,10 +201,8 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _levy(dimension=1, x_dependent=True, name="levy", **chars) -> SymbolModel:
-    return levy_symbol(
-        LevyCharacteristics(**chars), dimension, x_dependent=x_dependent, name=name
-    )
+def _levy(dimension=1, name="levy", **chars) -> SymbolModel:
+    return levy_symbol(LevyCharacteristics(**chars), dimension, name=name)
 
 
 def _subordinate(base, bernstein, growth_constant=1.0, name=None) -> SymbolModel:
@@ -221,18 +219,18 @@ _SYMBOL_TYPES = {
     "compound_poisson": (("rate",), ("jump_mean", "jump_std", "dimension"), compound_poisson),
     "zero": ((), ("dimension",), zero_symbol),
     "stable_like": (
-        ("alpha", "alpha_min", "alpha_max"), ("dimension", "smooth", "name"), stable_like_symbol
+        ("alpha", "alpha_min", "alpha_max"), ("dimension", "name"), stable_like_symbol
     ),
     "closed_form": (
         ("re",),
-        ("im", "dimension", "radial_in_xi", "conservative", "name", "x_dependent"),
+        ("im", "dimension", "radial_in_xi", "conservative", "name"),
         closed_form_symbol,
     ),
     "levy": (
         (),
         (
             "kill", "drift", "diffusion", "jump_density", "singularity_exponent",
-            "radial", "symmetric", "dimension", "x_dependent", "name",
+            "radial", "symmetric", "dimension", "name",
         ),
         _levy,
     ),

@@ -89,7 +89,8 @@ def compile_expression(source: str, variables: tuple[str, ...]):
     """Compile ``source`` to a vectorized callable of the named variables.
 
     The returned function takes the variables as positional numpy arrays
-    (or scalars) and broadcasts elementwise.
+    (or scalars) and broadcasts elementwise.  Its ``used`` attribute is the
+    set of those variables that the expression names.
     """
     if not isinstance(source, str):
         raise ExpressionError(f"expected an expression string, got {type(source).__name__}")
@@ -111,4 +112,7 @@ def compile_expression(source: str, variables: tuple[str, ...]):
 
     evaluate.source = source
     evaluate.variables = tuple(variables)
+    evaluate.used = frozenset(
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in variables
+    )
     return evaluate

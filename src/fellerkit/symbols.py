@@ -28,6 +28,7 @@ construction.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -68,39 +69,39 @@ class QuadratureSettings:
     abs_tol: float = 1e-12
 
 
-def _point_expression(source: str, d: int, points: tuple[str, ...], extra: tuple[str, ...] = ()):
-    """Compile an expression string against point arrays.
+def _coeff_of_x(fn, d: int, extra: tuple[str, ...] = (), *, points: tuple[str, ...] = ("x",)):
+    """Read one coefficient: a number, an expression string or a callable.
 
-    Each name in ``points`` is one argument shaped (..., d), read in the
-    expression as that name in d = 1 and as name1..named otherwise; the
-    scalar variables ``extra`` follow as further arguments.
+    Returns ``(evaluate, reads_x)``.  ``evaluate`` takes one array shaped
+    (..., d) for each name in ``points``, then the scalar variables
+    ``extra``; an expression reads a point name p as p in d = 1 and as
+    p1..pd otherwise.  ``reads_x`` tells whether the coefficient can depend
+    on the state: a number cannot, an expression can exactly when it names
+    x (x1..xd), and a callable is assumed to.  Anything else raises
+    :class:`ConfigError`.
     """
-    names = tuple(p if d == 1 else f"{p}{i + 1}" for p in points for i in range(d))
-    compiled = compile_expression(source, names + tuple(extra))
-    k = len(points)
-
-    def evaluate(*args):
-        comps = tuple(a[..., i] for a in args[:k] for i in range(d))
-        return compiled(*comps, *args[k:])
-
-    evaluate.source = source
-    return evaluate
-
-
-def _coeff_of_x(fn, d: int, extra: tuple[str, ...] = ()):
-    """Turn a scalar coefficient (constant, expression, callable) into a
-    callable of point arrays shaped (..., d) plus optional extra scalar args."""
     if isinstance(fn, str):
-        return _point_expression(fn, d, ("x",), extra)
+        groups = [(p,) if d == 1 else tuple(f"{p}{i + 1}" for i in range(d)) for p in points]
+        compiled = compile_expression(fn, sum(groups, ()) + tuple(extra))
+        k = len(points)
+
+        def evaluate(*args):
+            comps = tuple(a[..., i] for a in args[:k] for i in range(d))
+            return compiled(*comps, *args[k:])
+
+        return evaluate, not compiled.used.isdisjoint(groups[0])
     if callable(fn):
-        return fn
+        return fn, True
+    if not isinstance(fn, numbers.Real) or isinstance(fn, bool):
+        raise ConfigError(
+            f"a coefficient must be a number, an expression string or a callable; got {fn!r}"
+        )
     value = float(fn)
 
     def const(x, *args):
         return np.broadcast_to(value, np.shape(x)[:-1]).copy() if np.ndim(x) else value
 
-    const.source = repr(value)
-    return const
+    return const, False
 
 
 def as_points(v, d: int, *, single: bool = False) -> tuple[np.ndarray, tuple]:
@@ -146,6 +147,8 @@ class LevyCharacteristics:
     in dimension one; in higher dimension they are a constant vector and
     matrix or callables.  ``jump_density`` is an expression string in x and z (r
     when radial) or a callable (x, z) -> density value, vectorized in z.
+    A model built from them is state-free when none can read x: numbers,
+    constant vectors and matrices, and expressions that name no x variable.
     For ``radial=True`` the density is a function of r = |z| and the drift
     compensator of the jump part vanishes by symmetry; this is the only
     supported form in dimension greater than one.  ``singularity_exponent``
@@ -164,17 +167,13 @@ class LevyCharacteristics:
 
 @dataclass(frozen=True)
 class StableLikeSpec:
-    """Variable order alpha(x) with declared band inside (0, 2).
-
-    ``smooth`` records the claim that alpha is continuously differentiable;
-    it is carried as a declaration and not verified numerically.
-    """
+    """Variable order alpha(x), a callable of points, with declared band
+    inside (0, 2)."""
 
     alpha: Callable
     alpha_min: float
     alpha_max: float
     dimension: int = 1
-    smooth: bool = True
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,12 @@ class BernsteinSpec:
 
 @dataclass(frozen=True, eq=False)
 class SymbolModel:
-    """Immutable container for one symbol p(x, xi)."""
+    """Immutable container for one symbol p(x, xi).
+
+    ``x_dependent`` is False when p does not depend on the state x.  Each
+    builder reads it off its coefficients (see :func:`_coeff_of_x`), and a
+    false value lets the envelope read p at x = 0 alone.
+    """
 
     kind: str
     dimension: int
@@ -229,28 +233,27 @@ def closed_form_symbol(
     im=None,
     *,
     dimension: int = 1,
-    x_dependent: bool | None = None,
     radial_in_xi: bool = False,
     conservative: bool = True,
     name: str = "closed-form",
 ) -> SymbolModel:
     """Build a symbol from closed-form real and imaginary parts.
 
-    ``re`` and ``im`` are expression strings over the variables
+    ``re`` and ``im`` are numbers, expression strings over the variables
     x, xi (or x1..xd, xi1..xid) or callables (x_pts, xi_pts) -> array.
+    The model is state-free when neither part can read x: both are numbers
+    or expressions that name no x variable.
     """
-    re_fn, im_fn = (
-        _point_expression(fn, dimension, ("x", "xi")) if isinstance(fn, str) else fn
-        for fn in (re, im)
-    )
+    re_fn, re_x = _coeff_of_x(re, dimension, points=("x", "xi"))
+    im_fn, im_x = (None, False) if im is None else _coeff_of_x(im, dimension, points=("x", "xi"))
 
     def evaluator(xp, xip):
         xb, xib = np.broadcast_arrays(xp, xip)
 
         def part(fn, given):
-            # an expression broadcasts by itself, so a term in x alone is
-            # computed once per x; a callable gets the broadcast points
-            return fn(xp, xip) if isinstance(given, str) else fn(xb, xib)
+            # an expression or a number broadcasts by itself, so a term in x
+            # alone is computed once per x; a callable gets the broadcast points
+            return fn(xb, xib) if callable(given) else fn(xp, xip)
 
         val = np.asarray(part(re_fn, re), dtype=complex)
         if im_fn is not None:
@@ -258,25 +261,13 @@ def closed_form_symbol(
         shape = xb.shape[:-1]
         return val if val.shape == shape else np.broadcast_to(val, shape).copy()
 
-    if x_dependent is None:
-        # expressions that never mention an x variable are state-free;
-        # plain callables are assumed x-dependent unless declared otherwise
-        import re as _re
-
-        sources = [getattr(f, "source", None) for f in (re_fn, im_fn) if f is not None]
-        if all(src is not None for src in sources):
-            # x, or x1..xd; the compiler has already rejected any other x name
-            x_dependent = any(_re.search(r"\bx\d*\b", src) for src in sources)
-        else:
-            x_dependent = True
-
     return SymbolModel(
         kind="closed_form",
         dimension=dimension,
         eval_data={"re": re, "im": im},
         name=name,
         conservative=conservative,
-        x_dependent=bool(x_dependent),
+        x_dependent=re_x or im_x,
         radial_in_xi=radial_in_xi,
         evaluator=evaluator,
     )
@@ -391,21 +382,20 @@ def stable_like_symbol(
     alpha_max: float,
     dimension: int = 1,
     *,
-    smooth: bool = True,
     name: str = "stable-like",
 ) -> SymbolModel:
     """Variable-order model p(x, xi) = |xi| ** alpha(x).
 
-    The declared band is validated on a coarse sample of x; the smoothness
-    flag is recorded without verification.
+    ``alpha`` is a number, an expression string in x (x1..xd) or a callable
+    of points; the model is state-free when alpha cannot read x.  The
+    declared band is validated on a coarse sample of x.
     """
     if not (0.0 < alpha_min <= alpha_max < 2.0):
         raise ConfigError(
             f"order band must satisfy 0 < alpha_min <= alpha_max < 2, got"
             f" [{alpha_min}, {alpha_max}]"
         )
-    alpha_fn = _coeff_of_x(alpha, dimension)
-    x_dependent = not isinstance(alpha, (int, float))
+    alpha_fn, x_dependent = _coeff_of_x(alpha, dimension)
 
     grid1 = np.linspace(-10.0, 10.0, 201 if dimension == 1 else 11)
     mesh = np.stack(
@@ -424,7 +414,6 @@ def stable_like_symbol(
         alpha_min=float(alpha_min),
         alpha_max=float(alpha_max),
         dimension=dimension,
-        smooth=smooth,
     )
 
     def evaluator(xp, xip):
@@ -453,9 +442,11 @@ def subordinate(base: SymbolModel, f, growth_constant: float = 1.0, *, name: str
     """Compose a state-free real exponent with a Bernstein function:
     p(x, xi) = f(x, psi(xi)).
 
-    ``f`` may be a BernsteinSpec, an expression in (x..., s), or a callable
-    (x_pts, s) -> array.  Monotonicity, concavity, f(x, 0) = 0 and the
-    declared growth are checked on a sampled grid.
+    ``f`` may be a BernsteinSpec, a number, an expression in (x..., s), or
+    a callable (x_pts, s) -> array; the model is state-free when f is a
+    number or an expression that names no x variable.  Monotonicity,
+    concavity, f(x, 0) = 0 and the declared growth are checked on a
+    sampled grid.
     """
     if base.x_dependent:
         raise ConfigError("subordination needs a state-free base exponent")
@@ -467,9 +458,9 @@ def subordinate(base: SymbolModel, f, growth_constant: float = 1.0, *, name: str
         raise ConfigError("subordination needs a real base exponent")
 
     if isinstance(f, BernsteinSpec):
-        spec = f
+        spec, x_dependent = f, True
     else:
-        fn = _coeff_of_x(f, d, extra=("s",)) if isinstance(f, str) else f
+        fn, x_dependent = _coeff_of_x(f, d, extra=("s",))
         spec = BernsteinSpec(
             fn=fn, growth_constant=float(growth_constant), source=f if isinstance(f, str) else ""
         )
@@ -502,7 +493,7 @@ def subordinate(base: SymbolModel, f, growth_constant: float = 1.0, *, name: str
         eval_data={"base": base, "bernstein": spec},
         name=name or f"subordinated({base.name})",
         conservative=True,
-        x_dependent=True,
+        x_dependent=x_dependent,
         radial_in_xi=base.radial_in_xi,
         evaluator=evaluator,
     )
@@ -621,28 +612,24 @@ class _LevyEvaluator:
         ae = chars.singularity_exponent
         self.u_max = min(37.0 / (2.0 - ae), 600.0 / (d + ae))
         self.near_decay = 2.0 - ae
-        self.kill = _coeff_of_x(chars.kill, d)
+        self.kill, kill_x = _coeff_of_x(chars.kill, d)
         for key, shape in (("drift", "vector"), ("diffusion", "matrix")):
             if d > 1 and isinstance(getattr(chars, key), str):
                 raise ConfigError(
                     f"levy {key} may be an expression string only in dimension 1;"
                     f" in dimension {d} give a constant {shape}"
                 )
-        drift = chars.drift
-        if callable(drift) or isinstance(drift, str):
-            self.drift = _coeff_of_x(drift, d)
-        else:
-            vec = np.broadcast_to(np.asarray(drift, float), (d,)).copy()
-            self.drift = lambda x: np.broadcast_to(vec, np.shape(x)[:-1] + (d,))
-        diff = chars.diffusion
-        if callable(diff) or isinstance(diff, str):
-            self.diffusion = _coeff_of_x(diff, d)
-        else:
-            self.diffusion = lambda x, m=np.asarray(diff, float): m
-        self.density = None
+        # a constant drift vector or diffusion matrix is state-free; any
+        # other drift or diffusion is one coefficient
+        (self.drift, drift_x), (self.diffusion, diff_x) = (
+            ((lambda x, m=np.asarray(v, float): m), False) if np.ndim(v) else _coeff_of_x(v, d)
+            for v in (chars.drift, chars.diffusion)
+        )
+        self.density, density_x = None, False
         if chars.jump_density is not None:
             var = ("r",) if chars.radial else ("z",)
-            self.density = _coeff_of_x(chars.jump_density, d, extra=var)
+            self.density, density_x = _coeff_of_x(chars.jump_density, d, extra=var)
+        self.x_dependent = kill_x or drift_x or diff_x or density_x
         # the jump measure is integrated along half-lines r -> n(x, s r),
         # r > 0: a radial density is the one side s = 1 weighted by the
         # sphere area, a signed d = 1 density the two sides s = 1 and s = -1
@@ -718,7 +705,7 @@ class _LevyEvaluator:
     def eval_scalar(self, xv: np.ndarray, xiv: np.ndarray) -> complex:
         d = self.d
         c = float(np.asarray(self.kill(xv)))
-        b = np.asarray(self.drift(xv), float).reshape(d)
+        b = np.broadcast_to(np.asarray(self.drift(xv), float), (d,))
         a = np.asarray(self.diffusion(xv), float)
         if a.ndim == 0:
             a = float(a) * np.eye(d)
@@ -761,7 +748,6 @@ def levy_symbol(
     dimension: int = 1,
     *,
     settings: QuadratureSettings = QuadratureSettings(),
-    x_dependent: bool = True,
     name: str = "levy-characteristics",
 ) -> SymbolModel:
     """Assemble a symbol from Levy characteristics via adaptive quadrature.
@@ -772,7 +758,9 @@ def levy_symbol(
     double precision (the truncated remainder is charged to the error
     estimate), and trigonometric kernels are evaluated in cancellation-free
     form.  A min(1, |z|^2) integrability witness is computed at a probe
-    point on construction.
+    point on construction.  The model is state-free when none of kill,
+    drift, diffusion and jump density can read x (see
+    :class:`LevyCharacteristics`).
     """
     ev = _LevyEvaluator(chars, dimension, settings)
     ev.integrability_witness(np.zeros(dimension))
@@ -788,7 +776,7 @@ def levy_symbol(
         name=name,
         conservative=not (callable(chars.kill) or isinstance(chars.kill, str))
         and kill_at_origin == 0.0,
-        x_dependent=x_dependent,
+        x_dependent=ev.x_dependent,
         radial_in_xi=radial,
         evaluator=ev,
     )

@@ -453,6 +453,70 @@ class TestMalformedExpressions:
         assert not out.exists()
 
 
+class TestCoefficientForms:
+    """A coefficient is a number, an expression string or a callable, and
+    the model is state-free exactly when none of its coefficients reads x."""
+
+    @pytest.mark.parametrize("symbol, message", [
+        ({"type": "levy", "kill": [1, 2]}, "got [1, 2]"),
+        ({"type": "stable_like", "alpha": [1.5], "alpha_min": 1.2, "alpha_max": 1.8},
+         "got [1.5]"),
+        ({"type": "closed_form", "re": None}, "got None"),
+        ({"type": "subordinate", "base": {"type": "brownian"}, "bernstein": 0.5},
+         "f(x, 0) = 0.5 is not 0"),
+    ], ids=["levy.kill", "stable_like.alpha", "closed_form.re", "subordinate.bernstein"])
+    def test_wrong_typed_coefficient_exits_2(self, symbol, message, tmp_path, capsys):
+        path = write_cfg(tmp_path, "coeff.json", {"symbol": symbol})
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert message in err
+        assert not out.exists()
+
+    def test_numeric_part_is_a_constant(self, tmp_path):
+        path = write_cfg(tmp_path, "num.json", {
+            "symbol": {"type": "closed_form", "re": "abs(xi)**1.5", "im": 0.5},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["envelope"]["provenance"] == "closed_form(state-free)"
+
+    # the state-uniform envelope of this symbol is 0.75 |xi|^1.5; at x = 0
+    # alone it would be 1.25 |xi|^1.5, and a bound 0.786 at t = 1
+    VARYING = {"type": "closed_form", "re": "(1.25 + 0.5*sin(x))*abs(xi)**1.5"}
+
+    def test_state_dependence_cannot_be_declared(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "decl.json", {
+            "symbol": {**self.VARYING, "x_dependent": False},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 2
+        assert "unknown key(s) ['x_dependent'] in symbol type 'closed_form'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_expression_in_x_needs_a_box(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "nobox.json", {"symbol": self.VARYING})
+        assert cli.main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "needs an x_domain box" in capsys.readouterr().err
+
+    def test_expression_in_x_gets_the_uniform_bound(self, tmp_path):
+        path = write_cfg(tmp_path, "box.json", {
+            "symbol": self.VARYING,
+            "envelope": {"x_domain": [0.0, 2 * math.pi], "tail": "periodic"},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+        heat = json.loads((out / "report.json").read_text())["heat_kernel_bounds"]
+        # (4 pi)^-1 * integral of exp(-0.75 |xi|^1.5 / 16) over R
+        exact = 2 * math.gamma(5 / 3) * (16 / 0.75) ** (2 / 3) / (4 * math.pi)
+        assert exact == pytest.approx(1.1051583528, rel=1e-10)
+        assert heat["1.0"] == pytest.approx(exact, rel=1e-9)
+
+
 class TestNoOutputDirectoryOnFailure:
     """A configuration error raised while the envelope is built leaves no
     output directory, as one from the config table does."""

@@ -2,7 +2,9 @@
 the merge that ``load_config`` makes of the benchmark and README configs."""
 
 import copy
+import dataclasses
 import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fellerkit as fk
-from fellerkit.config import DEFAULTS, build_model, load_config
+from fellerkit.config import _SYMBOL_TYPES, DEFAULTS, build_model, load_config
 
 # type -> (a section that builds, its required keys, its optional keys)
 SYMBOL_TYPES = {
@@ -28,19 +30,19 @@ SYMBOL_TYPES = {
     "stable_like": (
         {"type": "stable_like", "alpha": "1.5 + 0.3*sin(x)", "alpha_min": 1.2, "alpha_max": 1.8},
         ["alpha", "alpha_min", "alpha_max"],
-        ["dimension", "name", "smooth"],
+        ["dimension", "name"],
     ),
     "closed_form": (
         {"type": "closed_form", "re": "(1 + 0.5*sin(x))*xi**2"},
         ["re"],
-        ["conservative", "dimension", "im", "name", "radial_in_xi", "x_dependent"],
+        ["conservative", "dimension", "im", "name", "radial_in_xi"],
     ),
     "levy": (
-        {"type": "levy", "diffusion": 1.0, "x_dependent": False},
+        {"type": "levy", "diffusion": 1.0},
         [],
         [
             "diffusion", "dimension", "drift", "jump_density", "kill", "name",
-            "radial", "singularity_exponent", "symmetric", "x_dependent",
+            "radial", "singularity_exponent", "symmetric",
         ],
     ),
     "subordinate": (
@@ -74,6 +76,22 @@ def test_unknown_key_names_the_allowed_keys(kind):
         f"unknown key(s) ['bogus'] in symbol type '{kind}';"
         f" allowed: {sorted(required + optional)}"
     )
+
+
+@pytest.mark.parametrize("kind", SYMBOL_TYPES)
+def test_every_key_reaches_a_builder_parameter(kind):
+    # a key without a parameter to go to would exit 3 with a TypeError
+    required, optional, builder = _SYMBOL_TYPES[kind]
+    if kind == "levy":
+        # the config's levy builder passes the keys it does not name on to
+        # LevyCharacteristics, and the ones it names to levy_symbol
+        params = {
+            *inspect.signature(fk.levy_symbol).parameters,
+            *(f.name for f in dataclasses.fields(fk.LevyCharacteristics)),
+        }
+    else:
+        params = set(inspect.signature(builder).parameters)
+    assert set(required + optional) <= params
 
 
 @pytest.mark.parametrize("kind, key", MISSING)

@@ -250,7 +250,7 @@ class TestRefinement:
             calls.append(x.shape)
             return inner(x, xi).real
 
-        model = fk.closed_form_symbol(re, dimension=d, x_dependent=True)
+        model = fk.closed_form_symbol(re, dimension=d)
         xi = np.linspace(0.5, 3.0, 3 * d).reshape(3, d)
         counts = []
         for refine_rounds in range(5):

@@ -38,6 +38,15 @@ def test_compiled_function_exposes_source_and_variables():
     assert f.variables == ("x",)
 
 
+@pytest.mark.parametrize("source, used", [
+    ("sin(x1) * xi**2", {"x1", "xi"}),
+    ("abs(xi)**1.5 + pi", {"xi"}),
+    ("max(2.0, e)", set()),
+])
+def test_compiled_function_records_the_variables_it_names(source, used):
+    assert compile_expression(source, ("x1", "x2", "xi")).used == used
+
+
 def test_unary_and_arithmetic_operators():
     f = compile_expression("-x + 2*x - x/2 + x**2", ("x",))
     assert f(3.0) == pytest.approx(-3.0 + 6.0 - 1.5 + 9.0)

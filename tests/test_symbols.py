@@ -385,3 +385,65 @@ class TestLevyConservative:
 
     def test_constant_positive_kill_rate_is_not_conservative(self):
         assert not fk.levy_symbol(fk.LevyCharacteristics(kill=0.3, diffusion=1.0)).conservative
+
+
+def _levy_with(key, **chars):
+    return lambda v: fk.levy_symbol(fk.LevyCharacteristics(**{**chars, key: v}))
+
+
+# builder and coefficient -> (build from one value, the value in each of FORMS)
+COEFFICIENTS = {
+    "closed_form.re": (
+        fk.closed_form_symbol,
+        (1.0, "abs(xi)**1.5", "(1.25 + 0.5*sin(x))*abs(xi)**1.5",
+         lambda x, xi: np.abs(xi[..., 0]) ** 1.5),
+    ),
+    "closed_form.im": (
+        lambda v: fk.closed_form_symbol("xi**2", v),
+        (0.5, "xi", "sin(x)*xi", lambda x, xi: xi[..., 0]),
+    ),
+    "stable_like.alpha": (
+        lambda v: fk.stable_like_symbol(v, 1.2, 1.8),
+        (1.5, "1.2 + 0.3", "1.5 + 0.3*sin(x)", lambda x: 1.5 + 0.3 * np.sin(x[..., 0])),
+    ),
+    "levy.kill": (
+        _levy_with("kill", diffusion=1.0),
+        (0.3, "0.3", "0.1*x**2", lambda x: 0.1 * x[..., 0] ** 2),
+    ),
+    "levy.drift": (
+        _levy_with("drift", diffusion=1.0),
+        (0.5, "0.5", "sin(x)", lambda x: np.sin(x[..., 0])),
+    ),
+    "levy.diffusion": (
+        _levy_with("diffusion"),
+        (2.0, "2.0", "1 + 0.5*cos(x)", lambda x: 1 + 0.5 * np.cos(x[..., 0])),
+    ),
+    "levy.jump_density": (
+        _levy_with("jump_density", singularity_exponent=1.5, symmetric=True),
+        (0.0, "abs(z)**(-2.5)", "(1 + 0.5*sin(x))*abs(z)**(-2.5)",
+         lambda x, z: np.abs(z) ** -2.5),
+    ),
+    "subordinate.f": (
+        lambda v: fk.subordinate(fk.brownian(1), v),
+        (0.0, "s**0.5", "(1 + 0.5*sin(x))*s**0.5", lambda x, s: np.sqrt(s)),
+    ),
+}
+# each form of a coefficient, and whether a model built from it is x-dependent
+FORMS = [("number", False), ("expression", False), ("expression in x", True), ("callable", True)]
+
+
+@pytest.mark.parametrize("form", range(len(FORMS)), ids=[name for name, _ in FORMS])
+@pytest.mark.parametrize("coefficient", COEFFICIENTS)
+def test_state_dependence_is_read_off_the_coefficients(coefficient, form):
+    build, values = COEFFICIENTS[coefficient]
+    model = build(values[form])
+    assert model.x_dependent is FORMS[form][1]
+    assert fk.symmetrize(model).x_dependent is FORMS[form][1]
+
+
+@pytest.mark.parametrize("model", [
+    fk.brownian(2, drift=[0.5, 0.0]), fk.alpha_stable(1.5), fk.cauchy(3),
+    fk.compound_poisson(2.0, 0.3), fk.zero_symbol(),
+], ids=lambda m: m.name)
+def test_built_in_families_are_state_free(model):
+    assert not model.x_dependent
