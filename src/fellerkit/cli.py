@@ -7,7 +7,8 @@ Three subcommands share a JSON configuration:
         write report.json and curves.csv
 
     fellerkit simulate --config cfg.json [--out DIR] [--seed N]
-        sample an ensemble, write ensemble.flpe and report.json
+        sample an ensemble and write it to ensemble.flpe as it is
+        simulated, a chunk of grid times at a time, then report.json
 
     fellerkit validate --config cfg.json [--out DIR] [--seed N]
         simulate step by step, accumulating the empirical statistics
@@ -71,7 +72,7 @@ from .empirics import (
 )
 from .ensemble_io import write_ensemble
 from .errors import ConfigError, NumericalError
-from .simulate import _in_order, levy_steps, simulate_levy, simulate_stable_like, stable_like_steps
+from .simulate import _in_order, levy_steps, stable_like_steps
 
 THREADS_DEPRECATED = (
     "fellerkit: --threads is deprecated, has no effect and will be removed in the"
@@ -128,11 +129,10 @@ def _report_criteria(reports):
     return out
 
 
-def _simulation_from_config(model, cfg, seed, levy, stable_like):
-    """Call ``levy`` or ``stable_like`` (the simulate_* collectors or their
-    step sources, which share signatures) with the config's settings."""
+def _simulation_from_config(model, cfg, seed):
+    """The step source of the config's simulation."""
     sim = cfg["simulation"]
-    return (stable_like if model.kind == "stable_like" else levy)(
+    return (stable_like_steps if model.kind == "stable_like" else levy_steps)(
         model, sim["n_paths"], sim["t_max"], n_steps=sim.get("n_steps"), h_max=sim["h_max"],
         seed=seed, start=sim.get("start"),
     )
@@ -185,19 +185,19 @@ def cmd_analyze(cfg, out_dir: Path) -> dict:
 def cmd_simulate(cfg, out_dir: Path, seed: int) -> dict:
     model = build_model(cfg["symbol"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    ens = _simulation_from_config(model, cfg, seed, simulate_levy, simulate_stable_like)
-    digest = write_ensemble(out_dir / "ensemble.flpe", ens)
+    steps = _simulation_from_config(model, cfg, seed)
+    digest = write_ensemble(out_dir / "ensemble.flpe", steps)
     return {
         "command": "simulate",
         "model": {"name": model.name, "kind": model.kind, "dimension": model.dimension},
         "ensemble": {
             "file": "ensemble.flpe",
             "sha256": digest,
-            "n_paths": ens.n_paths,
-            "n_times": int(ens.positions.shape[1]),
-            "scheme": ens.scheme,
+            "n_paths": steps.n_paths,
+            "n_times": len(steps.time_grid),
+            "scheme": steps.scheme,
             "seed": seed,
-            "t_max": float(ens.time_grid[-1]),
+            "t_max": float(steps.time_grid[-1]),
         },
     }
 
@@ -219,7 +219,7 @@ def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
     model = build_model(cfg["symbol"])
     env = build_envelope_from_config(model, cfg["envelope"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    steps = _simulation_from_config(model, cfg, seed, levy_steps, stable_like_steps)
+    steps = _simulation_from_config(model, cfg, seed)
     val = cfg["validation"]
     n_sigma = float(val["n_sigma"])
 

@@ -13,10 +13,21 @@ files:
 The header carries the grid, start point, scheme, and seed lineage; the
 positions block length is fully determined by the header, and readers
 reject files whose size disagrees.
+
+:func:`write_ensemble` also takes the :class:`~fellerkit.simulate.PathSteps`
+of a simulation and writes it as it runs, so that memory follows one chunk
+of ``CHUNK_BYTES``, not the ensemble.  A chunk holds every path over a span
+of grid times; each path's piece of it goes to its own offset with a
+positioned write of at least ``PIECE_BYTES``, unless the path's whole row
+is shorter.  That makes at most file bytes / ``PIECE_BYTES`` + n_paths
+writes, and the chunk is never larger than the ensemble.  A file is
+complete or absent: it is written under a temporary name in the same
+directory and renamed into place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -33,40 +44,75 @@ MAGIC = b"FLPE"
 VERSION = 1
 #: bytes that file_checksum reads at a time
 CHECKSUM_BLOCK = 1 << 20
+#: bytes of positions that write_ensemble holds at once while it simulates
+CHUNK_BYTES = 1 << 24
+#: the fewest bytes of one path that write_ensemble writes in one call
+PIECE_BYTES = 1 << 12
 
 
-def _header_dict(ens) -> dict:
-    return {
-        "dimension": int(ens.positions.shape[2]),
-        "n_paths": int(ens.positions.shape[0]),
-        "n_times": int(ens.positions.shape[1]),
-        "scheme": ens.scheme,
-        "seed_lineage": ens.seed_lineage,
-        "start": np.asarray(ens.start, dtype=float).tolist(),
-        "time_grid": np.asarray(ens.time_grid, dtype=float).tolist(),
+def _header(source, n: int, m: int, d: int) -> bytes:
+    header = {
+        "dimension": int(d),
+        "n_paths": int(n),
+        "n_times": int(m),
+        "scheme": source.scheme,
+        "seed_lineage": source.seed_lineage,
+        "start": np.asarray(source.start, dtype=float).tolist(),
+        "time_grid": np.asarray(source.time_grid, dtype=float).tolist(),
         "version": VERSION,
     }
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def write_ensemble(path, ens) -> str:
-    """Write an ensemble; returns the sha256 hex digest of the file.
+def _span(n: int, m: int, d: int) -> int:
+    """Grid times in one chunk: ``CHUNK_BYTES`` of n paths, but pieces of
+    at least ``PIECE_BYTES`` and no more than the m grid times."""
+    per_time = 8 * d
+    return min(m, max(1, CHUNK_BYTES // (per_time * n), -(-PIECE_BYTES // per_time)))
 
-    The positions are written and hashed straight from the array's buffer,
-    without a bytes copy.
+
+def _pwrite(fd: int, data: np.ndarray, offset: int) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+
+
+def write_ensemble(path, source) -> str:
+    """Write a :class:`PathEnsemble`, or the ensemble a ``PathSteps``
+    simulates, and return the sha256 hex digest of the file.
+
+    The positions go from the array's buffer (or the steps' chunks) to the
+    file without a bytes copy; a chunk that spans every grid time is
+    written in one call.  On any error the temporary file is removed and
+    ``path`` is left as it was.
     """
-    header = json.dumps(
-        _header_dict(ens), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    positions = np.ascontiguousarray(ens.positions, dtype="<f8")
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for part in (
-            MAGIC + struct.pack("<II", VERSION, len(header)) + header,
-            positions.reshape(-1).view(np.uint8),
-        ):
-            fh.write(part)
-            digest.update(part)
-    return digest.hexdigest()
+    if isinstance(source, PathEnsemble):
+        n, m, d = source.positions.shape
+        chunks = contextlib.nullcontext([(0, source.positions)])
+    else:
+        n, m, d = source.n_paths, len(source.time_grid), source.dimension
+        chunks = contextlib.closing(source.chunks(_span(n, m, d)))
+    header = _header(source, n, m, d)
+    prefix = MAGIC + struct.pack("<II", VERSION, len(header)) + header
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with chunks as pieces, open(tmp, "wb") as fh:
+            fh.write(prefix)
+            fh.flush()
+            for j, chunk in pieces:
+                if chunk.shape[1] == m:
+                    fh.write(np.ascontiguousarray(chunk, dtype="<f8").reshape(-1).view(np.uint8))
+                    continue
+                for i, row in enumerate(chunk):
+                    offset = len(prefix) + 8 * d * (i * m + j)
+                    _pwrite(fh.fileno(), np.ascontiguousarray(row, dtype="<f8"), offset)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+    return file_checksum(path)
 
 
 def read_ensemble(path) -> PathEnsemble:

@@ -155,31 +155,64 @@ def sample_positive_stable(gamma, size, rng: np.random.Generator) -> np.ndarray:
                    * sin((1 - gamma) theta) / sin(theta) ** (1 / (1 - gamma)).
     """
     theta = rng.uniform(0.0, np.pi, size)
-    return _positive_stable(gamma, theta, rng.exponential(1.0, size))
+    return _positive_stable(gamma, theta, rng.exponential(1.0, size), _Scratch())
 
 
-def _positive_stable(gamma, theta, w) -> np.ndarray:
+class _Scratch(threading.local):
+    """Arrays that each thread reuses from one block of steps to the next:
+    a step source keeps one, a one-off draw takes a new one.
+
+    ``scratch(name, shape)`` is a C-ordered array of ``shape``, a view of
+    the calling thread's array ``name``, which is reallocated only to
+    grow.  Allocating the transforms' temporaries afresh for every
+    block makes glibc trim and regrow the heap, a page fault per page.
+    """
+
+    def __init__(self):
+        self.arrays = {}
+
+    def __call__(self, name, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.arrays.get(name)
+        if buf is None or buf.size < size:
+            buf = self.arrays[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _positive_stable(gamma, theta, w, scratch: _Scratch) -> np.ndarray:
     """The Kanter formula of :func:`sample_positive_stable` on drawn theta
-    and W."""
+    and W.  The result is one of ``scratch``'s arrays.
+
+    Every ufunc writes an array that none of its operands shares: numpy may
+    take another loop, with other bits, for a call that works in place.
+    """
     g = np.broadcast_to(np.asarray(gamma, dtype=float), theta.shape)
     if np.any(g <= 0.0) or np.any(g >= 1.0):
         raise ConfigError("positive stable index must lie in (0, 1)")
-    sin_t = np.sin(theta)
-    a = (
-        np.sin(g * theta) ** (g / (1.0 - g))
-        * np.sin((1.0 - g) * theta)
-        / sin_t ** (1.0 / (1.0 - g))
-    )
-    return (a / w) ** ((1.0 - g) / g)
+    x, y, u, v = (scratch(f"kanter{i}", theta.shape) for i in range(4))
+    # sin(g theta) ** (g / (1 - g)) * sin((1 - g) theta) into x
+    np.sin(np.multiply(g, theta, out=x), out=y)
+    np.power(y, np.divide(g, np.subtract(1.0, g, out=x), out=u), out=v)
+    np.sin(np.multiply(np.subtract(1.0, g, out=x), theta, out=y), out=u)
+    np.multiply(v, u, out=x)
+    # / sin(theta) ** (1 / (1 - g)), then / W, into x
+    np.divide(1.0, np.subtract(1.0, g, out=u), out=v)
+    np.divide(x, np.power(np.sin(theta, out=y), v, out=u), out=y)
+    np.divide(y, w, out=x)
+    # ** ((1 - g) / g)
+    np.divide(np.subtract(1.0, g, out=y), g, out=u)
+    return np.power(x, u, out=v)
 
 
-def _isotropic_stable_increments(alpha, h, n, d, rngs) -> np.ndarray:
+def _isotropic_stable_increments(alpha, h, n, d, rngs, scratch: _Scratch) -> np.ndarray:
     """Increments of the isotropic stable process, char fn
     exp(-h |xi| ** alpha), over the steps whose streams are ``rngs``:
-    shape (len(rngs), n, d).  alpha is a scalar or one order per path.
+    shape (len(rngs), n, d), a new array.  alpha is a scalar or one order
+    per path.
 
     Each step draws from its own stream, in the order a single step
     draws (z, then theta and W); the formulas then run once on the block.
+    In d >= 2 the draws and temporaries are ``scratch``'s arrays.
     """
     a = np.asarray(alpha, dtype=float)
     # a constant order's scale is computed once, on a length-1 array: numpy's
@@ -193,19 +226,24 @@ def _isotropic_stable_increments(alpha, h, n, d, rngs) -> np.ndarray:
     # subordinated normal: sqrt(2 A) Z has char fn exp(-|xi| ** alpha) when A
     # is positive stable of index alpha / 2; a step with no such path draws
     # only Z
-    sub = a < 2.0 - 1e-12
-    z, theta, w = [], [], []
-    for rng, m in zip(rngs, sub.sum(axis=1).tolist()):
-        z.append(rng.standard_normal((n, d)))
+    sub = np.less(a, 2.0 - 1e-12, out=scratch("sub", a.shape, bool))
+    z = scratch("z", (len(rngs), n, d))
+    theta, w = scratch("theta", (a.size,)), scratch("w", (a.size,))
+    j = 0  # theta and W of the sub paths, packed in step order
+    for rng, z_k, m in zip(rngs, z, sub.sum(axis=1).tolist()):
+        rng.standard_normal(out=z_k)
         if m:
-            theta.append(rng.uniform(0.0, np.pi, m))
-            w.append(rng.exponential(1.0, m))
-    amp = np.full(a.shape, np.sqrt(2.0))
-    if theta:
-        amp[sub] = np.sqrt(
-            2.0 * _positive_stable(a[sub] / 2.0, np.concatenate(theta), np.concatenate(w))
-        )
-    return (scale * amp)[..., None] * np.array(z)
+            # uniform(0, pi) and exponential(1) draw these bits
+            rng.random(out=theta[j : j + m])
+            rng.standard_exponential(out=w[j : j + m])
+            j += m
+    amp = scratch("amp", a.shape)
+    amp.fill(np.sqrt(2.0))
+    if j:
+        theta = np.multiply(theta[:j], np.pi, out=theta[:j])
+        stable = _positive_stable(a[sub] / 2.0, theta, w[:j], scratch)
+        amp[sub] = np.sqrt(np.multiply(2.0, stable, out=theta), out=w[:j])
+    return np.multiply(np.multiply(scale, amp, out=amp)[..., None], z)
 
 
 # the most steps whose float64 grid numpy can allocate
@@ -222,6 +260,8 @@ def _resolve_grid(t_max: float, n_steps: int | None, h_max: float | None):
         if h_max == math.inf:
             raise ConfigError("give n_steps or a positive h_max that is finite")
         n_steps = np.ceil(t_max / h_max)  # inf when the ratio overflows
+    elif isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        raise ConfigError(f"n_steps must be an integer, got {n_steps!r}")
     if not 1 <= n_steps <= MAX_STEPS:
         raise ConfigError(f"need at least one step and at most {MAX_STEPS}, got {n_steps}")
     n_steps = int(n_steps)
@@ -376,12 +416,39 @@ class PathSteps:
         for k0, block in self._blocks():
             yield from enumerate(block, k0 + 1)
 
+    def chunks(self, span: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Run the simulation and yield it path-major, ``span`` grid times
+        at a time: ``(j, P)`` where ``P[i, s]`` is X_{j + s} on path i.
+
+        P has shape (n_paths, span, dimension); the last chunk is shorter
+        when span does not divide the grid.  Every chunk is one reused
+        array, which the next chunk overwrites.  Whole step blocks are
+        copied into it, transposed, and a block that reaches past its end
+        goes on in the next chunk.
+        """
+        width = min(span, len(self.time_grid))
+        buf = np.empty((self.n_paths, width, self.dimension))
+        buf[:, 0, :] = self.start
+        # the copies move whole points, one item of 8 * dimension bytes
+        # each, several times faster than coordinate by coordinate
+        point = np.dtype((np.void, buf.itemsize * self.dimension))
+        points = buf.view(point)[..., 0]
+        j, fill = 0, 1  # buf holds X_j, ..., X_{j + fill - 1}
+        for _, block in self._blocks():
+            block = np.ascontiguousarray(block).view(point)[..., 0]
+            while len(block):
+                if fill == width:
+                    yield j, buf
+                    j, fill = j + width, 0
+                take = min(len(block), width - fill)
+                np.copyto(points[:, fill : fill + take], block[:take].T)
+                block, fill = block[take:], fill + take
+        yield j, buf[:, :fill]
+
     def collect(self) -> PathEnsemble:
-        """Run the simulation and keep every step."""
-        positions = np.empty((self.n_paths, len(self.time_grid), self.dimension))
-        positions[:, 0, :] = self.start
-        for k0, block in self._blocks():
-            positions[:, k0 + 1 : k0 + 1 + len(block), :] = block.transpose(1, 0, 2)
+        """Run the simulation and keep every step: :meth:`chunks` with one
+        chunk."""
+        ((_, positions),) = self.chunks(len(self.time_grid))
         return PathEnsemble(
             positions=positions,
             time_grid=self.time_grid,
@@ -416,6 +483,7 @@ def levy_steps(
     if family not in _EXACT_FAMILIES:
         raise ConfigError(f"no exact sampler for family '{family}'")
     drift = data.get("drift")
+    scratch = _Scratch()
 
     def increments(k0: int, k1: int, _x) -> np.ndarray:
         def streams(purpose):
@@ -426,7 +494,9 @@ def levy_steps(
                 streams(_STREAM_MAIN), lambda rng: rng.standard_normal((n_paths, d))
             )
         elif family == "alpha_stable":
-            inc = _isotropic_stable_increments(data["alpha"], h, n_paths, d, streams(_STREAM_MAIN))
+            inc = _isotropic_stable_increments(
+                data["alpha"], h, n_paths, d, streams(_STREAM_MAIN), scratch
+            )
         elif family == "compound_poisson":
             rate_h = data["rate"] * h
             counts = _per_step(streams(_STREAM_COUNTS), lambda rng: rng.poisson(rate_h, n_paths))
@@ -490,10 +560,12 @@ def stable_like_steps(
     d = model.dimension
     n_paths = _check_n_paths(n_paths)
     grid, h, n_steps = _resolve_grid(t_max, n_steps, h_max)
+    scratch = _Scratch()
 
     def increments(k: int, _k1: int, current: np.ndarray) -> np.ndarray:
         a = np.asarray(spec.alpha(current), dtype=float)
-        return _isotropic_stable_increments(a, h, n_paths, d, [_step_rng(seed, _STREAM_MAIN, k)])
+        rngs = [_step_rng(seed, _STREAM_MAIN, k)]
+        return _isotropic_stable_increments(a, h, n_paths, d, rngs, scratch)
 
     return PathSteps(
         time_grid=grid,

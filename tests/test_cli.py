@@ -210,6 +210,51 @@ class TestSimulate:
         assert shas[0] == shas[1]
         assert shas[0] != shas[2]
 
+    def test_a_failed_run_leaves_no_partial_file(self, sim_cfg, tmp_path, monkeypatch, capsys):
+        """An ensemble.flpe from an earlier run stays as it was, and the
+        temporary file the failed run had written chunks to is gone."""
+        out = tmp_path / "outsim"
+        out.mkdir()
+        (out / "ensemble.flpe").write_bytes(b"earlier run")
+        blocks = fk.simulate.PathSteps._blocks
+
+        def fails_midway(self):
+            for k0, block in blocks(self):
+                if k0 >= 30:
+                    raise RuntimeError("sampler failed")
+                yield k0, block
+
+        # chunks of 4 grid times, so several reach the file before the failure
+        monkeypatch.setattr(fk.ensemble_io, "CHUNK_BYTES", 4 * 8 * 50)
+        monkeypatch.setattr(fk.ensemble_io, "PIECE_BYTES", 8)
+        monkeypatch.setattr(fk.simulate.PathSteps, "_blocks", fails_midway)
+        assert cli.main(["simulate", "--config", sim_cfg, "--out", str(out)]) == 3
+        assert "error: RuntimeError: sampler failed" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["ensemble.flpe"]
+        assert (out / "ensemble.flpe").read_bytes() == b"earlier run"
+        (out / "ensemble.flpe").unlink()
+        assert cli.main(["simulate", "--config", sim_cfg, "--out", str(out)]) == 3
+        assert list(out.iterdir()) == []
+
+    def test_memory_follows_the_chunk_not_the_ensemble(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, "big.json", {
+            "symbol": {"type": "brownian"},
+            "simulation": {"n_paths": 1000, "t_max": 1.0, "n_steps": 4300},
+        })
+        positions_nbytes = 1000 * 4301 * 8
+        assert positions_nbytes >= 32 << 20
+        monkeypatch.setattr(fk.ensemble_io, "CHUNK_BYTES", 4 << 20)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < positions_nbytes / 4
+        assert (out / "ensemble.flpe").stat().st_size > positions_nbytes
+
 
 class TestValidate:
     def test_full_validation_report(self, tmp_path):

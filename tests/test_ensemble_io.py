@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import fellerkit as fk
+import fellerkit.ensemble_io as eio
+import fellerkit.simulate as sim
 from fellerkit import ConfigError
 
 
@@ -139,3 +141,85 @@ def test_csv_export_dimension_two_columns(tmp_path):
     header = out.read_text().split("\n", 1)[0]
     assert header.startswith("t,path0_c0,path0_c1,path1_c0,path1_c1")
     assert header.count(",") == 10  # t plus 5 paths x 2 components
+
+
+STREAM_CASES = {
+    "d1": lambda: sim.levy_steps(fk.alpha_stable(1.3), 5, 1.0, 11, seed=2, start=0.2),
+    "d2": lambda: sim.levy_steps(fk.alpha_stable(0.8, 2), 5, 1.0, 11, seed=2, start=[0.5, -1.0]),
+    "d3": lambda: sim.levy_steps(fk.alpha_stable(1.5, 3), 5, 1.0, 11, seed=2),
+    "stable_like": lambda: sim.stable_like_steps(
+        fk.stable_like_symbol("1.5 + 0.3*sin(x)", 1.2, 1.8), 5, 0.05, n_steps=11, seed=3
+    ),
+    "compound_poisson": lambda: sim.levy_steps(fk.compound_poisson(3.0, 0.2, 0.5), 5, 1.0, 11),
+    "drift": lambda: sim.levy_steps(fk.alpha_stable(1.2, 2, drift=[1.0, -0.5]), 5, 1.0, 11),
+    "one_path": lambda: sim.levy_steps(fk.alpha_stable(1.5, 2), 1, 1.0, 11, seed=4),
+}
+
+
+class TestStreamedWrite:
+    """write_ensemble on a PathSteps simulates as it writes; the file must
+    be the bytes of the collected ensemble for every chunk shape."""
+
+    @staticmethod
+    def chunked(monkeypatch, span, n, d, piece_bytes=8):
+        """Set the chunk constants so that write_ensemble takes ``span``;
+        returns the list its positioned writes are recorded in.  Blocks of
+        three steps on two workers end inside chunks of four and five grid
+        times."""
+        monkeypatch.setattr(sim, "_worker_count", lambda: 2)
+        monkeypatch.setattr(sim, "BLOCK_ELEMENTS", 3 * n * d)
+        monkeypatch.setattr(eio, "CHUNK_BYTES", 8 * d * n * span)
+        monkeypatch.setattr(eio, "PIECE_BYTES", piece_bytes)
+        writes = []
+        pwrite = eio.os.pwrite
+
+        def recorded(fd, data, offset):
+            writes.append(offset)
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(eio.os, "pwrite", recorded)
+        return writes
+
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    @pytest.mark.parametrize("span, n_chunks", [(12, 1), (40, 1), (4, 3), (5, 3), (1, 12)])
+    def test_streamed_file_is_the_collected_one(self, case, span, n_chunks, tmp_path, monkeypatch):
+        steps = STREAM_CASES[case]()
+        n, m, d = steps.n_paths, len(steps.time_grid), steps.dimension
+        assert m == 12
+        writes = self.chunked(monkeypatch, span, n, d)
+        assert eio._span(n, m, d) == min(span, m)
+        digest = fk.write_ensemble(tmp_path / "streamed.flpe", steps)
+        # one chunk is one write; more are one positioned write per path each
+        assert len(writes) == (0 if n_chunks == 1 else n * n_chunks)
+
+        positions = steps.collect().positions
+        assert fk.write_ensemble(tmp_path / "collected.flpe", steps.collect()) == digest
+        blob = (tmp_path / "streamed.flpe").read_bytes()
+        assert blob == (tmp_path / "collected.flpe").read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        prefix = blob[: 12 + header_len]
+        assert digest == hashlib.sha256(prefix + positions.astype("<f8").tobytes()).hexdigest()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["collected.flpe", "streamed.flpe"]
+
+    def test_pieces_are_at_least_piece_bytes(self, tmp_path, monkeypatch):
+        """A chunk budget below one piece per path is raised to it: three
+        grid times of 2 x 8 bytes, so 12 times need 4 writes a path."""
+        steps = STREAM_CASES["d2"]()
+        writes = self.chunked(monkeypatch, 1, 5, 2, piece_bytes=3 * 16 - 1)
+        assert eio._span(5, 12, 2) == 3
+        fk.write_ensemble(tmp_path / "paths.flpe", steps)
+        assert len(writes) == 5 * 4
+        assert fk.read_ensemble(tmp_path / "paths.flpe").positions.tobytes() == (
+            steps.collect().positions.tobytes()
+        )
+
+    def test_default_span_of_a_large_ensemble(self):
+        """4000 paths in d = 2 over 2001 grid times: 16 MiB chunks of 262
+        grid times, 4192-byte pieces, 8 chunks."""
+        span = eio._span(4000, 2001, 2)
+        assert span == 262
+        assert 4000 * span * 16 <= eio.CHUNK_BYTES < 4000 * (span + 1) * 16
+        assert span * 16 >= eio.PIECE_BYTES
+        # a row shorter than one piece is one chunk; the chunk is never
+        # larger than the ensemble
+        assert eio._span(10**6, 100, 1) == 100

@@ -288,6 +288,27 @@ class TestBlockSampler:
             [x for _, x in first], axis=1
         ).tobytes()
 
+    @pytest.mark.parametrize("span", [1, 4, 5, 24, 100])
+    def test_chunks_are_the_collected_positions(self, pool, span):
+        """Path-major chunks of span grid times, one reused array, from
+        blocks of three steps that straddle the chunk ends."""
+        pool(2, 3 * 7 * 2)
+        steps = sim.levy_steps(fk.alpha_stable(1.2, 2), 7, 1.0, 23, seed=5, start=0.5)
+        whole = steps.collect().positions
+        seen, first = [], None
+        for j, chunk in steps.chunks(span):
+            first = chunk if first is None else first
+            assert np.shares_memory(chunk, first)
+            assert chunk.tobytes() == whole[:, j : j + chunk.shape[1]].tobytes()
+            seen.append((j, chunk.shape[1]))
+        assert seen == [(j, min(span, 24 - j)) for j in range(0, 24, span)]
+
+    def test_closing_the_chunks_ends_the_pool(self, pool):
+        pool(2, 8)
+        chunks = sim.levy_steps(fk.brownian(2), 4, 1.0, 400, seed=1).chunks(3)
+        assert next(chunks)[0] == 0
+        chunks.close()
+
     def test_an_early_stop_ends_the_pool(self, pool):
         """Stopping at exit_frequency's last needed step leaves no thread,
         and the pool ran at most workers + 1 blocks ahead."""
@@ -680,6 +701,22 @@ class TestTimeGrid:
     ])
     def test_start_forms(self, start, point):
         assert sim.levy_steps(fk.brownian(2), 4, 1.0, 4, start=start).start.tolist() == point
+
+    @pytest.mark.parametrize("n_steps", [2.5, 2.0, np.float64(3.0), True, False, "3"])
+    def test_step_count_must_be_an_integer(self, n_steps):
+        mx = fk.stable_like_symbol("1.5 + 0.3*sin(x)", 1.2, 1.8)
+        message = f"^n_steps must be an integer, got {re.escape(repr(n_steps))}$"
+        with pytest.raises(ConfigError, match=message):
+            sim._resolve_grid(1.0, n_steps, None)
+        with pytest.raises(ConfigError, match=message):
+            sim.levy_steps(fk.brownian(1), 4, 1.0, n_steps)
+        with pytest.raises(ConfigError, match=message):
+            sim.stable_like_steps(mx, 4, 1.0, n_steps=n_steps)
+
+    def test_numpy_step_count_is_accepted(self):
+        grid, h, n_steps = sim._resolve_grid(1.0, np.int64(4), None)
+        assert type(n_steps) is int and n_steps == 4
+        assert grid.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0] and h == 0.25
 
     def test_numpy_path_count_is_accepted(self):
         steps = sim.levy_steps(fk.brownian(1), np.int64(3), 1.0, 4)
