@@ -113,7 +113,7 @@ def _per_step(rngs, draw) -> np.ndarray:
     return np.array([draw(rng) for rng in rngs])
 
 
-def sample_stable(alpha, size, rng: np.random.Generator) -> np.ndarray:
+def sample_stable(alpha, size, rng: np.random.Generator) -> np.ndarray | float:
     """Symmetric stable variates with characteristic function
     exp(-|xi| ** alpha).
 
@@ -127,7 +127,11 @@ def sample_stable(alpha, size, rng: np.random.Generator) -> np.ndarray:
     The formula is continuous in alpha; at alpha = 2 it reduces to
     2 sin(phi) sqrt(W), a normal with variance 2, and at alpha = 1 to
     tan(phi), a standard Cauchy.
+
+    ``size=None`` gives one draw as a float, as numpy's samplers do.
     """
+    if size is None:
+        return float(sample_stable(alpha, 1, rng)[0])
     phi = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     return _stable(alpha, phi, rng.exponential(1.0, size))
 
@@ -145,7 +149,7 @@ def _stable(alpha, phi, w) -> np.ndarray:
     return s * tail
 
 
-def sample_positive_stable(gamma, size, rng: np.random.Generator) -> np.ndarray:
+def sample_positive_stable(gamma, size, rng: np.random.Generator) -> np.ndarray | float:
     """Positive stable variates with Laplace transform exp(-lambda ** gamma),
     gamma in (0, 1), via the Kanter representation: with theta uniform on
     (0, pi) and W unit exponential,
@@ -153,7 +157,11 @@ def sample_positive_stable(gamma, size, rng: np.random.Generator) -> np.ndarray:
         A = (a(theta) / W) ** ((1 - gamma) / gamma),
         a(theta) = sin(gamma theta) ** (gamma / (1 - gamma))
                    * sin((1 - gamma) theta) / sin(theta) ** (1 / (1 - gamma)).
+
+    ``size=None`` gives one draw as a float, as numpy's samplers do.
     """
+    if size is None:
+        return float(sample_positive_stable(gamma, 1, rng)[0])
     theta = rng.uniform(0.0, np.pi, size)
     return _positive_stable(gamma, theta, rng.exponential(1.0, size), _Scratch())
 

@@ -705,12 +705,12 @@ class TestValidateStreams:
             verdict = verdict if row["ok"] else "fails"
         assert occ["verdict"] == verdict
 
-    def test_memory_does_not_grow_with_the_path_array(self, tmp_path):
+    def test_memory_does_not_grow_with_the_path_array(self, tmp_path, monkeypatch):
         simulation = {"n_paths": 2000, "t_max": 16.0, "n_steps": 2048}
         cfg = validate_cfg(tmp_path, {"type": "brownian"}, simulation, self.VALIDATION)
         positions_nbytes = 2000 * 2049 * 8
-        # the bump constant's transform blocks are its own, not the stream's
-        fk.bump_constant(1)
+        # a cold bump constant, computed inside the traced run
+        monkeypatch.setattr(fk.criteria, "_BUMP_CACHE", {})
         tracemalloc.start()
         try:
             rc = cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -8,12 +8,20 @@ envelope at radius 1 is 256/pi.  The local-time integral for the
 1.5-stable envelope was computed independently and frozen.
 """
 
+import inspect
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fellerkit as fk
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # 161 heat times, 1e-4 ... 1e4, twenty to a decade
 HEAT_TIMES = [10.0 ** ((k - 80) / 20.0) for k in range(161)]
@@ -375,6 +383,13 @@ def test_radius_must_be_finite_and_positive(criterion, radius):
         criterion(env, radius)
 
 
+def squared_bump(r):
+    r = np.asarray(r, dtype=float)
+    inside = np.abs(r) < 1.0
+    safe = np.where(inside, r, 0.0)
+    return np.where(inside, np.exp(2.0 - 2.0 / (1.0 - safe * safe)), 0.0)
+
+
 class TestBumpConstant:
     def test_frozen_values_by_dimension(self):
         assert fk.bump_constant(1) == pytest.approx(32.42340930521713, rel=1e-12)
@@ -387,12 +402,6 @@ class TestBumpConstant:
         assert fk.bump_constant(1) == pytest.approx(32.424472640814166, rel=2e-4)
 
     def test_custom_smooth_profile(self):
-        def squared_bump(r):
-            r = np.asarray(r, dtype=float)
-            inside = np.abs(r) < 1.0
-            safe = np.where(inside, r, 0.0)
-            return np.where(inside, np.exp(2.0 - 2.0 / (1.0 - safe * safe)), 0.0)
-
         c = fk.bump_constant(1, squared_bump)
         assert c == pytest.approx(17.033922247023874, rel=1e-12)
 
@@ -403,6 +412,103 @@ class TestBumpConstant:
             fk.bump_constant(1, lambda r: 1.0 - 2.0 * np.asarray(r))
         with pytest.raises(fk.ConfigError, match="decay to 0 at the unit sphere"):
             fk.bump_constant(1, lambda r: np.ones_like(np.asarray(r, dtype=float)))
+
+    # a NaN fails every comparison, so each check must be one that NaN fails
+    def test_nan_at_the_origin_rejected(self):
+        def profile(r):
+            r = np.asarray(r, dtype=float)
+            return np.where(r == 0.0, np.nan, fk.criteria._default_bump(r))
+
+        with pytest.raises(fk.ConfigError, match=r"u\(0\) = 1"):
+            fk.bump_constant(1, profile)
+
+    def test_nan_inside_the_ball_rejected(self):
+        def profile(r):
+            r = np.asarray(r, dtype=float)
+            return np.where((r > 0.3) & (r < 0.5), np.nan, fk.criteria._default_bump(r))
+
+        with pytest.raises(fk.ConfigError, match=r"values in \[0, 1\]"):
+            fk.bump_constant(1, profile)
+
+    def test_nan_at_the_unit_sphere_rejected(self):
+        # NaN only past the value probe's last point, 0.999
+        def profile(r):
+            r = np.asarray(r, dtype=float)
+            return np.where(r > 0.9992, np.nan, fk.criteria._default_bump(r))
+
+        with pytest.raises(fk.ConfigError, match="decay to 0 at the unit sphere"):
+            fk.bump_constant(1, profile)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cold_constant_peaks_below_two_megabytes(self, d, monkeypatch):
+        from scipy import special  # noqa: F401  (the J0 import is not the transform's memory)
+
+        monkeypatch.setattr(fk.criteria, "_BUMP_CACHE", {})
+        tracemalloc.start()
+        try:
+            fk.bump_constant(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+
+    def test_bit_identical_across_blas_kernels(self):
+        # neither the Legendre rule nor the transform goes through LAPACK or
+        # BLAS, so the OpenBLAS kernel cannot move a bit of any constant
+        probe = inspect.getsource(squared_bump) + (
+            "import fellerkit as fk\n"
+            "print(repr([fk.bump_constant(1), fk.bump_constant(2), fk.bump_constant(3),"
+            " fk.bump_constant(1, squared_bump)]))\n"
+        )
+        children = {
+            core: subprocess.Popen(
+                [sys.executable, "-c", "import numpy as np\n" + probe],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_CORETYPE": core,
+                     "OPENBLAS_NUM_THREADS": "1"},
+            )
+            for core in ("SkylakeX", "Haswell", "Prescott")
+        }
+        outputs = {core: child.communicate(timeout=120) for core, child in children.items()}
+        for core, child in children.items():
+            assert child.returncode == 0, outputs[core][1]
+        seen = {core: out.splitlines()[-1] for core, (out, _) in outputs.items()}
+        assert len(set(seen.values())) == 1, seen
+
+
+class TestGaussLegendre:
+    """The 1024-point rule behind bump_constant against mpmath.
+
+    References are at 40 digits: Newton on the three-term recurrence at 50
+    digits, confirmed with mpmath.legendre and findroot.  Row k holds the
+    k-th largest node x_k and its weight; the rule's ascending index of
+    -x_k is k, of x_k its mirror 1023 - k.  (numpy's LAPACK-based leggauss
+    is off by 1.2e-9 in the weight at k = 0 and by 4e-13 at k = 100.)
+    """
+
+    REFERENCE = {
+        0: ("0.9999972450545584403516182061830499337427",
+            "7.070076410182589871295805175639999432512e-6"),
+        1: ("0.999985484385028444767591359765281266446",
+            "1.645772757989686810680579875671040848569e-5"),
+        5: ("0.9998444384611711916084366922555314286462",
+            "5.406568289394000719879177977020036001277e-5"),
+        100: ("0.9526543752489854069548347399613488481459",
+              "9.323735951391753507612280656836636620585e-4"),
+        511: ("0.001533231356062638406538745576978832626034",
+              "3.066460309243908211551278492051043539111e-3"),
+    }
+
+    def test_nodes_and_weights_match_mpmath(self):
+        nodes, weights = fk.criteria._gauss_legendre(1024)
+        assert nodes.shape == weights.shape == (1024,)
+        for k, (x_ref, w_ref) in self.REFERENCE.items():
+            x_ref, w_ref = float(x_ref), float(w_ref)
+            # leggauss's own error at the outermost weights, 1.2e-9, sets their bound
+            w_rel = 2e-9 if k < 5 else 1e-12
+            for i, sign in ((k, -1.0), (1023 - k, 1.0)):
+                assert abs(nodes[i] - sign * x_ref) <= 2 * np.spacing(x_ref), (i, nodes[i])
+                assert weights[i] == pytest.approx(w_ref, rel=w_rel), i
 
     def test_dimension_guard(self):
         with pytest.raises(fk.ConfigError, match="dimensions 1 to 3"):

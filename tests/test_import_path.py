@@ -1,12 +1,14 @@
-"""scipy stays off the import path of the command-line tool.
+"""scipy and numpy.polynomial stay off the import path of the
+command-line tool.
 
 Closed-form and stable-like symbols are evaluated with numpy alone, so
 neither importing ``fellerkit.cli`` nor running ``analyze``, ``validate`` or
 ``simulate`` on such a model may load scipy, which would triple start-up
-time.  Each check runs in a fresh interpreter, because the test process
-itself has scipy loaded by other test modules.  That the lazily imported
-scipy routines still work is shown by the ``levy`` symbol tests and the
-``stable_like_constant`` tests.
+time.  The bump constant of ``validate``'s exit rows builds its own
+Legendre rule, so numpy.polynomial stays unloaded too.  Each check runs in
+a fresh interpreter, because the test process itself has scipy loaded by
+other test modules.  That the lazily imported scipy routines still work is
+shown by the ``levy`` symbol tests and the ``stable_like_constant`` tests.
 """
 
 import json
@@ -64,16 +66,17 @@ PROBE = """
 import json, sys
 from pathlib import Path
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def heavy_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
 
 import fellerkit.cli
-seen = {"import fellerkit.cli": (0, scipy_modules())}
+seen = {"import fellerkit.cli": (0, heavy_modules())}
 work = Path(sys.argv[1])
 for name, (command, _) in json.loads((work / "configs.json").read_text()).items():
     rc = fellerkit.cli.main([command, "--config", str(work / (name + ".json")),
                              "--out", str(work / name)])
-    seen[name] = (rc, scipy_modules())
+    seen[name] = (rc, heavy_modules())
 print(json.dumps(seen))
 """
 

@@ -167,6 +167,15 @@ class TestStableSamplers:
             z = abs(emp.mean() - math.exp(-(u ** 0.6))) / se
             assert z < 3.0  # recorded worst 0.42
 
+    @pytest.mark.parametrize(
+        "sampler, index", [(fk.sample_stable, 1.5), (fk.sample_positive_stable, 0.5)]
+    )
+    def test_size_none_gives_one_float(self, sampler, index):
+        # as numpy's samplers: the size-1 draw of the same seed, as a float
+        one = sampler(index, None, np.random.default_rng(11))
+        assert type(one) is float
+        assert one == sampler(index, 1, np.random.default_rng(11))[0]
+
     def test_index_guards(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError, match=re.escape("stable index must lie in (0, 2]")):
