@@ -28,7 +28,6 @@ directory and renamed into place.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import struct
@@ -151,6 +150,8 @@ def read_ensemble(path) -> PathEnsemble:
 
 def file_checksum(path) -> str:
     """sha256 hex digest of a file, read through one fixed-size block."""
+    import hashlib  # here, not at import: it loads OpenSSL, 3.6 MB that analyze never uses
+
     digest = hashlib.sha256()
     block = bytearray(CHECKSUM_BLOCK)
     view = memoryview(block)

@@ -30,7 +30,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.random  # loaded with the package, not on the first draw
 
 from .errors import ConfigError
 from .symbols import SymbolModel
@@ -132,15 +131,21 @@ def sample_stable(alpha, size, rng: np.random.Generator) -> np.ndarray | float:
     """
     if size is None:
         return float(sample_stable(alpha, 1, rng)[0])
+    _check_stable_index(np.asarray(alpha, dtype=float))
     phi = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     return _stable(alpha, phi, rng.exponential(1.0, size))
 
 
-def _stable(alpha, phi, w) -> np.ndarray:
-    """The polar formula of :func:`sample_stable` on drawn phi and W."""
-    a = np.broadcast_to(np.asarray(alpha, dtype=float), phi.shape)
-    if np.any(a <= 0.0) or np.any(a > 2.0):
+def _check_stable_index(a: np.ndarray) -> None:
+    # negated so that a NaN fails it
+    if not np.all((a > 0.0) & (a <= 2.0)):
         raise ConfigError("stable index must lie in (0, 2]")
+
+
+def _stable(alpha, phi, w) -> np.ndarray:
+    """The polar formula of :func:`sample_stable` on drawn phi and W, for
+    orders already checked."""
+    a = np.broadcast_to(np.asarray(alpha, dtype=float), phi.shape)
     cos_phi = np.cos(phi)
     s = np.sin(a * phi) / cos_phi ** (1.0 / a)
     exponent = (1.0 - a) / a
@@ -195,7 +200,7 @@ def _positive_stable(gamma, theta, w, scratch: _Scratch) -> np.ndarray:
     take another loop, with other bits, for a call that works in place.
     """
     g = np.broadcast_to(np.asarray(gamma, dtype=float), theta.shape)
-    if np.any(g <= 0.0) or np.any(g >= 1.0):
+    if not np.all((g > 0.0) & (g < 1.0)):  # negated so that a NaN fails it
         raise ConfigError("positive stable index must lie in (0, 1)")
     x, y, u, v = (scratch(f"kanter{i}", theta.shape) for i in range(4))
     # sin(g theta) ** (g / (1 - g)) * sin((1 - g) theta) into x
@@ -223,6 +228,7 @@ def _isotropic_stable_increments(alpha, h, n, d, rngs, scratch: _Scratch) -> np.
     In d >= 2 the draws and temporaries are ``scratch``'s arrays.
     """
     a = np.asarray(alpha, dtype=float)
+    _check_stable_index(a)
     # a constant order's scale is computed once, on a length-1 array: numpy's
     # array power, unlike Python's scalar **, gives the per-path bits
     scale = h ** (1.0 / (a.reshape(1) if a.ndim == 0 else a))
@@ -480,6 +486,8 @@ def levy_steps(
     start=None,
 ) -> PathSteps:
     """Step source of :func:`simulate_levy`; the arguments are the same."""
+    import numpy.random  # noqa: F401  (here, so that no worker thread's first draw imports it)
+
     data = model.eval_data
     if model.kind != "closed_form" or not isinstance(data, dict) or "family" not in data:
         raise ConfigError("exact simulation needs one of the built-in Levy families")
@@ -562,6 +570,8 @@ def stable_like_steps(
 ) -> PathSteps:
     """Step source of :func:`simulate_stable_like`; the arguments are the
     same."""
+    import numpy.random  # noqa: F401  (here, so that no worker thread's first draw imports it)
+
     if model.kind != "stable_like":
         raise ConfigError("this scheme is for stable-like models")
     spec = model.eval_data

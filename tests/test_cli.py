@@ -942,6 +942,30 @@ class TestSimulationGrid:
         assert rep["ensemble"]["n_times"] == 5
 
 
+class TestOrderOutsideTheRange:
+    """An order that leaves (0, 2] only past |x| = 12, outside the band
+    check's sample, fails the step from such a state with exit 2.  The
+    first is NaN there, the second 2.37 at the start."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("alpha", [
+        "1.5 + 0.3*sin(x) + 0*log(x + 12)",
+        "1.5 + 0.3*sin(x) + min(1, max(0, -x - 12))",
+    ])
+    def test_a_step_from_such_a_state_exits_2(self, command, alpha, tmp_path, capsys):
+        cfg = validate_cfg(
+            tmp_path,
+            {"type": "stable_like", "alpha": alpha, "alpha_min": 1.2, "alpha_max": 1.8},
+            {"n_paths": 20, "t_max": 1.0, "h_max": 0.25, "start": -13.0},
+            {"t_values": [0.5], "xi_values": [1.0]},
+        )
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: stable index must lie in (0, 2]\n"
+        assert list(out.iterdir()) == []
+
+
 class TestTolerances:
     def test_rel_tol_reaches_every_criterion_integral(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, "tol.json", {

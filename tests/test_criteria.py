@@ -430,8 +430,19 @@ class TestBumpConstant:
         with pytest.raises(fk.ConfigError, match=r"values in \[0, 1\]"):
             fk.bump_constant(1, profile)
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.5])
+    def test_bad_values_at_outer_nodes_rejected(self, bad):
+        # only nodes 15-18 from the edge of the 1024-point rule see the bad
+        # values, which used to end in the transform's tail error
+        def profile(r):
+            r = np.asarray(r, dtype=float)
+            return np.where((r > 0.9991) & (r < 0.9994), bad, fk.criteria._default_bump(r))
+
+        with pytest.raises(fk.ConfigError, match=r"values in \[0, 1\]"):
+            fk.bump_constant(1, profile)
+
     def test_nan_at_the_unit_sphere_rejected(self):
-        # NaN only past the value probe's last point, 0.999
+        # NaN from 0.9992 on, at the decay probe 0.9995 too
         def profile(r):
             r = np.asarray(r, dtype=float)
             return np.where(r > 0.9992, np.nan, fk.criteria._default_bump(r))

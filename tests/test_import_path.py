@@ -1,14 +1,19 @@
 """scipy and numpy.polynomial stay off the import path of the
-command-line tool.
+command-line tool, and numpy's generators and OpenSSL off ``analyze``'s.
 
 Closed-form and stable-like symbols are evaluated with numpy alone, so
 neither importing ``fellerkit.cli`` nor running ``analyze``, ``validate`` or
 ``simulate`` on such a model may load scipy, which would triple start-up
 time.  The bump constant of ``validate``'s exit rows builds its own
-Legendre rule, so numpy.polynomial stays unloaded too.  Each check runs in
-a fresh interpreter, because the test process itself has scipy loaded by
-other test modules.  That the lazily imported scipy routines still work is
-shown by the ``levy`` symbol tests and the ``stable_like_constant`` tests.
+Legendre rule, so numpy.polynomial stays unloaded too.  ``analyze`` draws
+no random numbers and hashes no file: ``numpy.random`` and ``_hashlib``
+(OpenSSL, which ``numpy.random`` loads through ``secrets``) must be
+unloaded after the import and after both ``analyze`` runs, and loaded
+after ``validate`` and ``simulate``, whose step sources and checksum load
+them.  Each check runs in a fresh interpreter, because the test process
+itself has these modules loaded by other test modules.  That the lazily
+imported scipy routines still work is shown by the ``levy`` symbol tests
+and the ``stable_like_constant`` tests.
 """
 
 import json
@@ -70,18 +75,22 @@ def heavy_modules():
     return sorted(m for m in sys.modules
                   if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
 
+def drawing_modules():
+    return sorted(m for m in ("numpy.random", "_hashlib") if m in sys.modules)
+
 import fellerkit.cli
-seen = {"import fellerkit.cli": (0, heavy_modules())}
+seen = {"import fellerkit.cli": (0, heavy_modules(), drawing_modules())}
 work = Path(sys.argv[1])
 for name, (command, _) in json.loads((work / "configs.json").read_text()).items():
     rc = fellerkit.cli.main([command, "--config", str(work / (name + ".json")),
                              "--out", str(work / name)])
-    seen[name] = (rc, heavy_modules())
+    seen[name] = (rc, heavy_modules(), drawing_modules())
 print(json.dumps(seen))
 """
 
 
 def test_no_workload_of_closed_form_or_stable_like_symbols_imports_scipy(tmp_path):
+    """Also: only the subcommands that draw load the generators and OpenSSL."""
     (tmp_path / "configs.json").write_text(json.dumps(CONFIGS))
     for name, (_, cfg) in CONFIGS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -93,6 +102,8 @@ def test_no_workload_of_closed_form_or_stable_like_symbols_imports_scipy(tmp_pat
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert list(seen) == ["import fellerkit.cli", *CONFIGS]
-    for step, (rc, modules) in seen.items():
+    for step, (rc, modules, drawing) in seen.items():
         assert rc == 0, (step, proc.stderr)
         assert modules == [], f"{step} loaded {modules[:5]}"
+        draws = step.startswith(("validate", "simulate"))
+        assert drawing == (["_hashlib", "numpy.random"] if draws else []), step

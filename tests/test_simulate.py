@@ -182,6 +182,11 @@ class TestStableSamplers:
             fk.sample_stable(2.3, 5, rng)
         with pytest.raises(ConfigError, match=re.escape("positive stable index must lie in (0, 1)")):
             fk.sample_positive_stable(1.0, 5, rng)
+        # a NaN fails both checks
+        with pytest.raises(ConfigError, match=re.escape("stable index must lie in (0, 2]")):
+            fk.sample_stable(np.array([1.5, np.nan]), 2, rng)
+        with pytest.raises(ConfigError, match=re.escape("positive stable index must lie in (0, 1)")):
+            fk.sample_positive_stable(math.nan, 5, rng)
 
 
 class TestDeterminism:
@@ -538,6 +543,22 @@ class TestStableLikeScheme:
         alpha0 = 1.5 + 0.3 * math.sin(0.4)
         exact = math.exp(-0.01 * 2.0 ** alpha0)
         assert _char_z(ens, 0.01, 2.0, exact) < 3.0  # recorded 2.34
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, 2.5])
+    def test_an_order_outside_the_range_where_a_path_goes_raises(self, d, bad):
+        """The order is 1.5 up to |x| = 12 and bad past it.  From x = 12 the
+        first step uses the start's order; the second starts with some
+        paths past 12."""
+        def alpha(x):
+            return np.where(np.abs(x[..., 0]) > 12.0, bad, 1.5)
+
+        model = fk.stable_like_symbol(alpha, 1.2, 1.8, d)
+        start = [12.0] + [0.0] * (d - 1)
+        one = fk.simulate_stable_like(model, 50, 0.1, n_steps=1, seed=3, start=start)
+        assert np.isfinite(one.positions).all()
+        with pytest.raises(ConfigError, match=re.escape("stable index must lie in (0, 2]")):
+            fk.simulate_stable_like(model, 50, 0.2, n_steps=2, seed=3, start=start)
 
     def test_h_max_sets_the_grid(self):
         model = fk.stable_like_symbol("1.5 + 0.3*sin(x)", 1.2, 1.8)
