@@ -338,7 +338,13 @@ def _default_bump(r):
     return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - safe * safe)), 0.0)
 
 
-_BUMP_CACHE: dict = {}
+# the default profile's c_u(1), c_u(2), c_u(3), with the bits that
+# bump_constant's rule computes on every build: no process recomputes them
+_BUMP_CACHE: dict = {
+    1: float.fromhex("0x1.0363246ac5907p+5"),  # 32.4234093038122
+    2: float.fromhex("0x1.4d8164e023e3bp+7"),  # 166.75272274435142
+    3: float.fromhex("0x1.5c9af4014e235p+9"),  # 697.2105714446576
+}
 _BUMP_BLOCK = 64  # rho columns per transform block: 64 x 1024 doubles, 0.5 MB
 
 
@@ -418,8 +424,10 @@ def bump_constant(d: int, profile=None) -> float:
     supported in the unit ball, with the transform normalized so that
     integral u_hat = u(0).
 
-    The value is computed once per (dimension, profile) and cached; it
-    enters exit-time bounds multiplicatively.
+    It enters exit-time bounds multiplicatively.  The default profile's
+    constants for d = 1, 2, 3 are stored in ``_BUMP_CACHE``; the rule below
+    runs for a custom profile, and for the default one only once that
+    cache has been emptied.
     """
     d = _bump_dimension(d)
     # only the default profile is cached: keying a temporary callable by id

@@ -16,8 +16,9 @@ runs the accumulators on one worker thread beside it, on the step pool's
 pipeline ``simulate._in_order``: the two overlap, outputs are bit-identical
 to a serial run, and an error ends the source and the worker before it
 propagates.  ``fellerkit validate`` computes its exit-time bounds on a
-third thread meanwhile; the accumulators never see them.  BLAS threads are
-set only by ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS``.
+third thread meanwhile; the accumulators never see them.  The phases
+<xi, X - x0> are summed elementwise, not by BLAS, so the estimates have the
+same bits on every OpenBLAS kernel.
 """
 
 from __future__ import annotations
@@ -116,6 +117,18 @@ class GridSnapshots:
         )
 
 
+def _phases(xi, disp, out=None, term=None):
+    """<xi_m, disp_i> at [m, i], its component products summed in order.
+
+    Elementwise products and sums, never a BLAS product, so the bits do not
+    depend on the OpenBLAS kernel; ``term`` is scratch of ``out``'s shape.
+    """
+    out = np.multiply.outer(xi[:, 0], disp[:, 0], out=out)
+    for j in range(1, xi.shape[1]):
+        out += np.multiply.outer(xi[:, j], disp[:, j], out=term)
+    return out
+
+
 @dataclass
 class CharFnEstimate:
     xi: np.ndarray
@@ -135,7 +148,7 @@ def empirical_char_fn(ens, t: float, xi) -> CharFnEstimate:
     if n < 2:
         raise ConfigError("need at least two paths for a standard error")
     disp = ens.at(t) - np.asarray(ens.start)[None, :]
-    phase = disp @ v
+    phase = _phases(v[None], disp)[0]
     zr = np.cos(phase)
     zi = np.sin(phase)
     mr = float(zr.mean())
@@ -330,7 +343,7 @@ class OccupationSums:
 
     def update(self, k: int, x: np.ndarray) -> None:
         w = self._w[k]
-        np.matmul(self.xi, (x - self._x0).T, out=self._phase)
+        _phases(self.xi, x - self._x0, self._phase, self._term)
         for trig, acc in ((np.cos, self._re), (np.sin, self._im)):
             trig(self._phase, out=self._term)
             self._term *= w

@@ -402,7 +402,8 @@ def stable_like_symbol(
         np.meshgrid(*([grid1] * dimension), indexing="ij"), axis=-1
     ).reshape(-1, dimension)
     sampled = np.asarray(alpha_fn(mesh), dtype=float)
-    if sampled.min() < alpha_min - 1e-9 or sampled.max() > alpha_max + 1e-9:
+    # negated so that an order that is NaN anywhere on the sample fails it
+    if not (sampled.min() >= alpha_min - 1e-9 and sampled.max() <= alpha_max + 1e-9):
         raise ConfigError(
             "sampled order leaves the declared band:"
             f" saw [{sampled.min():.6g}, {sampled.max():.6g}],"

@@ -16,12 +16,16 @@ by the time the call that started it has returned or raised.
 
 import faulthandler
 import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 WATCHDOG_S = 120
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 _STDERR_FD = pytest.StashKey[int]()
 
@@ -62,6 +66,31 @@ def acceptance():
         assert ok, label
 
     return _rec
+
+
+@pytest.fixture
+def under_blas_kernels():
+    """Return a runner: under_blas_kernels(probe) runs the Python source
+    ``probe`` in one fresh interpreter per OpenBLAS kernel (SkylakeX,
+    Haswell, Prescott; one BLAS thread, fellerkit from src/) and returns
+    each one's last line of output, by kernel."""
+
+    def run(probe):
+        children = {
+            core: subprocess.Popen(
+                [sys.executable, "-c", probe],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_CORETYPE": core,
+                     "OPENBLAS_NUM_THREADS": "1"},
+            )
+            for core in ("SkylakeX", "Haswell", "Prescott")
+        }
+        outputs = {core: child.communicate(timeout=120) for core, child in children.items()}
+        for core, child in children.items():
+            assert child.returncode == 0, outputs[core][1]
+        return {core: out.splitlines()[-1] for core, (out, _) in outputs.items()}
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -966,6 +966,28 @@ class TestOrderOutsideTheRange:
         assert list(out.iterdir()) == []
 
 
+class TestOrderNaNOnTheBandSample:
+    """An order that is NaN on part of the band check's sample (x < -5
+    here) fails the check: the comparisons are negated so that NaN fails
+    them.  It used to pass, and analyze bounded the process by the
+    declared band."""
+
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_analyze_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "nan_order.json", {"symbol": {
+            "type": "stable_like", "alpha": "1.5 + 0.3*sin(x) + 0*log(x + 5)",
+            "alpha_min": 1.2, "alpha_max": 1.8,
+        }})
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: sampled order leaves the declared band:"
+            " saw [nan, nan], declared [1.2, 1.8]\n"
+        )
+        assert not out.exists()
+
+
 class TestTolerances:
     def test_rel_tol_reaches_every_criterion_integral(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, "tol.json", {

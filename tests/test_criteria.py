@@ -10,18 +10,12 @@ envelope at radius 1 is 256/pi.  The local-time integral for the
 
 import inspect
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fellerkit as fk
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 # 161 heat times, 1e-4 ... 1e4, twenty to a decade
 HEAT_TIMES = [10.0 ** ((k - 80) / 20.0) for k in range(161)]
@@ -463,27 +457,24 @@ class TestBumpConstant:
             tracemalloc.stop()
         assert peak <= 2e6
 
-    def test_bit_identical_across_blas_kernels(self):
+    def test_stored_constants_are_the_rule_s_bits(self, monkeypatch):
+        stored = {d: fk.criteria._BUMP_CACHE[d] for d in (1, 2, 3)}
+        monkeypatch.setattr(fk.criteria, "_BUMP_CACHE", {})
+        fresh = {d: fk.bump_constant(d) for d in (1, 2, 3)}
+        # a changed rule prints the literals to store in criteria._BUMP_CACHE
+        assert fresh == stored, {d: c.hex() for d, c in fresh.items()}
+
+    def test_bit_identical_across_blas_kernels(self, under_blas_kernels):
         # neither the Legendre rule nor the transform goes through LAPACK or
-        # BLAS, so the OpenBLAS kernel cannot move a bit of any constant
+        # BLAS, so the OpenBLAS kernel cannot move a bit of any constant;
+        # the stored constants are dropped, so the rule runs for each
         probe = inspect.getsource(squared_bump) + (
             "import fellerkit as fk\n"
+            "fk.criteria._BUMP_CACHE.clear()\n"
             "print(repr([fk.bump_constant(1), fk.bump_constant(2), fk.bump_constant(3),"
             " fk.bump_constant(1, squared_bump)]))\n"
         )
-        children = {
-            core: subprocess.Popen(
-                [sys.executable, "-c", "import numpy as np\n" + probe],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_CORETYPE": core,
-                     "OPENBLAS_NUM_THREADS": "1"},
-            )
-            for core in ("SkylakeX", "Haswell", "Prescott")
-        }
-        outputs = {core: child.communicate(timeout=120) for core, child in children.items()}
-        for core, child in children.items():
-            assert child.returncode == 0, outputs[core][1]
-        seen = {core: out.splitlines()[-1] for core, (out, _) in outputs.items()}
+        seen = under_blas_kernels("import numpy as np\n" + probe)
         assert len(set(seen.values())) == 1, seen
 
 

@@ -20,7 +20,6 @@ from fellerkit import ConfigError
 from fellerkit.empirics import FEED_DEPTH, feed
 from fellerkit.symbols import as_points
 
-
 @pytest.fixture(scope="module")
 def brownian_paths():
     # 4000 paths, 200 steps on [0, 1]
@@ -210,6 +209,24 @@ class TestOccupationFourier:
         msg = "horizon 5.0 too short: e^-T must be at most 1e-6 (T >= 13.9)"
         with pytest.raises(ConfigError, match=re.escape(msg)):
             fk.occupation_fourier_check(ens, env, [1.0])
+
+
+def test_bit_identical_across_blas_kernels(under_blas_kernels):
+    """The phases <xi, X - x0> of the occupation sums and the characteristic
+    function are summed elementwise: in d = 2 a BLAS product gave other
+    bits under Prescott than under SkylakeX and Haswell."""
+    probe = (
+        "import fellerkit as fk\n"
+        "model = fk.alpha_stable(1.5, 2)\n"
+        "ens = fk.simulate_levy(model, 400, 16.0, 64, seed=7)\n"
+        "occ = fk.occupation_fourier_check(ens, fk.build_envelope(model),"
+        " [[1.0, 0.5], [0.3, -2.0]])\n"
+        "est = [fk.empirical_char_fn(ens, t, [0.7, -1.3]) for t in (1.0, 16.0)]\n"
+        "print(repr(([(r['empirical'], r['se']) for r in occ.rows],"
+        " [(e.value, e.se_abs) for e in est])))\n"
+    )
+    seen = under_blas_kernels(probe)
+    assert len(set(seen.values())) == 1, seen
 
 
 class Recorder:

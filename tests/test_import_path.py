@@ -4,8 +4,10 @@ command-line tool, and numpy's generators and OpenSSL off ``analyze``'s.
 Closed-form and stable-like symbols are evaluated with numpy alone, so
 neither importing ``fellerkit.cli`` nor running ``analyze``, ``validate`` or
 ``simulate`` on such a model may load scipy, which would triple start-up
-time.  The bump constant of ``validate``'s exit rows builds its own
-Legendre rule, so numpy.polynomial stays unloaded too.  ``analyze`` draws
+time.  The bump constants of ``validate``'s exit rows in d = 1 to 3 are
+stored, so a d = 2 run loads no scipy for the Bessel kernel J0 of their
+transform; the transform, when it runs, builds its own Legendre rule, so
+numpy.polynomial stays unloaded too.  ``analyze`` draws
 no random numbers and hashes no file: ``numpy.random`` and ``_hashlib``
 (OpenSSL, which ``numpy.random`` loads through ``secrets``) must be
 unloaded after the import and after both ``analyze`` runs, and loaded
@@ -58,6 +60,16 @@ CONFIGS = {
             "xi_values": [1.0],
             "exit": [{"r": 1.0, "t": 0.5}],
             "occupation_xi": [0.0, 1.0],
+        },
+    }),
+    # its exit rows take the stored c_u(2): the J0 transform would load scipy
+    "validate_alpha_stable_2d": ("validate", {
+        "symbol": {"type": "alpha_stable", "alpha": 1.5, "dimension": 2},
+        "simulation": {"n_paths": 50, "t_max": 1.0, "n_steps": 20},
+        "validation": {
+            "t_values": [0.5, 1.0],
+            "xi_values": [[1.0, 0.5]],
+            "exit": [{"r": 1.0, "t": 0.5}, {"r": 2.0, "t": 1.0}],
         },
     }),
     "simulate_alpha_stable_2d": ("simulate", {
