@@ -38,12 +38,7 @@ from .simulate import (
     simulate_stable_like,
     symmetrize_paths,
 )
-from .symbol_checks import (
-    check_bounded_coefficients,
-    check_feller_decay,
-    check_sector_condition,
-    check_sqrt_subadditivity,
-)
+from .symbol_checks import check_bounded_coefficients, check_sqrt_subadditivity
 from .symbols import (
     BernsteinSpec,
     LevyCharacteristics,

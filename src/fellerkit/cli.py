@@ -13,13 +13,11 @@ Three subcommands share a JSON configuration:
     fellerkit validate --config cfg.json [--out DIR] [--seed N]
         simulate step by step, accumulating the empirical statistics
         without keeping the paths; compare them against the bounds,
-        write report.json and margins.csv.  The accumulators run on one
-        worker thread beside the simulation (``empirics.feed``), and the
-        exit rows' bounds (a ball sup of the symbol and the bump constant
-        c_u), which need nothing from the paths, on another one, started
-        before the first step and collected after the last.  A bound that
-        fails ends the simulation at its next step; a simulation that
-        fails waits for the running bound before its error goes on.
+        write report.json and margins.csv.  The exit rows' bounds (a ball
+        sup of the symbol and the bump constant c_u) need nothing from the
+        paths and are computed first, so a bound that fails exits before
+        any step is drawn.  The accumulators run on one worker thread
+        beside the simulation (``empirics.feed``).
 
 ``simulate`` and ``validate`` draw the increments of the built-in Levy
 families in blocks of steps, on one worker thread per CPU the process may
@@ -55,13 +53,7 @@ import numpy as np
 
 from . import __version__
 from .config import build_envelope_from_config, build_model, check_seed_flag, load_config
-from .criteria import (
-    _bump_dimension,
-    char_fn_bound,
-    exit_time_bound,
-    frequency_criteria,
-    test_ultracontractivity,
-)
+from .criteria import char_fn_bound, exit_time_bound, frequency_criteria, test_ultracontractivity
 from .empirics import (
     ExitSup,
     GridSnapshots,
@@ -72,7 +64,7 @@ from .empirics import (
 )
 from .ensemble_io import write_ensemble
 from .errors import ConfigError, NumericalError
-from .simulate import _in_order, levy_steps, stable_like_steps
+from .simulate import levy_steps, stable_like_steps
 
 THREADS_DEPRECATED = (
     "fellerkit: --threads is deprecated, has no effect and will be removed in the"
@@ -202,19 +194,6 @@ def cmd_simulate(cfg, out_dir: Path, seed: int) -> dict:
     }
 
 
-def _until_failed(steps, failed: list):
-    """The steps of ``steps``, ending before the first step drawn once
-    ``failed`` is not empty; the step source is closed either way."""
-    source = iter(steps)
-    try:
-        for item in source:
-            if failed:
-                return
-            yield item
-    finally:
-        source.close()
-
-
 def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
     model = build_model(cfg["symbol"])
     env = build_envelope_from_config(model, cfg["envelope"])
@@ -233,33 +212,13 @@ def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
         occupation = OccupationSums(steps, occ_xi)
         accumulators.append(occupation)
     exits = val.get("exit")
-    exit_rows = []
     if exits:
         exit_sup = ExitSup(steps, [(item["r"], item["t"]) for item in exits])
         accumulators.append(exit_sup)
-        _bump_dimension(model.dimension)
-        exit_rows = exit_sup.rows
-
-    # the exit bounds need nothing from the paths: they run on one worker
-    # while the steps are drawn, and a bound that fails ends the simulation
-    # at its next step
-    failed = []
-
-    def exit_bound(row):
-        try:
-            return exit_time_bound(model, steps.start, row[0], row[1])
-        except BaseException:
-            failed.append(row)
-            raise
-
-    bounds = _in_order(
-        exit_bound, exit_rows, min(1, len(exit_rows)), len(exit_rows), "fellerkit-bounds"
-    )
-    try:
-        feed(_until_failed(steps, failed), *accumulators)
-        exit_bounds = list(bounds)
-    finally:
-        bounds.close()
+        # the bounds need nothing from the paths: one that fails ends the
+        # run before the first step is drawn
+        exit_bounds = [exit_time_bound(model, steps.start, r, t) for r, t, _ in exit_sup.rows]
+    feed(steps, *accumulators)
 
     report = validate_char_bound(
         snapshots.ensemble(), env, val["t_values"], xi_points, n_sigma=n_sigma

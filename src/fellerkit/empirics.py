@@ -15,10 +15,8 @@ same accumulators.  :func:`feed` draws the steps on the calling thread and
 runs the accumulators on one worker thread beside it, on the step pool's
 pipeline ``simulate._in_order``: the two overlap, outputs are bit-identical
 to a serial run, and an error ends the source and the worker before it
-propagates.  ``fellerkit validate`` computes its exit-time bounds on a
-third thread meanwhile; the accumulators never see them.  The phases
-<xi, X - x0> are summed elementwise, not by BLAS, so the estimates have the
-same bits on every OpenBLAS kernel.
+propagates.  The phases <xi, X - x0> are summed elementwise, not by BLAS,
+so the estimates have the same bits on every OpenBLAS kernel.
 """
 
 from __future__ import annotations
@@ -281,13 +279,16 @@ def generator_finite_difference(ensembles, xi) -> GeneratorFDEstimate:
         raise ConfigError("step sizes must span at least one decade")
     # floor keeps w**2 representable when an exact estimate has zero se
     w = 1.0 / np.maximum(ses, 1e-150) ** 2
-    aT = np.stack([np.ones_like(hs), hs])  # rows: intercept, slope
-    gram = (aT * w) @ aT.T
-    rhs = (aT * w) @ ys
-    cov = np.linalg.inv(gram)
-    coef = cov @ rhs
-    intercept, slope = float(coef[0]), float(coef[1])
-    se0 = float(math.sqrt(max(cov[0, 0], 0.0)))
+    # the weighted normal equations of y = intercept + slope h, solved in
+    # closed form about the weighted mean step; no BLAS or LAPACK call, so
+    # the fit has the same bits on every OpenBLAS kernel
+    w_sum = np.sum(w)
+    h_mean, y_mean = np.sum(w * hs) / w_sum, np.sum(w * ys) / w_sum
+    dh = hs - h_mean
+    sxx = np.sum(w * dh * dh)
+    slope = float(np.sum(w * dh * (ys - y_mean)) / sxx)
+    intercept = float(y_mean - slope * h_mean)
+    se0 = math.sqrt(1.0 / w_sum + h_mean * h_mean / sxx)
     noisy = se0 > 0.5 * max(abs(intercept), 1e-300)
     signal = bool(np.any(ys > 3.0 * ses))
     inconclusive = noisy or not signal

@@ -309,21 +309,12 @@ def _in_order(fn, items, workers: int, ahead: int, name: str) -> Iterator:
     ``items`` is iterated on the calling thread and the calls run on
     ``workers`` threads named ``name``, at most ``ahead`` items past the
     one the caller waits for.  The threads start and the first ``ahead +
-    1`` items are queued by this call, so they run while the caller does
-    other work before it asks for a result.  An exception in a call is
-    re-raised here, after every earlier item has run.  Once a call raises
-    or the caller stops (``close()``), no later queued item starts, the
-    item iterator is closed (a generator source ends its own threads at
-    once) and the threads join.
+    1`` items are queued when the first result is asked for.  An exception
+    in a call is re-raised here, after every earlier item has run.  Once a
+    call raises or the caller stops (``close()``), no later queued item
+    starts, the item iterator is closed (a generator source ends its own
+    threads at once) and the threads join.
     """
-    pipeline = _pipeline(fn, items, workers, ahead, name)
-    next(pipeline)
-    return pipeline
-
-
-def _pipeline(fn, items, workers, ahead, name):
-    """The generator behind :func:`_in_order`; its first ``next`` starts
-    the threads, queues the first items and yields None."""
     jobs = queue.SimpleQueue()
     last = [math.inf]  # no queued job past this index starts: nobody waits for it
 
@@ -352,7 +343,6 @@ def _pipeline(fn, items, workers, ahead, name):
     try:
         for job in itertools.islice(todo, ahead + 1):
             submit(*job)
-        yield None
         while pending:
             result, exc = pending.popleft().get()
             if exc is not None:

@@ -17,12 +17,8 @@ from .symbols import SymbolModel, as_points
 
 __all__ = [
     "BoundedCoefficientsCheck",
-    "SectorConditionCheck",
-    "FellerDecayCheck",
     "SubadditivityCheck",
     "check_bounded_coefficients",
-    "check_sector_condition",
-    "check_feller_decay",
     "check_sqrt_subadditivity",
 ]
 
@@ -40,13 +36,26 @@ def _ball_grid(radius: float, d: int, per_axis: int) -> np.ndarray:
     return pts[keep]
 
 
+# (y, xi) pairs that ball_sup evaluates in one call of the evaluator
+BALL_SUP_PAIRS = 1 << 16
+
+
 def ball_sup(model: SymbolModel, center, r: float, x_resolution: int, xi_resolution: int) -> float:
     """sup |p(y, xi)| over ball grids of |y - center| <= r (``x_resolution``
-    nodes per axis) and |xi| <= 1/r (``xi_resolution`` nodes per axis)."""
+    nodes per axis) and |xi| <= 1/r (``xi_resolution`` nodes per axis).
+
+    The product of the grids is evaluated a block of y rows at a time, at
+    most ``BALL_SUP_PAIRS`` pairs each; max is exact, so the value does
+    not depend on the blocks, and a NaN anywhere gives NaN."""
     d = model.dimension
     ys = np.asarray(center, dtype=float).reshape(d) + _ball_grid(r, d, x_resolution)
     xis = _ball_grid(1.0 / r, d, xi_resolution)
-    return float(np.abs(model.evaluator(ys[:, None, :], xis[None, :, :])).max())
+    rows = max(1, BALL_SUP_PAIRS // len(xis))
+    maxima = [
+        np.abs(model.evaluator(ys[i : i + rows, None, :], xis[None, :, :])).max()
+        for i in range(0, len(ys), rows)
+    ]
+    return float(np.max(maxima))
 
 
 @dataclass
@@ -106,71 +115,6 @@ def check_bounded_coefficients(
         shell_radii=shell_radii,
         shell_sups=shell_sups,
     )
-
-
-@dataclass
-class SectorConditionCheck:
-    constant: float
-    verdict: str
-    witness_xi: np.ndarray | None = None
-
-
-def check_sector_condition(
-    model: SymbolModel, x_grid, xi_grid, *, tol: float = 1e-12
-) -> SectorConditionCheck:
-    """Smallest c with sup_x |Im p(x, xi)| <= c * inf_x Re p(x, xi) on the grid.
-
-    Real symbols give exactly 0.  A vanishing real infimum against a
-    non-vanishing imaginary sup has no finite constant, and a nan value
-    gives no constant at all; the verdict is then "fails" with the first
-    such frequency in grid order as the witness.
-    """
-    d = model.dimension
-    xs = _grid_points(x_grid, d)
-    xis = _grid_points(xi_grid, d)
-    keep = np.sqrt(np.sum(xis * xis, axis=1)) > 0
-    xis = xis[keep]
-    vals = model.evaluator(xs[:, None, :], xis[None, :, :])
-    im_sup = np.abs(np.imag(vals)).max(axis=0)
-    re_inf = np.real(vals).min(axis=0)
-
-    active = ~(im_sup <= tol * (1.0 + np.abs(vals).max(axis=0)))
-    bad = np.isnan(vals).any(axis=0) | (active & (re_inf <= tol))
-    if bad.any():
-        return SectorConditionCheck(
-            constant=np.inf, verdict="fails", witness_xi=xis[np.argmax(bad)]
-        )
-    constant = float(np.fmax.reduce(im_sup[active] / re_inf[active], initial=0.0))
-    verdict = "holds" if constant < 1.0 else "fails"
-    return SectorConditionCheck(constant=constant, verdict=verdict)
-
-
-@dataclass
-class FellerDecayCheck:
-    radii: list
-    sups: list
-    verdict: str
-
-
-def check_feller_decay(
-    model: SymbolModel,
-    radii,
-    *,
-    x_resolution: int = 33,
-    xi_resolution: int = 33,
-    tol: float = 1e-2,
-) -> FellerDecayCheck:
-    """Track s_k = sup_{|x| <= r_k} sup_{|xi| <= 1/r_k} |p(x, xi)|.
-
-    For symbols of Feller generators with vanishing-at-infinity range the
-    sequence tends to zero along growing radii; the verdict holds when the
-    recorded sups are (within 5 percent) nonincreasing and end below ``tol``.
-    """
-    origin = np.zeros(model.dimension)
-    sups = [ball_sup(model, origin, float(r), x_resolution, xi_resolution) for r in radii]
-    decreasing = all(sups[i + 1] <= 1.05 * sups[i] for i in range(len(sups) - 1))
-    verdict = "holds" if (decreasing and sups[-1] < tol) else "fails"
-    return FellerDecayCheck(radii=[float(r) for r in radii], sups=sups, verdict=verdict)
 
 
 @dataclass

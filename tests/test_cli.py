@@ -793,90 +793,78 @@ class TestValidateRejectsBeforeSimulating:
         assert "error: AssertionError: a step was drawn" in capsys.readouterr().err
 
 
-class TestExitBoundsBesideTheSteps:
-    """`validate` computes its exit bounds on one worker while it draws the
-    steps.  The report is that of bounds computed after the simulation, a
-    failed bound ends the simulation early, and a failed simulation waits
-    for the bound worker before the error goes on."""
+class TestExitBounds:
+    """`validate` computes its exit bounds on the calling thread before it
+    draws the first step: the report holds the bounds of
+    ``exit_time_bound``, and a failed bound exits 3 with no step drawn."""
 
     @staticmethod
-    def config(tmp_path, d, n_steps=256):
+    def config(tmp_path, d):
         xi = 1.0 if d == 1 else [1.0, 0.5]
         # the first row's bound is below 1, so it is not clipped
         validation = {"t_values": [0.25, 1.0], "xi_values": [xi],
                       "exit": [{"r": 2.0, "t": 1.0 / 256}, {"r": 1.0, "t": 0.25}]}
         symbol = {"type": "alpha_stable", "alpha": 1.5, "dimension": d}
-        simulation = {"n_paths": 200, "t_max": 1.0, "n_steps": n_steps}
+        simulation = {"n_paths": 200, "t_max": 1.0, "n_steps": 256}
         return validate_cfg(tmp_path, symbol, simulation, validation)
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_report_matches_bounds_computed_after_the_steps(self, d, tmp_path, monkeypatch):
+    def test_report_holds_the_bounds_of_exit_time_bound(self, d, tmp_path):
         cfg = self.config(tmp_path, d)
-        monkeypatch.setattr(fk.criteria, "_BUMP_CACHE", {})  # a cold c_u, on the worker
-        assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "beside")]) == 0
-
-        def after_the_steps(fn, items, workers, ahead, name):
-            return (fn(item) for item in list(items))  # runs on list(), after feed
-
-        monkeypatch.setattr(cli, "_in_order", after_the_steps)
-        assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
-        for name in ("report.json", "margins.csv"):
-            assert (tmp_path / "beside" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
-        rows = json.loads((tmp_path / "beside" / "report.json").read_text())["exit_frequencies"]
+        assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        rows = json.loads((tmp_path / "out" / "report.json").read_text())["exit_frequencies"]
         model = build_model(load_config(cfg)["symbol"])
         bounds = [fk.exit_time_bound(model, np.zeros(d), row["r"], row["t"]).value for row in rows]
         assert [row["bound"] for row in rows] == bounds
         assert bounds[0] < 1.0
 
-    def test_a_failed_bound_ends_the_simulation(self, tmp_path, monkeypatch, capsys):
-        failing = threading.Event()
-
+    def test_a_failed_bound_exits_3_with_no_step_drawn(self, tmp_path, monkeypatch, capsys):
         def bump_constant(d, profile=None):
-            failing.set()
             raise fk.NumericalError("bump transform tail not resolved")
 
-        drawn = []
-        iterate = fk.simulate.PathSteps.__iter__
-
-        def steps(self):
-            for k, x in iterate(self):
-                if k == 1:  # step 1 waits until the bound is failing
-                    assert failing.wait(timeout=10)
-                drawn.append(k)
-                yield k, x
+        def no_steps(self):
+            raise AssertionError("a step was drawn")
 
         monkeypatch.setattr(fk.criteria, "bump_constant", bump_constant)
-        monkeypatch.setattr(fk.simulate.PathSteps, "__iter__", steps)
-        n_steps = 1 << 17
-        cfg = self.config(tmp_path, 1, n_steps)
+        monkeypatch.setattr(fk.simulate.PathSteps, "__iter__", no_steps)
+        cfg = self.config(tmp_path, 1)
         assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == "numerical failure: bump transform tail not resolved\n"
-        assert max(drawn) < n_steps
 
-    def test_an_accumulator_error_joins_the_bound_worker(self, tmp_path, monkeypatch, capsys):
-        bound_running, accumulator_failed = threading.Event(), threading.Event()
-        finished = []
+    def test_the_bounds_come_before_the_first_step_on_two_threads(self, tmp_path, monkeypatch):
+        events, names = [], set()
+        bound, update = cli.exit_time_bound, fk.empirics.ExitSup.update
 
-        def bump_constant(d, profile=None):
-            bound_running.set()
-            assert accumulator_failed.wait(timeout=10)
-            finished.append(d)
-            return 1.0
+        def exit_time_bound(*args):
+            events.append("bound")
+            return bound(*args)
 
+        def record(self, k, x):
+            events.append("step")
+            names.update(t.name for t in threading.enumerate() if t.name.startswith("fellerkit-"))
+            update(self, k, x)
+
+        monkeypatch.setattr(cli, "exit_time_bound", exit_time_bound)
+        monkeypatch.setattr(fk.empirics.ExitSup, "update", record)
+        cfg = self.config(tmp_path, 1)
+        assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert events[:3] == ["bound", "bound", "step"]
+        assert events.count("bound") == 2
+        # the accumulator worker and the step pool; no thread for the bounds
+        assert names <= {"fellerkit-feed", "fellerkit-steps"}
+        assert "fellerkit-feed" in names
+
+    def test_an_accumulator_error_exits_3(self, tmp_path, monkeypatch, capsys):
         def update(self, k, x):
             if k == 3:
-                assert bound_running.wait(timeout=10)
-                accumulator_failed.set()
                 raise RuntimeError("accumulator failed")
 
-        monkeypatch.setattr(fk.criteria, "bump_constant", bump_constant)
         monkeypatch.setattr(fk.empirics.ExitSup, "update", update)
         cfg = self.config(tmp_path, 1)
         assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert "error: RuntimeError: accumulator failed" in capsys.readouterr().err
-        # the bound that was running when the accumulator failed has ended;
-        # the fixture no_worker_thread_left checks that its thread has too
-        assert finished[0] == 1
+        # the fixture no_worker_thread_left checks that the step and
+        # accumulator threads have ended
 
 
 class TestSimulationGrid:

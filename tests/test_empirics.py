@@ -112,6 +112,22 @@ class TestGeneratorFiniteDifference:
         assert fd.note == ""
         assert fd.h_values.shape == (4,)
 
+    def test_fit_is_weighted_least_squares(self):
+        hs = np.geomspace(0.01, 0.1, 4)
+        ensembles = [
+            fk.simulate_levy(fk.brownian(1), int(math.ceil(400 / h)), h, 1, seed=90 + i)
+            for i, h in enumerate(hs)
+        ]
+        fd = fk.generator_finite_difference(ensembles, 1.0)
+        # numpy's fit, weighted by 1 / se; the unscaled covariance is the
+        # inverse weighted Gram matrix
+        (slope, intercept), cov = np.polyfit(
+            fd.h_values, fd.y_values, 1, w=1.0 / fd.y_se, cov="unscaled"
+        )
+        assert fd.intercept == pytest.approx(intercept, rel=1e-12)
+        assert fd.slope == pytest.approx(slope, rel=1e-10)
+        assert fd.intercept_se == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-10)
+
     def test_no_signal_is_flagged(self):
         hs = np.geomspace(0.01, 0.1, 4)
         ensembles = [
@@ -224,6 +240,24 @@ def test_bit_identical_across_blas_kernels(under_blas_kernels):
         "est = [fk.empirical_char_fn(ens, t, [0.7, -1.3]) for t in (1.0, 16.0)]\n"
         "print(repr(([(r['empirical'], r['se']) for r in occ.rows],"
         " [(e.value, e.se_abs) for e in est])))\n"
+    )
+    seen = under_blas_kernels(probe)
+    assert len(set(seen.values())) == 1, seen
+
+
+def test_finite_difference_fit_is_bit_identical_across_blas_kernels(under_blas_kernels):
+    """The fit solves its weighted normal equations elementwise: with a BLAS
+    Gram matrix and LAPACK's inverse the intercept of this fit had other
+    bits under Haswell, and the slope under Prescott."""
+    probe = (
+        "import math\n"
+        "import numpy as np\n"
+        "import fellerkit as fk\n"
+        "hs = np.geomspace(0.01, 0.1, 4)\n"
+        "ens = [fk.simulate_levy(fk.brownian(1), int(math.ceil(1600 / h)), h, 1, seed=70 + i)"
+        " for i, h in enumerate(hs)]\n"
+        "fd = fk.generator_finite_difference(ens, 1.0)\n"
+        "print(repr((fd.intercept, fd.intercept_se, fd.slope)))\n"
     )
     seen = under_blas_kernels(probe)
     assert len(set(seen.values())) == 1, seen

@@ -484,17 +484,19 @@ class TestInOrder:
         assert results == [0]
         assert errors == ["job 1 failed"]
 
-    def test_jobs_start_before_the_first_result_is_asked_for(self):
-        ran = threading.Event()
+    def test_no_job_starts_before_the_first_result_is_asked_for(self):
+        drawn, closed, started = self.record()
 
         def job(i):
-            ran.set()
+            started.append(i)
             return i
 
-        pipeline = sim._in_order(job, range(3), 1, 2, self.NAME)
+        pipeline = sim._in_order(job, self.source(3, drawn, closed), 1, 2, self.NAME)
         try:
-            assert ran.wait(timeout=10)  # no next() yet
+            assert drawn == [] and started == []
+            assert self.NAME not in [t.name for t in threading.enumerate()]
             assert list(pipeline) == [0, 1, 2]
+            assert started == [0, 1, 2]
         finally:
             pipeline.close()
 

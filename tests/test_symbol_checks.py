@@ -1,16 +1,14 @@
-"""Structural checks on symbols: bounded coefficients, sector condition,
-Feller decay at infinity, and square-root subadditivity in xi."""
+"""Structural checks on symbols: bounded coefficients, the ball sup behind
+the exit-time bound, and square-root subadditivity in xi."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fellerkit as fk
-from fellerkit.symbol_checks import (
-    check_bounded_coefficients,
-    check_feller_decay,
-    check_sector_condition,
-    check_sqrt_subadditivity,
-)
+import fellerkit.symbol_checks as checks
+from fellerkit.symbol_checks import ball_sup, check_bounded_coefficients, check_sqrt_subadditivity
 
 X_GRID = np.linspace(-5.0, 5.0, 21)
 XI_GRID = np.linspace(-8.0, 8.0, 17)
@@ -60,65 +58,60 @@ class TestBoundedCoefficients:
         assert rep.zero_offset == pytest.approx(1.0)
 
 
-class TestSectorCondition:
-    def test_symmetric_symbol_has_zero_constant(self):
-        rep = check_sector_condition(fk.alpha_stable(1.5, 1), X_GRID, XI_GRID)
-        assert rep.verdict == "holds"
-        assert rep.constant == 0.0
-        assert rep.witness_xi is None
+class TestBallSup:
+    """The sup behind the exit-time bound, taken over blocks of y rows."""
 
-    def test_drift_dominated_by_order_one(self):
-        rep = check_sector_condition(fk.alpha_stable(1.0, 1, drift=0.2), X_GRID, XI_GRID)
-        assert rep.verdict == "holds"
-        assert abs(rep.constant - 0.2) < 1e-12
+    STABLE_LIKE_3D = ("1.5 + 0.3*sin(x1)*cos(x2)", 1.2, 1.8)
+    ALPHA = {1: "1.5 + 0.3*sin(x)", 2: "1.5 + 0.3*sin(x1)*cos(x2)"}
 
-    def test_strong_drift_on_low_order_fails(self):
-        # |Im| / Re = |xi|^(1/2) is unbounded; the grid sup sqrt(8) >= 1
-        m = fk.closed_form_symbol("abs(xi)**0.5", im="xi", conservative=False)
-        rep = check_sector_condition(m, X_GRID, XI_GRID)
-        assert rep.verdict == "fails"
-        assert rep.constant == pytest.approx(np.sqrt(8.0), rel=1e-12)
+    @staticmethod
+    def full_product_max(model, center, r, resolution):
+        d = model.dimension
+        ys = np.asarray(center, dtype=float) + checks._ball_grid(r, d, resolution)
+        xis = checks._ball_grid(1.0 / r, d, resolution)
+        return float(np.abs(model.evaluator(ys[:, None, :], xis[None, :, :])).max())
 
-    def test_degenerate_real_part_fails_with_witness(self):
-        m = fk.closed_form_symbol("0*xi", im="xi", conservative=False)
-        rep = check_sector_condition(m, X_GRID, XI_GRID)
-        assert rep.verdict == "fails"
-        assert rep.constant == np.inf
-        assert np.allclose(rep.witness_xi, [-8.0])
+    # 257 points in each ball: blocks of 1 row, of 7 rows with a last one
+    # of 5, and one block
+    @pytest.mark.parametrize("pairs", [1, 2000, 1 << 16])
+    def test_blocks_give_the_full_product_s_bits(self, pairs, monkeypatch):
+        model = fk.stable_like_symbol(*self.STABLE_LIKE_3D, dimension=3)
+        want = self.full_product_max(model, [0.3, -0.2, 0.1], 0.7, 9)
+        monkeypatch.setattr(checks, "BALL_SUP_PAIRS", pairs)
+        assert ball_sup(model, [0.3, -0.2, 0.1], 0.7, 9, 9) == want
 
+    # 33 and 797 points in each ball: blocks of 3 rows and of 1 row
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_blocks_give_the_full_product_s_bits_below_three_dimensions(self, d, monkeypatch):
+        model = fk.stable_like_symbol(self.ALPHA[d], 1.2, 1.8, dimension=d)
+        center = [0.3, -0.2][:d]
+        want = self.full_product_max(model, center, 0.7, 33)
+        monkeypatch.setattr(checks, "BALL_SUP_PAIRS", 100)
+        assert ball_sup(model, center, 0.7, 33, 33) == want
 
-    def test_first_failing_frequency_in_grid_order_is_the_witness(self):
-        # Re p vanishes at xi = 1 and xi = 2 while Im p = xi does not
-        m = fk.closed_form_symbol("(xi - 1)**2 * (xi - 2)**2", im="xi", conservative=False)
-        rep = check_sector_condition(m, X_GRID, [0.5, 2.0, 1.5, 1.0, 3.0])
-        assert rep.verdict == "fails"
-        assert rep.constant == np.inf
-        assert rep.witness_xi.tolist() == [2.0]
-        rep = check_sector_condition(m, X_GRID, [3.0, 1.0, 2.0])
-        assert rep.witness_xi.tolist() == [1.0]
-
-    def test_nan_value_fails_with_its_frequency(self):
-        # 1 + 0.5j at xi = 1 alone would give constant 0.5 and "holds"
+    def test_a_nan_in_a_later_block_gives_nan(self, monkeypatch):
+        # one y row per block, NaN on the last rows: Python's max would keep
+        # the finite maximum of the blocks before them
         def evaluator(x, xi):
-            xi = np.broadcast_to(xi, np.broadcast_shapes(x.shape, xi.shape))[..., 0]
-            return np.where(xi == 2.0, complex(np.nan, np.nan), 1.0 + 0.5j)
+            x, xi = np.broadcast_arrays(x, xi)
+            return np.where(x[..., 0] > 0.5, np.nan, 1.0 + xi[..., 0] ** 2).astype(complex)
 
-        m = fk.SymbolModel(kind="closed_form", dimension=1, evaluator=evaluator, conservative=False)
-        rep = check_sector_condition(m, X_GRID, [1.0, 2.0])
-        assert rep.verdict == "fails"
-        assert rep.witness_xi.tolist() == [2.0]
+        model = fk.SymbolModel(kind="closed_form", dimension=1, evaluator=evaluator)
+        monkeypatch.setattr(checks, "BALL_SUP_PAIRS", 65)
+        assert np.isnan(ball_sup(model, [0.0], 1.0, 65, 65))
 
-class TestFellerDecay:
-    def test_stable_symbol_decays(self):
-        rep = check_feller_decay(fk.alpha_stable(0.5, 1), np.geomspace(1.0, 1e5, 6))
-        assert rep.verdict == "holds"
-        assert rep.sups[-1] < rep.sups[0]
-        assert rep.sups[-1] < 1e-2
-
-    def test_killed_constant_does_not_decay(self):
-        m = fk.closed_form_symbol("1.0 + 0*xi", conservative=False)
-        rep = check_feller_decay(m, np.geomspace(1.0, 1e5, 6))
-        assert rep.verdict == "fails"
+    def test_memory_in_three_dimensions(self):
+        # the whole product of the two 2109-point ball grids took 170 MiB
+        # and gave the value pinned below
+        model = fk.stable_like_symbol(*self.STABLE_LIKE_3D, dimension=3)
+        tracemalloc.start()
+        try:
+            value = ball_sup(model, np.full(3, 0.3), 0.5, 17, 17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert value.hex() == "0x1.a17d39b4e5b2dp+1"
 
 
 class TestSqrtSubadditivity:
