@@ -534,6 +534,22 @@ class HeatExponentFit:
     bounds: np.ndarray
 
 
+def _line_fit(x, y, w):
+    """Weighted least-squares line y = intercept + slope x: the intercept,
+    the slope and the intercept's standard error when the weights are
+    1 / se^2 of the y values.  The normal equations are solved in closed
+    form about the weighted mean of x, with no BLAS or LAPACK call, so the
+    fit has the same bits on every OpenBLAS kernel.
+    """
+    w_sum = np.sum(w)
+    x_mean, y_mean = np.sum(w * x) / w_sum, np.sum(w * y) / w_sum
+    dx = x - x_mean
+    sxx = np.sum(w * dx * dx)
+    slope = float(np.sum(w * dx * (y - y_mean)) / sxx)
+    intercept = float(y_mean - slope * x_mean)
+    return intercept, slope, math.sqrt(1.0 / w_sum + x_mean * x_mean / sxx)
+
+
 def heat_exponent_fit(env: Envelope, t_grid=None, *, rel_tol: float = 1e-6) -> HeatExponentFit:
     """Log-log slopes of the density bound for t -> 0 and t -> infinity.
 
@@ -551,11 +567,13 @@ def heat_exponent_fit(env: Envelope, t_grid=None, *, rel_tol: float = 1e-6) -> H
     large = t_grid >= 100.0
     if small.sum() < 3 or large.sum() < 3:
         raise ConfigError("fit grid needs at least three points in each decade window")
-    coef_s = np.polyfit(np.log(t_grid[small]), np.log(bounds[small]), 1)
-    coef_l = np.polyfit(np.log(t_grid[large]), np.log(bounds[large]), 1)
+    slopes = [
+        _line_fit(np.log(t_grid[window]), np.log(bounds[window]), np.ones(window.sum()))[1]
+        for window in (small, large)
+    ]
     return HeatExponentFit(
-        small_t_slope=float(coef_s[0]),
-        large_t_slope=float(coef_l[0]),
+        small_t_slope=slopes[0],
+        large_t_slope=slopes[1],
         t_values=t_grid,
         bounds=bounds,
     )

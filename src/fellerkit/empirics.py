@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import _positive_radius, char_fn_bound, local_time_fourier_bound
+from .criteria import _line_fit, _positive_radius, char_fn_bound, local_time_fourier_bound
 from .envelopes import Envelope
 from .errors import ConfigError
 from .simulate import PathEnsemble, _in_order
@@ -279,16 +279,7 @@ def generator_finite_difference(ensembles, xi) -> GeneratorFDEstimate:
         raise ConfigError("step sizes must span at least one decade")
     # floor keeps w**2 representable when an exact estimate has zero se
     w = 1.0 / np.maximum(ses, 1e-150) ** 2
-    # the weighted normal equations of y = intercept + slope h, solved in
-    # closed form about the weighted mean step; no BLAS or LAPACK call, so
-    # the fit has the same bits on every OpenBLAS kernel
-    w_sum = np.sum(w)
-    h_mean, y_mean = np.sum(w * hs) / w_sum, np.sum(w * ys) / w_sum
-    dh = hs - h_mean
-    sxx = np.sum(w * dh * dh)
-    slope = float(np.sum(w * dh * (ys - y_mean)) / sxx)
-    intercept = float(y_mean - slope * h_mean)
-    se0 = math.sqrt(1.0 / w_sum + h_mean * h_mean / sxx)
+    intercept, slope, se0 = _line_fit(hs, ys, w)
     noisy = se0 > 0.5 * max(abs(intercept), 1e-300)
     signal = bool(np.any(ys > 3.0 * ses))
     inconclusive = noisy or not signal

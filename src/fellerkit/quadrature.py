@@ -13,18 +13,22 @@ Each shell is integrated with QUADPACK's 21-point Gauss-Kronrod rule and
 its embedded 10-point Gauss rule (qk21), with QUADPACK's error estimate.
 All nodes of all live subintervals of a shell go to the integrand in one
 array call; only the subintervals whose error misses their share of the
-budget are bisected for the next call.  The integrand gets the nodes in
-one shape in every dimension, component-last points of shape (n, k, d):
-each radius times k unit directions (:func:`on_spheres`).  A family of
-integrands (the heat bound at many times, say) walks the shells once: the
-integrand returns one row per member, and every call serves all members
-still walking.  Members may have radii of their own; the walks at every
-radius and in both directions run in lockstep, and each round makes one
-call to the integrand for the nodes of all of them.
+budget are bisected for the next call.  Each subinterval is reduced over
+its 21 nodes on its own, by numpy's einsum and never a BLAS product, so
+its sums have the same bits whatever else is reduced with them and under
+every BLAS kernel.  The integrand gets the nodes in one shape in every
+dimension, component-last points of shape (n, k, d): each radius times k
+unit directions (:func:`on_spheres`).  A family of integrands (the heat
+bound at many times, say) walks the shells once: the integrand returns
+one row per member, and every call serves all members still walking.
+Members may have radii of their own; the walks at every radius and in
+both directions run in lockstep, and each round makes one call to the
+integrand for the nodes of all of them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -231,8 +235,8 @@ _QK21 = np.array([
     [0.0, 0.1494455540029169, 0.0],
 ])
 _GK_NODES = np.concatenate([-_QK21[:10, 0], _QK21[::-1, 0]])
-_GK_WEIGHTS = np.concatenate([_QK21[:10, 1:], _QK21[::-1, 1:]])  # Kronrod, Gauss
-_GK_WK = np.ascontiguousarray(_GK_WEIGHTS[:, 0])
+_GK_WEIGHTS = np.concatenate([_QK21[:10, 1:], _QK21[::-1, 1:]]).T.copy()  # rows: Kronrod, Gauss
+_GK_WK = _GK_WEIGHTS[0]
 _EPS = np.finfo(float).eps
 #: a shell is accepted when its summed error estimate is within
 #: max(SHELL_ABS_TOL, SHELL_REL_TOL * |shell integral|)
@@ -245,48 +249,40 @@ SHELL_PIECES = 200
 def _gauss_kronrod(vals: np.ndarray, half: np.ndarray):
     """qk21 on pieces of half-width ``half`` (shape (p,)) from the node
     values ``vals`` (shape (k, p, 21), one row per integrand): the Kronrod
-    values and QUADPACK's error estimates, each (k, p).  A row with a
-    nonfinite node value gets nonfinite values and infinite errors.
+    values and QUADPACK's error estimates, each (k, p).  A piece with a
+    nonfinite node value gets a nonfinite value and an infinite error.
 
-    The products are stacked over rows, so each row is reduced as its own
-    (p, 21) block and comes out bit for bit as if it were integrated alone.
+    Each piece is reduced over its 21 nodes on its own, by ``np.einsum``
+    without ``optimize`` (which would hand the sums to BLAS), so every
+    (row, piece) cell has the same bits whatever else is in the block and
+    under every BLAS kernel.
     """
-    if not np.isfinite(vals).all():
-        finite = np.isfinite(vals).reshape(len(vals), -1).all(axis=1)
-        kronrod = np.empty(vals.shape[:2])
-        err = np.full(vals.shape[:2], math.inf)
-        with np.errstate(invalid="ignore"):
-            kronrod[~finite] = (vals[~finite] * _GK_WK).sum(axis=-1) * half
-        if finite.any():
-            kronrod[finite], err[finite] = _gauss_kronrod(vals[finite], half)
-        return kronrod, err
-    both = vals @ _GK_WEIGHTS
-    kronrod, gauss = both[..., 0], both[..., 1]
-    resabs = np.abs(vals) @ _GK_WK
-    resasc = np.abs(vals - 0.5 * kronrod[..., None]) @ _GK_WK
-    err = np.abs(kronrod - gauss)
-    # resasc * min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs
-    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0)
-    err = np.where(resasc > 0, resasc * np.minimum(1.0, ratio**1.5), err)
-    err = np.maximum(err, 50.0 * _EPS * resabs) * half
+    resabs = np.einsum("kpn,n->kp", np.abs(vals), _GK_WK)
+    # a sum of nonnegative terms: finite just when every node value is
+    # (short of overflow, where the error below is infinite anyway)
+    finite = np.isfinite(resabs)
+    # a nonfinite piece meets inf - inf below, and gets an infinite error
+    with contextlib.nullcontext() if finite.all() else np.errstate(invalid="ignore"):
+        kronrod, gauss = np.einsum("kpn,wn->wkp", vals, _GK_WEIGHTS)
+        resasc = np.einsum("kpn,n->kp", np.abs(vals - 0.5 * kronrod[..., None]), _GK_WK)
+        err = np.abs(kronrod - gauss)
+        # resasc * min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs
+        ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0)
+        err = np.where(resasc > 0, resasc * np.minimum(1.0, ratio**1.5), err)
+        err = np.maximum(err, 50.0 * _EPS * resabs) * half
+    err[~finite] = math.inf
     return kronrod * half, err
-
-
-def _row_patterns(live: np.ndarray):
-    """(rows, pieces) index pairs that group the rows of the boolean
-    ``live`` by equal row, each with the pieces that row marks."""
-    keys, inverse = np.unique(live, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    return [(np.flatnonzero(inverse == k), np.flatnonzero(key)) for k, key in enumerate(keys)]
 
 
 def _masked_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Sum of each row of ``x`` over its ``mask``, added in the order numpy
-    sums that row's selected entries on their own (up to two terms, the
-    zeros in between change nothing)."""
+    sums that row's selected entries on their own: a row that selects all
+    of its entries, or at most two, is summed with zeros in the gaps,
+    which change nothing; any other row sums its selection alone."""
     sums = np.where(mask, x, 0.0).sum(axis=1)
-    for i in np.flatnonzero(mask.sum(axis=1) > 2):
-        sums[i] = x[i, mask[i]].sum()
+    if mask.shape[1] > 2:
+        for i in np.flatnonzero((mask.sum(axis=1) > 2) & ~mask.all(axis=1)):
+            sums[i] = x[i, mask[i]].sum()
     return sums
 
 
@@ -309,7 +305,7 @@ def _shell_integrals(rows, d: int, lo: float, hi: float):
     value_out = np.empty(len(rows))
     error_out = np.empty(len(rows))
     pos = np.arange(len(rows))  # the open rows, as positions in ``rows``
-    live = None  # live[i, p]: piece p is open for row pos[i]; None: all are
+    live = np.ones((len(rows), 1), dtype=bool)  # live[i, p]: piece p is open for row pos[i]
     done_val = np.zeros(len(rows))
     done_err = np.zeros(len(rows))
     los, his = np.array([lo]), np.array([hi])
@@ -318,26 +314,13 @@ def _shell_integrals(rows, d: int, lo: float, hi: float):
         half = 0.5 * (his - los)
         nodes = (0.5 * (his + los))[:, None] + half[:, None] * _GK_NODES
         node_vals = (yield nodes.ravel(), rows[pos]).reshape(len(pos), *nodes.shape)
-        if live is None:
-            vals, errs = _gauss_kronrod(node_vals, half)
-            value = done_val + vals.sum(axis=1)
-            error = done_err + errs.sum(axis=1)
-        else:
-            # each group of rows alike in their pieces is reduced on just
-            # those pieces, as it would be alone
-            vals, errs = np.zeros(live.shape), np.zeros(live.shape)
-            for members, pieces in _row_patterns(live):
-                block = np.ascontiguousarray(node_vals[members][:, pieces])
-                cells = np.ix_(members, pieces)
-                vals[cells], errs[cells] = _gauss_kronrod(block, half[pieces])
-            value = done_val + _masked_sums(vals, live)
-            error = done_err + _masked_sums(errs, live)
+        vals, errs = _gauss_kronrod(node_vals, half)
+        value = done_val + _masked_sums(vals, live)
+        error = done_err + _masked_sums(errs, live)
         budget = np.maximum(SHELL_ABS_TOL, SHELL_REL_TOL * np.abs(value))
         done = (error <= budget) | ~np.isfinite(value)
         if not done.all():
-            rejected = errs > budget[:, None] * (his - los) / (hi - lo)
-            if live is not None:
-                rejected &= live
+            rejected = live & (errs > budget[:, None] * (his - los) / (hi - lo))
             done |= ~rejected.any(axis=1)
             split = rejected[~done].any(axis=0)
             if n_done + len(los) + int(split.sum()) > SHELL_PIECES:
@@ -349,14 +332,14 @@ def _shell_integrals(rows, d: int, lo: float, hi: float):
         if done.all():
             return value_out, error_out
         go = ~done
-        kept = ~rejected[go] if live is None else live[go] & ~rejected[go]
+        kept = live[go] & ~rejected[go]
         done_val = done_val[go] + _masked_sums(vals[go], kept)
         done_err = done_err[go] + _masked_sums(errs[go], kept)
         n_done += len(los) - int(split.sum())
         mids = 0.5 * (los[split] + his[split])
         los, his = np.concatenate([los[split], mids]), np.concatenate([mids, his[split]])
         halves = rejected[go][:, split]
-        live = None if halves.all() else np.concatenate([halves, halves], axis=1)
+        live = np.concatenate([halves, halves], axis=1)
         pos = pos[go]
 
 

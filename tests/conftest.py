@@ -68,29 +68,48 @@ def acceptance():
     return _rec
 
 
+def _in_children(probe, settings):
+    """Run the Python source ``probe`` in one fresh interpreter per entry of
+    ``settings`` (a name and the environment variables it sets; one BLAS
+    thread, fellerkit from src/) and return each one's last line of
+    output, by name."""
+    children = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", probe],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1", **env},
+        )
+        for name, env in settings.items()
+    }
+    outputs = {name: child.communicate(timeout=120) for name, child in children.items()}
+    for name, child in children.items():
+        assert child.returncode == 0, outputs[name][1]
+    return {name: out.splitlines()[-1] for name, (out, _) in outputs.items()}
+
+
 @pytest.fixture
 def under_blas_kernels():
     """Return a runner: under_blas_kernels(probe) runs the Python source
     ``probe`` in one fresh interpreter per OpenBLAS kernel (SkylakeX,
-    Haswell, Prescott; one BLAS thread, fellerkit from src/) and returns
-    each one's last line of output, by kernel."""
+    Haswell, Prescott) and returns each one's last line of output, by
+    kernel."""
+    kernels = {core: {"OPENBLAS_CORETYPE": core} for core in ("SkylakeX", "Haswell", "Prescott")}
+    return lambda probe: _in_children(probe, kernels)
 
-    def run(probe):
-        children = {
-            core: subprocess.Popen(
-                [sys.executable, "-c", probe],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_CORETYPE": core,
-                     "OPENBLAS_NUM_THREADS": "1"},
-            )
-            for core in ("SkylakeX", "Haswell", "Prescott")
-        }
-        outputs = {core: child.communicate(timeout=120) for core, child in children.items()}
-        for core, child in children.items():
-            assert child.returncode == 0, outputs[core][1]
-        return {core: out.splitlines()[-1] for core, (out, _) in outputs.items()}
 
-    return run
+@pytest.fixture
+def under_cpu_targets():
+    """Return a runner: under_cpu_targets(probe) runs the Python source
+    ``probe`` in one fresh interpreter on numpy's own choice of SIMD
+    dispatch target and in one with the AVX512 targets switched off
+    through numpy's ``NPY_DISABLE_CPU_FEATURES``, and returns each one's
+    last line of output, by target.  Bits may differ between targets, so
+    a probe compares bits within its own process."""
+    targets = {
+        "default": {},
+        "no AVX512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+    }
+    return lambda probe: _in_children(probe, targets)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

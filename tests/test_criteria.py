@@ -368,6 +368,43 @@ class TestOneLockstepWalk:
         assert longest <= len(calls) - 1 <= 44
 
 
+def _criteria_values(model, times):
+    """Every value and error estimate of frequency_criteria at r = 0.5,
+    with local times, the heat bound at ``times`` and one occupation
+    radius."""
+    import fellerkit as fk
+
+    env = fk.build_envelope(model)
+    *reports, bounds, heat, occ_bounds, occ = fk.criteria.frequency_criteria(
+        env, 0.5, True, times, occupation_radii=[1.0]
+    )
+    integrals = [report.evidence["integral"] for report in reports]
+    return (
+        [(i["value"], i["abs_error_estimate"]) for i in integrals],
+        bounds.tolist(), occ_bounds, [(res.value, res.abs_error_estimate) for res in heat + occ],
+    )
+
+
+def test_frequency_engine_is_bit_identical_across_blas_kernels(under_blas_kernels):
+    """The qk21 pieces are reduced without BLAS and the heat exponent fit
+    is solved in closed form: with a BLAS product and np.polyfit every
+    part of this probe had other bits under each of the three kernels."""
+    probe = inspect.getsource(_criteria_values) + (
+        "import fellerkit as fk\n"
+        "fits = [fk.heat_exponent_fit(fk.build_envelope(m)) for m in"
+        " (fk.stable_like_symbol('1.5 + 0.3*sin(x)', 1.2, 1.8), fk.brownian(1))]\n"
+        "print(repr((\n"
+        "    _criteria_values(fk.stable_like_symbol('1.5 + 0.3*sin(x1)*cos(x2)', 1.2, 1.8, 2),"
+        " [0.01, 1.0, 100.0]),\n"
+        "    _criteria_values(fk.closed_form_symbol("
+        "'abs(xi1)**1.5 + 0.5*abs(xi2)**1.5 + 0.25*abs(xi1*xi2)', dimension=2), [0.1, 10.0]),\n"
+        "    [(fit.small_t_slope, fit.large_t_slope) for fit in fits],\n"
+        ")))\n"
+    )
+    seen = under_blas_kernels(probe)
+    assert len(set(seen.values())) == 1, seen
+
+
 @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("criterion", [fk.test_transience, fk.occupation_bound])
 def test_radius_must_be_finite_and_positive(criterion, radius):

@@ -4,6 +4,7 @@ Known closed forms used as oracles: gaussian integrals sqrt(pi)^d, and
 integral of (1 + |xi|)^(-3/4) over [-1, 1], which is 8 (2^(1/4) - 1).
 """
 
+import inspect
 import math
 import warnings
 
@@ -345,11 +346,11 @@ class TestLockstep:
             assert top < radius or (low > radius and all(tails[i] for i in idx))
 
     @pytest.mark.parametrize("radial, error", [
-        (True, 1.9582714767450023e-13), (False, 1.9582714759450484e-13),
+        (True, 1.9582714751450937e-13), (False, 1.9582714751450942e-13),
     ])
     def test_errors_add_inner_shells_first(self, radial, error):
         # pinned from the walk that ran all inner shells before the outer
-        # ones; adding the outer errors first ends in ...026e-13 and ...486e-13
+        # ones; adding the outer errors first ends in ...094e-13 and ...945e-13
         fn = _family_rows(2)["convergent"]
         (res,) = classify_family(
             lambda xi: fn(xi)[None], 1, 2, include_tail=True, radial=radial
@@ -370,6 +371,66 @@ class TestLockstep:
             classify_family(f, 1, 1, radius=[1.0], include_tail=True)
         # without the outward walk nothing reaches 1e3
         assert classify_improper(f, 1).classification == "convergent"
+
+
+def _qk21_mismatches(k, p, bad_nodes):
+    """The cells of a random (k, p, 21) block of node values that break
+    "each qk21 piece is reduced on its own": those whose value or error
+    differs in any bit from the cell reduced alone; then, with
+    ``bad_nodes`` (node -> value) written into cell (k // 2, p // 2), that
+    cell unless its value is nonfinite and its error inf, and each other
+    cell whose bits moved."""
+    import numpy as np
+
+    from fellerkit.quadrature import _gauss_kronrod
+
+    rng = np.random.default_rng([k, p])
+    vals = np.exp(rng.normal(0.0, 3.0, (k, p, 1))) * (1.0 + 0.5 * rng.standard_normal((k, p, 21)))
+    half = rng.uniform(0.1, 2.0, p)
+    value, error = _gauss_kronrod(vals, half)
+    wrong = []
+    for i, j in np.ndindex(k, p):
+        alone = _gauss_kronrod(vals[i : i + 1, j : j + 1], half[j : j + 1])
+        if [value[i, j], error[i, j]] != [alone[0][0, 0], alone[1][0, 0]]:
+            wrong.append(("alone", i, j))
+    cell = (k // 2, p // 2)
+    for node, x in bad_nodes.items():
+        vals[cell + (node,)] = x
+    bad_value, bad_error = _gauss_kronrod(vals, half)
+    if np.isfinite(bad_value[cell]) or bad_error[cell] != np.inf:
+        wrong.append(("nonfinite", *cell))
+    moved = (bad_value.view(np.uint64) != value.view(np.uint64)) | (
+        bad_error.view(np.uint64) != error.view(np.uint64)
+    )
+    moved[cell] = False
+    return wrong + [("moved", int(i), int(j)) for i, j in zip(*np.nonzero(moved))]
+
+
+QK21_BLOCKS = [(1, 1), (163, 1), (1, 3), (163, 3)]
+#: an inf, a nan, and an inf and a -inf whose sum is nan
+NONFINITE_NODES = [{7: math.inf}, {7: math.nan}, {7: math.inf, 13: -math.inf}]
+
+
+class TestGaussKronrod:
+    """Each (row, piece) cell of a qk21 block is reduced over its 21 nodes
+    on its own, so it has the same bits whatever else is in the block; a
+    BLAS product gave other bits on a (163, 3) block than on its cells."""
+
+    @pytest.mark.parametrize("bad_nodes", NONFINITE_NODES)
+    @pytest.mark.parametrize("k, p", QK21_BLOCKS)
+    def test_a_block_equals_its_cells_alone(self, k, p, bad_nodes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _qk21_mismatches(k, p, bad_nodes) == []
+
+    def test_on_every_cpu_target(self, under_cpu_targets):
+        # bits differ between numpy's dispatch targets, so each child
+        # compares its blocks with its own cells
+        probe = "from math import inf, nan\n" + inspect.getsource(_qk21_mismatches) + (
+            f"print(all(_qk21_mismatches(k, p, bad) == [] for k, p in {QK21_BLOCKS}"
+            f" for bad in {NONFINITE_NODES}))\n"
+        )
+        assert under_cpu_targets(probe) == {"default": "True", "no AVX512": "True"}
 
 
 class TestDirectionHelpers:
