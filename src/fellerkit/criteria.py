@@ -18,7 +18,7 @@ import numpy as np
 
 from .envelopes import Envelope
 from .errors import ConfigError, NumericalError
-from .quadrature import classify_family, on_spheres, surface_area
+from .quadrature import classify_family, on_spheres, positive_radius, surface_area
 from .symbol_checks import ball_sup
 from .symbols import SymbolModel
 
@@ -111,13 +111,6 @@ def _reciprocal(q: np.ndarray) -> np.ndarray:
     return np.divide(1.0, q, out=np.full(np.shape(q), math.inf), where=q > 0)
 
 
-def _positive_radius(r, message: str = "radius must be positive") -> float:
-    r = float(r)
-    if not (math.isfinite(r) and r > 0):
-        raise ConfigError(message)
-    return r
-
-
 def frequency_criteria(
     env: Envelope,
     r: float | None,
@@ -135,10 +128,12 @@ def frequency_criteria(
     All are integrals of q_inf: of 1 / q_inf over |xi| <= r, of
     1 / (1 + q_inf) and exp(-(t/16) q_inf) over R^d, and of 1 / q_inf over
     |eta| <= 4 r sqrt(d) (:func:`occupation_bound`).  They are the rows of
-    one :func:`~fellerkit.quadrature.classify_family` call, whose walks at
-    every radius and in both directions run in lockstep: each round makes
-    one envelope query for all of them, a row is computed only at the
-    nodes of its own walk, and each row gets the result of its own walk.
+    one :func:`~fellerkit.quadrature.classify_family` call.  Radii that
+    differ by a power of two (1 and an occupation radius 4 r sqrt(d) = 2^k,
+    say) share one ladder of shells, walked once in each direction, and
+    the walks of every ladder run in lockstep: each round makes one
+    envelope query for all of them, a row is computed only at the nodes of
+    its own walk, and each row gets the result of its radius walked alone.
     ``t`` is one finite, positive time or a 1-D sequence of them.  Returns
     the transience and local-times reports (None when not asked for;
     "fails", without a walk, when q_inf dips below zero on a probe of
@@ -148,8 +143,8 @@ def frequency_criteria(
     :func:`occupation_bound`.
     """
     start = time.perf_counter()
-    r = None if r is None else _positive_radius(r)
-    occupation_radii = [_positive_radius(r_occ) for r_occ in occupation_radii]
+    r = None if r is None else positive_radius(r)
+    occupation_radii = [positive_radius(r_occ) for r_occ in occupation_radii]
     d = env.dimension
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
@@ -510,7 +505,7 @@ def exit_time_bound(
     practice for the smooth coefficient fields used here).
     """
     message = "need r > 0 and t >= 0, both finite"
-    r = _positive_radius(r, message)
+    r = positive_radius(r, message)
     if not (math.isfinite(t) and t >= 0):
         raise ConfigError(message)
     d = _bump_dimension(model.dimension)  # before the ball grids, which grow as 17^d

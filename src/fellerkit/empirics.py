@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import _line_fit, _positive_radius, char_fn_bound, local_time_fourier_bound
+from .criteria import _line_fit, char_fn_bound, local_time_fourier_bound
 from .envelopes import Envelope
 from .errors import ConfigError
+from .quadrature import positive_radius
 from .simulate import PathEnsemble, _in_order
 from .symbols import as_points
 
@@ -409,7 +410,7 @@ class ExitSup:
     def __init__(self, source, rows):
         self.rows = []
         for r, t in rows:
-            r, t = _positive_radius(r), float(t)
+            r, t = positive_radius(r), float(t)
             self.rows.append((r, t, source.time_index(t)))
         self._read = {idx for _, _, idx in self.rows}
         self.stop = 1 + max(self._read, default=-1)

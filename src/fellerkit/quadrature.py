@@ -21,9 +21,11 @@ dimension, component-last points of shape (n, k, d): each radius times k
 unit directions (:func:`on_spheres`).  A family of integrands (the heat
 bound at many times, say) walks the shells once: the integrand returns
 one row per member, and every call serves all members still walking.
-Members may have radii of their own; the walks at every radius and in
-both directions run in lockstep, and each round makes one call to the
-integrand for the nodes of all of them.
+Members may have radii of their own.  Radii that differ by a power of
+two share their shells, so they share one ladder, walked once in each
+direction; the walks of every ladder run in lockstep, and each round makes
+one call to the integrand for the nodes of all of them and one qk21
+reduction for all of their pieces.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 __all__ = [
     "IntegralResult",
@@ -84,6 +86,15 @@ class IntegralResult:
             "classification": self.classification,
             "annulus_trace": [[int(j), float(v)] for j, v in self.annulus_trace],
         }
+
+
+def positive_radius(r, message: str = "radius must be positive") -> float:
+    """``r`` as a float; ConfigError with ``message`` unless it is finite
+    and positive."""
+    r = float(r)
+    if not (math.isfinite(r) and r > 0):
+        raise ConfigError(message)
+    return r
 
 
 def surface_area(d: int) -> float:
@@ -188,34 +199,46 @@ def on_spheres(f, r: np.ndarray, d: int, radial: bool, n: int | None = None, row
     return np.reshape(f(points), rows + points.shape[:-1])
 
 
-def _node_values(f, rows_of, m: int, d: int, radial: bool):
-    """The one call to ``f`` that a lockstep round makes, and each walk's
-    share of its values.
+def _round(f, rows_of, m: int, d: int, radial: bool):
+    """The function that answers a lockstep round.
 
-    Returns ``(query, take)``.  ``query(r)`` calls ``f`` once, by
-    :func:`on_spheres`, at the radii ``r`` of every request of the round,
-    joined.  ``take(values, start, r, idx)`` is the share of the request
-    whose radii ``r`` start at position ``start`` of the joined ones: its
-    rows ``idx`` at each radius, averaged over the directions, times
-    r^(d-1), shape (len(idx), len(r)).  Without ``rows_of``, ``f`` returns
-    all m rows; with it, ``f`` returns one value per point and ``rows_of``
-    computes just the rows ``idx`` of each request.
+    ``answer(requests)`` takes the requests ``(r, idx, half)`` of every
+    walk of the round (:func:`_shell_integrals`) and makes one call to
+    ``f``, by :func:`on_spheres`, at the node radii ``r`` of all of them,
+    joined.  A request's share is its rows ``idx`` at each of its radii,
+    averaged over the directions, times r^(d-1).  One :func:`_gauss_kronrod`
+    call then reduces the (row, piece) cells of every request, and each
+    request gets back its values and errors, each (len(idx), len(half)).
+    Without ``rows_of``, ``f`` returns all m rows; with it, ``f`` returns
+    one value per point and ``rows_of`` computes just the rows ``idx`` of
+    each request.
     """
     rows = (m,) if rows_of is None else ()
     if rows_of is None:
         def rows_of(values, idx):
             return values[idx]
 
-    def take(values, start, r, idx):
-        vals = rows_of(values[..., start : start + len(r), :], idx)
-        if radial:
-            vals = vals[..., 0]
-        else:
-            with np.errstate(invalid="ignore"):  # inf - inf: a nonfinite shell
-                vals = vals.mean(axis=-1)
-        return vals * r ** (d - 1)
+    def answer(requests):
+        values = on_spheres(f, np.concatenate([r for r, _, _ in requests]), d, radial, rows=rows)
+        cells, halves, start = [], [], 0
+        for r, idx, half in requests:
+            vals = rows_of(values[..., start : start + len(r), :], idx)
+            if radial:
+                vals = vals[..., 0]
+            else:
+                with np.errstate(invalid="ignore"):  # inf - inf: a nonfinite shell
+                    vals = vals.mean(axis=-1)
+            cells.append((vals * r ** (d - 1)).reshape(-1, len(_GK_NODES)))
+            halves.append(np.tile(half, len(idx)))
+            start += len(r)
+        kronrod, error = _gauss_kronrod(np.concatenate(cells)[None], np.concatenate(halves))
+        cuts = np.cumsum([len(c) for c in cells])[:-1]
+        return [
+            (v.reshape(len(idx), -1), e.reshape(len(idx), -1)) for v, e, (_, idx, _)
+            in zip(np.split(kronrod[0], cuts), np.split(error[0], cuts), requests)
+        ]
 
-    return lambda r: on_spheres(f, r, d, radial, rows=rows), take
+    return answer
 
 
 # QUADPACK's qk21 rule on [-1, 1], rounded to double: per node x >= 0 (the
@@ -290,15 +313,18 @@ def _shell_integrals(rows, d: int, lo: float, hi: float):
     """Integral of family row i over lo <= r <= hi, times the sphere area,
     for each row i in ``rows``: the values and error estimates.
 
-    A generator: each pass yields the radii of its nodes and the rows it
-    needs there, and is sent back their values, shape (rows, nodes).  The
-    rows share one list of pieces, so a pass is one request for all of
-    them.  Each row keeps its own live pieces and runs the rule of a shell
-    integrated alone: it is done once its summed error is within
-    max(SHELL_ABS_TOL, SHELL_REL_TOL |value|) or its value is not finite;
-    else its pieces whose error exceeds their share of the budget (by
-    length) are bisected, and when none does it is done as it stands.  A piece is bisected when any row still open
-    bisects it, and SHELL_PIECES caps the shared pieces, done and live.
+    A generator: each pass yields the radii of its nodes, the rows it needs
+    there and the half-width of each piece, and is sent back the qk21
+    values and error estimates of each (row, piece) cell, each of shape
+    (rows, pieces) (:func:`_gauss_kronrod`).  The rows share one list of
+    pieces, so a pass is one request for all of them.  Each row keeps its
+    own live pieces and runs the rule of a shell integrated alone: it is
+    done once its summed error is within max(SHELL_ABS_TOL, SHELL_REL_TOL
+    |value|) or its value is not finite; else its pieces whose error
+    exceeds their share of the budget (by length) are bisected, and when
+    none does it is done as it stands.  A piece is bisected when any row
+    still open bisects it, and SHELL_PIECES caps the shared pieces, done
+    and live.
     """
     surf = surface_area(d)
     rows = np.asarray(rows)
@@ -313,8 +339,7 @@ def _shell_integrals(rows, d: int, lo: float, hi: float):
     while True:
         half = 0.5 * (his - los)
         nodes = (0.5 * (his + los))[:, None] + half[:, None] * _GK_NODES
-        node_vals = (yield nodes.ravel(), rows[pos]).reshape(len(pos), *nodes.shape)
-        vals, errs = _gauss_kronrod(node_vals, half)
+        vals, errs = yield nodes.ravel(), rows[pos], half
         value = done_val + _masked_sums(vals, live)
         error = done_err + _masked_sums(errs, live)
         budget = np.maximum(SHELL_ABS_TOL, SHELL_REL_TOL * np.abs(value))
@@ -385,43 +410,60 @@ def _verdict(shells, total: float, rel_tol: float, abs_tol: float):
     return None
 
 
-def _walk(radius: float, start: int, step: int, min_shells: int, rows: list, d: int,
+def _walk(mantissa: float, step: int, min_shells: int, exponents: dict, d: int,
           rel_tol: float, abs_tol: float):
-    """Walk the shells at ``radius`` from index ``start`` in direction
-    ``step`` until each of ``rows`` has a verdict.
+    """Walk the ladder of shells [mantissa 2^J, mantissa 2^(J+1)], the
+    rungs J, in direction ``step`` until each row of ``exponents`` has a
+    verdict.
+
+    Row i has the radius mantissa 2^e, e = ``exponents[i]``, and joins the
+    walk at its own first rung, J = e - 1 inward (``step`` -1) or J = e
+    outward (+1); from there it counts its own shells, against min_shells
+    plus MAX_EXTRA_SHELLS, and records each under its index j = J - e
+    relative to its radius.  A shell mantissa 2^J has the bits of
+    radius 2^j, so a row gets the shells, and the result, of its radius
+    walked alone.  When no row is walking, the walk goes on at the first
+    rung of the next row to join.
 
     A generator that passes on the requests of :func:`_shell_integrals`
     and returns, per row, its shells, status, tail and shell errors.
     """
-    shells = {i: [] for i in rows}
-    errs = {i: [] for i in rows}
-    status = dict.fromkeys(rows, "undetermined")
-    tails = dict.fromkeys(rows, (0.0, 0.0))
-    totals = dict.fromkeys(rows, 0.0)
-    j = start
-    for k in range(min_shells + MAX_EXTRA_SHELLS):
+    shells = {i: [] for i in exponents}
+    errs = {i: [] for i in exponents}
+    status = dict.fromkeys(exponents, "undetermined")
+    tails = dict.fromkeys(exponents, (0.0, 0.0))
+    totals = dict.fromkeys(exponents, 0.0)
+    first = {i: e - 1 if step < 0 else e for i, e in exponents.items()}
+    waiting = sorted(first, key=lambda i: step * first[i])  # in the order the walk meets them
+    exps = set(exponents.values())
+    rows = []
+    while rows or waiting:
         if not rows:
-            break
-        lo = radius * 2.0**j
-        hi = radius * 2.0 ** (j + 1)
-        vals, shell_errs = yield from _shell_integrals(rows, d, lo, hi)
+            rung = first[waiting[0]]
+        while waiting and first[waiting[0]] == rung:
+            rows = sorted(rows + [waiting.pop(0)])
+        vals, shell_errs = yield from _shell_integrals(
+            rows, d, math.ldexp(mantissa, rung), math.ldexp(mantissa, rung + 1)
+        )
         walking = []
+        # one index object per radius: a new int for each row and shell adds up
+        index = {e: rung - e for e in exps}
         for i, val, err in zip(rows, vals.tolist(), shell_errs.tolist()):
             errs[i].append(err)
-            shells[i].append((j, val))
+            shells[i].append((index[exponents[i]], val))
             totals[i] += val
             if not math.isfinite(val):
                 status[i] = "nonfinite"
                 continue
             verdict = None
-            if k + 1 >= min_shells:
+            if len(shells[i]) >= min_shells:
                 verdict = _verdict(shells[i], totals[i], rel_tol, abs_tol)
-            if verdict is None:
-                walking.append(i)
-            else:
+            if verdict is not None:
                 status[i], tails[i] = verdict
+            elif len(shells[i]) < min_shells + MAX_EXTRA_SHELLS:
+                walking.append(i)
         rows = walking
-        j += step
+        rung += step
     return {i: (shells[i], status[i], tails[i], errs[i]) for i in shells}
 
 
@@ -449,29 +491,38 @@ def classify_family(
     that :func:`~fellerkit.symbols.as_points` leaves.
 
     ``radius`` and ``include_tail`` are one value for every row or one per
-    row.  A walk is one radius and one direction: the inner shells of the
-    rows at that radius, or the outer shells of those with a tail.  The
+    row; a radius must be finite and positive (else ConfigError).  Radii
+    that differ by a power of two have the same shells, radius 2^j, so
+    they make one ladder, and a walk is one ladder and one direction: the
+    inner shells of the ladder's rows, or the outer shells of those with a
+    tail.  Each row joins its ladder's walk at its own first shell.  The
     walks run in lockstep: each round makes one call to ``f`` for the
-    nodes of every walk still running, whatever their radii.  The rows of
-    a walk share its shells' pieces, and a piece is bisected when any of
-    them needs it.  Each row keeps its own shell sums, error budget, ratio
-    test, geometric tail and classification, and leaves its walk once it
-    has its verdict, so it gets the result it would get alone, bit for
-    bit, as long as the value of ``f`` at a point does not depend on the
-    other points of the call, and unless the shared pieces of a shell
-    reach SHELL_PIECES before its own would.  A row with a nonfinite value
-    at a node of its pieces gets a nonfinite shell; the other rows go on.
+    nodes of every walk still running, and one qk21 reduction for all of
+    them.  The rows of a walk share its shells' pieces, and a piece is
+    bisected when any of them needs it.  Each row keeps its own shell
+    sums, error budget, ratio test, geometric tail and classification,
+    and leaves its walk once it has its verdict, so it gets the result its
+    radius would get alone, bit for bit, as long as the value of ``f`` at
+    a point does not depend on the other points of the call, and unless
+    the shared pieces of a shell, which the rows of one ladder share
+    whatever their radii, reach SHELL_PIECES before its own would.  A row
+    with a nonfinite value at a node of its pieces gets a nonfinite shell;
+    the other rows go on.
     """
     radii = np.broadcast_to(np.asarray(radius, dtype=float), (m,)).tolist()
+    radii = [positive_radius(r) for r in radii]
     has_tail = np.broadcast_to(include_tail, (m,)).tolist()
-    query, take = _node_values(f, rows_of, m, d, radial)
+    answer = _round(f, rows_of, m, d, radial)
+    ladders = {}  # mantissa -> {row: exponent}
+    for i, r in enumerate(radii):
+        mantissa, e = math.frexp(r)
+        ladders.setdefault(mantissa, {})[i] = e
     inner, outer = {}, {}
     walks = []  # (walk, where it puts its rows' results)
-    for r in dict.fromkeys(radii):
-        members = [i for i in range(m) if radii[i] == r]
-        tailed = [i for i in members if has_tail[i]]
-        walks.append((_walk(r, -1, -1, INNER_SHELLS, members, d, rel_tol, abs_tol), inner))
-        walks.append((_walk(r, 0, +1, OUTER_SHELLS, tailed, d, rel_tol, abs_tol), outer))
+    for mantissa, exponents in ladders.items():
+        tailed = {i: e for i, e in exponents.items() if has_tail[i]}
+        walks.append((_walk(mantissa, -1, INNER_SHELLS, exponents, d, rel_tol, abs_tol), inner))
+        walks.append((_walk(mantissa, +1, OUTER_SHELLS, tailed, d, rel_tol, abs_tol), outer))
     sent = [None] * len(walks)
     while walks:
         requests, running = [], []
@@ -482,12 +533,9 @@ def classify_family(
                 results.update(stop.value)
             else:
                 running.append((walk, results))
-        walks, sent, start = running, [], 0
+        walks = running
         if requests:
-            values = query(np.concatenate([r for r, _ in requests]))
-            for r, idx in requests:
-                sent.append(take(values, start, r, idx))
-                start += len(r)
+            sent = answer(requests)
 
     no_walk = ([], "undetermined", (0.0, 0.0), [])
     results = []

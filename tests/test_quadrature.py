@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import fellerkit as fk
+from fellerkit import quadrature
 from fellerkit.quadrature import (
+    IntegralResult,
     classify_family,
     classify_improper,
     direction_set,
@@ -340,10 +342,13 @@ class TestLockstep:
         whole = classify_family(family, 5, d, radius=radii, include_tail=tails, radial=radial)
         assert [repr(res) for res in split] == [repr(res) for res in whole]
         for idx, low, top in asked:
-            (radius,) = {radii[i] for i in idx}  # the rows of one walk
-            # an inner walk stays below its radius; an outer one, above it,
-            # serves only rows with a tail
-            assert top < radius or (low > radius and all(tails[i] for i in idx))
+            # the rows of one walk share a ladder (here every radius does)
+            assert len({math.frexp(radii[i])[0] for i in idx}) == 1
+            # each row is asked only inside its own domain: on an inner
+            # shell, below its radius; on an outer one, above it, and only
+            # if it has a tail
+            for i in idx:
+                assert top < radii[i] or (low > radii[i] and tails[i]), (i, low, top)
 
     @pytest.mark.parametrize("radial, error", [
         (True, 1.9582714751450937e-13), (False, 1.9582714751450942e-13),
@@ -371,6 +376,93 @@ class TestLockstep:
             classify_family(f, 1, 1, radius=[1.0], include_tail=True)
         # without the outward walk nothing reaches 1e3
         assert classify_improper(f, 1).classification == "convergent"
+
+
+class TestLadders:
+    """Radii that differ by a power of two walk one ladder of shells per
+    direction, and each row still gets the result of its radius alone."""
+
+    @staticmethod
+    def _walked_rows(monkeypatch):
+        """The rows of every shell pass, as the tuple of rows per call."""
+        calls = []
+        real = quadrature._shell_integrals
+
+        def spy(rows, *args):
+            calls.append(tuple(rows))
+            return (yield from real(rows, *args))
+
+        monkeypatch.setattr(quadrature, "_shell_integrals", spy)
+        return calls
+
+    @pytest.mark.parametrize("d, radial", [(1, True), (1, False), (2, True), (2, False)])
+    def test_rows_at_r_2r_4r_8r_match_each_radius_alone(self, d, radial, monkeypatch):
+        fns = _family_rows(d)
+        # rows at r, 2r, 4r and 8r, each with and without a tail, then one
+        # at 3r, which is on a ladder of its own; the three rows kinked in
+        # the shell [r/2, r] share its bisections
+        radii = [0.75 * 2**s for s in range(4) for _ in range(2)] + [2.25]
+        tails = [True, False] * 4 + [True]
+        rows = [fns[name] for name in (
+            "kinked_at_0.6", "convergent", "kinked_at_0.6", "divergent_at_zero",
+            "divergent_at_infinity", "nonfinite", "kinked_at_0.9", "kinked_at_0.6", "convergent",
+        )]
+        calls = self._walked_rows(monkeypatch)
+        with np.errstate(divide="ignore", over="ignore"):
+            together = classify_family(
+                lambda xi: np.stack([fn(xi) for fn in rows]), len(rows), d, radius=radii,
+                include_tail=tails, radial=radial,
+            )
+            monkeypatch.undo()
+            alone = [
+                classify_improper(fn, d, radius=r, include_tail=tail, radial=radial)
+                for fn, r, tail in zip(rows, radii, tails)
+            ]
+        for i, (got, want) in enumerate(zip(together, alone)):
+            # repr round-trips a float, so equal reprs are equal bits
+            assert repr(got) == repr(want), i
+            # shell indices are relative to the row's own radius
+            first = {-1, 0} & {j for j, _ in got.annulus_trace}
+            assert first == ({-1, 0} if tails[i] else {-1}), i
+        # the row at 3r walks alone; the rows of every radius on the ladder
+        # of r share passes
+        assert all(call == (8,) or 8 not in call for call in calls)
+        assert any({0, 2, 4, 6} <= set(call) for call in calls)
+
+    def test_an_occupation_row_shares_the_heat_rows_ladder(self, monkeypatch):
+        # in d = 1 the occupation row of r = 0.25 walks |eta| <= 4r = 1,
+        # the heat rows' radius, and those of 0.5 and 2 the radii 2 and 8
+        env = fk.build_envelope(fk.alpha_stable(0.5, 1))
+        calls = self._walked_rows(monkeypatch)
+        *_, heat, _, occ = fk.frequency_criteria(
+            env, None, True, [0.5, 1.0], occupation_radii=[0.25, 0.5, 2.0]
+        )
+        monkeypatch.undo()
+        assert any({1, 3, 4, 5} <= set(call) for call in calls)  # a heat row and all three
+        for r_occ, got in zip([0.25, 0.5, 2.0], occ):
+            # reference: the row's radius walked alone, halved to eta space
+            want = classify_improper(
+                lambda eta: np.reciprocal(env.q_inf(eta)), 1, radius=4.0 * r_occ,
+                radial=env.radial,
+            )
+            assert want.classification == "convergent"
+            assert repr(got) == repr(IntegralResult(
+                0.5 * want.value, 0.5 * want.abs_error_estimate, want.classification,
+                [(j, 0.5 * v) for j, v in want.annulus_trace],
+            ))
+        assert [res.classification for res in heat] == ["convergent"] * 2
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_a_radius_must_be_finite_and_positive(self, radius):
+        def f(xi):
+            return np.exp(-np.sum(xi**2, axis=-1))
+
+        with pytest.raises(fk.ConfigError, match="radius must be positive"):
+            classify_improper(f, 1, radius=radius, include_tail=True)
+        with pytest.raises(fk.ConfigError, match="radius must be positive"):
+            classify_family(lambda xi: f(xi)[None], 1, 1, radius=[radius])
+        with pytest.raises(fk.ConfigError, match="radius must be positive"):
+            classify_family(lambda xi: np.stack([f(xi)] * 2), 2, 1, radius=[1.0, radius])
 
 
 def _qk21_mismatches(k, p, bad_nodes):
@@ -406,7 +498,8 @@ def _qk21_mismatches(k, p, bad_nodes):
     return wrong + [("moved", int(i), int(j)) for i, j in zip(*np.nonzero(moved))]
 
 
-QK21_BLOCKS = [(1, 1), (163, 1), (1, 3), (163, 3)]
+#: (1, 489) holds the cells of (163, 3) in one row, as a lockstep round joins them
+QK21_BLOCKS = [(1, 1), (163, 1), (1, 3), (163, 3), (1, 489)]
 #: an inf, a nan, and an inf and a -inf whose sum is nan
 NONFINITE_NODES = [{7: math.inf}, {7: math.nan}, {7: math.inf, 13: -math.inf}]
 
