@@ -20,6 +20,7 @@ nodes, so reports built from them carry a caveat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,12 +36,15 @@ GRID_CAVEAT = (
     " q_inf may be overstated between nodes"
 )
 
-#: most symbol points one evaluator call of a grid envelope sees, unless one
-#: frequency's grid alone has more; larger chunks run no faster and raise the
-#: peak memory
-MAX_EVAL_POINTS = 1 << 13
-#: nodes per bracket-search step along one coordinate
+#: most symbol points one evaluator call of a grid envelope sees: the grid
+#: pass scores the x mesh in blocks of at most this many nodes, and as many
+#: rows of frequencies per call as fit; the sweeps take as many rows as fit
+#: (at least one).  Larger calls ran no faster and raised the peak memory
+MAX_EVAL_POINTS = 1 << 14
+#: nodes per bracket-search step along one coordinate, and their places in
+#: the bracket as fractions of its width
 BRACKET_NODES = 65
+BRACKET_T = np.linspace(0.0, 1.0, BRACKET_NODES)
 
 
 @dataclass(eq=False)
@@ -137,14 +141,49 @@ class _GridOptimizer:
         self.periodic = periodic
         self.refine_rounds = refine_rounds
         self.axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        self.points = np.stack(mesh, axis=-1).reshape(-1, self.d)
+
+    def _nodes(self, flat) -> np.ndarray:
+        """The x mesh nodes of C-order flat indices ``flat``, shape
+        flat.shape + (d,); the mesh itself is never stored."""
+        idx = np.unravel_index(flat, [len(axis) for axis in self.axes])
+        return np.stack([axis[i] for axis, i in zip(self.axes, idx)], axis=-1)
 
     def _scores(self, x, xi, reduce_fn) -> np.ndarray:
-        """reduce_fn(p(x, xi)) over the broadcast leading shape of x and xi."""
-        shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
-        vals = np.asarray(self.model.evaluator(x, xi), complex)
-        return np.broadcast_to(np.asarray(reduce_fn(vals), float), shape)
+        """reduce_fn(p(x, xi)) over the broadcast leading shape of x and xi.
+        The evaluator may return a real array for a real p: each reduce_fn
+        gives the same bits on it as on its complex cast."""
+        shape = np.broadcast(x, xi).shape[:-1]
+        vals = np.asarray(reduce_fn(self.model.evaluator(x, xi)), float)
+        return vals if vals.shape == shape else np.broadcast_to(vals, shape)
+
+    def _grid_pass(self, xi, reduce_fn) -> tuple[np.ndarray, np.ndarray]:
+        """The mesh node of least score for each row of ``xi``, and that score.
+
+        The mesh is scored a block of at most MAX_EVAL_POINTS nodes at a
+        time, each against as many rows as fit in MAX_EVAL_POINTS points
+        (at least one), so only one block of nodes is held.  A row keeps a
+        running best that a later block replaces only on a strictly lower
+        score or a first NaN: the lowest flat index among ties, as argmin
+        over the whole mesh gives.
+        """
+        n = len(xi)
+        size = math.prod(len(axis) for axis in self.axes)
+        block = min(size, MAX_EVAL_POINTS)
+        step = max(1, MAX_EVAL_POINTS // block)
+        at = np.empty(n, dtype=np.intp)
+        best = np.empty(n)
+        for start in range(0, size, block):
+            nodes = self._nodes(np.arange(start, min(start + block, size)))
+            for s in range(0, n, step):
+                rows = slice(s, s + step)
+                scores = self._scores(nodes[None], xi[rows, None, :], reduce_fn)
+                k = np.argmin(scores, axis=1)
+                found = scores[np.arange(len(k)), k]
+                if start:
+                    take = (found < best[rows]) | (np.isnan(found) & ~np.isnan(best[rows]))
+                    found, k = np.where(take, found, best[rows]), np.where(take, k + start, at[rows])
+                best[rows], at[rows] = found, k
+        return self._nodes(at), best
 
     def _sweep(self, x, best, axis, reduce_fn, xi) -> None:
         """Bracket search along one coordinate around each row of ``x``.
@@ -162,49 +201,43 @@ class _GridOptimizer:
         if not self.periodic:
             lo_box, hi_box = self.box[axis]
             lo, hi = np.maximum(lo, lo_box), np.minimum(hi, hi_box)
-        t = np.linspace(0.0, 1.0, BRACKET_NODES)
+        # the live rows' brackets, probes and frequencies, compacted as rows
+        # stop; a probe's other coordinates stay those of its row of x
         live = np.arange(len(x))
+        probe = np.repeat(x[:, None, :], BRACKET_NODES, axis=1)
+        xi_live = xi[:, None, :]
+        first = live * BRACKET_NODES  # flat index of each live row's first node
         while live.size:
-            a, b = lo[live], hi[live]
-            nodes = a[:, None] + (b - a)[:, None] * t
-            probe = np.repeat(x[live, None, :], BRACKET_NODES, axis=1)
+            nodes = lo[:, None] + (hi - lo)[:, None] * BRACKET_T
             probe[:, :, axis] = nodes
-            scores = self._scores(probe, xi[live, None, :], reduce_fn)
-            rows = np.arange(live.size)
-            k = np.argmin(scores, axis=1)
-            found = scores[rows, k]
+            scores = self._scores(probe, xi_live, reduce_fn)
+            at = first + np.argmin(scores, axis=1)
+            found = scores.take(at)
             better = found < best[live]
-            best[live[better]] = found[better]
-            x[live[better], axis] = nodes[rows, k][better]
-            a = nodes[rows, np.maximum(k - 1, 0)]
-            b = nodes[rows, np.minimum(k + 1, BRACKET_NODES - 1)]
-            lo[live], hi[live] = a, b
-            live = live[b - a >= 1e-9 * (1.0 + np.abs(a) + np.abs(b))]
+            if better.any():
+                best[live[better]] = found[better]
+                x[live[better], axis] = nodes.take(at[better])
+            lo = nodes.take(np.maximum(at - 1, first))
+            hi = nodes.take(np.minimum(at + 1, first + (BRACKET_NODES - 1)))
+            keep = hi - lo >= 1e-9 * (1.0 + np.abs(lo) + np.abs(hi))
+            if not keep.all():
+                live, lo, hi, probe, xi_live = (v[keep] for v in (live, lo, hi, probe, xi_live))
+                first = np.arange(live.size) * BRACKET_NODES
 
     def extremize(self, xi, reduce_fn) -> np.ndarray:
         """Minimize reduce_fn(p(x, xi)) over x for each row of ``xi``
         (shape (n, d)); reduce_fn must act elementwise.
 
-        The grid pass scores all grid nodes of a row in one evaluator call,
-        with as many rows as fit in about MAX_EVAL_POINTS points but at
-        least one, so a call sees at least resolution^d points (263,169 at
-        the d = 2 default).  The sweeps take the rows in chunks of about
-        MAX_EVAL_POINTS / BRACKET_NODES.  A sweep of a row depends only on
-        that row and moves it only to a strictly lower score, so once d
-        consecutive sweeps (one per axis) leave a row where it was, every
-        later sweep would repeat one of them: the row leaves refinement
-        there, and ``refine_rounds`` is the most rounds a row gets.
+        The grid pass (:meth:`_grid_pass`) starts each row at its best mesh
+        node.  The sweeps take the rows in chunks of about MAX_EVAL_POINTS /
+        BRACKET_NODES.  A sweep of a row depends only on that row and moves
+        it only to a strictly lower score, so once d consecutive sweeps (one
+        per axis) leave a row where it was, every later sweep would repeat
+        one of them: the row leaves refinement there, and ``refine_rounds``
+        is the most rounds a row gets.
         """
         n = len(xi)
-        x = np.empty((n, self.d))
-        best = np.empty(n)
-        step = max(1, MAX_EVAL_POINTS // len(self.points))
-        for s in range(0, n, step):
-            block = xi[s : s + step]
-            scores = self._scores(self.points[None], block[:, None, :], reduce_fn)
-            k = np.argmin(scores, axis=1)
-            x[s : s + step] = self.points[k]
-            best[s : s + step] = scores[np.arange(len(block)), k]
+        x, best = self._grid_pass(xi, reduce_fn)
         step = max(1, MAX_EVAL_POINTS // BRACKET_NODES)
         quiet = np.zeros(n, int)  # consecutive sweeps that left each row unmoved
         for sweep in range(self.refine_rounds * self.d):

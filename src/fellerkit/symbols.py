@@ -193,6 +193,11 @@ class SymbolModel:
     ``x_dependent`` is False when p does not depend on the state x.  Each
     builder reads it off its coefficients (see :func:`_coeff_of_x`), and a
     false value lets the envelope read p at x = 0 alone.
+
+    ``evaluator(x_pts, xi_pts)`` takes points shaped (..., d) and returns p
+    over their broadcast leading shape.  It may return a real array where
+    p is real (a ``closed_form`` without ``im``, a ``symmetrized`` model);
+    :func:`eval_symbol` always answers in complex.
     """
 
     kind: str
@@ -213,7 +218,8 @@ def eval_symbol(model: SymbolModel, x, xi):
 
     ``x`` and ``xi`` are read as points by :func:`as_points` and broadcast
     over their leading shapes.  Returns a Python complex when both are
-    single points, otherwise a complex array of the broadcast shape.
+    single points, otherwise a complex array of the broadcast shape, also
+    for a model whose evaluator returns real values.
     """
     d = model.dimension
     xp, _ = as_points(x, d)
@@ -242,26 +248,34 @@ def closed_form_symbol(
     ``re`` and ``im`` are numbers, expression strings over the variables
     x, xi (or x1..xd, xi1..xid) or callables (x_pts, xi_pts) -> array.
     The model is state-free when neither part can read x: both are numbers
-    or expressions that name no x variable.
+    or expressions that name no x variable.  Without ``im`` the evaluator
+    returns ``re``'s values as a real array.  An expression or a number
+    sees the points unbroadcast, so a term in x alone is computed once per
+    x; a callable gets the broadcast points.
+
+    ``radial_in_xi`` declares that p depends on xi through |xi| alone; it
+    is checked by :func:`_check_radial` at a few fixed points, and a
+    mismatch raises :class:`ConfigError`.  Passing is no certificate.
     """
     re_fn, re_x = _coeff_of_x(re, dimension, points=("x", "xi"))
     im_fn, im_x = (None, False) if im is None else _coeff_of_x(im, dimension, points=("x", "xi"))
+    any_callable = callable(re) or callable(im)
 
     def evaluator(xp, xip):
-        xb, xib = np.broadcast_arrays(xp, xip)
+        shape = np.broadcast(xp, xip).shape[:-1]
+        xb, xib = np.broadcast_arrays(xp, xip) if any_callable else (xp, xip)
 
         def part(fn, given):
-            # an expression or a number broadcasts by itself, so a term in x
-            # alone is computed once per x; a callable gets the broadcast points
             return fn(xb, xib) if callable(given) else fn(xp, xip)
 
-        val = np.asarray(part(re_fn, re), dtype=complex)
+        val = np.asarray(part(re_fn, re))
         if im_fn is not None:
-            val = val + 1j * np.asarray(part(im_fn, im), dtype=float)
-        shape = xb.shape[:-1]
+            val = np.asarray(val, dtype=complex) + 1j * np.asarray(part(im_fn, im), dtype=float)
+        elif not np.iscomplexobj(val):
+            val = val.astype(float, copy=False)
         return val if val.shape == shape else np.broadcast_to(val, shape).copy()
 
-    return SymbolModel(
+    model = SymbolModel(
         kind="closed_form",
         dimension=dimension,
         eval_data={"re": re, "im": im},
@@ -271,6 +285,43 @@ def closed_form_symbol(
         radial_in_xi=radial_in_xi,
         evaluator=evaluator,
     )
+    if radial_in_xi:
+        _check_radial(model)
+    return model
+
+
+def _check_radial(model: SymbolModel) -> None:
+    """Raise ConfigError unless p(x, r u) equals p(x, r e_1) within rel
+    1e-9 at four fixed states x, three radii r and the unit directions u
+    +-e_i and (+-e_i +- e_j) / sqrt(2) (+-1 in d = 1).  The points are
+    fixed, so a symbol may pass and still depend on the direction of xi
+    elsewhere: passing is no certificate."""
+    d = model.dimension
+    eye = np.eye(d)
+    pairs = [
+        (eye[i] + s * eye[j]) / math.sqrt(2.0)
+        for i in range(d) for j in range(i + 1, d) for s in (1.0, -1.0)
+    ]
+    units = np.concatenate([eye, -eye, np.reshape(pairs, (-1, d)), -np.reshape(pairs, (-1, d))])
+    states = np.array([0.0, 0.7, -1.9, 3.1])[:, None] * (1.0 + np.arange(d) / 3.0)
+    radii = np.array([0.25, 1.5, 12.0])
+    xi = radii[:, None, None] * units  # (radius, direction, d); direction 0 is e_1
+    xs = np.repeat(states, xi.size // d, axis=0)
+    xis = np.tile(xi.reshape(-1, d), (len(states), 1))
+    # the states may lie outside the symbol's domain: NaN there passes when
+    # every direction gives NaN
+    with np.errstate(all="ignore"):
+        vals = np.asarray(model.evaluator(xs, xis)).reshape((len(states),) + xi.shape[:-1])
+        ref = vals[:, :, :1]
+        ok = (vals == ref) | (np.abs(vals - ref) <= 1e-9 * np.maximum(np.abs(vals), np.abs(ref)))
+    bad = ~(ok | (np.isnan(vals) & np.isnan(ref)))
+    if bad.any():
+        i, r, u = np.argwhere(bad)[0]
+        raise ConfigError(
+            f"radial_in_xi is declared, but at x = {states[i].tolist()} p(x, xi) is"
+            f" {vals[i, r, u]:.10g} at xi = {xi[r, u].tolist()} and"
+            f" {ref[i, r, 0]:.10g} at xi = {xi[r, 0].tolist()}, of the same norm"
+        )
 
 
 def _levy_family(name, dimension, exponent, params, radial):
@@ -506,7 +557,7 @@ def symmetrize(model: SymbolModel) -> SymbolModel:
 
     def evaluator(xp, xip):
         xb, xib = np.broadcast_arrays(xp, xip)
-        return 2.0 * np.real(base_eval(xb, 0.5 * xib)).astype(complex)
+        return 2.0 * np.real(base_eval(xb, 0.5 * xib))
 
     return SymbolModel(
         kind="symmetrized",

@@ -562,6 +562,28 @@ class TestCoefficientForms:
         assert heat["1.0"] == pytest.approx(exact, rel=1e-9)
 
 
+class TestRadialDeclaration:
+    """``radial_in_xi`` makes the criteria integrate along e_1 alone, so
+    closed_form checks it at a few points before any output is written."""
+
+    def test_a_false_declaration_exits_2(self, tmp_path, capsys):
+        # with the flag this symbol used to report a heat bound of 0.3183 at
+        # t = 1, ten times below the exact 3.1831 that it gets without
+        symbol = {"type": "closed_form", "re": "xi1**2 + 0.01*xi2**2", "dimension": 2}
+        path = write_cfg(tmp_path, "aniso.json", {"symbol": {**symbol, "radial_in_xi": True}})
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: radial_in_xi is declared")
+        assert "at x = [0.0, 0.0]" in err and "xi = [0.0, 0.25]" in err
+        assert not out.exists()
+
+        path = write_cfg(tmp_path, "plain.json", {"symbol": symbol})
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+        heat = json.loads((out / "report.json").read_text())["heat_kernel_bounds"]
+        assert heat["1.0"] == pytest.approx(10.0 / math.pi, rel=1e-9)
+
+
 class TestNoOutputDirectoryOnFailure:
     """A configuration error raised while the envelope is built leaves no
     output directory, as one from the config table does."""

@@ -5,7 +5,9 @@ larger exponent inside the unit ball and the smaller one outside, the
 upper envelope the other way around.
 """
 
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fellerkit as fk
+from fellerkit import envelopes
 from fellerkit.envelopes import _GridOptimizer
 
 
@@ -201,10 +204,12 @@ def _optimizer(model, resolution, tail, refine_rounds):
 
 
 def _every_round(opt, xi, reduce_fn):
-    """The grid optimum, then every round sweeps every row along every axis."""
-    scores = opt._scores(opt.points[None], xi[:, None, :], reduce_fn)
+    """The grid optimum, by argmin over the whole mesh, then every round
+    sweeps every row along every axis."""
+    mesh = np.stack(np.meshgrid(*opt.axes, indexing="ij"), axis=-1).reshape(-1, opt.d)
+    scores = opt._scores(mesh[None], xi[:, None, :], reduce_fn)
     k = np.argmin(scores, axis=1)
-    x, best = opt.points[k], scores[np.arange(len(xi)), k]
+    x, best = mesh[k], scores[np.arange(len(xi)), k]
     for _ in range(opt.refine_rounds):
         for axis in range(opt.d):
             opt._sweep(x, best, axis, reduce_fn, xi)
@@ -369,9 +374,10 @@ class TestPointIndependence:
     @pytest.mark.parametrize("d", [1, 2])
     def test_query_of_a_concatenation_is_the_concatenation_of_queries(self, kind, d):
         rng = np.random.default_rng(7)
-        # 193 points: more than one chunk of the grid pass and of the sweeps
+        # 343 points: more than one chunk of the sweeps, and in d = 2 of the
+        # grid pass
         parts = [
-            np.logspace(-3, 3, n)[:, None] * rng.standard_normal((n, d)) for n in (3, 150, 40)
+            np.logspace(-3, 3, n)[:, None] * rng.standard_normal((n, d)) for n in (3, 300, 40)
         ]
         if d == 1:
             parts = [p[:, 0] for p in parts]
@@ -381,3 +387,142 @@ class TestPointIndependence:
             env = self._envelope(kind, d)
             pieces = np.concatenate([getattr(env, query)(p) for p in parts])
             assert whole.tobytes() == pieces.tobytes()
+
+
+def _nan_beyond_three(d: int):
+    """A callable symbol whose real part is NaN where x1 > 3 and finite
+    elsewhere, so the first NaN of a mesh over [0, 2 pi] comes after
+    finite nodes."""
+
+    def re(x, xi):
+        return np.where(x[..., 0] > 3.0, np.nan, 1.0 + np.sin(x[..., 0] / 2)) * np.sum(xi * xi, -1)
+
+    return fk.closed_form_symbol(re, dimension=d)
+
+
+def _flat_in_x(d: int):
+    """Every mesh node ties: the expression names x1 but does not vary with it."""
+    xis = ["xi"] if d == 1 else [f"xi{i + 1}" for i in range(d)]
+    x1 = "x" if d == 1 else "x1"
+    return fk.closed_form_symbol(f"(1 + 0*{x1}) * ({' + '.join(v + '**2' for v in xis)})", dimension=d)
+
+
+class TestBlockedGridPass:
+    """The grid pass builds the x mesh a block of at most MAX_EVAL_POINTS
+    nodes at a time, from flat indices, and never stores it whole."""
+
+    @pytest.mark.parametrize("d, resolution", [(1, 45), (2, 9), (3, 5)])
+    @pytest.mark.parametrize("symbol", ["product", "coupled", "nan", "flat"])
+    @pytest.mark.parametrize("cap", [7, 16])
+    def test_blocked_pass_equals_one_block(self, monkeypatch, d, resolution, symbol, cap):
+        model = {
+            "product": lambda: _product_symbol(d, 0.3),
+            "coupled": lambda: _product_symbol(d, -1.1, coupling=0.1),
+            "nan": lambda: _nan_beyond_three(d),
+            "flat": lambda: _flat_in_x(d),
+        }[symbol]()
+        opt = _optimizer(model, resolution, "periodic", 1)
+        xi = np.linspace(-2.5, 3.0, 5 * d).reshape(5, d)
+        mesh = np.stack(np.meshgrid(*opt.axes, indexing="ij"), axis=-1).reshape(-1, d)
+        assert len(mesh) > cap  # several blocks, the last one short
+        for reduce_fn in _REDUCTIONS.values():
+            x_one, best_one = opt._grid_pass(xi, reduce_fn)
+            monkeypatch.setattr(envelopes, "MAX_EVAL_POINTS", cap)
+            x_blocked, best_blocked = opt._grid_pass(xi, reduce_fn)
+            monkeypatch.undo()
+            assert x_blocked.tobytes() == x_one.tobytes()
+            assert best_blocked.tobytes() == best_one.tobytes()
+            # and both are argmin over the whole mesh
+            scores = opt._scores(mesh[None], xi[:, None, :], reduce_fn)
+            k = np.argmin(scores, axis=1)
+            assert x_one.tobytes() == mesh[k].tobytes()
+            assert best_one.tobytes() == scores[np.arange(len(xi)), k].tobytes()
+
+    def test_ties_and_nan_take_the_first_node(self, monkeypatch):
+        monkeypatch.setattr(envelopes, "MAX_EVAL_POINTS", 4)
+        xi = np.array([[0.5], [2.0]])
+        flat = _optimizer(_flat_in_x(1), 23, "periodic", 0)
+        x, _ = flat._grid_pass(xi, np.real)
+        assert x.tolist() == [[0.0], [0.0]]
+        nan = _optimizer(_nan_beyond_three(1), 23, "periodic", 0)
+        x, best = nan._grid_pass(xi, np.real)
+        assert np.isnan(best).all()
+        # node 11 of 23 over [0, 2 pi] is the first beyond 3
+        assert nan.axes[0][10] < 3.0 < nan.axes[0][11]
+        assert x[:, 0].tolist() == [nan.axes[0][11]] * 2
+
+    def test_a_fine_d3_grid_holds_no_mesh(self):
+        # 513^3 nodes would be a 3.2 GB mesh; building the envelope holds
+        # only the three axes
+        model = _product_symbol(3, 0.0)
+        tracemalloc.start()
+        try:
+            env = fk.build_envelope(
+                model, x_domain=[(0.0, 2.0 * math.pi)] * 3, resolution=513, tail="periodic"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert env.provenance.startswith("grid(")
+        assert peak < 2_000_000
+
+
+def _scoring_mismatches():
+    """The (symbol, query) pairs whose grid envelope at 100 frequencies
+    differs in any bit between the model as built and a copy whose
+    evaluator returns its values cast to complex."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    import fellerkit as fk
+
+    def as_complex(model):
+        inner = model.evaluator
+        return replace(model, evaluator=lambda x, xi: np.asarray(inner(x, xi), complex))
+
+    def callable_re(x, xi):
+        return (1.25 + 0.5 * np.sin(x[..., 0]) * np.cos(x[..., 1])) * np.hypot(xi[..., 0], xi[..., 1])
+
+    grid = fk.closed_form_symbol(
+        "(1.25 + 0.5*sin(x1)*cos(x2)) * (xi1**2 + xi2**2)**0.75", dimension=2, radial_in_xi=True
+    )
+    symbols = {
+        "grid_envelope_2d": grid,
+        "with_im": fk.closed_form_symbol(
+            "(1.25 + 0.5*sin(x1)) * (xi1**2 + xi2**2)", "0.3*cos(x2)*xi1", dimension=2
+        ),
+        "callable": fk.closed_form_symbol(callable_re, dimension=2),
+        "symmetrized": fk.symmetrize(grid),
+    }
+    angles = np.linspace(0.0, np.pi, 4, endpoint=False)
+    radii = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 24)])
+    xi = (radii[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], -1)).reshape(-1, 2)
+    box = [(0.0, 2.0 * np.pi)] * 2
+    wrong = []
+    for name, model in symbols.items():
+        as_built = fk.build_envelope(model, box, 9, "periodic")
+        cast = fk.build_envelope(as_complex(model), box, 9, "periodic")
+        for query in ("q_inf", "q_sup", "re_sup", "im_sup"):
+            if getattr(as_built, query)(xi).tobytes() != getattr(cast, query)(xi).tobytes():
+                wrong.append((name, query))
+    return wrong
+
+
+class TestRealScoring:
+    """A closed-form symbol without an imaginary part evaluates to a real
+    array, and the grid envelope reduces it as it is; each query's
+    reduction gives the same bits as on the complex cast."""
+
+    def test_real_symbol_evaluates_to_real(self):
+        model = fk.closed_form_symbol("(1.25 + 0.5*sin(x))*abs(xi)**1.5")
+        assert model.evaluator(np.zeros((3, 1)), np.ones((3, 1))).dtype == np.float64
+        assert fk.symmetrize(model).evaluator(np.zeros((3, 1)), np.ones((3, 1))).dtype == np.float64
+        assert type(fk.eval_symbol(model, 0.3, 2.0)) is complex
+        assert fk.eval_symbol(model, np.zeros(3), np.ones(3)).dtype == np.complex128
+
+    def test_same_bits_as_the_complex_cast_on_every_cpu_target(self, under_cpu_targets):
+        # bits may differ between numpy's dispatch targets, so each child
+        # compares its two builds with each other
+        probe = inspect.getsource(_scoring_mismatches) + "print(_scoring_mismatches())\n"
+        assert under_cpu_targets(probe) == {"default": "[]", "no AVX512": "[]"}

@@ -7,6 +7,7 @@ computed integrals frozen below.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,41 @@ class TestSymmetrization:
         sym = fk.symmetrize(fk.brownian(1, drift=0.5))
         assert sym.kind == "symmetrized"
         assert ev(sym, 0.0, 1.0).imag == 0.0
+
+
+class TestRadialCheck:
+    """closed_form compares p(x, r u) with p(x, r e_1) at fixed points when
+    ``radial_in_xi`` is declared."""
+
+    @pytest.mark.parametrize("re, d", [
+        ("(1.25 + 0.5*sin(x))*abs(xi)**1.5", 1),
+        ("(1.25 + 0.5*sin(x1)*cos(x2)) * (xi1**2 + xi2**2)**0.75", 2),
+        ("exp(-x3**2) + (xi1**2 + xi2**2 + xi3**2)**0.6", 3),
+        ("log(x1)*(xi1**2 + xi2**2)", 2),  # NaN at the states x1 < 0, in every direction
+    ])
+    def test_radial_expressions_pass(self, re, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fk.closed_form_symbol(re, dimension=d, radial_in_xi=True).radial_in_xi
+
+    def test_radial_callable_passes(self):
+        def re(x, xi):
+            return (2.0 + np.cos(x[..., 0])) * np.sqrt(np.sum(xi * xi, axis=-1))
+
+        assert fk.closed_form_symbol(re, dimension=3, radial_in_xi=True).radial_in_xi
+
+    @pytest.mark.parametrize("re, im, d, where", [
+        ("xi1**2 + 0.01*xi2**2", None, 2, "xi = [0.0, 0.25]"),
+        ("xi1**2 + xi2**2 + xi1*xi2", None, 2, "xi = [0.17677669529663687, 0.17677669529663687]"),
+        ("abs(xi)**1.5", "0.5*xi", 1, "xi = [-0.25]"),
+        ("xi1**2 + xi2**2 + (1 + 0*x1)*xi3**2 * 1.000001", None, 3, "xi = [0.0, 0.0, 0.25]"),
+    ])
+    def test_direction_dependence_is_rejected(self, re, im, d, where):
+        with pytest.raises(fk.ConfigError, match="radial_in_xi is declared") as info:
+            fk.closed_form_symbol(re, im, dimension=d, radial_in_xi=True)
+        assert where in str(info.value)
+        # without the flag the same symbol builds
+        assert not fk.closed_form_symbol(re, im, dimension=d).radial_in_xi
 
 
 class TestValidateModel:
