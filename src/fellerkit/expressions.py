@@ -6,17 +6,18 @@ given as plain text over a fixed vocabulary:
 
     sin cos exp log abs min max    +  -  *  /  **    pi  e
 
-plus numeric literals and the variable names supplied by the caller.
-Anything else (attribute access, subscripts, names outside the allowed
-set, a function name that is not called, double-underscore tricks) is
-rejected at parse time with :class:`ExpressionError`, a
-:class:`~fellerkit.errors.ConfigError`.
+plus numeric literals and the variable names supplied by the caller.  One
+pass checks the parsed tree and builds a closure per node, so anything else
+(attribute access, subscripts, unknown names, bool literals, other calls,
+wrong argument counts) raises :class:`ExpressionError`, a
+:class:`~fellerkit.errors.ConfigError`, before anything runs.  A subtree that
+names no variable is computed once, while building, a power in floats; an
+overflow or a division by zero there raises :class:`ExpressionError` too.
 """
-
-from __future__ import annotations
 
 import ast
 import functools
+import operator
 
 import numpy as np
 
@@ -26,63 +27,65 @@ __all__ = ["ExpressionError", "compile_expression"]
 
 
 class ExpressionError(ConfigError):
-    """Raised when an expression uses syntax outside the allowed vocabulary."""
+    """Raised when an expression is outside the vocabulary or a constant part fails."""
 
 
-def _reduce_binary(fn):
-    def reducer(*args):
-        if len(args) < 2:
-            raise ExpressionError("min/max need at least two arguments")
-        return functools.reduce(fn, args)
-
-    return reducer
-
-
-_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
-    "abs": np.abs,
-    "min": _reduce_binary(np.minimum),
-    "max": _reduce_binary(np.maximum),
-}
-
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow,
+              ast.USub: operator.neg, ast.UAdd: operator.pos}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "abs": np.abs}
+_FOLDS = {"min": np.minimum, "max": np.maximum}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
-_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-_UNARYOPS = (ast.USub, ast.UAdd)
+
+def _apply(fn, parts):
+    """``fn`` of the parts: a value when every part is a value, else a closure
+    of the argument tuple (a part that names a variable is such a closure)."""
+    if not any(map(callable, parts)):  # a power in floats, so 9**9**9 overflows at once
+        return fn(*map(float, parts)) if fn is operator.pow else fn(*parts)
+    a, *rest = [p if callable(p) else (lambda args, p=p: p) for p in parts]
+    if not rest:
+        return lambda args: fn(a(args))
+    return lambda args, b=rest[0]: fn(a(args), b(args))
 
 
-def _check_node(node: ast.AST, variables: tuple[str, ...]) -> None:
-    if isinstance(node, ast.Expression):
-        _check_node(node.body, variables)
-    elif isinstance(node, ast.BinOp):
-        if not isinstance(node.op, _BINOPS):
+def _build(node: ast.AST, variables: tuple[str, ...], used: set[str]):
+    """Check ``node`` and return what :func:`_apply` takes as a part,
+    adding the variables it names to ``used``."""
+    if isinstance(node, ast.Constant):
+        if type(node.value) not in (int, float):
+            raise ExpressionError(f"literal {node.value!r} not allowed")
+        return node.value
+    if isinstance(node, ast.Name):
+        if node.id in _FUNCTIONS or node.id in _FOLDS:
+            raise ExpressionError(f"function {node.id!r} may only be called")
+        if node.id in variables:
+            used.add(node.id)
+            return operator.itemgetter(variables.index(node.id))
+        if node.id not in _CONSTANTS:
+            raise ExpressionError(f"unknown name {node.id!r}")
+        return _CONSTANTS[node.id]
+    if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+        fn = _OPERATORS.get(type(node.op))
+        if fn is None:
             raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
-        _check_node(node.left, variables)
-        _check_node(node.right, variables)
-    elif isinstance(node, ast.UnaryOp):
-        if not isinstance(node.op, _UNARYOPS):
-            raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
-        _check_node(node.operand, variables)
-    elif isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
+        operands = (node.operand,) if isinstance(node, ast.UnaryOp) else (node.left, node.right)
+        return _apply(fn, [_build(n, variables, used) for n in operands])
+    if isinstance(node, ast.Call):
+        name = node.func.id if isinstance(node.func, ast.Name) else None
+        if name not in _FUNCTIONS and name not in _FOLDS:
             raise ExpressionError("only sin/cos/exp/log/abs/min/max may be called")
         if node.keywords:
             raise ExpressionError("keyword arguments not allowed")
-        for arg in node.args:
-            _check_node(arg, variables)
-    elif isinstance(node, ast.Name):
-        if node.id in _FUNCTIONS:
-            raise ExpressionError(f"function {node.id!r} may only be called")
-        if node.id not in variables and node.id not in _CONSTANTS:
-            raise ExpressionError(f"unknown name {node.id!r}")
-    elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
-            raise ExpressionError(f"literal {node.value!r} not allowed")
-    else:
-        raise ExpressionError(f"syntax element {type(node).__name__} not allowed")
+        parts = [_build(arg, variables, used) for arg in node.args]
+        if name in _FUNCTIONS:
+            if len(parts) != 1:
+                raise ExpressionError(f"{name} takes exactly one argument")
+            return _apply(_FUNCTIONS[name], parts)
+        if len(parts) < 2:
+            raise ExpressionError("min/max need at least two arguments")
+        return functools.reduce(lambda a, b: _apply(_FOLDS[name], [a, b]), parts)
+    raise ExpressionError(f"syntax element {type(node).__name__} not allowed")
 
 
 def compile_expression(source: str, variables: tuple[str, ...]):
@@ -94,25 +97,21 @@ def compile_expression(source: str, variables: tuple[str, ...]):
     """
     if not isinstance(source, str):
         raise ExpressionError(f"expected an expression string, got {type(source).__name__}")
+    variables = tuple(variables)
+    used: set[str] = set()
     try:
-        tree = ast.parse(source, mode="eval")
+        value = _build(ast.parse(source, mode="eval").body, variables, used)
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {source!r}: {exc.msg}") from None
-    _check_node(tree, tuple(variables))
-    code = compile(tree, "<expression>", "eval")
-    namespace = {"__builtins__": {}}
-    namespace.update(_FUNCTIONS)
-    namespace.update(_CONSTANTS)
+    except ArithmeticError as exc:  # from a subtree computed while building
+        raise ExpressionError(f"cannot evaluate {source!r}: {exc}") from None
 
     def evaluate(*args):
         if len(args) != len(variables):
             raise TypeError(f"expected {len(variables)} arguments, got {len(args)}")
-        local = dict(zip(variables, args))
-        return eval(code, namespace, local)
+        return value(args) if callable(value) else value
 
     evaluate.source = source
-    evaluate.variables = tuple(variables)
-    evaluate.used = frozenset(
-        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in variables
-    )
+    evaluate.variables = variables
+    evaluate.used = frozenset(used)
     return evaluate

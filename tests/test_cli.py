@@ -2,12 +2,17 @@
 
 Everything runs in process through cli.main(argv), so exit codes, stdout,
 stderr, and the report files can all be asserted without spawning a shell.
+Only the check that a config cannot hang the CLI runs it in a child, under
+a timeout.
 """
 
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -475,8 +480,9 @@ class TestGridEnvelopeInputs:
 
 
 class TestMalformedExpressions:
-    """An expression outside the allowed vocabulary is a configuration
-    error: exit 2 before any output directory is made."""
+    """An expression outside the allowed vocabulary, or whose constant part
+    cannot be computed, is a configuration error: exit 2 before any output
+    directory is made."""
 
     @pytest.mark.parametrize("symbol, message", [
         ({"type": "closed_form", "re": "abs(xi)**1.5 + foo"}, "unknown name 'foo'"),
@@ -487,6 +493,11 @@ class TestMalformedExpressions:
          "unknown name 'y'"),
         ({"type": "closed_form", "dimension": 2,
           "re": "(1.25 + 0.5*sin(x)) * (xi1**2 + xi2**2)**0.75"}, "unknown name 'x'"),
+        # numpy would read xi as out= and write sin(x) into the caller's array
+        ({"type": "closed_form", "re": "abs(xi)**1.5 + 0*sin(x, xi)"},
+         "sin takes exactly one argument"),
+        ({"type": "closed_form", "re": "abs(xi)**1.5 + abs()"}, "abs takes exactly one argument"),
+        ({"type": "closed_form", "re": "abs(xi)**1.5 + x + True"}, "literal True not allowed"),
     ])
     def test_bad_expression_exits_2(self, symbol, message, tmp_path, capsys):
         path = write_cfg(tmp_path, "expr.json", {"symbol": symbol})
@@ -495,6 +506,24 @@ class TestMalformedExpressions:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("constant", ["0*9**9**9", "1/0"])
+    def test_constant_that_cannot_be_computed_exits_2(self, constant, tmp_path):
+        # in a child under a timeout: in integers, 9**9**9 has 370 million digits
+        path = write_cfg(tmp_path, "expr.json", {
+            "symbol": {"type": "closed_form", "re": f"abs(xi)**1.5 + {constant}"},
+        })
+        out = tmp_path / "out"
+        run_cli = "import sys, fellerkit.cli; sys.exit(fellerkit.cli.main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", run_cli, "analyze", "--config", path, "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert proc.returncode == 2, proc.stderr
+        message = f"configuration error: cannot evaluate 'abs(xi)**1.5 + {constant}': "
+        assert proc.stderr.startswith(message)
         assert not out.exists()
 
 
