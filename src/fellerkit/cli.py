@@ -72,14 +72,6 @@ THREADS_DEPRECATED = (
 )
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _sanitize(obj):
     """Replace non-finite floats so the report stays valid strict JSON."""
     if isinstance(obj, dict):
@@ -96,10 +88,7 @@ def _sanitize(obj):
 
 def _write_report(out_dir: Path, payload: dict) -> Path:
     path = out_dir / "report.json"
-    text = json.dumps(
-        _sanitize(payload), sort_keys=True, indent=2, default=_json_default,
-        allow_nan=False,
-    )
+    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8")
     return path
 

@@ -248,24 +248,17 @@ def frequency_criteria(
     return reports["transience"], reports["local_times"], heat_bounds, heat, occ_bounds, occ
 
 
-def test_ultracontractivity(
-    env: Envelope,
-    radii=None,
-    *,
-    threshold: float = 10.0,
-    n_increasing: int = 3,
-) -> CriterionReport:
-    """Check the growth margin m(R) = min_{|xi| = R} q_inf(xi) / log(1 + R).
+def test_ultracontractivity(env: Envelope) -> CriterionReport:
+    """Check the growth margin m(R) = min_{|xi| = R} q_inf(xi) / log(1 + R)
+    at R = 10, 100, ..., 10^6.
 
     The semigroup bound requires the margin to diverge; numerically the
-    verdict "holds" needs the margin to clear ``threshold`` at the largest
-    radius and to increase across the last ``n_increasing`` radii.  Slow or
-    ambiguous growth is inconclusive, never "fails".
+    verdict "holds" needs the margin to clear 10 at the largest radius and
+    to increase across the last 3 radii.  Slow or ambiguous growth is
+    inconclusive, never "fails".
     """
     start = time.perf_counter()
-    if radii is None:
-        radii = np.logspace(1, 6, 6)
-    radii = np.asarray(radii, dtype=float)
+    radii, threshold, n_increasing = np.logspace(1, 6, 6), 10.0, 3
     q_min = on_spheres(env.q_inf, radii, env.dimension, env.radial).min(axis=1)
     margins = [float(q) / math.log1p(r) for q, r in zip(q_min, radii)]
     tail = margins[-n_increasing:]
@@ -487,31 +480,22 @@ class ExitTimeBound:
     sup_symbol: float
 
 
-def exit_time_bound(
-    model: SymbolModel,
-    x,
-    r: float,
-    t: float,
-    *,
-    profile=None,
-    resolution: int | None = None,
-) -> ExitTimeBound:
+def exit_time_bound(model: SymbolModel, x, r: float, t: float, *, profile=None) -> ExitTimeBound:
     """Bound P^x(sup_{s <= t} |X_s - x| >= r) by
     c_u * t * sup_{|y - x| <= r} sup_{|xi| <= 1/r} |p(y, xi)|.
 
-    The sups are taken over ball grids; the bound is one-sided in the same
-    direction as the grid (a grid sup can only understate the true sup, so
-    the reported bound is exact for the sampled sups and typically tight in
-    practice for the smooth coefficient fields used here).
+    The sups are taken over ball grids of 65 nodes per axis in d = 1 and 17
+    in d = 2 and 3; the bound is one-sided in the same direction as the
+    grid (a grid sup can only understate the true sup, so the reported
+    bound is exact for the sampled sups and typically tight in practice for
+    the smooth coefficient fields used here).
     """
     message = "need r > 0 and t >= 0, both finite"
     r = positive_radius(r, message)
     if not (math.isfinite(t) and t >= 0):
         raise ConfigError(message)
     d = _bump_dimension(model.dimension)  # before the ball grids, which grow as 17^d
-    if resolution is None:
-        resolution = 65 if d == 1 else 17
-    sup = ball_sup(model, x, r, resolution, resolution)
+    sup = ball_sup(model, x, r, 65 if d == 1 else 17)
     c_u = bump_constant(d, profile)
     raw = c_u * t * sup
     return ExitTimeBound(raw=raw, value=min(1.0, max(0.0, raw)), c_u=c_u, sup_symbol=sup)
@@ -574,28 +558,26 @@ def heat_exponent_fit(env: Envelope, t_grid=None, *, rel_tol: float = 1e-6) -> H
     )
 
 
-def stable_like_tail_transience(
-    model: SymbolModel, K: float, *, sample_radius_factor: float = 8.0
-) -> CriterionReport:
+def stable_like_tail_transience(model: SymbolModel, K: float) -> CriterionReport:
     """Diagnostic for one-dimensional variable-order transience.
 
-    Samples the order alpha(x) on K <= |x| <= K * sample_radius_factor; when
-    the sampled sup stays below 1 the report holds as a diagnostic.  The
-    conclusion rests on modifying the order inside the compact set, so it is
-    advisory and never enters the rigorous criteria.
+    Samples the order alpha(x) on K <= |x| <= 8 K; when the sampled sup
+    stays below 1 the report holds as a diagnostic.  The conclusion rests on
+    modifying the order inside the compact set, so it is advisory and never
+    enters the rigorous criteria.
     """
     start = time.perf_counter()
     if model.kind != "stable_like" or model.dimension != 1:
         raise ConfigError("this diagnostic applies to one-dimensional stable-like models")
     spec = model.eval_data
-    r = np.linspace(K, K * sample_radius_factor, 2001)
+    r = np.linspace(K, 8.0 * K, 2001)
     pts = np.concatenate([r, -r])[:, None]
     tail_sup = float(np.max(np.asarray(spec.alpha(pts), dtype=float)))
     verdict = "holds" if tail_sup < 1.0 else "inconclusive"
     return CriterionReport(
         criterion="stable_like_tail_transience",
         verdict=verdict,
-        evidence={"K": float(K), "tail_sup_alpha": tail_sup, "window": [float(K), float(K * sample_radius_factor)]},
+        evidence={"K": float(K), "tail_sup_alpha": tail_sup, "window": [float(K), float(8.0 * K)]},
         caveats=(
             "diagnostic only: relies on modifying the order inside a compact set;"
             " sampled sup over a finite window",

@@ -193,20 +193,14 @@ def _frequencies(xi_values, d: int) -> np.ndarray:
 
 
 def validate_char_bound(
-    ens,
-    env: Envelope,
-    t_values,
-    xi_values,
-    *,
-    n_sigma: float = 3.0,
-    allowed_violation_fraction: float = 0.01,
+    ens, env: Envelope, t_values, xi_values, *, n_sigma: float = 3.0
 ) -> CharBoundReport:
     """Check |empirical char fn| <= exp(-(t/16) q_inf(2 xi)) + n_sigma * se
     on the grid of supplied times and frequencies.
 
-    The verdict holds when at most the allowed fraction of grid points
-    violates the inflated bound; with n_sigma = 3 roughly one point in 370
-    is expected to sit outside by chance under a normal error model.
+    The verdict holds when at most 1% of the grid points violate the
+    inflated bound; with n_sigma = 3 roughly one point in 370 is expected
+    to sit outside by chance under a normal error model.
     """
     d = ens.positions.shape[2]
     points = _frequencies(xi_values, d)
@@ -233,7 +227,7 @@ def validate_char_bound(
                 }
             )
     frac = n_bad / len(rows) if rows else 0.0
-    verdict = "holds" if frac <= allowed_violation_fraction else "fails"
+    verdict = "holds" if frac <= 0.01 else "fails"
     return CharBoundReport(
         rows=rows, n_violations=n_bad, violation_fraction=frac, verdict=verdict,
         n_sigma=n_sigma,

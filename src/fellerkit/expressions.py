@@ -12,7 +12,8 @@ pass checks the parsed tree and builds a closure per node, so anything else
 wrong argument counts) raises :class:`ExpressionError`, a
 :class:`~fellerkit.errors.ConfigError`, before anything runs.  A subtree that
 names no variable is computed once, while building, a power in floats; an
-overflow or a division by zero there raises :class:`ExpressionError` too.
+overflow, a division by zero or a power that is not real there raises
+:class:`ExpressionError` too.
 """
 
 import ast
@@ -41,8 +42,14 @@ _CONSTANTS = {"pi": np.pi, "e": np.e}
 def _apply(fn, parts):
     """``fn`` of the parts: a value when every part is a value, else a closure
     of the argument tuple (a part that names a variable is such a closure)."""
-    if not any(map(callable, parts)):  # a power in floats, so 9**9**9 overflows at once
-        return fn(*map(float, parts)) if fn is operator.pow else fn(*parts)
+    if not any(map(callable, parts)):
+        if fn is not operator.pow:
+            return fn(*parts)
+        base, exponent = map(float, parts)  # in floats, so 9**9**9 overflows at once
+        value = base**exponent
+        if isinstance(value, complex):  # a negative base to a fractional power
+            raise ExpressionError(f"constant power {base!r} ** {exponent!r} is not real")
+        return value
     a, *rest = [p if callable(p) else (lambda args, p=p: p) for p in parts]
     if not rest:
         return lambda args: fn(a(args))

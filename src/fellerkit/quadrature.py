@@ -56,6 +56,8 @@ MAX_EXTRA_SHELLS = 360
 RATIO_WINDOW = 8
 #: a_{k+1} >= (1 - RATIO_SLACK) * a_k across the window means "not decaying"
 RATIO_SLACK = 0.01
+#: absolute floor of a walk's tail tolerance
+ABS_TOL = 1e-12
 
 
 @dataclass
@@ -399,19 +401,18 @@ def _geometric_tail(shells):
     return tail, uncertainty
 
 
-def _verdict(shells, total: float, rel_tol: float, abs_tol: float):
+def _verdict(shells, total: float, rel_tol: float):
     """("divergent", no tail) or ("convergent", tail) for a walk whose
     shells so far sum to ``total``, or None while neither is clear."""
     if _nondecreasing([v for _, v in shells]):
         return "divergent", (0.0, 0.0)
     tail = _geometric_tail(shells)
-    if tail is not None and tail[0] + tail[1] <= rel_tol * max(abs(total), abs_tol) + abs_tol:
+    if tail is not None and tail[0] + tail[1] <= rel_tol * max(abs(total), ABS_TOL) + ABS_TOL:
         return "convergent", tail
     return None
 
 
-def _walk(mantissa: float, step: int, min_shells: int, exponents: dict, d: int,
-          rel_tol: float, abs_tol: float):
+def _walk(mantissa: float, step: int, min_shells: int, exponents: dict, d: int, rel_tol: float):
     """Walk the ladder of shells [mantissa 2^J, mantissa 2^(J+1)], the
     rungs J, in direction ``step`` until each row of ``exponents`` has a
     verdict.
@@ -457,7 +458,7 @@ def _walk(mantissa: float, step: int, min_shells: int, exponents: dict, d: int,
                 continue
             verdict = None
             if len(shells[i]) >= min_shells:
-                verdict = _verdict(shells[i], totals[i], rel_tol, abs_tol)
+                verdict = _verdict(shells[i], totals[i], rel_tol)
             if verdict is not None:
                 status[i], tails[i] = verdict
             elif len(shells[i]) < min_shells + MAX_EXTRA_SHELLS:
@@ -476,7 +477,6 @@ def classify_family(
     include_tail: bool | list[bool] = False,
     radial: bool = True,
     rel_tol: float = 1e-6,
-    abs_tol: float = 1e-12,
     rows_of=None,
 ) -> list[IntegralResult]:
     """:func:`classify_improper` for m integrands at once, in one lockstep walk.
@@ -521,8 +521,8 @@ def classify_family(
     walks = []  # (walk, where it puts its rows' results)
     for mantissa, exponents in ladders.items():
         tailed = {i: e for i, e in exponents.items() if has_tail[i]}
-        walks.append((_walk(mantissa, -1, INNER_SHELLS, exponents, d, rel_tol, abs_tol), inner))
-        walks.append((_walk(mantissa, +1, OUTER_SHELLS, tailed, d, rel_tol, abs_tol), outer))
+        walks.append((_walk(mantissa, -1, INNER_SHELLS, exponents, d, rel_tol), inner))
+        walks.append((_walk(mantissa, +1, OUTER_SHELLS, tailed, d, rel_tol), outer))
     sent = [None] * len(walks)
     while walks:
         requests, running = [], []
@@ -570,7 +570,6 @@ def classify_improper(
     include_tail: bool = False,
     radial: bool = True,
     rel_tol: float = 1e-6,
-    abs_tol: float = 1e-12,
 ) -> IntegralResult:
     """Classify and (when convergent) evaluate an improper frequency integral.
 
@@ -589,11 +588,10 @@ def classify_improper(
 
     Divergence is declared when the trailing RATIO_WINDOW shell
     contributions fail to decrease by more than RATIO_SLACK; convergence
-    requires clean geometric decay plus a tail extrapolation within the
-    requested tolerance.  Everything else is undetermined.  This is
-    :func:`classify_family` with a family of one.
+    requires clean geometric decay plus a tail extrapolation within
+    rel_tol max(|total|, ABS_TOL) + ABS_TOL.  Everything else is
+    undetermined.  This is :func:`classify_family` with a family of one.
     """
     return classify_family(
-        f, 1, d, radius=radius, include_tail=include_tail, radial=radial,
-        rel_tol=rel_tol, abs_tol=abs_tol,
+        f, 1, d, radius=radius, include_tail=include_tail, radial=radial, rel_tol=rel_tol
     )[0]

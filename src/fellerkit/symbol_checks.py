@@ -40,16 +40,16 @@ def _ball_grid(radius: float, d: int, per_axis: int) -> np.ndarray:
 BALL_SUP_PAIRS = 1 << 16
 
 
-def ball_sup(model: SymbolModel, center, r: float, x_resolution: int, xi_resolution: int) -> float:
-    """sup |p(y, xi)| over ball grids of |y - center| <= r (``x_resolution``
-    nodes per axis) and |xi| <= 1/r (``xi_resolution`` nodes per axis).
+def ball_sup(model: SymbolModel, center, r: float, resolution: int) -> float:
+    """sup |p(y, xi)| over ball grids of |y - center| <= r and |xi| <= 1/r,
+    each of ``resolution`` nodes per axis.
 
     The product of the grids is evaluated a block of y rows at a time, at
     most ``BALL_SUP_PAIRS`` pairs each; max is exact, so the value does
     not depend on the blocks, and a NaN anywhere gives NaN."""
     d = model.dimension
-    ys = np.asarray(center, dtype=float).reshape(d) + _ball_grid(r, d, x_resolution)
-    xis = _ball_grid(1.0 / r, d, xi_resolution)
+    ys = np.asarray(center, dtype=float).reshape(d) + _ball_grid(r, d, resolution)
+    xis = _ball_grid(1.0 / r, d, resolution)
     rows = max(1, BALL_SUP_PAIRS // len(xis))
     maxima = [
         np.abs(model.evaluator(ys[i : i + rows, None, :], xis[None, :, :])).max()

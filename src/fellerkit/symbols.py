@@ -40,7 +40,6 @@ from .expressions import compile_expression
 from .quadrature import surface_area
 
 __all__ = [
-    "QuadratureSettings",
     "LevyCharacteristics",
     "StableLikeSpec",
     "BernsteinSpec",
@@ -59,14 +58,6 @@ __all__ = [
     "zero_symbol",
     "validate_model",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Accuracy targets for symbol quadrature."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
 
 
 def _coeff_of_x(fn, d: int, extra: tuple[str, ...] = (), *, points: tuple[str, ...] = ("x",)):
@@ -173,7 +164,6 @@ class StableLikeSpec:
     alpha: Callable
     alpha_min: float
     alpha_max: float
-    dimension: int = 1
 
 
 @dataclass(frozen=True)
@@ -183,7 +173,6 @@ class BernsteinSpec:
 
     fn: Callable
     growth_constant: float
-    source: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,9 +197,6 @@ class SymbolModel:
     x_dependent: bool = True
     radial_in_xi: bool = False
     evaluator: Callable = field(default=None, repr=False)
-
-    def __call__(self, x, xi):
-        return eval_symbol(self, x, xi)
 
 
 def eval_symbol(model: SymbolModel, x, xi):
@@ -465,7 +451,6 @@ def stable_like_symbol(
         alpha=alpha_fn,
         alpha_min=float(alpha_min),
         alpha_max=float(alpha_max),
-        dimension=dimension,
     )
 
     def evaluator(xp, xip):
@@ -496,9 +481,9 @@ def subordinate(base: SymbolModel, f, growth_constant: float = 1.0, *, name: str
 
     ``f`` may be a BernsteinSpec, a number, an expression in (x..., s), or
     a callable (x_pts, s) -> array; the model is state-free when f is a
-    number or an expression that names no x variable.  Monotonicity,
-    concavity, f(x, 0) = 0 and the declared growth are checked on a
-    sampled grid.
+    number or an expression that names no x variable; a constant f is
+    broadcast to the shape of s.  Monotonicity, concavity, f(x, 0) = 0 and
+    the declared growth are checked on a sampled grid.
     """
     if base.x_dependent:
         raise ConfigError("subordination needs a state-free base exponent")
@@ -513,15 +498,14 @@ def subordinate(base: SymbolModel, f, growth_constant: float = 1.0, *, name: str
         spec, x_dependent = f, True
     else:
         fn, x_dependent = _coeff_of_x(f, d, extra=("s",))
-        spec = BernsteinSpec(
-            fn=fn, growth_constant=float(growth_constant), source=f if isinstance(f, str) else ""
-        )
+        spec = BernsteinSpec(fn=fn, growth_constant=float(growth_constant))
 
     # sampled Bernstein checks in the second argument
     s_grid = np.linspace(0.0, 40.0, 81)
     x_check = np.stack([np.linspace(-3.0, 3.0, 7)] * d, axis=-1)
     for xrow in x_check:
         vals = np.asarray(spec.fn(np.broadcast_to(xrow, (s_grid.size, d)), s_grid), dtype=float)
+        vals = np.broadcast_to(vals, s_grid.shape)  # a constant f gives one value
         if abs(vals[0]) > 1e-9:
             raise ConfigError(f"f(x, 0) = {vals[0]:.3g} is not 0 at x = {xrow}")
         diffs = np.diff(vals)
@@ -537,7 +521,8 @@ def subordinate(base: SymbolModel, f, growth_constant: float = 1.0, *, name: str
     def evaluator(xp, xip):
         xb, xib = np.broadcast_arrays(xp, xip)
         s = np.real(base_eval(xb, xib))
-        return np.asarray(spec.fn(xb, s), dtype=complex)
+        val = np.asarray(spec.fn(xb, s), dtype=complex)
+        return val if val.shape == s.shape else np.broadcast_to(val, s.shape).copy()
 
     return SymbolModel(
         kind="subordinated",
@@ -643,10 +628,15 @@ def _j0_tail(f, rho, eps):
     return total, err_total
 
 
+#: accuracy targets of the Levy-Khintchine quadrature
+LEVY_REL_TOL = 1e-8
+LEVY_ABS_TOL = 1e-12
+
+
 class _LevyEvaluator:
     """Scalar-core evaluator for levy_characteristics models."""
 
-    def __init__(self, chars: LevyCharacteristics, dimension: int, settings: QuadratureSettings):
+    def __init__(self, chars: LevyCharacteristics, dimension: int):
         d = dimension
         if d > 1 and chars.jump_density is not None and not chars.radial:
             raise ConfigError(
@@ -656,7 +646,6 @@ class _LevyEvaluator:
             raise ConfigError("singularity exponent must lie in (0, 2)")
         self.chars = chars
         self.d = d
-        self.settings = settings
         # upper limit for the exponential-scale inner integrals: far enough
         # out that the declared decay e^{-u (2 - alpha)} leaves ~1e-16
         # relative mass, but never so far that n(e^{-u}) ~ e^{u (d + alpha)}
@@ -730,7 +719,7 @@ class _LevyEvaluator:
             if d == 1:
                 osc, e = _quad(side, 1.0, np.inf, weight="cos", wvar=rho)
             elif d == 2:
-                osc, e = _j0_tail(lambda r: r * side(r), rho, self.settings.abs_tol)
+                osc, e = _j0_tail(lambda r: r * side(r), rho, LEVY_ABS_TOL)
             else:
                 osc, e = _quad(lambda r: r * side(r) / rho, 1.0, np.inf, weight="sin", wvar=rho)
             errs.append(e)
@@ -776,7 +765,7 @@ class _LevyEvaluator:
         val = val + jump_re + 1j * jump_im
         # the imaginary terms only arise for signed densities, of weight 1
         err = self.side_weight * sum(errs)
-        budget = 50.0 * (self.settings.rel_tol * max(1.0, abs(val)) + self.settings.abs_tol)
+        budget = 50.0 * (LEVY_REL_TOL * max(1.0, abs(val)) + LEVY_ABS_TOL)
         if err > budget:
             raise NumericalError(
                 f"symbol quadrature error estimate {err:.3e} exceeds budget {budget:.3e}",
@@ -799,7 +788,6 @@ def levy_symbol(
     chars: LevyCharacteristics,
     dimension: int = 1,
     *,
-    settings: QuadratureSettings = QuadratureSettings(),
     name: str = "levy-characteristics",
 ) -> SymbolModel:
     """Assemble a symbol from Levy characteristics via adaptive quadrature.
@@ -809,12 +797,12 @@ def levy_symbol(
     singularity exponent, truncated once that decay leaves the mass below
     double precision (the truncated remainder is charged to the error
     estimate), and trigonometric kernels are evaluated in cancellation-free
-    form.  A min(1, |z|^2) integrability witness is computed at a probe
-    point on construction.  The model is state-free when none of kill,
-    drift, diffusion and jump density can read x (see
-    :class:`LevyCharacteristics`).
+    form, to the module's LEVY_REL_TOL and LEVY_ABS_TOL.  A min(1, |z|^2)
+    integrability witness is computed at a probe point on construction.
+    The model is state-free when none of kill, drift, diffusion and jump
+    density can read x (see :class:`LevyCharacteristics`).
     """
-    ev = _LevyEvaluator(chars, dimension, settings)
+    ev = _LevyEvaluator(chars, dimension)
     ev.integrability_witness(np.zeros(dimension))
     drift = chars.drift
     radial = chars.radial and not (

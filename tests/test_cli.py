@@ -109,6 +109,23 @@ class TestAnalyze:
         assert curves[1] == "q_inf,0.01,0.1"
         assert curves[-1].startswith("heat_bound,10.0,")
 
+    def test_nonfinite_bounds_are_strings_in_strict_json(self, tmp_path):
+        # the zero symbol has q_inf = 0: every heat integral diverges
+        cfg = write_cfg(tmp_path, "zero.json", {"symbol": {"type": "zero"}})
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise AssertionError(f"report.json holds the bare constant {constant}")
+
+        rep = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert rep["heat_kernel_bounds"] == {"0.1": "inf", "1.0": "inf", "10.0": "inf"}
+        with open(out / "curves.csv", newline="") as fh:
+            heat = [row for row in csv.DictReader(fh) if row["curve"] == "heat_bound"]
+        assert [(row["x"], row["y"]) for row in heat] == [
+            ("0.1", "inf"), ("1.0", "inf"), ("10.0", "inf"),
+        ]
+
     def test_rerun_is_byte_identical(self, analyze_cfg, tmp_path):
         out = tmp_path / "out"
         cli.main(["analyze", "--config", analyze_cfg, "--out", str(out)])
@@ -293,6 +310,22 @@ class TestValidate:
         margins = (out / "margins.csv").read_text().strip().split("\n")
         assert margins[0] == "t,xi,bound,empirical_abs,se,margin,ok"
         assert len(margins) == 1 + 2 * 2
+
+    def test_no_frequencies_gives_an_empty_check(self, tmp_path):
+        cfg = write_cfg(tmp_path, "val0.json", {
+            "symbol": {"type": "brownian"},
+            "simulation": {"n_paths": 50, "t_max": 1.0, "h_max": 0.01},
+            "validation": {"t_values": [0.25, 1.0], "xi_values": []},
+            "seed": 2,
+        })
+        out = tmp_path / "outval0"
+        assert cli.main(["validate", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["char_bound"]["n_points"] == 0
+        assert rep["char_bound"]["verdict"] == "holds"
+        assert (out / "margins.csv").read_text().splitlines() == [
+            "t,xi,bound,empirical_abs,se,margin,ok",
+        ]
 
     def test_optional_sections_stay_out_of_the_report(self, tmp_path):
         cfg = write_cfg(tmp_path, "val2.json", {
@@ -498,6 +531,12 @@ class TestMalformedExpressions:
          "sin takes exactly one argument"),
         ({"type": "closed_form", "re": "abs(xi)**1.5 + abs()"}, "abs takes exactly one argument"),
         ({"type": "closed_form", "re": "abs(xi)**1.5 + x + True"}, "literal True not allowed"),
+        # a complex constant: float() of it raised TypeError (exit 3), and a
+        # complex re ran to a report
+        ({"type": "stable_like", "alpha": "1.5 + 0*(-1)**0.5", "alpha_min": 1.2, "alpha_max": 1.8},
+         "constant power -1.0 ** 0.5 is not real"),
+        ({"type": "closed_form", "re": "abs(xi)**1.5 + (-1)**0.5"},
+         "constant power -1.0 ** 0.5 is not real"),
     ])
     def test_bad_expression_exits_2(self, symbol, message, tmp_path, capsys):
         path = write_cfg(tmp_path, "expr.json", {"symbol": symbol})
@@ -538,7 +577,11 @@ class TestCoefficientForms:
         ({"type": "closed_form", "re": None}, "got None"),
         ({"type": "subordinate", "base": {"type": "brownian"}, "bernstein": 0.5},
          "f(x, 0) = 0.5 is not 0"),
-    ], ids=["levy.kill", "stable_like.alpha", "closed_form.re", "subordinate.bernstein"])
+        # an expression with no variable is one value, broadcast to the shape of s
+        ({"type": "subordinate", "base": {"type": "brownian"}, "bernstein": "2"},
+         "f(x, 0) = 2 is not 0"),
+    ], ids=["levy.kill", "stable_like.alpha", "closed_form.re", "subordinate.bernstein",
+            "subordinate.bernstein_expression"])
     def test_wrong_typed_coefficient_exits_2(self, symbol, message, tmp_path, capsys):
         path = write_cfg(tmp_path, "coeff.json", {"symbol": symbol})
         out = tmp_path / "out"
@@ -547,6 +590,15 @@ class TestCoefficientForms:
         assert err.startswith("configuration error:")
         assert message in err
         assert not out.exists()
+
+    def test_constant_zero_bernstein_expression_runs(self, tmp_path):
+        path = write_cfg(tmp_path, "zero.json", {
+            "symbol": {"type": "subordinate", "base": {"type": "brownian"}, "bernstein": "0"},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["heat_kernel_bounds"] == {"0.1": "inf", "1.0": "inf", "10.0": "inf"}
 
     def test_numeric_part_is_a_constant(self, tmp_path):
         path = write_cfg(tmp_path, "num.json", {

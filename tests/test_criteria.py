@@ -140,6 +140,14 @@ class TestHeatKernelTimes:
             fk.heat_kernel_sup_bound(env, [1.0, 2.0, 0.0])
         assert calls == []
 
+    def test_a_2d_time_array_rejected_before_the_walk(self):
+        env, calls = _counted_envelope(fk.brownian(1))
+        with pytest.raises(
+            fk.ConfigError, match="^the density bound takes one time or a 1-D sequence of times$"
+        ):
+            fk.heat_kernel_sup_bound(env, [[0.1, 1.0]])
+        assert calls == []
+
     def test_return_types(self):
         env = fk.build_envelope(fk.brownian(1))
         one = fk.heat_kernel_sup_bound(env, 1.0)

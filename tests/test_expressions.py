@@ -141,6 +141,8 @@ def test_literals_reach_the_operators_as_written():
         ("abs()", "abs takes exactly one argument"),
         ("min(x)", "min/max need at least two arguments"),
         ("x + True", "literal True not allowed"),
+        # in Python, a negative float to a fractional power is a complex number
+        ("x + (-1)**0.5", r"constant power -1\.0 \*\* 0\.5 is not real"),
     ],
 )
 def test_rejected_sources(source, fragment):

@@ -78,7 +78,7 @@ class TestBallSup:
         model = fk.stable_like_symbol(*self.STABLE_LIKE_3D, dimension=3)
         want = self.full_product_max(model, [0.3, -0.2, 0.1], 0.7, 9)
         monkeypatch.setattr(checks, "BALL_SUP_PAIRS", pairs)
-        assert ball_sup(model, [0.3, -0.2, 0.1], 0.7, 9, 9) == want
+        assert ball_sup(model, [0.3, -0.2, 0.1], 0.7, 9) == want
 
     # 33 and 797 points in each ball: blocks of 3 rows and of 1 row
     @pytest.mark.parametrize("d", [1, 2])
@@ -87,7 +87,7 @@ class TestBallSup:
         center = [0.3, -0.2][:d]
         want = self.full_product_max(model, center, 0.7, 33)
         monkeypatch.setattr(checks, "BALL_SUP_PAIRS", 100)
-        assert ball_sup(model, center, 0.7, 33, 33) == want
+        assert ball_sup(model, center, 0.7, 33) == want
 
     def test_a_nan_in_a_later_block_gives_nan(self, monkeypatch):
         # one y row per block, NaN on the last rows: Python's max would keep
@@ -98,7 +98,7 @@ class TestBallSup:
 
         model = fk.SymbolModel(kind="closed_form", dimension=1, evaluator=evaluator)
         monkeypatch.setattr(checks, "BALL_SUP_PAIRS", 65)
-        assert np.isnan(ball_sup(model, [0.0], 1.0, 65, 65))
+        assert np.isnan(ball_sup(model, [0.0], 1.0, 65))
 
     def test_memory_in_three_dimensions(self):
         # the whole product of the two 2109-point ball grids took 170 MiB
@@ -106,7 +106,7 @@ class TestBallSup:
         model = fk.stable_like_symbol(*self.STABLE_LIKE_3D, dimension=3)
         tracemalloc.start()
         try:
-            value = ball_sup(model, np.full(3, 0.3), 0.5, 17, 17)
+            value = ball_sup(model, np.full(3, 0.3), 0.5, 17)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

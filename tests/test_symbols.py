@@ -281,6 +281,12 @@ class TestSubordination:
         m = fk.subordinate(fk.brownian(1), spec)
         assert ev(m, 0.0, 3.0) == pytest.approx(3.0 + 0.0j, rel=1e-12)
 
+    def test_constant_expression_has_the_shape_of_s(self):
+        m = fk.subordinate(fk.brownian(1), "0")
+        assert not m.x_dependent
+        out = fk.eval_symbol(m, 0.0, [0.5, 1.0, 2.0])
+        assert out.shape == (3,) and not out.any()
+
     def test_rejects_state_dependent_base(self):
         base = fk.stable_like_symbol("1.5 + 0.3*sin(x)", 1.2, 1.8)
         with pytest.raises(fk.ConfigError, match="state-free base exponent"):
@@ -295,6 +301,7 @@ class TestSubordination:
         [
             ("s**2", r"f\(x, s\) is not concave in s"),
             ("1 + s", "is not 0 at x"),
+            ("2", r"f\(x, 0\) = 2 is not 0 at x"),
             ("-s", "decreases in s near x"),
             ("3 * s**0.5", "exceeds its declared linear growth"),
         ],
