@@ -569,15 +569,15 @@ def stable_like_tail_transience(model: SymbolModel, K: float) -> CriterionReport
     start = time.perf_counter()
     if model.kind != "stable_like" or model.dimension != 1:
         raise ConfigError("this diagnostic applies to one-dimensional stable-like models")
-    spec = model.eval_data
+    K = positive_radius(K, "K must be finite and positive")
     r = np.linspace(K, 8.0 * K, 2001)
     pts = np.concatenate([r, -r])[:, None]
-    tail_sup = float(np.max(np.asarray(spec.alpha(pts), dtype=float)))
+    tail_sup = float(np.max(np.asarray(model.eval_data.alpha(pts), dtype=float)))
     verdict = "holds" if tail_sup < 1.0 else "inconclusive"
     return CriterionReport(
         criterion="stable_like_tail_transience",
         verdict=verdict,
-        evidence={"K": float(K), "tail_sup_alpha": tail_sup, "window": [float(K), float(8.0 * K)]},
+        evidence={"K": K, "tail_sup_alpha": tail_sup, "window": [K, 8.0 * K]},
         caveats=(
             "diagnostic only: relies on modifying the order inside a compact set;"
             " sampled sup over a finite window",

@@ -11,11 +11,12 @@ All uniform bounds in :mod:`fellerkit.criteria` are driven by these.  Three
 construction paths exist: state-free models read the envelope off directly;
 stable-like models have the closed form q_inf(xi) = |xi|^amax for |xi| <= 1
 and |xi|^amin outside (roles swapped for q_sup); everything else is
-minimized over an x grid with coordinate bracket searches around the grid
-optimum.  A frequency leaves the searches after d consecutive sweeps (one
-per axis) that do not move it, so ``refine_rounds`` is a maximum.  Grid
-envelopes can overstate q_inf when the optimizing x falls between grid
-nodes, so reports built from them carry a caveat.
+minimized over an x grid by :func:`blocked_argmin`, the one search over
+states, then refined by coordinate bracket searches.  A frequency leaves the
+searches after d consecutive sweeps (one per axis) that do not move it, so
+``refine_rounds`` is a maximum.  Grid envelopes can overstate q_inf when the
+optimizing x falls between grid nodes, so reports built from them carry a
+caveat.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .symbols import StableLikeSpec, SymbolModel, as_points
+from .symbols import StableLikeSpec, SymbolModel, as_points, product_nodes
 
 __all__ = ["Envelope", "build_envelope"]
 
@@ -36,9 +37,9 @@ GRID_CAVEAT = (
     " q_inf may be overstated between nodes"
 )
 
-#: most symbol points one evaluator call of a grid envelope sees: the grid
-#: pass scores the x mesh in blocks of at most this many nodes, and as many
-#: rows of frequencies per call as fit; the sweeps take as many rows as fit
+#: most symbol points one evaluator call of a search over states sees:
+#: :func:`blocked_argmin` scores the states in blocks of at most this many,
+#: and as many rows per call as fit; the sweeps take as many rows as fit
 #: (at least one).  Larger calls ran no faster and raised the peak memory
 MAX_EVAL_POINTS = 1 << 14
 #: nodes per bracket-search step along one coordinate, and their places in
@@ -130,6 +131,34 @@ def _state_free(model: SymbolModel) -> Envelope:
     )
 
 
+def blocked_argmin(score, n_rows: int, nodes, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one search over states: for each of ``n_rows`` rows,
+    the flat index of its node of least score among ``size`` nodes, and
+    that score.  ``nodes(flat)`` gives the nodes at flat indices ``flat``;
+    ``score(pts, rows)`` gives the (len(rows), len(pts)) scores of the rows
+    ``rows`` (a slice) there.  The nodes are held a block of at most
+    MAX_EVAL_POINTS at a time, each scored against as many rows as fit in
+    MAX_EVAL_POINTS points (at least one).  A later block replaces a row's
+    best only on a strictly lower score or a first NaN: the lowest flat
+    index among ties, as argmin over all nodes gives."""
+    block = min(size, MAX_EVAL_POINTS)
+    step = max(1, MAX_EVAL_POINTS // block)
+    at = np.empty(n_rows, dtype=np.intp)
+    best = np.empty(n_rows)
+    for start in range(0, size, block):
+        pts = nodes(np.arange(start, min(start + block, size)))
+        for s in range(0, n_rows, step):
+            rows = slice(s, s + step)
+            scores = score(pts, rows)
+            k = np.argmin(scores, axis=1)
+            found = scores[np.arange(len(k)), k]
+            if start:
+                take = (found < best[rows]) | (np.isnan(found) & ~np.isnan(best[rows]))
+                found, k = np.where(take, found, best[rows]), np.where(take, k + start, at[rows])
+            best[rows], at[rows] = found, k
+    return at, best
+
+
 class _GridOptimizer:
     """Extremize x -> g(p(x, xi)) over a box grid with bracket-search
     refinement, for a batch of frequencies xi at once."""
@@ -142,12 +171,6 @@ class _GridOptimizer:
         self.refine_rounds = refine_rounds
         self.axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
 
-    def _nodes(self, flat) -> np.ndarray:
-        """The x mesh nodes of C-order flat indices ``flat``, shape
-        flat.shape + (d,); the mesh itself is never stored."""
-        idx = np.unravel_index(flat, [len(axis) for axis in self.axes])
-        return np.stack([axis[i] for axis, i in zip(self.axes, idx)], axis=-1)
-
     def _scores(self, x, xi, reduce_fn) -> np.ndarray:
         """reduce_fn(p(x, xi)) over the broadcast leading shape of x and xi.
         The evaluator may return a real array for a real p: each reduce_fn
@@ -157,33 +180,12 @@ class _GridOptimizer:
         return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
     def _grid_pass(self, xi, reduce_fn) -> tuple[np.ndarray, np.ndarray]:
-        """The mesh node of least score for each row of ``xi``, and that score.
-
-        The mesh is scored a block of at most MAX_EVAL_POINTS nodes at a
-        time, each against as many rows as fit in MAX_EVAL_POINTS points
-        (at least one), so only one block of nodes is held.  A row keeps a
-        running best that a later block replaces only on a strictly lower
-        score or a first NaN: the lowest flat index among ties, as argmin
-        over the whole mesh gives.
-        """
-        n = len(xi)
-        size = math.prod(len(axis) for axis in self.axes)
-        block = min(size, MAX_EVAL_POINTS)
-        step = max(1, MAX_EVAL_POINTS // block)
-        at = np.empty(n, dtype=np.intp)
-        best = np.empty(n)
-        for start in range(0, size, block):
-            nodes = self._nodes(np.arange(start, min(start + block, size)))
-            for s in range(0, n, step):
-                rows = slice(s, s + step)
-                scores = self._scores(nodes[None], xi[rows, None, :], reduce_fn)
-                k = np.argmin(scores, axis=1)
-                found = scores[np.arange(len(k)), k]
-                if start:
-                    take = (found < best[rows]) | (np.isnan(found) & ~np.isnan(best[rows]))
-                    found, k = np.where(take, found, best[rows]), np.where(take, k + start, at[rows])
-                best[rows], at[rows] = found, k
-        return self._nodes(at), best
+        """The mesh node of least score for each row of ``xi``, and that
+        score, by :func:`blocked_argmin` over the nodes of the x mesh."""
+        nodes = lambda flat: product_nodes(self.axes, flat)
+        score = lambda pts, rows: self._scores(pts[None], xi[rows, None, :], reduce_fn)
+        at, best = blocked_argmin(score, len(xi), nodes, math.prod(len(axis) for axis in self.axes))
+        return nodes(at), best
 
     def _sweep(self, x, best, axis, reduce_fn, xi) -> None:
         """Bracket search along one coordinate around each row of ``x``.

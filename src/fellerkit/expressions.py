@@ -9,15 +9,17 @@ given as plain text over a fixed vocabulary:
 plus numeric literals and the variable names supplied by the caller.  One
 pass checks the parsed tree and builds a closure per node, so anything else
 (attribute access, subscripts, unknown names, bool literals, other calls,
-wrong argument counts) raises :class:`ExpressionError`, a
-:class:`~fellerkit.errors.ConfigError`, before anything runs.  A subtree that
-names no variable is computed once, while building, a power in floats; an
-overflow, a division by zero or a power that is not real there raises
+wrong argument counts, literals that are not finite) raises
+:class:`ExpressionError`, a :class:`~fellerkit.errors.ConfigError`, before
+anything runs.  A subtree that names no variable is computed once, while
+building, a power in floats; an overflow, a division by zero, a power that
+is not real or any value that is not finite there raises
 :class:`ExpressionError` too.
 """
 
 import ast
 import functools
+import math
 import operator
 
 import numpy as np
@@ -43,12 +45,14 @@ def _apply(fn, parts):
     """``fn`` of the parts: a value when every part is a value, else a closure
     of the argument tuple (a part that names a variable is such a closure)."""
     if not any(map(callable, parts)):
-        if fn is not operator.pow:
-            return fn(*parts)
-        base, exponent = map(float, parts)  # in floats, so 9**9**9 overflows at once
-        value = base**exponent
+        if fn is operator.pow:  # in floats, so 9**9**9 overflows at once
+            parts = [float(p) for p in parts]
+        with np.errstate(all="ignore"):  # numpy answers with inf or nan, rejected below
+            value = fn(*parts)
         if isinstance(value, complex):  # a negative base to a fractional power
-            raise ExpressionError(f"constant power {base!r} ** {exponent!r} is not real")
+            raise ExpressionError(f"constant power {parts[0]!r} ** {parts[1]!r} is not real")
+        if not math.isfinite(value):
+            raise ExpressionError(f"constant part evaluates to {value}")
         return value
     a, *rest = [p if callable(p) else (lambda args, p=p: p) for p in parts]
     if not rest:
@@ -60,7 +64,7 @@ def _build(node: ast.AST, variables: tuple[str, ...], used: set[str]):
     """Check ``node`` and return what :func:`_apply` takes as a part,
     adding the variables it names to ``used``."""
     if isinstance(node, ast.Constant):
-        if type(node.value) not in (int, float):
+        if type(node.value) not in (int, float) or not math.isfinite(node.value):
             raise ExpressionError(f"literal {node.value!r} not allowed")
         return node.value
     if isinstance(node, ast.Name):

@@ -4,7 +4,8 @@ Each check returns a small result object with a ``verdict`` string
 ("holds" or "fails") plus the evidence that produced it.  Grid checks are
 certificates only up to the grid: a sup over sampled points can under- or
 over-state the true sup, which callers must keep in mind for one-sided
-conclusions.
+conclusions.  Every sup over states here is one
+:func:`~fellerkit.envelopes.blocked_argmin`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symbols import SymbolModel, as_points
+from .envelopes import blocked_argmin
+from .symbols import SymbolModel, as_points, product_nodes
 
 __all__ = [
     "BoundedCoefficientsCheck",
@@ -23,39 +25,27 @@ __all__ = [
 ]
 
 
-def _grid_points(grid, d: int) -> np.ndarray:
-    """The points of ``grid`` (read by ``as_points``) as an (n, d) array."""
-    pts, _ = as_points(grid, d)
-    return pts.reshape(-1, d)
-
-
 def _ball_grid(radius: float, d: int, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(-radius, radius, per_axis)] * d
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    pts = product_nodes([np.linspace(-radius, radius, per_axis)] * d, np.arange(per_axis**d))
     keep = np.sqrt(np.sum(pts * pts, axis=1)) <= radius + 1e-12
     return pts[keep]
 
 
-# (y, xi) pairs that ball_sup evaluates in one call of the evaluator
-BALL_SUP_PAIRS = 1 << 16
+def _sup_over_states(model: SymbolModel, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """sup over the states ``xs`` of |p(x, xi)|, for each row of ``xis``, by
+    :func:`~fellerkit.envelopes.blocked_argmin` of -|p|.  Each block is
+    evaluated states by frequencies, as one call on the whole product is,
+    and transposed; a NaN at any state gives NaN."""
+    score = lambda pts, rows: -np.abs(model.evaluator(pts[:, None, :], xis[None, rows, :])).T
+    return -blocked_argmin(score, len(xis), lambda flat: xs[flat], len(xs))[1]
 
 
 def ball_sup(model: SymbolModel, center, r: float, resolution: int) -> float:
     """sup |p(y, xi)| over ball grids of |y - center| <= r and |xi| <= 1/r,
-    each of ``resolution`` nodes per axis.
-
-    The product of the grids is evaluated a block of y rows at a time, at
-    most ``BALL_SUP_PAIRS`` pairs each; max is exact, so the value does
-    not depend on the blocks, and a NaN anywhere gives NaN."""
+    each of ``resolution`` nodes per axis, by :func:`_sup_over_states`."""
     d = model.dimension
     ys = np.asarray(center, dtype=float).reshape(d) + _ball_grid(r, d, resolution)
-    xis = _ball_grid(1.0 / r, d, resolution)
-    rows = max(1, BALL_SUP_PAIRS // len(xis))
-    maxima = [
-        np.abs(model.evaluator(ys[i : i + rows, None, :], xis[None, :, :])).max()
-        for i in range(0, len(ys), rows)
-    ]
-    return float(np.max(maxima))
+    return float(np.max(_sup_over_states(model, ys, _ball_grid(1.0 / r, d, resolution))))
 
 
 @dataclass
@@ -79,11 +69,9 @@ def check_bounded_coefficients(
     declares itself conservative.
     """
     d = model.dimension
-    xs = _grid_points(x_grid, d)
-    xis = _grid_points(xi_grid, d)
-    vals = np.abs(model.evaluator(xs[:, None, :], xis[None, :, :]))
+    xs, xis = (as_points(grid, d)[0].reshape(-1, d) for grid in (x_grid, xi_grid))
     rho = np.sqrt(np.sum(xis * xis, axis=1))
-    ratio = vals.max(axis=0) / (1.0 + rho**2)
+    ratio = _sup_over_states(model, xs, xis) / (1.0 + rho**2)
     c_est = float(ratio.max())
 
     zero_offset = float(np.max(np.abs(model.evaluator(xs, np.zeros((xs.shape[0], d))))))

@@ -124,6 +124,14 @@ def as_points(v, d: int, *, single: bool = False) -> tuple[np.ndarray, tuple]:
     return arr, arr.shape[:-1]
 
 
+def product_nodes(axes, flat) -> np.ndarray:
+    """The nodes at C-order flat indices ``flat`` of the product grid of the
+    1-D ``axes``, shape ``flat.shape + (len(axes),)``: the package's one way
+    to build a grid of points, so a search can take a grid block by block."""
+    idx = np.unravel_index(flat, [len(axis) for axis in axes])
+    return np.stack([axis[i] for axis, i in zip(axes, idx)], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # types
 
@@ -434,10 +442,8 @@ def stable_like_symbol(
         )
     alpha_fn, x_dependent = _coeff_of_x(alpha, dimension)
 
-    grid1 = np.linspace(-10.0, 10.0, 201 if dimension == 1 else 11)
-    mesh = np.stack(
-        np.meshgrid(*([grid1] * dimension), indexing="ij"), axis=-1
-    ).reshape(-1, dimension)
+    n = 201 if dimension == 1 else 11
+    mesh = product_nodes([np.linspace(-10.0, 10.0, n)] * dimension, np.arange(n**dimension))
     sampled = np.asarray(alpha_fn(mesh), dtype=float)
     # negated so that an order that is NaN anywhere on the sample fails it
     if not (sampled.min() >= alpha_min - 1e-9 and sampled.max() <= alpha_max + 1e-9):

@@ -537,6 +537,13 @@ class TestMalformedExpressions:
          "constant power -1.0 ** 0.5 is not real"),
         ({"type": "closed_form", "re": "abs(xi)**1.5 + (-1)**0.5"},
          "constant power -1.0 ** 0.5 is not real"),
+        # an infinite constant: exp(1000) and 1e999 made q_inf infinite, so
+        # transience and local times "held" with heat bounds of 0.0
+        ({"type": "closed_form", "re": "abs(xi)**1.5 + exp(1000)"}, "constant part evaluates to inf"),
+        ({"type": "closed_form", "re": "abs(xi)**1.5 + 1e999"}, "literal inf not allowed"),
+        ({"type": "closed_form", "re": "abs(xi)**1.5 + 0*exp(1000)"},
+         "constant part evaluates to inf"),
+        ({"type": "closed_form", "re": "abs(xi)**1.5 + log(-1)"}, "constant part evaluates to nan"),
     ])
     def test_bad_expression_exits_2(self, symbol, message, tmp_path, capsys):
         path = write_cfg(tmp_path, "expr.json", {"symbol": symbol})

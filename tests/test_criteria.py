@@ -650,3 +650,11 @@ class TestStableLikeTailTransience:
     def test_requires_stable_like_model(self):
         with pytest.raises(fk.ConfigError):
             fk.stable_like_tail_transience(fk.brownian(1), 1)
+
+    # K = 0 sampled only x = 0 and held, K = -2 reported the window
+    # [-2, -16], and nan or inf gave "inconclusive" with RuntimeWarnings
+    @pytest.mark.parametrize("K", [0.0, -2.0, math.nan, math.inf])
+    def test_K_must_be_finite_and_positive(self, K):
+        m = fk.stable_like_symbol("0.7 + 0.1*sin(x)", 0.5, 0.9)
+        with pytest.raises(fk.ConfigError, match="K must be finite and positive"):
+            fk.stable_like_tail_transience(m, K)

@@ -451,6 +451,27 @@ class TestBlockedGridPass:
         assert nan.axes[0][10] < 3.0 < nan.axes[0][11]
         assert x[:, 0].tolist() == [nan.axes[0][11]] * 2
 
+    @pytest.mark.parametrize("d, resolution", [(1, 45), (2, 9), (3, 5)])
+    def test_sample_points(self, monkeypatch, d, resolution):
+        # the grid pass scores every frequency once at every node of the
+        # C-order product of linspace(lo, hi) axes, pinned bit for bit
+        monkeypatch.setattr(envelopes, "MAX_EVAL_POINTS", 16)
+        seen, pairs = [], []
+
+        def re(x, xi):
+            seen.append(np.array(x).reshape(-1, d))
+            pairs.append(np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]))
+            return np.sum(np.cos(x), -1) * np.sum(xi * xi, -1)
+
+        opt = _optimizer(fk.closed_form_symbol(re, dimension=d), resolution, "periodic", 0)
+        xi = np.linspace(-2.5, 3.0, 5 * d).reshape(5, d)
+        x, _ = opt._grid_pass(xi, np.real)
+        axis = np.linspace(0.0, 2.0 * math.pi, resolution)
+        mesh = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        assert np.unique(np.concatenate(seen), axis=0).tobytes() == np.unique(mesh, axis=0).tobytes()
+        assert sum(math.prod(shape) for shape in pairs) == len(xi) * len(mesh)
+        assert all(row.tobytes() in {node.tobytes() for node in mesh} for row in x)
+
     def test_a_fine_d3_grid_holds_no_mesh(self):
         # 513^3 nodes would be a 3.2 GB mesh; building the envelope holds
         # only the three axes

@@ -143,6 +143,12 @@ def test_literals_reach_the_operators_as_written():
         ("x + True", "literal True not allowed"),
         # in Python, a negative float to a fractional power is a complex number
         ("x + (-1)**0.5", r"constant power -1\.0 \*\* 0\.5 is not real"),
+        # a Feller symbol is finite: numpy answers these with inf or nan
+        ("x + 1e999", "literal inf not allowed"),
+        ("x + exp(1000)", "constant part evaluates to inf"),
+        ("x + log(-1)", "constant part evaluates to nan"),
+        ("x + 0*exp(1000)", "constant part evaluates to inf"),
+        ("x + 1e308*10", "constant part evaluates to inf"),
     ],
 )
 def test_rejected_sources(source, fragment):

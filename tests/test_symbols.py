@@ -140,6 +140,31 @@ class TestStableLike:
         with pytest.raises(fk.ConfigError, match="order band must satisfy"):
             fk.stable_like_symbol("1.0", 0.5, 2.0)
 
+    @pytest.mark.parametrize("d, per_axis", [(1, 201), (2, 11)])
+    def test_band_sample_points(self, d, per_axis):
+        # the order is checked at the C-order product of linspace(-10, 10)
+        # axes, every point in one call; the whole sample is pinned bit for bit
+        seen = []
+
+        def alpha(x):
+            seen.append(np.array(x))
+            return np.full(np.shape(x)[:-1], 1.5)
+
+        fk.stable_like_symbol(alpha, 1.2, 1.8, dimension=d)
+        axis = np.linspace(-10.0, 10.0, per_axis)
+        want = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        assert len(seen) == 1
+        assert seen[0].shape == want.shape and seen[0].tobytes() == want.tobytes()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the band is checked on a sample; every sample"
+        " point x = k/10 gives sin(k pi) = 0, so the true range [0.4, 1.4] is missed",
+    )
+    def test_order_leaving_band_between_samples_rejected(self):
+        with pytest.raises(fk.ConfigError, match="sampled order leaves the declared band"):
+            fk.stable_like_symbol("0.9 + 0.5*sin(10*pi*x)", 0.89, 0.91)
+
 
 class TestStableLikeConstant:
     @pytest.mark.parametrize("key, want", sorted(STABLE_CONSTANTS.items()))
