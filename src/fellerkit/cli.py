@@ -11,13 +11,13 @@ Three subcommands share a JSON configuration:
         simulated, a chunk of grid times at a time, then report.json
 
     fellerkit validate --config cfg.json [--out DIR] [--seed N]
-        simulate step by step, accumulating the empirical statistics
-        without keeping the paths; compare them against the bounds,
-        write report.json and margins.csv.  The exit rows' bounds (a ball
-        sup of the symbol and the bump constant c_u) need nothing from the
-        paths and are computed first, so a bound that fails exits before
-        any step is drawn.  The accumulators run on one worker thread
-        beside the simulation (``empirics.feed``).
+        simulate step by step without keeping the paths; each check is an
+        accumulator of ``empirics``, all fed by one ``empirics.feed`` on a
+        worker thread beside the simulation, and each one's ``report``
+        compares it with its bounds; write report.json and margins.csv.
+        The exit rows' bounds (a ball sup of the symbol and the bump
+        constant c_u) need nothing from the paths and are computed first,
+        so a bound that fails exits before any step is drawn.
 
 ``simulate`` and ``validate`` draw the increments of the built-in Levy
 families in blocks of steps, on one worker thread per CPU the process may
@@ -54,14 +54,7 @@ import numpy as np
 from . import __version__
 from .config import build_envelope_from_config, build_model, check_seed_flag, load_config
 from .criteria import char_fn_bound, exit_time_bound, frequency_criteria, test_ultracontractivity
-from .empirics import (
-    ExitSup,
-    GridSnapshots,
-    OccupationSums,
-    _frequencies,
-    feed,
-    validate_char_bound,
-)
+from .empirics import CharFnRows, ExitSup, OccupationSums, feed
 from .ensemble_io import write_ensemble
 from .errors import ConfigError, NumericalError
 from .simulate import levy_steps, stable_like_steps
@@ -191,11 +184,10 @@ def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
     val = cfg["validation"]
     n_sigma = float(val["n_sigma"])
 
-    # each accumulator and frequency rejects its part of the config before the
-    # first step is drawn; no char fn is evaluated at any t when there is no xi
-    snapshots = GridSnapshots(steps, val["t_values"] if val["xi_values"] else [])
-    xi_points = _frequencies(val["xi_values"], steps.dimension)
-    accumulators = [snapshots]
+    # each accumulator rejects its part of the config before the first step
+    # is drawn; no char fn is evaluated at any t when there is no xi
+    char_rows = CharFnRows(steps, val["t_values"], val["xi_values"])
+    accumulators = [char_rows]
     occ_xi = val.get("occupation_xi")
     if occ_xi:
         occupation = OccupationSums(steps, occ_xi)
@@ -209,9 +201,7 @@ def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
         exit_bounds = [exit_time_bound(model, steps.start, r, t) for r, t, _ in exit_sup.rows]
     feed(steps, *accumulators)
 
-    report = validate_char_bound(
-        snapshots.ensemble(), env, val["t_values"], xi_points, n_sigma=n_sigma
-    )
+    report = char_rows.report(env, n_sigma)
     _write_csv(
         out_dir / "margins.csv",
         ["t", "xi", "bound", "empirical_abs", "se", "margin", "ok"],
@@ -238,19 +228,7 @@ def cmd_validate(cfg, out_dir: Path, seed: int) -> dict:
         }
 
     if exits:
-        rows = []
-        for freq, bound in zip(exit_sup.frequencies(), exit_bounds):
-            rows.append(
-                {
-                    "r": freq.radius,
-                    "t": freq.t,
-                    "frequency": freq.value,
-                    "se": freq.se,
-                    "bound": bound.value,
-                    "ok": freq.value <= bound.value + n_sigma * freq.se,
-                }
-            )
-        payload["exit_frequencies"] = _sanitize(rows)
+        payload["exit_frequencies"] = _sanitize(exit_sup.report(exit_bounds, n_sigma))
 
     return payload
 

@@ -4,19 +4,19 @@ All estimators work on the exact grid times of the ensemble; none of them
 interpolate in time.  Standard errors are plain sample standard errors
 across paths, with a delta-method step where the statistic is a modulus.
 
-The estimators behind ``fellerkit validate`` are accumulators fed one grid
-step ``(k, X_k)`` at a time, so they run on a :class:`PathSteps` source
-without the whole path array ever existing: :class:`GridSnapshots` keeps
-the positions at chosen times for the characteristic-function estimators,
-:class:`ExitSup` the running sup of |X_k - x0| for exit frequencies, and
-:class:`OccupationSums` the discounted Fourier sums of the occupation
-check.  The ensemble functions replay ``positions[:, k, :]`` through the
-same accumulators.  :func:`feed` draws the steps on the calling thread and
-runs the accumulators on one worker thread beside it, on the step pool's
-pipeline ``simulate._in_order``: the two overlap, outputs are bit-identical
-to a serial run, and an error ends the source and the worker before it
-propagates.  The phases <xi, X - x0> are summed elementwise, not by BLAS,
-so the estimates have the same bits on every OpenBLAS kernel.
+Each check of ``fellerkit validate`` is an accumulator fed one grid step
+``(k, X_k)`` at a time, so it runs on a :class:`PathSteps` source without
+the whole path array ever existing; it rejects its part of a config when
+it is built, before any step, and its ``report`` gives its rows and their
+pass rule.  :class:`CharFnRows` estimates the characteristic function,
+:class:`OccupationSums` keeps the discounted Fourier sums of the occupation
+check and :class:`ExitSup` the running sup of |X_k - x0|.  The ensemble
+functions replay ``positions[:, k, :]`` through the same accumulators.
+:func:`feed` draws the steps on the calling thread and runs the
+accumulators on one worker thread beside it, on ``simulate._in_order``:
+outputs are bit-identical to a serial run, and an error ends the source
+and the worker before it propagates.  Every sum is elementwise, never a
+BLAS product, so the estimates have the same bits on every OpenBLAS kernel.
 """
 
 from __future__ import annotations
@@ -30,15 +30,15 @@ from .criteria import _line_fit, char_fn_bound, local_time_fourier_bound
 from .envelopes import Envelope
 from .errors import ConfigError
 from .quadrature import positive_radius
-from .simulate import PathEnsemble, _in_order
+from .simulate import _in_order
 from .symbols import as_points
 
 __all__ = [
     "feed",
-    "GridSnapshots",
     "CharFnEstimate",
     "empirical_char_fn",
     "CharBoundReport",
+    "CharFnRows",
     "validate_char_bound",
     "GeneratorFDEstimate",
     "generator_finite_difference",
@@ -83,39 +83,6 @@ def _replay(ens, stop: int | None = None):
         yield k, ens.positions[:, k, :]
 
 
-class GridSnapshots:
-    """The positions at chosen grid times, kept while stepping.
-
-    ``ensemble()`` returns them as a :class:`PathEnsemble` whose grid holds
-    only those times, which :func:`empirical_char_fn` and
-    :func:`validate_char_bound` read like any ensemble.  A time off the
-    source's grid raises :class:`ConfigError` here, before any step.
-    """
-
-    def __init__(self, source, t_values):
-        self._source = source
-        self._wanted = sorted({source.time_index(t) for t in t_values})
-        self._kept = {}
-
-    def update(self, k: int, x: np.ndarray) -> None:
-        if k in self._wanted:
-            self._kept[k] = np.array(x, dtype=float)
-
-    def ensemble(self) -> PathEnsemble:
-        src = self._source
-        if self._wanted:
-            positions = np.stack([self._kept[k] for k in self._wanted], axis=1)
-        else:
-            positions = np.empty((src.n_paths, 0, src.dimension))
-        return PathEnsemble(
-            positions=positions,
-            time_grid=np.asarray(src.time_grid)[self._wanted],
-            start=src.start,
-            scheme=src.scheme,
-            seed_lineage=src.seed_lineage,
-        )
-
-
 def _phases(xi, disp, out=None, term=None):
     """<xi_m, disp_i> at [m, i], its component products summed in order.
 
@@ -125,6 +92,38 @@ def _phases(xi, disp, out=None, term=None):
     out = np.multiply.outer(xi[:, 0], disp[:, 0], out=out)
     for j in range(1, xi.shape[1]):
         out += np.multiply.outer(xi[:, j], disp[:, j], out=term)
+    return out
+
+
+def _two_paths(n_paths: int) -> None:
+    if n_paths < 2:
+        raise ConfigError("need at least two paths for a standard error")
+
+
+def _char_moments(xi, disp) -> list:
+    """``(value, se_real, se_imag, se_abs)`` for each frequency xi_m: the
+    mean of exp(i <xi_m, disp_i>) over the paths i and its standard errors.
+    One pass serves every frequency, each with the bits it has alone."""
+    n = disp.shape[0]
+    phase = _phases(xi, disp)
+    zr, zi = np.cos(phase), np.sin(phase)
+    means = zr.mean(axis=1), zi.mean(axis=1)
+    ses = zr.std(axis=1, ddof=1) / math.sqrt(n), zi.std(axis=1, ddof=1) / math.sqrt(n)
+    # the covariance of the two means, summed elementwise
+    covs = ((zr - means[0][:, None]) * (zi - means[1][:, None])).sum(axis=1) / (n - 1) / n
+    out = []
+    for mr, mi, se_r, se_i, cov in zip(*(a.tolist() for a in (*means, *ses, covs))):
+        mod = math.hypot(mr, mi)
+        if mod > 0.0:
+            # delta method for |mean|; the cross covariance enters with the
+            # product of the two components
+            var_abs = (
+                mr * mr * se_r * se_r + 2.0 * mr * mi * cov + mi * mi * se_i * se_i
+            ) / (mod * mod)
+            se_abs = math.sqrt(max(var_abs, 0.0))
+        else:
+            se_abs = math.hypot(se_r, se_i)
+        out.append((complex(mr, mi), se_r, se_i, se_abs))
     return out
 
 
@@ -140,34 +139,15 @@ class CharFnEstimate:
 
 
 def empirical_char_fn(ens, t: float, xi) -> CharFnEstimate:
-    """Monte Carlo estimate of E exp(i <xi, X_t - x0>) across the ensemble."""
-    d = ens.positions.shape[2]
-    v, _ = as_points(xi, d, single=True)
+    """Monte Carlo estimate of E exp(i <xi, X_t - x0>) across the ensemble:
+    the estimator of :class:`CharFnRows` at one frequency."""
+    v, _ = as_points(xi, ens.positions.shape[2], single=True)
     n = ens.positions.shape[0]
-    if n < 2:
-        raise ConfigError("need at least two paths for a standard error")
+    _two_paths(n)
     disp = ens.at(t) - np.asarray(ens.start)[None, :]
-    phase = _phases(v[None], disp)[0]
-    zr = np.cos(phase)
-    zi = np.sin(phase)
-    mr = float(zr.mean())
-    mi = float(zi.mean())
-    se_r = float(zr.std(ddof=1) / math.sqrt(n))
-    se_i = float(zi.std(ddof=1) / math.sqrt(n))
-    mod = math.hypot(mr, mi)
-    if mod > 0.0:
-        # delta method for |mean|; the cross covariance enters with the
-        # product of the two components
-        cov = float(np.cov(zr, zi, ddof=1)[0, 1]) / n
-        var_abs = (
-            mr * mr * se_r * se_r + 2.0 * mr * mi * cov + mi * mi * se_i * se_i
-        ) / (mod * mod)
-        se_abs = math.sqrt(max(var_abs, 0.0))
-    else:
-        se_abs = math.hypot(se_r, se_i)
+    ((value, se_r, se_i, se_abs),) = _char_moments(v[None], disp)
     return CharFnEstimate(
-        xi=v, t=float(t), value=complex(mr, mi), se_real=se_r, se_imag=se_i,
-        se_abs=se_abs, n_paths=n,
+        xi=v, t=float(t), value=value, se_real=se_r, se_imag=se_i, se_abs=se_abs, n_paths=n,
     )
 
 
@@ -192,6 +172,53 @@ def _frequencies(xi_values, d: int) -> np.ndarray:
     return np.reshape([as_points(xi, d, single=True)[0] for xi in xi_values], (-1, d))
 
 
+class CharFnRows:
+    """The estimates of E exp(i <xi, X_t - x0>) for every (t, xi) row, taken
+    at each time's grid step for all frequencies at once by the estimator of
+    :func:`empirical_char_fn`.  Before any step it raises :class:`ConfigError`
+    for, in turn, a time off the grid (read only when there are frequencies),
+    a malformed frequency, and one path when there are rows."""
+
+    def __init__(self, source, t_values, xi_values):
+        t_values = t_values if len(xi_values) else []
+        self._index = [source.time_index(t) for t in t_values]
+        self.t = [float(t) for t in t_values]
+        self.xi = _frequencies(xi_values, source.dimension)
+        if self.t:
+            _two_paths(source.n_paths)
+        self.stop = 1 + max(self._index, default=-1)
+        self._x0 = np.asarray(source.start, dtype=float)
+        self._at = {}
+
+    def update(self, k: int, x: np.ndarray) -> None:
+        if k in self._index:
+            self._at[k] = _char_moments(self.xi, x - self._x0)
+
+    def report(self, env: Envelope, n_sigma: float = 3.0) -> CharBoundReport:
+        """Each row passes when bound - |estimate| >= -n_sigma se, with the
+        bound exp(-(t/16) q_inf(2 xi)); the verdict holds when at most 1% of
+        the rows fail."""
+        d = self.xi.shape[1]
+        rows = []
+        for t, k in zip(self.t, self._index):
+            # one envelope query per time, for every frequency
+            bounds = np.reshape(char_fn_bound(env, t, self.xi), -1).tolist()
+            for v, bound, (value, _, _, se_abs) in zip(self.xi, bounds, self._at[k]):
+                margin = bound - abs(value)
+                rows.append({
+                    "t": t, "xi": v.tolist() if d > 1 else float(v[0]), "bound": bound,
+                    "empirical_abs": abs(value), "se": se_abs, "margin": margin,
+                    "ok": margin >= -n_sigma * se_abs,
+                })
+        n_bad = sum(not row["ok"] for row in rows)
+        frac = n_bad / len(rows) if rows else 0.0
+        verdict = "holds" if frac <= 0.01 else "fails"
+        return CharBoundReport(
+            rows=rows, n_violations=n_bad, violation_fraction=frac, verdict=verdict,
+            n_sigma=n_sigma,
+        )
+
+
 def validate_char_bound(
     ens, env: Envelope, t_values, xi_values, *, n_sigma: float = 3.0
 ) -> CharBoundReport:
@@ -200,38 +227,12 @@ def validate_char_bound(
 
     The verdict holds when at most 1% of the grid points violate the
     inflated bound; with n_sigma = 3 roughly one point in 370 is expected
-    to sit outside by chance under a normal error model.
+    to sit outside by chance under a normal error model.  The estimates
+    are those of :class:`CharFnRows`, fed the stored steps.
     """
-    d = ens.positions.shape[2]
-    points = _frequencies(xi_values, d)
-    rows = []
-    n_bad = 0
-    for t in t_values:
-        # one envelope query per time, for every frequency
-        bounds = np.reshape(char_fn_bound(env, t, points), -1).tolist() if len(points) else []
-        for v, bound in zip(points, bounds):
-            est = empirical_char_fn(ens, t, v)
-            margin = bound - abs(est.value)
-            ok = margin >= -n_sigma * est.se_abs
-            if not ok:
-                n_bad += 1
-            rows.append(
-                {
-                    "t": float(t),
-                    "xi": v.tolist() if d > 1 else float(v[0]),
-                    "bound": bound,
-                    "empirical_abs": abs(est.value),
-                    "se": est.se_abs,
-                    "margin": margin,
-                    "ok": ok,
-                }
-            )
-    frac = n_bad / len(rows) if rows else 0.0
-    verdict = "holds" if frac <= 0.01 else "fails"
-    return CharBoundReport(
-        rows=rows, n_violations=n_bad, violation_fraction=frac, verdict=verdict,
-        n_sigma=n_sigma,
-    )
+    rows = CharFnRows(ens, t_values, xi_values)
+    feed(_replay(ens, rows.stop), rows)
+    return rows.report(env, n_sigma)
 
 
 @dataclass
@@ -305,7 +306,8 @@ class OccupationSums:
     integrates the discount exactly over the grid cell and the phase is
     frozen at the cell's left endpoint (w = 0 at the last step).  Memory is
     O(n_paths x frequencies) whatever the number of steps.  A horizon with
-    e^-T > 1e-6 or a malformed frequency raises :class:`ConfigError` here,
+    e^-T > 1e-6, a malformed frequency or, when there are frequencies,
+    fewer than two paths raises :class:`ConfigError` here, in that order,
     before any step.
     """
 
@@ -318,6 +320,8 @@ class OccupationSums:
         self.horizon = horizon
         self.dimension = d = source.dimension
         self.xi = _frequencies(xi_values, d)
+        if len(self.xi):
+            _two_paths(source.n_paths)
         decay = np.exp(-np.asarray(source.time_grid, dtype=float))
         self._w = np.zeros(decay.size)
         self._w[:-1] = decay[:-1] - decay[1:]
@@ -337,27 +341,21 @@ class OccupationSums:
             acc += self._term
 
     def report(self, env: Envelope, n_sigma: float = 3.0) -> OccupationFourierReport:
-        """Mean |mu(xi)|^2 across paths against 16 / (16 + q_inf(xi))."""
+        """Mean |mu(xi)|^2 across paths against 16 / (16 + q_inf(xi)); a row
+        passes when the mean is within n_sigma se of its bound."""
         n = self._re.shape[1]
         mod2 = self._re**2 + self._im**2
+        # one envelope query for every frequency
+        bounds = np.reshape(local_time_fourier_bound(env, self.xi), -1).tolist()
         rows = []
-        verdict = "holds"
-        for v, m2 in zip(self.xi, mod2):
+        for v, m2, bound in zip(self.xi, mod2, bounds):
             mean = float(m2.mean())
             se = float(m2.std(ddof=1) / math.sqrt(n))
-            bound = float(local_time_fourier_bound(env, v if self.dimension > 1 else v[0]))
-            ok = mean <= bound + n_sigma * se
-            if not ok:
-                verdict = "fails"
-            rows.append(
-                {
-                    "xi": v.tolist() if self.dimension > 1 else float(v[0]),
-                    "empirical": mean,
-                    "se": se,
-                    "bound": bound,
-                    "ok": ok,
-                }
-            )
+            rows.append({
+                "xi": v.tolist() if self.dimension > 1 else float(v[0]), "empirical": mean,
+                "se": se, "bound": bound, "ok": mean <= bound + n_sigma * se,
+            })
+        verdict = "holds" if all(row["ok"] for row in rows) else "fails"
         return OccupationFourierReport(
             rows=rows, verdict=verdict, n_sigma=n_sigma, horizon=self.horizon
         )
@@ -429,6 +427,16 @@ class ExitSup:
             se = math.sqrt(p * (1.0 - p) / n)
             out.append(ExitFrequency(value=p, se=se, n_paths=n, radius=r, t=t))
         return out
+
+    def report(self, bounds, n_sigma: float = 3.0) -> list:
+        """Each row's frequency against its bound in ``bounds`` (its
+        :class:`~fellerkit.criteria.ExitTimeBound`, in row order); a row
+        passes when its frequency is within n_sigma se of the bound."""
+        return [
+            {"r": freq.radius, "t": freq.t, "frequency": freq.value, "se": freq.se,
+             "bound": bound.value, "ok": freq.value <= bound.value + n_sigma * freq.se}
+            for freq, bound in zip(self.frequencies(), bounds)
+        ]
 
 
 def exit_frequency(ens, r: float, t: float) -> ExitFrequency:

@@ -742,6 +742,35 @@ class TestFailureExitCodes:
         assert "error: RuntimeError: kaput" in capsys.readouterr().err
 
 
+class TestInfiniteSymbolValues:
+    """A Feller symbol is finite.  Where q_inf is +inf at a node of a
+    frequency walk, 1 / q_inf and exp(-t q_inf / 16) are exact zeros that
+    would read as convergence; such a row is undetermined instead, so the
+    density bound cannot be classified and no report is written."""
+
+    INFINITE = {
+        "state-free": {"symbol": {"type": "closed_form", "re": "abs(xi)**1.5 + exp(1000 + 0*xi)"}},
+        "grid": {
+            "symbol": {"type": "closed_form", "re": "abs(xi)**1.5 * exp(x**2 + 1000)"},
+            "envelope": {
+                "method": "grid", "x_domain": [[-1, 1]], "tail": "periodic", "resolution": 9,
+            },
+        },
+    }
+
+    # exp overflows as it does from the command line, with a RuntimeWarning
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(INFINITE))
+    def test_no_verdict_and_no_bound_rest_on_an_infinite_value(self, name, tmp_path, capsys):
+        path = write_cfg(tmp_path, "inf.json", self.INFINITE[name])
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: heat kernel bound integral could not be classified\n"
+        )
+        assert not (out / "report.json").exists()
+
+
 def validate_cfg(tmp_path, symbol, simulation, validation, name="val.json"):
     return write_cfg(tmp_path, name, {
         "symbol": symbol, "simulation": simulation, "validation": validation, "seed": 2,
@@ -831,6 +860,24 @@ class TestValidateStreams:
         assert peak < positions_nbytes / 4
 
 
+def test_validate_writes_the_same_bytes_under_every_blas_kernel(under_blas_kernels):
+    # with a drift the covariance term of the char rows' se does not vanish;
+    # as np.cov, a BLAS product, it gave another margins.csv under Prescott
+    probe = (
+        "import hashlib, json, pathlib, tempfile\n"
+        "from fellerkit import cli\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    cfg, out = pathlib.Path(tmp) / 'cfg.json', pathlib.Path(tmp) / 'out'\n"
+        "    cfg.write_text(json.dumps({'symbol': {'type': 'brownian', 'drift': [1.0]},"
+        " 'simulation': {'n_paths': 400, 't_max': 1.0, 'h_max': 0.01}, 'seed': 3}))\n"
+        "    assert cli.main(['validate', '--config', str(cfg), '--out', str(out)]) == 0\n"
+        "    print([hashlib.sha256((out / name).read_bytes()).hexdigest()"
+        " for name in ('margins.csv', 'report.json')])\n"
+    )
+    seen = under_blas_kernels(probe)
+    assert len(set(seen.values())) == 1, seen
+
+
 class TestValidateRejectsBeforeSimulating:
     """Config errors that the grid alone decides are raised before the first
     step is drawn, with the messages and in the order they always had."""
@@ -880,6 +927,19 @@ class TestValidateRejectsBeforeSimulating:
         rc = cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("override", [
+        {"xi_values": []},  # the occupation rows alone need a standard error
+        {},  # the char-bound rows, checked first
+    ])
+    def test_one_path_exits_2_without_a_step(self, override, tmp_path, capsys):
+        simulation = {"n_paths": 1, "t_max": 14.0, "h_max": 0.01}
+        cfg = validate_cfg(tmp_path, {"type": "brownian"}, simulation, {**self.BASE, **override})
+        rc = cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: need at least two paths for a standard error\n"
+        )
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_exit_rows_above_dimension_three_exit_2_without_a_step(self, d, tmp_path, capsys):

@@ -219,6 +219,12 @@ class TestOccupationFourier:
         assert rep.verdict == "fails"
         assert not rep.rows[0]["ok"]
 
+    def test_needs_two_paths_before_any_step(self, monkeypatch):
+        lone = fk.simulate_levy(fk.brownian(1), 1, 14.0, 14, seed=5)
+        monkeypatch.setattr(fk.empirics, "feed", None)  # a step fed fails the test
+        with pytest.raises(ConfigError, match="need at least two paths for a standard error"):
+            fk.occupation_fourier_check(lone, fk.build_envelope(fk.brownian(1)), [1.0])
+
     def test_short_horizon_guard(self):
         ens = fk.simulate_levy(fk.brownian(1), 50, 5.0, 100, seed=2)
         env = fk.build_envelope(fk.brownian(1))
@@ -230,7 +236,10 @@ class TestOccupationFourier:
 def test_bit_identical_across_blas_kernels(under_blas_kernels):
     """The phases <xi, X - x0> of the occupation sums and the characteristic
     function are summed elementwise: in d = 2 a BLAS product gave other
-    bits under Prescott than under SkylakeX and Haswell."""
+    bits under Prescott than under SkylakeX and Haswell.  So is the
+    covariance term of the char fn's standard error, which does not vanish
+    in rounding with a drift: as np.cov, a BLAS product, it gave another
+    se_abs under Prescott at t = 1, xi = 0.5."""
     probe = (
         "import fellerkit as fk\n"
         "model = fk.alpha_stable(1.5, 2)\n"
@@ -238,8 +247,11 @@ def test_bit_identical_across_blas_kernels(under_blas_kernels):
         "occ = fk.occupation_fourier_check(ens, fk.build_envelope(model),"
         " [[1.0, 0.5], [0.3, -2.0]])\n"
         "est = [fk.empirical_char_fn(ens, t, [0.7, -1.3]) for t in (1.0, 16.0)]\n"
+        "drifted = fk.simulate_levy(fk.brownian(1, drift=[1.0]), 400, 1.0, 16, seed=7)\n"
+        "se = [fk.empirical_char_fn(drifted, t, xi).se_abs"
+        " for t in (0.25, 1.0) for xi in (0.5, 1.0, 2.0)]\n"
         "print(repr(([(r['empirical'], r['se']) for r in occ.rows],"
-        " [(e.value, e.se_abs) for e in est])))\n"
+        " [(e.value, e.se_abs) for e in est], se)))\n"
     )
     seen = under_blas_kernels(probe)
     assert len(set(seen.values())) == 1, seen
