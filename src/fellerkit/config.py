@@ -85,13 +85,20 @@ _EXITS = (
     'a list of {"r": number, "t": number} objects',
 )
 
+#: the default grid ``resolution`` by the symbol's dimension, the last one
+#: from d = 3 on: the grid pass scores resolution^d mesh nodes for every
+#: frequency, 1.35e8 in d = 3 at 513, where a d = 3 closed-form ``analyze``
+#: takes about 3 s at 65 on a 2-CPU x86-64 host
+GRID_RESOLUTION = (513, 513, 65)
+
 # section -> key -> (default or _ABSENT, kind); ``seed`` is the one top-level
-# key.  Ranges that the library functions taking the values check (a finite
-# positive radius or time, a grid time, a box per dimension) stay there.
+# key.  A callable default is one by the symbol's dimension.  Ranges that
+# the library functions taking the values check (a finite positive radius
+# or time, a grid time, a box per dimension) stay there.
 _SCHEMA = {
     "envelope": {
         "method": ("auto", (lambda v: v in ("auto", "grid"), "'auto' or 'grid'")),
-        "resolution": (513, _INTEGER),
+        "resolution": (lambda d: GRID_RESOLUTION[min(d, 3) - 1], _INTEGER),
         "refine_rounds": (3, _INTEGER),
         "x_domain": (_ABSENT, _or_null(_BOX)),
         "tail": (_ABSENT, _or_null(_STRING)),
@@ -123,9 +130,17 @@ _SCHEMA = {
     "seed": (0, (lambda v: _INTEGER[0](v) and v >= 0, "a non-negative integer")),
 }
 
+
+def _defaults(name: str, dimension: int) -> dict:
+    return {
+        key: default(dimension) if callable(default) else default
+        for key, (default, _) in _SCHEMA[name].items() if default is not _ABSENT
+    }
+
+
+#: the defaults for a symbol in d = 1 (and in d = 2, where they are the same)
 DEFAULTS = {
-    name: {key: default for key, (default, _) in spec.items() if default is not _ABSENT}
-    if isinstance(spec, dict) else spec[0]
+    name: _defaults(name, 1) if isinstance(spec, dict) else spec[0]
     for name, spec in _SCHEMA.items()
 }
 
@@ -145,9 +160,9 @@ def _check(kind, key: str, value, where: str) -> None:
         raise ConfigError(f"'{key}' in {where} must be {what}")
 
 
-def _section(name: str, given) -> dict:
+def _section(name: str, given, dimension: int = 1) -> dict:
     """The section ``name`` with its given values checked against the table
-    and the defaults merged under them."""
+    and the defaults for a symbol of ``dimension`` merged under them."""
     where = f"the {name} section"
     if not isinstance(given, dict):
         raise ConfigError(f"{where} must be an object")
@@ -155,7 +170,17 @@ def _section(name: str, given) -> dict:
     _check_keys(given, spec, where)
     for key, value in given.items():
         _check(spec[key][1], key, value, where)
-    return {**DEFAULTS[name], **given}
+    return {**_defaults(name, dimension), **given}
+
+
+def _dimension(symbol) -> int:
+    """The dimension of a symbol section: its ``dimension``, or its base's,
+    else 1, every builder's default.  A value that is not a positive integer
+    counts as 1 here and is ``build_model``'s to reject."""
+    while isinstance(symbol, dict) and "base" in symbol:
+        symbol = symbol["base"]
+    d = symbol.get("dimension", 1) if isinstance(symbol, dict) else 1
+    return d if _POSITIVE_INTEGER[0](d) else 1
 
 
 def check_seed_flag(seed):
@@ -185,9 +210,10 @@ def load_config(path) -> dict:
     if "symbol" not in cfg:
         raise ConfigError("config needs a 'symbol' section")
     merged = {}
+    dimension = _dimension(cfg["symbol"])
     for name, spec in _SCHEMA.items():
         if isinstance(spec, dict):
-            merged[name] = _section(name, cfg.get(name, {}))
+            merged[name] = _section(name, cfg.get(name, {}), dimension)
         else:
             merged[name] = cfg.get(name, spec[0])
             _check(spec[1], name, merged[name], "the top-level config")
@@ -258,7 +284,7 @@ def build_model(symbol_cfg: dict) -> SymbolModel:
 
 
 def build_envelope_from_config(model: SymbolModel, env_cfg: dict) -> Envelope:
-    env_cfg = _section("envelope", env_cfg)
+    env_cfg = _section("envelope", env_cfg, model.dimension)
     return build_envelope(
         model,
         x_domain=env_cfg.get("x_domain"),

@@ -265,9 +265,10 @@ def test_ultracontractivity(env: Envelope) -> CriterionReport:
     at R = 10, 100, ..., 10^6.
 
     The semigroup bound requires the margin to diverge; numerically the
-    verdict "holds" needs the margin to clear 10 at the largest radius and
-    to increase across the last 3 radii.  Slow or ambiguous growth is
-    inconclusive, never "fails".
+    verdict "holds" needs every margin finite, the margin to clear 10 at the
+    largest radius and to increase across the last 3 radii.  A margin that
+    is not finite (q_inf overflowed or is NaN there) is no evidence of
+    growth.  Slow or ambiguous growth is inconclusive, never "fails".
     """
     start = time.perf_counter()
     radii, threshold, n_increasing = np.logspace(1, 6, 6), 10.0, 3
@@ -275,7 +276,8 @@ def test_ultracontractivity(env: Envelope) -> CriterionReport:
     margins = [float(q) / math.log1p(r) for q, r in zip(q_min, radii)]
     tail = margins[-n_increasing:]
     increasing = all(tail[i + 1] > tail[i] for i in range(len(tail) - 1))
-    verdict = "holds" if (increasing and margins[-1] > threshold) else "inconclusive"
+    finite = all(map(math.isfinite, margins))
+    verdict = "holds" if (finite and increasing and margins[-1] > threshold) else "inconclusive"
     return CriterionReport(
         criterion="ultracontractivity",
         verdict=verdict,

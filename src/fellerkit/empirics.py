@@ -396,7 +396,8 @@ class ExitSup:
 
     A radius that is not finite and positive, or a time off the source's
     grid (nan and inf included), raises :class:`ConfigError` here, row by
-    row, before any step.
+    row, before any step; so do rows on fewer than two paths, whose
+    standard error would be 0 at a frequency of 0 or 1.
     """
 
     def __init__(self, source, rows):
@@ -404,6 +405,8 @@ class ExitSup:
         for r, t in rows:
             r, t = positive_radius(r), float(t)
             self.rows.append((r, t, source.time_index(t)))
+        if self.rows:
+            _two_paths(source.n_paths)
         self._read = {idx for _, _, idx in self.rows}
         self.stop = 1 + max(self._read, default=-1)
         self._x0 = np.asarray(source.start, dtype=float)

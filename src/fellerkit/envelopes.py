@@ -12,7 +12,9 @@ construction paths exist: state-free models read the envelope off directly;
 stable-like models have the closed form q_inf(xi) = |xi|^amax for |xi| <= 1
 and |xi|^amin outside (roles swapped for q_sup); everything else is
 minimized over an x grid by :func:`blocked_argmin`, the one search over
-states, then refined by coordinate bracket searches.  A frequency leaves the
+states, then refined by coordinate bracket searches.  Both hand the
+evaluator x as an :class:`~fellerkit.symbols.OpenGrid`, so a term in x
+alone is computed once per coordinate value.  A frequency leaves the
 searches after d consecutive sweeps (one per axis) that do not move it, so
 ``refine_rounds`` is a maximum.  Grid envelopes can overstate q_inf when the
 optimizing x falls between grid nodes, so reports built from them carry a
@@ -28,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .symbols import StableLikeSpec, SymbolModel, as_points, product_nodes
+from .symbols import OpenGrid, StableLikeSpec, SymbolModel, as_points, product_nodes
 
 __all__ = ["Envelope", "build_envelope"]
 
@@ -131,31 +133,53 @@ def _state_free(model: SymbolModel) -> Envelope:
     )
 
 
-def blocked_argmin(score, n_rows: int, nodes, size: int) -> tuple[np.ndarray, np.ndarray]:
+def blocked_argmin(score, n_rows: int, nodes, shape) -> tuple[np.ndarray, np.ndarray]:
     """The package's one search over states: for each of ``n_rows`` rows,
-    the flat index of its node of least score among ``size`` nodes, and
-    that score.  ``nodes(flat)`` gives the nodes at flat indices ``flat``;
-    ``score(pts, rows)`` gives the (len(rows), len(pts)) scores of the rows
-    ``rows`` (a slice) there.  The nodes are held a block of at most
-    MAX_EVAL_POINTS at a time, each scored against as many rows as fit in
-    MAX_EVAL_POINTS points (at least one).  A later block replaces a row's
-    best only on a strictly lower score or a first NaN: the lowest flat
-    index among ties, as argmin over all nodes gives."""
-    block = min(size, MAX_EVAL_POINTS)
-    step = max(1, MAX_EVAL_POINTS // block)
+    the C-order flat index of its node of least score among the nodes of
+    an index grid of ``shape``, and that score.
+
+    The nodes are held a block of at most MAX_EVAL_POINTS at a time.  A
+    block fixes the leading indices, takes a range of one axis and every
+    later axis whole, so its nodes are consecutive in flat order.
+    ``nodes(index)`` gives
+    a block's nodes as points (..., d) from ``index``, one integer array per
+    axis of ``shape``, of one ndim, that broadcast together (as from
+    :func:`numpy.ix_`) to the block's shape; ``score(pts, rows)`` gives the
+    scores of the rows ``rows`` (a slice) there, shaped (len(rows),) plus
+    the block's shape.  Each block is scored against as many rows as fit in
+    MAX_EVAL_POINTS points with the first block (at least one).  A later
+    block replaces a row's best only on a strictly lower score or a first
+    NaN: the lowest flat index among ties, as argmin over all nodes gives.
+    """
+    sizes = list(shape)
+    axis = 0  # the axis a block takes a range of
+    while math.prod(sizes[axis + 1:]) > MAX_EVAL_POINTS:
+        axis += 1
+    later = math.prod(sizes[axis + 1:])
+    run = min(sizes[axis], max(1, MAX_EVAL_POINTS // later))
+    step = max(1, MAX_EVAL_POINTS // (run * later))
+    ndim = len(sizes) - axis  # of a block
+    whole = [np.arange(n).reshape((-1,) + (1,) * (len(sizes) - 1 - i))
+             for i, n in enumerate(sizes[axis + 1:], axis + 1)]
     at = np.empty(n_rows, dtype=np.intp)
     best = np.empty(n_rows)
-    for start in range(0, size, block):
-        pts = nodes(np.arange(start, min(start + block, size)))
-        for s in range(0, n_rows, step):
-            rows = slice(s, s + step)
-            scores = score(pts, rows)
-            k = np.argmin(scores, axis=1)
-            found = scores[np.arange(len(k)), k]
-            if start:
-                take = (found < best[rows]) | (np.isnan(found) & ~np.isnan(best[rows]))
-                found, k = np.where(take, found, best[rows]), np.where(take, k + start, at[rows])
-            best[rows], at[rows] = found, k
+    start = 0  # flat index of the block's first node
+    for lead in np.ndindex(*sizes[:axis]):
+        fixed = [np.full((1,) * ndim, i) for i in lead]
+        for first in range(0, sizes[axis], run):
+            span = np.arange(first, min(first + run, sizes[axis]))
+            pts = nodes((*fixed, span.reshape((-1,) + (1,) * (ndim - 1)), *whole))
+            size = len(span) * later
+            for s in range(0, n_rows, step):
+                rows = slice(s, s + step)
+                scores = score(pts, rows).reshape(-1, size)
+                k = np.argmin(scores, axis=1)
+                found = scores[np.arange(len(k)), k]
+                if start:
+                    take = (found < best[rows]) | (np.isnan(found) & ~np.isnan(best[rows]))
+                    found, k = np.where(take, found, best[rows]), np.where(take, k + start, at[rows])
+                best[rows], at[rows] = found, k
+            start += size
     return at, best
 
 
@@ -172,20 +196,24 @@ class _GridOptimizer:
         self.axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
 
     def _scores(self, x, xi, reduce_fn) -> np.ndarray:
-        """reduce_fn(p(x, xi)) over the broadcast leading shape of x and xi.
-        The evaluator may return a real array for a real p: each reduce_fn
-        gives the same bits on it as on its complex cast."""
-        shape = np.broadcast(x, xi).shape[:-1]
-        vals = np.asarray(reduce_fn(self.model.evaluator(x, xi)), float)
-        return vals if vals.shape == shape else np.broadcast_to(vals, shape)
+        """reduce_fn(p(x, xi)) over the broadcast leading shape of x (points
+        or an :class:`~fellerkit.symbols.OpenGrid`) and xi, the shape every
+        evaluator answers in.  The evaluator may return a real array for a
+        real p: each reduce_fn gives the same bits on it as on its complex
+        cast."""
+        return np.asarray(reduce_fn(self.model.evaluator(x, xi)), float)
 
     def _grid_pass(self, xi, reduce_fn) -> tuple[np.ndarray, np.ndarray]:
         """The mesh node of least score for each row of ``xi``, and that
-        score, by :func:`blocked_argmin` over the nodes of the x mesh."""
-        nodes = lambda flat: product_nodes(self.axes, flat)
-        score = lambda pts, rows: self._scores(pts[None], xi[rows, None, :], reduce_fn)
-        at, best = blocked_argmin(score, len(xi), nodes, math.prod(len(axis) for axis in self.axes))
-        return nodes(at), best
+        score, by :func:`blocked_argmin` over the nodes of the x mesh.  Each
+        block of the mesh is an open grid of the axes' nodes, so a term in x
+        alone is computed once per node of an axis, not once per mesh node."""
+        nodes = lambda index: OpenGrid(axis[i][None] for axis, i in zip(self.axes, index))
+        score = lambda pts, rows: self._scores(
+            pts, xi[rows].reshape((-1,) + (1,) * (pts.ndim - 2) + (self.d,)), reduce_fn
+        )
+        at, best = blocked_argmin(score, len(xi), nodes, [len(axis) for axis in self.axes])
+        return product_nodes(self.axes, at), best
 
     def _sweep(self, x, best, axis, reduce_fn, xi) -> None:
         """Bracket search along one coordinate around each row of ``x``.
@@ -203,16 +231,17 @@ class _GridOptimizer:
         if not self.periodic:
             lo_box, hi_box = self.box[axis]
             lo, hi = np.maximum(lo, lo_box), np.minimum(hi, hi_box)
-        # the live rows' brackets, probes and frequencies, compacted as rows
-        # stop; a probe's other coordinates stay those of its row of x
+        # the live rows' brackets, probe coordinates and frequencies,
+        # compacted as rows stop: the probe is an open grid whose other
+        # coordinates stay those of its row of x, one value per row
         live = np.arange(len(x))
-        probe = np.repeat(x[:, None, :], BRACKET_NODES, axis=1)
+        coords = [x[:, i, None] for i in range(self.d)]
         xi_live = xi[:, None, :]
         first = live * BRACKET_NODES  # flat index of each live row's first node
         while live.size:
             nodes = lo[:, None] + (hi - lo)[:, None] * BRACKET_T
-            probe[:, :, axis] = nodes
-            scores = self._scores(probe, xi_live, reduce_fn)
+            coords[axis] = nodes
+            scores = self._scores(OpenGrid(coords), xi_live, reduce_fn)
             at = first + np.argmin(scores, axis=1)
             found = scores.take(at)
             better = found < best[live]
@@ -223,7 +252,8 @@ class _GridOptimizer:
             hi = nodes.take(np.minimum(at + 1, first + (BRACKET_NODES - 1)))
             keep = hi - lo >= 1e-9 * (1.0 + np.abs(lo) + np.abs(hi))
             if not keep.all():
-                live, lo, hi, probe, xi_live = (v[keep] for v in (live, lo, hi, probe, xi_live))
+                live, lo, hi, xi_live = (v[keep] for v in (live, lo, hi, xi_live))
+                coords = [c[keep] for c in coords]
                 first = np.arange(live.size) * BRACKET_NODES
 
     def extremize(self, xi, reduce_fn) -> np.ndarray:

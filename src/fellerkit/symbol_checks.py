@@ -37,7 +37,7 @@ def _sup_over_states(model: SymbolModel, xs: np.ndarray, xis: np.ndarray) -> np.
     evaluated states by frequencies, as one call on the whole product is,
     and transposed; a NaN at any state gives NaN."""
     score = lambda pts, rows: -np.abs(model.evaluator(pts[:, None, :], xis[None, rows, :])).T
-    return -blocked_argmin(score, len(xis), lambda flat: xs[flat], len(xs))[1]
+    return -blocked_argmin(score, len(xis), lambda index: xs[index[0]], [len(xs)])[1]
 
 
 def ball_sup(model: SymbolModel, center, r: float, resolution: int) -> float:

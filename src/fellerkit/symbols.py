@@ -132,6 +132,30 @@ def product_nodes(axes, flat) -> np.ndarray:
     return np.stack([axis[i] for axis, i in zip(axes, idx)], axis=-1)
 
 
+class OpenGrid:
+    """Points of R^d held as d coordinate arrays of one ndim that broadcast
+    together, as :func:`numpy.ix_` gives: an open grid.  It reads as the
+    (..., d) array of the broadcast points: ``shape`` and ``ndim`` are that
+    array's, ``x[..., i]`` is coordinate i, unbroadcast, and
+    ``np.asarray(x)`` builds the dense array.  An evaluator that splits x
+    into its coordinates so computes a term in x alone once per coordinate
+    value, where the dense points would repeat it at every point."""
+
+    def __init__(self, coords):
+        self.coords = tuple(coords)
+        self.shape = np.broadcast(*self.coords).shape + (len(self.coords),)
+        self.ndim = len(self.shape)
+
+    def __getitem__(self, key):
+        if type(key) is tuple and len(key) == 2 and key[0] is Ellipsis:
+            if isinstance(key[1], (int, np.integer)):
+                return self.coords[key[1]]
+        return np.asarray(self)[key]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.stack(np.broadcast_arrays(*self.coords), axis=-1, dtype=dtype)
+
+
 # ---------------------------------------------------------------------------
 # types
 
@@ -192,8 +216,10 @@ class SymbolModel:
     false value lets the envelope read p at x = 0 alone.
 
     ``evaluator(x_pts, xi_pts)`` takes points shaped (..., d) and returns p
-    over their broadcast leading shape.  It may return a real array where
-    p is real (a ``closed_form`` without ``im``, a ``symmetrized`` model);
+    over their broadcast leading shape; ``x_pts`` may be an
+    :class:`OpenGrid`, which each evaluator reads by coordinates or
+    densifies.  It may return a real array where p is real (a
+    ``closed_form`` without ``im``, a ``symmetrized`` model);
     :func:`eval_symbol` always answers in complex.
     """
 
@@ -244,8 +270,10 @@ def closed_form_symbol(
     The model is state-free when neither part can read x: both are numbers
     or expressions that name no x variable.  Without ``im`` the evaluator
     returns ``re``'s values as a real array.  An expression or a number
-    sees the points unbroadcast, so a term in x alone is computed once per
-    x; a callable gets the broadcast points.
+    sees the points unbroadcast and an :class:`OpenGrid` by coordinates, so
+    a term in x alone is computed once per distinct value of the
+    coordinates it names, not once per (x, xi) pair; a callable gets the
+    broadcast dense points.
 
     ``radial_in_xi`` declares that p depends on xi through |xi| alone; it
     is checked by :func:`_check_radial` at a few fixed points, and a
@@ -256,7 +284,7 @@ def closed_form_symbol(
     any_callable = callable(re) or callable(im)
 
     def evaluator(xp, xip):
-        shape = np.broadcast(xp, xip).shape[:-1]
+        shape = np.broadcast_shapes(np.shape(xp), np.shape(xip))[:-1]
         xb, xib = np.broadcast_arrays(xp, xip) if any_callable else (xp, xip)
 
         def part(fn, given):
@@ -460,10 +488,12 @@ def stable_like_symbol(
     )
 
     def evaluator(xp, xip):
-        xb, xib = np.broadcast_arrays(xp, xip)
-        a = np.asarray(alpha_fn(xb), dtype=float)
-        rho = np.sqrt(np.sum(xib * xib, axis=-1))
-        return (rho**a).astype(complex)
+        # an expression reads x unbroadcast, an open grid by coordinates, so
+        # alpha is computed once per state; a callable gets x as an array
+        a = np.asarray(alpha_fn(xp if isinstance(alpha, str) else np.asarray(xp)), dtype=float)
+        rho = np.sqrt(np.sum(xip * xip, axis=-1))
+        shape = np.broadcast_shapes(np.shape(xp), np.shape(xip))[:-1]
+        return np.broadcast_to(rho**a, shape).astype(complex)
 
     return SymbolModel(
         kind="stable_like",
@@ -547,8 +577,7 @@ def symmetrize(model: SymbolModel) -> SymbolModel:
     base_eval = model.evaluator
 
     def evaluator(xp, xip):
-        xb, xib = np.broadcast_arrays(xp, xip)
-        return 2.0 * np.real(base_eval(xb, 0.5 * xib))
+        return 2.0 * np.real(base_eval(xp, 0.5 * xip))
 
     return SymbolModel(
         kind="symmetrized",

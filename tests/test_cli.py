@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -512,6 +513,24 @@ class TestGridEnvelopeInputs:
         assert not (out / "report.json").exists()
 
 
+    def test_a_default_d3_grid_exits_0_in_seconds(self, tmp_path):
+        # at the d = 1 and 2 default of 513 nodes per axis this ran for hours
+        path = write_cfg(tmp_path, "grid.json", {
+            "symbol": {
+                "type": "closed_form", "dimension": 3, "radial_in_xi": True,
+                "re": "(1.25 + 0.5*sin(x1)*cos(x2)*cos(x3)) * (xi1**2 + xi2**2 + xi3**2)**0.75",
+            },
+            "envelope": {"method": "grid", "x_domain": [[0.0, 2 * math.pi]] * 3, "tail": "periodic"},
+        })
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 60.0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["envelope"]["resolution"] == 65
+        assert "resolution=65," in report["envelope"]["provenance"]
+
+
 class TestMalformedExpressions:
     """An expression outside the allowed vocabulary, or whose constant part
     cannot be computed, is a configuration error: exit 2 before any output
@@ -929,6 +948,8 @@ class TestValidateRejectsBeforeSimulating:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize("override", [
+        # the exit rows alone: a frequency of 0 or 1 has standard error 0
+        {"xi_values": [], "occupation_xi": []},
         {"xi_values": []},  # the occupation rows alone need a standard error
         {},  # the char-bound rows, checked first
     ])

@@ -180,6 +180,41 @@ def test_defaults_are_the_literal():
     assert DEFAULTS == DEFAULTS_LITERAL
 
 
+D3 = {"type": "closed_form", "re": "abs(xi1)", "dimension": 3}
+
+
+class TestResolutionByDimension:
+    """The default grid resolution is 513 in d = 1 and 2 and 65 from d = 3
+    on; the dimension is the symbol's, or its base's."""
+
+    @pytest.mark.parametrize("symbol, resolution", [
+        ({"type": "brownian"}, 513),
+        ({"type": "brownian", "dimension": 2}, 513),
+        (D3, 65),
+        ({"type": "closed_form", "re": "abs(xi1)", "dimension": 4}, 65),
+        ({"type": "symmetrize", "base": D3}, 65),
+        ({"type": "subordinate", "base": {"type": "brownian", "dimension": 3},
+          "bernstein": "s"}, 65),
+        # not a dimension; build_model rejects it
+        ({"type": "brownian", "dimension": "three"}, 513),
+    ])
+    def test_default(self, symbol, resolution, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"symbol": symbol}))
+        assert load_config(path)["envelope"]["resolution"] == resolution
+
+    def test_a_given_resolution_wins(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"symbol": D3, "envelope": {"resolution": 513}}))
+        assert load_config(path)["envelope"]["resolution"] == 513
+
+    def test_the_envelope_takes_the_model_s_dimension(self):
+        model = build_model({**D3, "re": "(2 + sin(x1)) * abs(xi1)"})
+        grid = {"method": "grid", "x_domain": [[0.0, 1.0]] * 3, "tail": "periodic"}
+        env = fk.config.build_envelope_from_config(model, grid)
+        assert "resolution=65," in env.provenance
+
+
 @pytest.mark.parametrize("name", BENCHMARK_CONFIGS)
 def test_benchmark_config_merges_as_overlaid_defaults(name, tmp_path):
     cfg = BENCHMARK_CONFIGS[name]

@@ -217,6 +217,16 @@ class TestUltracontractivity:
         rep = fk.test_ultracontractivity(env)
         assert rep.verdict == "inconclusive"
 
+    # exp overflows at |xi| = 1e6, as it does from the command line
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_infinite_margin_is_no_evidence(self):
+        # the finite margins grow past the threshold; the last is +inf
+        model = fk.closed_form_symbol("abs(xi)**1.5 + exp(0.71*abs(xi)**0.5)")
+        rep = fk.test_ultracontractivity(fk.build_envelope(model))
+        margins = rep.evidence["margins"]
+        assert margins[-1] == math.inf and 10.0 < margins[-2] < math.inf
+        assert rep.verdict == "inconclusive"
+
 
 class TestTransience:
     def test_half_stable_is_transient(self, stable_env):

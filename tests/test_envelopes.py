@@ -547,3 +547,102 @@ class TestRealScoring:
         # compares its two builds with each other
         probe = inspect.getsource(_scoring_mismatches) + "print(_scoring_mismatches())\n"
         assert under_cpu_targets(probe) == {"default": "[]", "no AVX512": "[]"}
+
+
+def _open_grid_mismatches():
+    """The (symbol, grid) pairs whose evaluation on an open grid differs in
+    any bit (or in shape or dtype) from the evaluation on its dense points,
+    for every evaluator kind the grid envelope reaches: mesh blocks as the
+    grid pass builds them, and sweep probes with one coordinate varying
+    along each row."""
+    import numpy as np
+
+    import fellerkit as fk
+    from fellerkit.symbols import OpenGrid
+
+    def callable_re(x, xi):
+        return (1.25 + 0.5 * np.sin(x[..., 0]) * np.cos(x[..., 1])) * np.hypot(xi[..., 0], xi[..., 1])
+
+    def callable_alpha(x):
+        return 1.5 + 0.3 * np.sin(x[..., 0]) * np.cos(x[..., 1])
+
+    norm = "(xi1**2 + xi2**2)"
+    product = fk.closed_form_symbol(f"(1.25 + 0.5*sin(x1)*cos(x2)) * {norm}**0.75", dimension=2)
+    with_im = fk.closed_form_symbol(
+        f"(1.25 + 0.5*sin(x1)) * {norm}", "0.3*cos(x2)*xi1 + x1*xi2", dimension=2
+    )
+    symbols = {
+        "sin": product,
+        "cos": fk.closed_form_symbol(f"(2 + cos(x2)*x1) * {norm}", dimension=2),
+        "exp": fk.closed_form_symbol(f"exp(0.3*x2 - x1**2) * {norm}**0.6", dimension=2),
+        "log": fk.closed_form_symbol(f"log(2 + sin(x1) + x2**2) * {norm}", dimension=2),
+        "abs": fk.closed_form_symbol("(1 + abs(x1 - 3)) * abs(xi1 + xi2)", dimension=2),
+        "min": fk.closed_form_symbol(f"min(1 + x1, 2 + x2, 4) * {norm}", dimension=2),
+        "max": fk.closed_form_symbol(f"max(1, x1*x2, 0.5) * {norm}**0.5", dimension=2),
+        "pow": fk.closed_form_symbol(
+            f"(1 + x1**2)**(0.5 + 0.2*sin(x2)) * {norm}**(0.6 + 0.1*cos(x1))", dimension=2
+        ),
+        "with_im": with_im,
+        "callable": fk.closed_form_symbol(callable_re, dimension=2),
+        "d1": fk.closed_form_symbol("(1.5 + sin(x)) * abs(xi)**1.5"),
+        "d3": fk.closed_form_symbol(
+            "(1.25 + 0.5*sin(x1)*cos(x2)*cos(x3)) * (xi1**2 + xi2**2 + xi3**2)**0.75", dimension=3
+        ),
+        "stable_like": fk.stable_like_symbol("1.5 + 0.3*sin(x1)*cos(x2)", 1.2, 1.8, dimension=2),
+        "stable_like_in_x1": fk.stable_like_symbol("1.5 + 0.3*sin(x1)", 1.2, 1.8, dimension=2),
+        "stable_like_callable": fk.stable_like_symbol(callable_alpha, 1.2, 1.8, dimension=2),
+        "symmetrized": fk.symmetrize(with_im),
+        "subordinated": fk.subordinate(
+            fk.brownian(2), "(1 + 0.5*sin(x1)*cos(x2)) * s / (1 + s)", growth_constant=2.0
+        ),
+        "levy": fk.levy_symbol(fk.LevyCharacteristics(
+            kill="0.5 + 0.25*sin(x)", drift="cos(x)", diffusion="1 + 0.5*cos(x)"
+        )),
+    }
+    rng = np.random.default_rng(5)
+    wrong = []
+    for name, model in symbols.items():
+        d = model.dimension
+        n = 5 if name == "levy" else 9  # the levy evaluator works point by point
+        axis = np.linspace(0.0, 2.0 * np.pi, n)
+        xi = np.concatenate([np.zeros((1, d)), rng.uniform(-3.0, 3.0, (2, d))])
+        # a mesh block: a leading axis for the rows of xi, then one per coordinate
+        mesh = OpenGrid(axis.reshape((1,) + (1,) * i + (n,) + (1,) * (d - 1 - i)) for i in range(d))
+        grids = {"mesh": (mesh, xi.reshape((-1,) + (1,) * d + (d,)))}
+        for a in range(d):  # a sweep along axis a: 3 rows of 7 probes
+            coords = [rng.uniform(0.0, 2.0 * np.pi, (3, 7 if i == a else 1)) for i in range(d)]
+            grids[f"sweep {a}"] = (OpenGrid(coords), xi[:, None, :])
+        for kind, (x, xis) in grids.items():
+            dense = np.asarray(x)
+            if dense.shape != x.shape:
+                wrong.append((name, kind, "shape"))
+            got, want = np.asarray(model.evaluator(x, xis)), np.asarray(model.evaluator(dense, xis))
+            if (got.shape, got.dtype, got.tobytes()) != (want.shape, want.dtype, want.tobytes()):
+                wrong.append((name, kind))
+    return wrong
+
+
+class TestOpenGrid:
+    """The grid envelope hands the evaluator its x as an open grid of
+    coordinate arrays; it reads as the dense (..., d) points do, and every
+    evaluator answers on it with the bits it gives on the dense points."""
+
+    def test_reads_as_the_dense_points(self):
+        from fellerkit.symbols import OpenGrid
+
+        x1, x2 = np.arange(3.0).reshape(3, 1), np.arange(4.0).reshape(1, 4) / 8
+        grid = OpenGrid([x1, x2])
+        dense = np.stack(np.broadcast_arrays(x1, x2), axis=-1)
+        assert (grid.shape, grid.ndim) == ((3, 4, 2), 3)
+        assert (np.shape(grid), np.ndim(grid)) == (dense.shape, dense.ndim)
+        assert grid[..., 0] is x1 and grid[..., -1] is x2 and grid[..., np.intp(1)] is x2
+        assert np.asarray(grid).tobytes() == dense.tobytes()
+        assert np.asarray(grid, dtype=complex).dtype == np.complex128
+        assert grid[1].tobytes() == dense[1].tobytes()
+        assert grid[..., :1].tobytes() == dense[..., :1].tobytes()
+
+    def test_same_bits_as_the_dense_points_on_every_cpu_target(self, under_cpu_targets):
+        # bits may differ between numpy's dispatch targets, so each child
+        # compares the two evaluations with each other
+        probe = inspect.getsource(_open_grid_mismatches) + "print(_open_grid_mismatches())\n"
+        assert under_cpu_targets(probe) == {"default": "[]", "no AVX512": "[]"}
