@@ -18,7 +18,7 @@ import numpy as np
 
 from .envelopes import Envelope
 from .errors import ConfigError, NumericalError
-from .quadrature import IntegralResult, classify_family, on_spheres, positive_radius, surface_area
+from .quadrature import classify_family, on_spheres, positive_radius, surface_area
 from .symbol_checks import ball_sup
 from .symbols import SymbolModel
 
@@ -134,9 +134,12 @@ def frequency_criteria(
     the walks of every ladder run in lockstep: each round makes one
     envelope query for all of them, a row is computed only at the nodes of
     its own walk, and each row gets the result of its radius walked alone.
-    A row with a walk node where q_inf is +inf is undetermined, so no
-    verdict and no finite bound rests on such a node; an undetermined
-    density or occupation row raises :class:`NumericalError`.
+    A round may also ask for the first passes of the shells a walk is sure
+    to take next.  A row that walks a node where q_inf is +inf or NaN is
+    undetermined: a Feller symbol is finite, and 1 / q_inf = 0 there
+    would be no evidence of convergence.  So no verdict and no finite
+    bound rests on such a node; an undetermined density or occupation row
+    raises :class:`NumericalError`.
     ``t`` is one finite, positive time or a 1-D sequence of them.  Returns
     the transience and local-times reports (None when not asked for;
     "fails", without a walk, when q_inf dips below zero on a probe of
@@ -177,13 +180,8 @@ def frequency_criteria(
         )
     starts = np.cumsum([0] + [n for _, _, n, _ in parts.values()])
     blocks = [block for *_, block in parts.values()]
-    # the rows with a walk node where q_inf is +inf: a Feller symbol is
-    # finite, so 1 / q_inf = 0 there would be no evidence of convergence
-    unbounded = np.zeros(int(starts[-1]), dtype=bool)
 
     def rows_of(q, idx):
-        if np.isposinf(q).any():
-            unbounded[idx] = True
         cuts = np.searchsorted(idx, starts).tolist()
         return np.concatenate([
             block(q, idx[a:b] - start)
@@ -196,10 +194,6 @@ def frequency_criteria(
         radius=[radius for radius, _, n, _ in parts.values() for _ in range(n)],
         include_tail=[tail for _, tail, n, _ in parts.values() for _ in range(n)],
     )
-    family = [
-        IntegralResult(math.nan, math.nan, "undetermined", res.annulus_trace) if bad else res
-        for res, bad in zip(family, unbounded.tolist())
-    ]
     results = {}
     for name, (_, _, n, _) in parts.items():
         results[name], family = family[:n], family[n:]

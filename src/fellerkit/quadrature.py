@@ -25,12 +25,15 @@ Members may have radii of their own.  Radii that differ by a power of
 two share their shells, so they share one ladder, walked once in each
 direction; the walks of every ladder run in lockstep, and each round makes
 one call to the integrand for the nodes of all of them and one qk21
-reduction for all of their pieces.
+reduction for all of their pieces.  A round also holds the first passes
+of the shells a walk is sure to take, as many as fit, so a walk of few
+rows takes its first shells in one round.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -58,6 +61,11 @@ RATIO_WINDOW = 8
 RATIO_SLACK = 0.01
 #: absolute floor of a walk's tail tolerance
 ABS_TOL = 1e-12
+#: most node values (rows x node radii x directions) a lockstep round
+#: holds, unless the passes its walks must take next hold more: the first
+#: passes of later shells fill it (:func:`_taken`).  More let the walks
+#: of 161 heat times take two shells a round, which raised the peak memory
+ROUND_VALUES = 6 << 10
 
 
 @dataclass
@@ -205,42 +213,71 @@ def _round(f, rows_of, m: int, d: int, radial: bool):
     """The function that answers a lockstep round.
 
     ``answer(requests)`` takes the requests ``(r, idx, half)`` of every
-    walk of the round (:func:`_shell_integrals`) and makes one call to
-    ``f``, by :func:`on_spheres`, at the node radii ``r`` of all of them,
-    joined.  A request's share is its rows ``idx`` at each of its radii,
-    averaged over the directions, times r^(d-1).  One :func:`_gauss_kronrod`
-    call then reduces the (row, piece) cells of every request, and each
-    request gets back its values and errors, each (len(idx), len(half)).
-    Without ``rows_of``, ``f`` returns all m rows; with it, ``f`` returns
-    one value per point and ``rows_of`` computes just the rows ``idx`` of
-    each request.
+    walk of the round (:func:`_walk`) and makes one call to ``f``, by
+    :func:`on_spheres`, at the node radii ``r`` of all of them, joined;
+    node radii that two requests share bit for bit (one shell that two
+    walks ask for) are joined once.  A request's share is its rows ``idx``
+    at each of its radii, averaged over the directions, times r^(d-1).
+    One :func:`_gauss_kronrod` call then reduces the (row, piece) cells of
+    every request, and each request gets back its values and errors, each
+    (len(idx), len(half)), and whether ``f`` is not finite at one of its
+    nodes.  Without ``rows_of``, ``f`` returns all m rows, a nonfinite
+    value makes its cell nonfinite, and that flag is False; with it, ``f``
+    returns one value per point, ``rows_of`` computes just the rows
+    ``idx`` of each request, and the flag says whether a value it was
+    given is not finite.
     """
-    rows = (m,) if rows_of is None else ()
-    if rows_of is None:
+    shared = rows_of is not None
+    if not shared:
         def rows_of(values, idx):
             return values[idx]
 
     def answer(requests):
-        values = on_spheres(f, np.concatenate([r for r, _, _ in requests]), d, radial, rows=rows)
-        cells, halves, start = [], [], 0
+        starts, joined, n = {}, [], 0  # node radii -> where they start among the points
+        for r, _, _ in requests:
+            if starts.setdefault(r.tobytes(), n) == n:
+                joined.append(r)
+                n += len(r)
+        values = on_spheres(f, np.concatenate(joined), d, radial, rows=() if shared else (m,))
+        cells, halves, flags = [], [], []
         for r, idx, half in requests:
-            vals = rows_of(values[..., start : start + len(r), :], idx)
+            start = starts[r.tobytes()]
+            at = values[..., start : start + len(r), :]
+            vals = rows_of(at, idx)
+            flags.append(shared and not np.isfinite(at).all())
             if radial:
                 vals = vals[..., 0]
             else:
                 with np.errstate(invalid="ignore"):  # inf - inf: a nonfinite shell
                     vals = vals.mean(axis=-1)
             cells.append((vals * r ** (d - 1)).reshape(-1, len(_GK_NODES)))
-            halves.append(np.tile(half, len(idx)))
-            start += len(r)
+            halves.append(np.repeat(half[None], len(idx), axis=0).ravel())
         kronrod, error = _gauss_kronrod(np.concatenate(cells)[None], np.concatenate(halves))
-        cuts = np.cumsum([len(c) for c in cells])[:-1]
+        ends = list(itertools.accumulate(len(c) for c in cells))
         return [
-            (v.reshape(len(idx), -1), e.reshape(len(idx), -1)) for v, e, (_, idx, _)
-            in zip(np.split(kronrod[0], cuts), np.split(error[0], cuts), requests)
+            (kronrod[0, a:b].reshape(len(idx), -1), error[0, a:b].reshape(len(idx), -1), bad)
+            for a, b, bad, (_, idx, _) in zip([0] + ends, ends, flags, requests)
         ]
 
     return answer
+
+
+def _taken(asked, directions: int) -> list[list]:
+    """The requests a round answers, of each walk's list ``asked``: the
+    first of every walk, then the others by depth (the second of every
+    walk before the third of any), as long as the round holds at most
+    ROUND_VALUES node values, rows x node radii x ``directions``."""
+    size = lambda request: len(request[1]) * len(request[0]) * directions
+    counts = [1] * len(asked)
+    room = ROUND_VALUES - sum(size(requests[0]) for requests in asked)
+    for depth in range(1, max(map(len, asked))):
+        for w, requests in enumerate(asked):
+            if depth < len(requests):
+                room -= size(requests[depth])
+                if room < 0:
+                    return [requests[:n] for requests, n in zip(asked, counts)]
+                counts[w] += 1
+    return asked
 
 
 # QUADPACK's qk21 rule on [-1, 1], rounded to double: per node x >= 0 (the
@@ -311,22 +348,33 @@ def _masked_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _shell_integrals(rows, d: int, lo: float, hi: float):
-    """Integral of family row i over lo <= r <= hi, times the sphere area,
-    for each row i in ``rows``: the values and error estimates.
+def _pieces(los: np.ndarray, his: np.ndarray):
+    """The qk21 nodes of the pieces [los, his], raveled, and the pieces'
+    half-widths."""
+    half = 0.5 * (his - los)
+    return ((0.5 * (his + los))[:, None] + half[:, None] * _GK_NODES).ravel(), half
 
-    A generator: each pass yields the radii of its nodes, the rows it needs
-    there and the half-width of each piece, and is sent back the qk21
-    values and error estimates of each (row, piece) cell, each of shape
-    (rows, pieces) (:func:`_gauss_kronrod`).  The rows share one list of
-    pieces, so a pass is one request for all of them.  Each row keeps its
-    own live pieces and runs the rule of a shell integrated alone: it is
-    done once its summed error is within max(SHELL_ABS_TOL, SHELL_REL_TOL
-    |value|) or its value is not finite; else its pieces whose error
-    exceeds their share of the budget (by length) are bisected, and when
-    none does it is done as it stands.  A piece is bisected when any row
-    still open bisects it, and SHELL_PIECES caps the shared pieces, done
-    and live.
+
+def _shell_integrals(rows, d: int, lo: float, hi: float, first):
+    """Integral of family row i over lo <= r <= hi, times the sphere area,
+    for each row i in ``rows``: the values, the error estimates, and
+    whether a pass of the row met a nonfinite value of ``f``.
+
+    ``first`` is the answer to the first pass, the piece [lo, hi], for
+    ``rows``; the walk asks for it, maybe rounds ahead.  A generator: each
+    later pass yields a list of one request, the radii of its nodes, the
+    rows it needs there and the half-width of each piece, and is sent back
+    a list of one answer, the qk21 values and error estimates of each
+    (row, piece) cell, each of shape (rows, pieces)
+    (:func:`_gauss_kronrod`), and the nonfinite flag (:func:`_round`).
+    The rows share one list of pieces, so a pass is one request for all of
+    them.  Each row keeps its own live pieces and runs the rule of a shell
+    integrated alone: it is done once its summed error is within
+    max(SHELL_ABS_TOL, SHELL_REL_TOL |value|) or its value is not finite;
+    else its pieces whose error exceeds their share of the budget (by
+    length) are bisected, and when none does it is done as it stands.  A
+    piece is bisected when any row still open bisects it, and SHELL_PIECES
+    caps the shared pieces, done and live.
     """
     surf = surface_area(d)
     rows = np.asarray(rows)
@@ -338,10 +386,9 @@ def _shell_integrals(rows, d: int, lo: float, hi: float):
     done_err = np.zeros(len(rows))
     los, his = np.array([lo]), np.array([hi])
     n_done = 0
+    vals, errs, bad = first
+    met = np.full(len(rows), bad)
     while True:
-        half = 0.5 * (his - los)
-        nodes = (0.5 * (his + los))[:, None] + half[:, None] * _GK_NODES
-        vals, errs = yield nodes.ravel(), rows[pos], half
         value = done_val + _masked_sums(vals, live)
         error = done_err + _masked_sums(errs, live)
         budget = np.maximum(SHELL_ABS_TOL, SHELL_REL_TOL * np.abs(value))
@@ -353,11 +400,11 @@ def _shell_integrals(rows, d: int, lo: float, hi: float):
             if n_done + len(los) + int(split.sum()) > SHELL_PIECES:
                 done[:] = True
         if done.all() and len(pos) == len(rows):  # all open until now
-            return surf * value, surf * error
+            return surf * value, surf * error, met
         value_out[pos[done]] = surf * value[done]
         error_out[pos[done]] = surf * error[done]
         if done.all():
-            return value_out, error_out
+            return value_out, error_out, met
         go = ~done
         kept = live[go] & ~rejected[go]
         done_val = done_val[go] + _masked_sums(vals[go], kept)
@@ -368,17 +415,19 @@ def _shell_integrals(rows, d: int, lo: float, hi: float):
         halves = rejected[go][:, split]
         live = np.concatenate([halves, halves], axis=1)
         pos = pos[go]
+        nodes, half = _pieces(los, his)
+        ((vals, errs, bad),) = yield [(nodes, rows[pos], half)]
+        met[pos] |= bad
 
 
-def _nondecreasing(vals) -> bool:
+def _nondecreasing(window) -> bool:
+    """Whether the trailing RATIO_WINDOW shell values ``window`` fail to
+    decrease by more than RATIO_SLACK from one to the next."""
     # a window that has decayed to exact zero is evidence of convergence,
     # never of divergence
-    if len(vals) < RATIO_WINDOW or vals[-1] <= 0.0:
+    if len(window) < RATIO_WINDOW or window[-1] <= 0.0:
         return False
-    return all(
-        vals[i + 1] >= (1.0 - RATIO_SLACK) * vals[i]
-        for i in range(len(vals) - RATIO_WINDOW, len(vals) - 1)
-    )
+    return all(b >= (1.0 - RATIO_SLACK) * a for a, b in zip(window, window[1:]))
 
 
 def _geometric_tail(shells):
@@ -404,12 +453,32 @@ def _geometric_tail(shells):
 def _verdict(shells, total: float, rel_tol: float):
     """("divergent", no tail) or ("convergent", tail) for a walk whose
     shells so far sum to ``total``, or None while neither is clear."""
-    if _nondecreasing([v for _, v in shells]):
+    if _nondecreasing([v for _, v in shells[-RATIO_WINDOW:]]):
         return "divergent", (0.0, 0.0)
     tail = _geometric_tail(shells)
     if tail is not None and tail[0] + tail[1] <= rel_tol * max(abs(total), ABS_TOL) + ABS_TOL:
         return "convergent", tail
     return None
+
+
+def _first_passes(mantissa, step, min_shells, rung, rows, waiting, first):
+    """The requests for the first passes of ``rung`` and of each later
+    rung up to the first where a walking row counts its min_shells-th
+    shell, in walk order, each for the rows it is sure to have
+    (:func:`_walk`); no more than a round of ROUND_VALUES can hold."""
+    fit = ROUND_VALUES // (len(rows) * len(_GK_NODES))
+    if fit > 1:
+        fit = min(fit, min(step * (first[i] - rung) for i in rows) + min_shells)
+    rungs = rung + step * np.arange(max(fit, 1))
+    nodes, half = _pieces(np.ldexp(mantissa, rungs), np.ldexp(mantissa, rungs + 1))
+    nodes = nodes.reshape(len(rungs), -1)
+    requests, known = [], np.array(rows)
+    for n, k in enumerate(rungs.tolist()):
+        joined = [j for j in waiting if step * (k - first[j]) >= 0]
+        if len(rows) + len(joined) > len(known):
+            known = np.array(sorted(rows + joined))
+        requests.append((nodes[n], known, half[n : n + 1]))
+    return requests
 
 
 def _walk(mantissa: float, step: int, min_shells: int, exponents: dict, d: int, rel_tol: float):
@@ -426,26 +495,53 @@ def _walk(mantissa: float, step: int, min_shells: int, exponents: dict, d: int, 
     walked alone.  When no row is walking, the walk goes on at the first
     rung of the next row to join.
 
-    A generator that passes on the requests of :func:`_shell_integrals`
-    and returns, per row, its shells, status, tail and shell errors.
+    Before its min_shells-th shell a row leaves only on a nonfinite shell,
+    so up to the first rung where a walking row may get its verdict, the
+    walk knows the rows of each rung, but for those that leave so.  At a
+    rung whose first pass it lacks, the walk asks for the first passes of
+    all those rungs, each with its rows (:func:`_first_passes`); the round
+    answers a prefix of them (:func:`_taken`), and each rung then runs its
+    shell with the rows still walking there, from their cells of that
+    answer, so its bits are those of a walk that asks for one shell at a
+    time.
+
+    A generator that yields its requests of a round, a list, and is sent
+    the answers to those the round takes, a prefix (:func:`_round`).  It
+    returns, per row, its shells, status, tail, shell errors and whether
+    it met a nonfinite value of ``f`` (:func:`_shell_integrals`).
     """
     shells = {i: [] for i in exponents}
     errs = {i: [] for i in exponents}
     status = dict.fromkeys(exponents, "undetermined")
     tails = dict.fromkeys(exponents, (0.0, 0.0))
     totals = dict.fromkeys(exponents, 0.0)
+    met = set()  # the rows whose shells met a nonfinite value of f
     first = {i: e - 1 if step < 0 else e for i, e in exponents.items()}
     waiting = sorted(first, key=lambda i: step * first[i])  # in the order the walk meets them
     exps = set(exponents.values())
     rows = []
+    ahead = {}  # rung -> its rows and their first-pass answer
     while rows or waiting:
         if not rows:
             rung = first[waiting[0]]
         while waiting and first[waiting[0]] == rung:
             rows = sorted(rows + [waiting.pop(0)])
-        vals, shell_errs = yield from _shell_integrals(
-            rows, d, math.ldexp(mantissa, rung), math.ldexp(mantissa, rung + 1)
+        lo, hi = math.ldexp(mantissa, rung), math.ldexp(mantissa, rung + 1)
+        if rung not in ahead:
+            requests = _first_passes(mantissa, step, min_shells, rung, rows, waiting, first)
+            answers = yield requests
+            ahead = {
+                rung + step * n: (known, answer)
+                for n, ((_, known, _), answer) in enumerate(zip(requests, answers))
+            }
+        known, (vals, shell_errs, bad) = ahead.pop(rung)
+        if len(known) > len(rows):  # a row left on a nonfinite shell
+            keep = np.searchsorted(known, rows)
+            known, vals, shell_errs = known[keep], vals[keep], shell_errs[keep]
+        vals, shell_errs, shell_met = yield from _shell_integrals(
+            known, d, lo, hi, (vals, shell_errs, bad)
         )
+        met.update(known[shell_met].tolist())
         walking = []
         # one index object per radius: a new int for each row and shell adds up
         index = {e: rung - e for e in exps}
@@ -465,7 +561,7 @@ def _walk(mantissa: float, step: int, min_shells: int, exponents: dict, d: int, 
                 walking.append(i)
         rows = walking
         rung += step
-    return {i: (shells[i], status[i], tails[i], errs[i]) for i in shells}
+    return {i: (shells[i], status[i], tails[i], errs[i], i in met) for i in shells}
 
 
 def classify_family(
@@ -487,8 +583,11 @@ def classify_family(
     point, shape (n, k), shared by every row, and ``rows_of(values, idx)``
     maps a slice of it to the rows ``idx`` (ascending), shape
     (len(idx),) + its shape; a row is then computed only where its own
-    walk needs it.  In d = 1 either answer may keep the trailing unit axis
-    that :func:`~fellerkit.symbols.as_points` leaves.
+    walk needs it.  ``rows_of`` may map a nonfinite value to a finite one
+    (1 / inf = 0), which is no evidence, so a row whose shells meet a node
+    where ``f`` is not finite is undetermined.  In d = 1 either answer may
+    keep the trailing unit axis that :func:`~fellerkit.symbols.as_points`
+    leaves.
 
     ``radius`` and ``include_tail`` are one value for every row or one per
     row; a radius must be finite and positive (else ConfigError).  Radii
@@ -497,22 +596,26 @@ def classify_family(
     inner shells of the ladder's rows, or the outer shells of those with a
     tail.  Each row joins its ladder's walk at its own first shell.  The
     walks run in lockstep: each round makes one call to ``f`` for the
-    nodes of every walk still running, and one qk21 reduction for all of
-    them.  The rows of a walk share its shells' pieces, and a piece is
-    bisected when any of them needs it.  Each row keeps its own shell
-    sums, error budget, ratio test, geometric tail and classification,
-    and leaves its walk once it has its verdict, so it gets the result its
-    radius would get alone, bit for bit, as long as the value of ``f`` at
-    a point does not depend on the other points of the call, and unless
-    the shared pieces of a shell, which the rows of one ladder share
-    whatever their radii, reach SHELL_PIECES before its own would.  A row
-    with a nonfinite value at a node of its pieces gets a nonfinite shell;
-    the other rows go on.
+    nodes of every walk still running (once for a shell that two walks
+    ask for), and one qk21 reduction for all of them.  A round holds the
+    next pass of every walk and, while it holds at most ROUND_VALUES node
+    values, the first passes of the shells a walk is sure to take after
+    it (:func:`_walk`).  The rows of a walk share its shells' pieces, and
+    a piece is bisected when any of them needs it.  Each row keeps its own
+    shell sums, error budget, ratio test, geometric tail and
+    classification, and leaves its walk once it has its verdict, so it
+    gets the result its radius would get alone, bit for bit, as long as
+    the value of ``f`` at a point does not depend on the other points of
+    the call, and unless the shared pieces of a shell, which the rows of
+    one ladder share whatever their radii, reach SHELL_PIECES before its
+    own would.  A row with a nonfinite value at a node of its pieces gets
+    a nonfinite shell; the other rows go on.
     """
     radii = np.broadcast_to(np.asarray(radius, dtype=float), (m,)).tolist()
     radii = [positive_radius(r) for r in radii]
     has_tail = np.broadcast_to(include_tail, (m,)).tolist()
     answer = _round(f, rows_of, m, d, radial)
+    directions = 1 if radial else len(direction_set(d))
     ladders = {}  # mantissa -> {row: exponent}
     for i, r in enumerate(radii):
         mantissa, e = math.frexp(r)
@@ -525,25 +628,29 @@ def classify_family(
         walks.append((_walk(mantissa, +1, OUTER_SHELLS, tailed, d, rel_tol), outer))
     sent = [None] * len(walks)
     while walks:
-        requests, running = [], []
+        asked, running = [], []
         for (walk, results), value in zip(walks, sent):
             try:
-                requests.append(walk.send(value))
+                asked.append(walk.send(value))
             except StopIteration as stop:
                 results.update(stop.value)
             else:
                 running.append((walk, results))
         walks = running
-        if requests:
-            sent = answer(requests)
+        if asked:
+            taken = _taken(asked, directions)
+            answers = iter(answer([req for requests in taken for req in requests]))
+            sent = [[next(answers) for _ in requests] for requests in taken]
 
-    no_walk = ([], "undetermined", (0.0, 0.0), [])
+    no_walk = ([], "undetermined", (0.0, 0.0), [], False)
     results = []
     for i in range(m):
-        inner_shells, inner_status, inner_tail, inner_errs = inner[i]
-        outer_shells, outer_status, outer_tail, outer_errs = outer.get(i, no_walk)
+        inner_shells, inner_status, inner_tail, inner_errs, inner_met = inner[i]
+        outer_shells, outer_status, outer_tail, outer_errs, outer_met = outer.get(i, no_walk)
         trace = inner_shells[::-1] + outer_shells
-        if inner_status in ("divergent", "nonfinite"):
+        if inner_met or outer_met:
+            results.append(IntegralResult(math.nan, math.nan, "undetermined", trace))
+        elif inner_status in ("divergent", "nonfinite"):
             results.append(IntegralResult(math.inf, math.inf, "divergent_at_zero", trace))
         elif outer_status in ("divergent", "nonfinite"):
             results.append(IntegralResult(math.inf, math.inf, "divergent_at_infinity", trace))

@@ -23,6 +23,7 @@ import pytest
 
 import fellerkit as fk
 import fellerkit.cli as cli
+from fellerkit import quadrature
 from fellerkit.config import build_envelope_from_config, build_model, load_config
 
 
@@ -172,6 +173,10 @@ class TestAnalyze:
             env.q_inf_fn = lambda xi: calls.append(xi.tobytes()) or fn(xi)
             return env
 
+        # one shell per round, so each call past the first is one pass of
+        # each walk (test_rounds_ask_for_the_points_of_one_shell_at_a_time
+        # pins the points to those of the default rounds)
+        monkeypatch.setattr(quadrature, "ROUND_VALUES", 0)
         analyze = []
         monkeypatch.setattr(cli, "build_envelope_from_config", lambda m, c: counted(m, c, analyze))
         assert cli.main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -190,6 +195,70 @@ class TestAnalyze:
         passes = sum(int((r < 1).any()) + int((r > 1).any()) for r in radii)
         bisections = passes - len(result.annulus_trace)
         assert len(analyze) <= len(local_times) + bisections + 2
+
+    GRID = {
+        "symbol": {
+            "type": "closed_form", "dimension": 2, "radial_in_xi": True,
+            "re": "(1.25 + 0.5*sin(x1)*cos(x2)) * (xi1**2 + xi2**2)**0.75",
+        },
+        "envelope": {
+            "method": "grid", "x_domain": [[0.0, 2.0 * math.pi]] * 2, "resolution": 17,
+            "tail": "periodic",
+        },
+        "criteria": {"heat_times": [1.0], "occupation_radii": [1.0]},
+    }
+
+    def test_rounds_ask_for_the_points_of_one_shell_at_a_time(self, tmp_path, monkeypatch):
+        # a round asks for the first passes of every shell its walks are
+        # sure to take: the same frequencies as one shell per round, in a
+        # handful of grid searches instead of one per shell
+        cfg = write_cfg(tmp_path, "grid.json", self.GRID)
+        default = quadrature.ROUND_VALUES
+
+        def asked(round_values):
+            monkeypatch.setattr(quadrature, "ROUND_VALUES", round_values)
+            calls = []
+
+            def counted(model, env_cfg):
+                env = build_envelope_from_config(model, env_cfg)
+                fn = env.q_inf_fn
+                env.q_inf_fn = lambda xi: calls.append(xi.copy()) or fn(xi)
+                return env
+
+            monkeypatch.setattr(cli, "build_envelope_from_config", counted)
+            out = tmp_path / f"out{round_values}"
+            assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+            points = sorted(map(bytes, np.concatenate(calls)))
+            return len(calls), points, (out / "report.json").read_bytes()
+
+        one_shell, one_shell_points, one_shell_report = asked(0)
+        calls, points, report = asked(default)
+        assert points == one_shell_points
+        assert report == one_shell_report
+        assert calls <= 8 < one_shell
+
+    def test_a_nan_envelope_value_leaves_its_rows_undetermined(self, tmp_path, monkeypatch):
+        # a NaN q_inf on the shell 1 <= |xi| < 2: the heat row walks it, so
+        # its bound cannot be classified, and transience reads no evidence
+        # from it (1 / NaN is no divergence either)
+        def q_inf(xi):
+            r = np.linalg.norm(xi, axis=-1)
+            return np.where((r >= 1.0) & (r < 2.0), np.nan, r**0.5)
+
+        env = fk.Envelope(1, q_inf, q_inf, q_inf, lambda xi: np.zeros(len(xi)), "nan", True)
+        cfg = write_cfg(tmp_path, "nan.json", {
+            "symbol": {"type": "closed_form", "re": "abs(xi)**0.5"},
+            "criteria": {"run": ["transience"], "heat_times": [1.0], "transience_radius": 4.0},
+        })
+        monkeypatch.setattr(cli, "build_envelope_from_config", lambda model, env_cfg: env)
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+        assert not (out / "report.json").exists()
+        report = fk.test_transience(env, 4.0)
+        assert report.verdict == "inconclusive"
+        assert report.evidence["integral"]["classification"] == "undetermined"
+        # below the NaN shell the walk reads transience
+        assert fk.test_transience(env, 1.0).verdict == "holds"
 
 
 class TestSimulate:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import fellerkit as fk
+from fellerkit import quadrature
 
 # 161 heat times, 1e-4 ... 1e4, twenty to a decade
 HEAT_TIMES = [10.0 ** ((k - 80) / 20.0) for k in range(161)]
@@ -192,16 +193,18 @@ class TestHeatKernelTimes:
 
     def test_all_times_share_one_shell_walk(self):
         # every envelope query reaches q_inf_fn, so a walk per heat time
-        # would make about 161 times the calls of one
+        # would ask for about 161 times the points of one; the count of
+        # calls is no measure, since a round holds more shells the fewer
+        # rows it serves
         model = fk.stable_like_symbol("1.5 + 0.3*sin(x1)*cos(x2)", 1.2, 1.8, dimension=2)
         env, calls = _counted_envelope(model)
         fk.heat_kernel_sup_bound(env, HEAT_TIMES)
-        together = len(calls)
+        together = sum(calls)
         longest = 0
         for t in HEAT_TIMES:
             env, calls = _counted_envelope(model)
             fk.heat_kernel_sup_bound(env, t)
-            longest = max(longest, len(calls))
+            longest = max(longest, sum(calls))
         assert together <= 2 * longest
 
 
@@ -358,32 +361,60 @@ class TestOneLockstepWalk:
         for r, bound, result in zip([0.25, 1.0], occ_bounds, occ):
             assert (bound, result) == fk.occupation_bound(env, r, full=True)
 
-    def test_grid_envelope_2d_makes_one_query_per_round(self):
+    def test_grid_envelope_2d_makes_one_query_per_round(self, monkeypatch):
         # the walks are inner at radius 1 (transience, local times, heat),
         # outer at radius 1 (local times, heat) and inner at 4 sqrt(2) (the
         # occupation row), of about 40 passes each; one after the other
         # they made 121 queries besides the probe
-        env, calls = _counted_envelope(
-            fk.closed_form_symbol(
-                "(1.25 + 0.5*sin(x1)*cos(x2)) * (xi1**2 + xi2**2)**0.75",
-                dimension=2, radial_in_xi=True,
-            ),
-            x_domain=[(0.0, 2.0 * math.pi)] * 2, resolution=33, tail="periodic",
-        )
-        transience, local_times, _, heat, _, occ = fk.criteria.frequency_criteria(
-            env, 1.0, True, [1.0], occupation_radii=[1.0]
-        )
-        traces = [
-            transience.evidence["integral"]["annulus_trace"],
-            local_times.evidence["integral"]["annulus_trace"],
-            *(result.annulus_trace for result in heat + occ),
-        ]
+        def walk():
+            env, calls = _counted_envelope(
+                fk.closed_form_symbol(
+                    "(1.25 + 0.5*sin(x1)*cos(x2)) * (xi1**2 + xi2**2)**0.75",
+                    dimension=2, radial_in_xi=True,
+                ),
+                x_domain=[(0.0, 2.0 * math.pi)] * 2, resolution=33, tail="periodic",
+            )
+            transience, local_times, _, heat, _, occ = fk.criteria.frequency_criteria(
+                env, 1.0, True, [1.0], occupation_radii=[1.0]
+            )
+            traces = [
+                transience.evidence["integral"]["annulus_trace"],
+                local_times.evidence["integral"]["annulus_trace"],
+                *(result.annulus_trace for result in heat + occ),
+            ]
+            return calls, traces
+
+        default = quadrature.ROUND_VALUES
+        monkeypatch.setattr(quadrature, "ROUND_VALUES", 0)
+        calls, traces = walk()
         longest = max(
             max(sum(j < 0 for j, _ in trace), sum(j >= 0 for j, _ in trace)) for trace in traces
         )
-        # one query for the probe, then one per round, and a walk makes at
-        # least one pass per shell
+        # one shell per round: one query for the probe, then one per round,
+        # and a walk makes at least one pass per shell
         assert longest <= len(calls) - 1 <= 44
+        # by default a round also holds the first passes of the shells its
+        # walks are sure to take: here the first 40 of every walk
+        monkeypatch.setattr(quadrature, "ROUND_VALUES", default)
+        rounds, same_traces = walk()
+        assert same_traces == traces
+        assert sum(rounds) == sum(calls)
+        assert len(rounds) - 1 <= 2
+
+    def test_a_round_asks_for_each_node_radius_once(self):
+        # in d = 1 the occupation row of r = 0.5 walks inward from
+        # |eta| = 2 and the heat rows outward from 1: both walks start on
+        # the shell [1, 2], in the same round, and its 21 nodes were asked
+        # for twice (1704 points)
+        env, calls = _counted_envelope(fk.alpha_stable(0.5, 1))
+        _, local_times, bounds, heat, occ_bounds, occ = fk.criteria.frequency_criteria(
+            env, None, True, [1.0], occupation_radii=[0.5]
+        )
+        assert sum(calls) == 1683
+        env = fk.build_envelope(fk.alpha_stable(0.5, 1))
+        assert local_times.evidence == fk.test_local_times(env).evidence
+        assert (bounds[0], heat[0]) == fk.heat_kernel_sup_bound(env, 1.0, full=True)
+        assert (occ_bounds[0], occ[0]) == fk.occupation_bound(env, 0.5, full=True)
 
 
 def _criteria_values(model, times):

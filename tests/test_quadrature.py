@@ -273,6 +273,86 @@ class TestClassifyFamily:
     def test_empty_family(self):
         assert classify_family(lambda xi: np.zeros((0, np.size(xi))), 0, 1) == []
 
+    @staticmethod
+    def _staggered_rows():
+        """Rows on the ladder of 1 that join its walks at different rungs,
+        one at 3 on a ladder of its own; the row at 4 is +inf on its third
+        inner shell [0.5, 1] and again on [1/16, 1/8], a shell it never
+        walks.  The radius, the tail and the integrand of each."""
+        def inf_on(*shells):
+            def f(r):
+                hit = np.zeros(r.shape, dtype=bool)
+                for lo, hi in shells:
+                    hit |= (r >= lo) & (r < hi)
+                return np.where(hit, np.inf, np.exp(-r))
+            return f
+
+        return [
+            (4.0, True, inf_on((0.5, 1.0), (1 / 16, 1 / 8))),
+            (2.0, False, lambda r: np.exp(-r * r)),
+            (1.0, True, lambda r: r**-1.5),
+            (0.5, True, lambda r: np.sqrt(np.abs(r - 0.3)) * np.exp(-r)),
+            (1 / 64, False, lambda r: np.exp(-r)),
+            (3.0, True, lambda r: (1.0 + r) ** -0.5),
+        ]
+
+    def test_rows_joining_at_different_rungs_get_their_walks_alone(self):
+        # a round holds the first passes of the shells a walk is sure to
+        # take; the row that leaves on a nonfinite shell ignores its cells
+        # of the later ones
+        rows = self._staggered_rows()
+        radii, tails, fns = map(list, zip(*rows))
+        calls = []
+
+        def family(xi):
+            calls.append(len(xi))
+            r = np.abs(xi[..., 0])
+            return np.stack([fn(r) for fn in fns])
+
+        with np.errstate(divide="ignore"):
+            together = classify_family(family, len(fns), 1, radius=radii, include_tail=tails)
+            alone = [
+                classify_improper(lambda xi, fn=fn: fn(np.abs(xi[..., 0])), 1, radius=r,
+                                  include_tail=tail)
+                for r, tail, fn in rows
+            ]
+        assert [res.classification for res in together] == [
+            "divergent_at_zero", "convergent", "divergent_at_zero", "convergent", "convergent",
+            "divergent_at_infinity",
+        ]
+        for i, (got, want) in enumerate(zip(together, alone)):
+            # repr round-trips a float, so equal reprs are equal bits
+            assert repr(got) == repr(want), i
+        assert 3 * len(calls) < max(len(res.annulus_trace) for res in together)
+
+    def test_only_the_nodes_a_row_walks_leave_it_undetermined(self):
+        # with rows_of, f is +inf on [1/16, 1/8]: the rows that walk it are
+        # undetermined, whatever rows_of makes of it; the row at 4 leaves
+        # on its nonfinite third shell first, and the row at 1/64 joins
+        # below it
+        def q(xi):
+            r = np.abs(xi[..., 0])
+            return np.where((r >= 1 / 16) & (r < 1 / 8), np.inf, r)
+
+        rows = [row for k, row in enumerate(self._staggered_rows()) if k in (0, 1, 4)]
+        radii, tails, fns = map(list, zip(*rows))
+
+        def rows_of(fns):
+            return lambda values, idx: np.stack([fns[i](values) for i in idx])
+
+        with np.errstate(divide="ignore"):
+            together = classify_family(
+                q, len(fns), 1, rows_of=rows_of(fns), radius=radii, include_tail=tails
+            )
+            alone = [
+                classify_family(q, 1, 1, rows_of=rows_of([fn]), radius=r, include_tail=tail)[0]
+                for r, tail, fn in rows
+            ]
+        assert [res.classification for res in together] == [
+            "divergent_at_zero", "undetermined", "convergent",
+        ]
+        assert [repr(res) for res in together] == [repr(res) for res in alone]
+
 
 class TestLockstep:
     """Walks at several radii and in both directions share each envelope
