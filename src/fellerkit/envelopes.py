@@ -244,6 +244,8 @@ class _GridOptimizer:
             scores = self._scores(OpenGrid(coords), xi_live, reduce_fn)
             at = first + np.argmin(scores, axis=1)
             found = scores.take(at)
+            # the next step's call then holds one score array, not two
+            del scores
             better = found < best[live]
             if better.any():
                 best[live[better]] = found[better]

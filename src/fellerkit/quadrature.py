@@ -25,9 +25,9 @@ Members may have radii of their own.  Radii that differ by a power of
 two share their shells, so they share one ladder, walked once in each
 direction; the walks of every ladder run in lockstep, and each round makes
 one call to the integrand for the nodes of all of them and one qk21
-reduction for all of their pieces.  A round also holds the first passes
-of the shells a walk is sure to take, as many as fit, so a walk of few
-rows takes its first shells in one round.
+reduction for all of their pieces.  A walk also asks for the first
+passes of the shells it is sure to take, as many as fit in ROUND_VALUES
+node values, so a walk of few rows takes its first shells in one round.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ RATIO_WINDOW = 8
 RATIO_SLACK = 0.01
 #: absolute floor of a walk's tail tolerance
 ABS_TOL = 1e-12
-#: most node values (rows x node radii x directions) a lockstep round
-#: holds, unless the passes its walks must take next hold more: the first
-#: passes of later shells fill it (:func:`_taken`).  More let the walks
-#: of 161 heat times take two shells a round, which raised the peak memory
+#: most node values (rows x node radii x directions) a walk asks for in a
+#: lockstep round, unless its next pass alone holds more
+#: (:func:`_first_passes`).  More let the walks of 161 heat times take two
+#: shells a round, which raised the peak memory
 ROUND_VALUES = 6 << 10
 
 
@@ -262,24 +262,6 @@ def _round(f, rows_of, m: int, d: int, radial: bool):
     return answer
 
 
-def _taken(asked, directions: int) -> list[list]:
-    """The requests a round answers, of each walk's list ``asked``: the
-    first of every walk, then the others by depth (the second of every
-    walk before the third of any), as long as the round holds at most
-    ROUND_VALUES node values, rows x node radii x ``directions``."""
-    size = lambda request: len(request[1]) * len(request[0]) * directions
-    counts = [1] * len(asked)
-    room = ROUND_VALUES - sum(size(requests[0]) for requests in asked)
-    for depth in range(1, max(map(len, asked))):
-        for w, requests in enumerate(asked):
-            if depth < len(requests):
-                room -= size(requests[depth])
-                if room < 0:
-                    return [requests[:n] for requests, n in zip(asked, counts)]
-                counts[w] += 1
-    return asked
-
-
 # QUADPACK's qk21 rule on [-1, 1], rounded to double: per node x >= 0 (the
 # rule is symmetric), the 21-point Kronrod weight and the weight of the
 # embedded 10-point Gauss rule, which is zero on Kronrod-only nodes
@@ -399,8 +381,6 @@ def _shell_integrals(rows, d: int, lo: float, hi: float, first):
             split = rejected[~done].any(axis=0)
             if n_done + len(los) + int(split.sum()) > SHELL_PIECES:
                 done[:] = True
-        if done.all() and len(pos) == len(rows):  # all open until now
-            return surf * value, surf * error, met
         value_out[pos[done]] = surf * value[done]
         error_out[pos[done]] = surf * error[done]
         if done.all():
@@ -461,27 +441,30 @@ def _verdict(shells, total: float, rel_tol: float):
     return None
 
 
-def _first_passes(mantissa, step, min_shells, rung, rows, waiting, first):
+def _first_passes(mantissa, step, min_shells, rung, rows, waiting, first, directions):
     """The requests for the first passes of ``rung`` and of each later
     rung up to the first where a walking row counts its min_shells-th
     shell, in walk order, each for the rows it is sure to have
-    (:func:`_walk`); no more than a round of ROUND_VALUES can hold."""
-    fit = ROUND_VALUES // (len(rows) * len(_GK_NODES))
-    if fit > 1:
-        fit = min(fit, min(step * (first[i] - rung) for i in rows) + min_shells)
-    rungs = rung + step * np.arange(max(fit, 1))
+    (:func:`_walk`), while they hold at most ROUND_VALUES node values,
+    rows x node radii x ``directions``; the first request always."""
+    last = min(step * (first[i] - rung) for i in rows) + min_shells
+    rungs = rung + step * np.arange(max(last, 1))
     nodes, half = _pieces(np.ldexp(mantissa, rungs), np.ldexp(mantissa, rungs + 1))
     nodes = nodes.reshape(len(rungs), -1)
-    requests, known = [], np.array(rows)
+    requests, room = [], ROUND_VALUES
     for n, k in enumerate(rungs.tolist()):
-        joined = [j for j in waiting if step * (k - first[j]) >= 0]
-        if len(rows) + len(joined) > len(known):
-            known = np.array(sorted(rows + joined))
-        requests.append((nodes[n], known, half[n : n + 1]))
+        known = sorted(rows + [j for j in waiting if step * (k - first[j]) >= 0])
+        room -= len(known) * nodes.shape[1] * directions
+        if requests and room < 0:
+            break
+        requests.append((nodes[n], np.array(known), half[n : n + 1]))
     return requests
 
 
-def _walk(mantissa: float, step: int, min_shells: int, exponents: dict, d: int, rel_tol: float):
+def _walk(
+    mantissa: float, step: int, min_shells: int, exponents: dict, d: int, rel_tol: float,
+    directions: int,
+):
     """Walk the ladder of shells [mantissa 2^J, mantissa 2^(J+1)], the
     rungs J, in direction ``step`` until each row of ``exponents`` has a
     verdict.
@@ -499,16 +482,16 @@ def _walk(mantissa: float, step: int, min_shells: int, exponents: dict, d: int, 
     so up to the first rung where a walking row may get its verdict, the
     walk knows the rows of each rung, but for those that leave so.  At a
     rung whose first pass it lacks, the walk asks for the first passes of
-    all those rungs, each with its rows (:func:`_first_passes`); the round
-    answers a prefix of them (:func:`_taken`), and each rung then runs its
-    shell with the rows still walking there, from their cells of that
-    answer, so its bits are those of a walk that asks for one shell at a
-    time.
+    as many of those rungs as ROUND_VALUES node values hold, each with its
+    rows, ``directions`` per node radius (:func:`_first_passes`), and each
+    rung then runs its shell with the rows still walking there, from their
+    cells of that answer, so its bits are those of a walk that asks for
+    one shell at a time.
 
     A generator that yields its requests of a round, a list, and is sent
-    the answers to those the round takes, a prefix (:func:`_round`).  It
-    returns, per row, its shells, status, tail, shell errors and whether
-    it met a nonfinite value of ``f`` (:func:`_shell_integrals`).
+    the answers to them (:func:`_round`).  It returns, per row, its
+    shells, status, tail, shell errors and whether it met a nonfinite
+    value of ``f`` (:func:`_shell_integrals`).
     """
     shells = {i: [] for i in exponents}
     errs = {i: [] for i in exponents}
@@ -528,7 +511,9 @@ def _walk(mantissa: float, step: int, min_shells: int, exponents: dict, d: int, 
             rows = sorted(rows + [waiting.pop(0)])
         lo, hi = math.ldexp(mantissa, rung), math.ldexp(mantissa, rung + 1)
         if rung not in ahead:
-            requests = _first_passes(mantissa, step, min_shells, rung, rows, waiting, first)
+            requests = _first_passes(
+                mantissa, step, min_shells, rung, rows, waiting, first, directions
+            )
             answers = yield requests
             ahead = {
                 rung + step * n: (known, answer)
@@ -597,19 +582,19 @@ def classify_family(
     tail.  Each row joins its ladder's walk at its own first shell.  The
     walks run in lockstep: each round makes one call to ``f`` for the
     nodes of every walk still running (once for a shell that two walks
-    ask for), and one qk21 reduction for all of them.  A round holds the
-    next pass of every walk and, while it holds at most ROUND_VALUES node
-    values, the first passes of the shells a walk is sure to take after
-    it (:func:`_walk`).  The rows of a walk share its shells' pieces, and
-    a piece is bisected when any of them needs it.  Each row keeps its own
-    shell sums, error budget, ratio test, geometric tail and
-    classification, and leaves its walk once it has its verdict, so it
-    gets the result its radius would get alone, bit for bit, as long as
-    the value of ``f`` at a point does not depend on the other points of
-    the call, and unless the shared pieces of a shell, which the rows of
-    one ladder share whatever their radii, reach SHELL_PIECES before its
-    own would.  A row with a nonfinite value at a node of its pieces gets
-    a nonfinite shell; the other rows go on.
+    ask for), and one qk21 reduction for all of them, which answers every
+    request of every walk.  A walk asks for its next pass and, while its
+    requests hold at most ROUND_VALUES node values, the first passes of
+    the shells it is sure to take after it (:func:`_walk`).  The rows of
+    a walk share its shells' pieces, and a piece is bisected when any of
+    them needs it.  Each row keeps its own shell sums, error budget, ratio
+    test, geometric tail and classification, and leaves its walk once it
+    has its verdict, so it gets the result its radius would get alone, bit
+    for bit, as long as the value of ``f`` at a point does not depend on
+    the other points of the call, and unless the shared pieces of a shell,
+    which the rows of one ladder share whatever their radii, reach
+    SHELL_PIECES before its own would.  A row with a nonfinite value at a
+    node of its pieces gets a nonfinite shell; the other rows go on.
     """
     radii = np.broadcast_to(np.asarray(radius, dtype=float), (m,)).tolist()
     radii = [positive_radius(r) for r in radii]
@@ -624,8 +609,8 @@ def classify_family(
     walks = []  # (walk, where it puts its rows' results)
     for mantissa, exponents in ladders.items():
         tailed = {i: e for i, e in exponents.items() if has_tail[i]}
-        walks.append((_walk(mantissa, -1, INNER_SHELLS, exponents, d, rel_tol), inner))
-        walks.append((_walk(mantissa, +1, OUTER_SHELLS, tailed, d, rel_tol), outer))
+        walks.append((_walk(mantissa, -1, INNER_SHELLS, exponents, d, rel_tol, directions), inner))
+        walks.append((_walk(mantissa, +1, OUTER_SHELLS, tailed, d, rel_tol, directions), outer))
     sent = [None] * len(walks)
     while walks:
         asked, running = [], []
@@ -638,9 +623,8 @@ def classify_family(
                 running.append((walk, results))
         walks = running
         if asked:
-            taken = _taken(asked, directions)
-            answers = iter(answer([req for requests in taken for req in requests]))
-            sent = [[next(answers) for _ in requests] for requests in taken]
+            answers = iter(answer([req for requests in asked for req in requests]))
+            sent = [[next(answers) for _ in requests] for requests in asked]
 
     no_walk = ([], "undetermined", (0.0, 0.0), [], False)
     results = []

@@ -112,6 +112,24 @@ def under_cpu_targets():
     return lambda probe: _in_children(probe, targets)
 
 
+@pytest.fixture
+def under_round_budgets(monkeypatch):
+    """Return a runner: under_round_budgets(run) calls ``run()`` with one
+    shell per lockstep round (``quadrature.ROUND_VALUES`` = 0), then with
+    the default budget, and returns both results, in that order."""
+    from fellerkit import quadrature
+
+    default = quadrature.ROUND_VALUES
+
+    def both(run):
+        monkeypatch.setattr(quadrature, "ROUND_VALUES", 0)
+        one_shell = run()
+        monkeypatch.setattr(quadrature, "ROUND_VALUES", default)
+        return one_shell, run()
+
+    return both
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _acceptance_lines:
         terminalreporter.section("acceptance criteria")

@@ -153,7 +153,9 @@ class TestAnalyze:
         assert capsys.readouterr().err == ""
         assert (out / "report.json").read_bytes() == first
 
-    def test_one_shell_walk_serves_transience_local_times_and_heat(self, tmp_path, monkeypatch):
+    def test_one_shell_walk_serves_transience_local_times_and_heat(
+        self, tmp_path, monkeypatch, under_round_budgets
+    ):
         symbol = {
             "type": "closed_form", "re": "(1.25 + 0.5*sin(x)) * abs(xi)**1.5",
             "radial_in_xi": True,
@@ -173,19 +175,27 @@ class TestAnalyze:
             env.q_inf_fn = lambda xi: calls.append(xi.tobytes()) or fn(xi)
             return env
 
+        def walks():
+            analyze, local_times, heat = [], [], []
+            monkeypatch.setattr(
+                cli, "build_envelope_from_config", lambda m, c: counted(m, c, analyze)
+            )
+            out = tmp_path / f"out{quadrature.ROUND_VALUES}"
+            assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+            rep = fk.test_local_times(counted(build_model(symbol), envelope, local_times))
+            env = counted(build_model(symbol), envelope, heat)
+            _, result = fk.heat_kernel_sup_bound(env, 1.0, full=True)
+            outcome = (out / "report.json").read_bytes(), rep.verdict, rep.evidence, result
+            return (analyze, local_times, heat), outcome
+
         # one shell per round, so each call past the first is one pass of
         # each walk (test_rounds_ask_for_the_points_of_one_shell_at_a_time
         # pins the points to those of the default rounds)
-        monkeypatch.setattr(quadrature, "ROUND_VALUES", 0)
-        analyze = []
-        monkeypatch.setattr(cli, "build_envelope_from_config", lambda m, c: counted(m, c, analyze))
-        assert cli.main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        ((analyze, local_times, heat), outcome), (_, default) = under_round_budgets(walks)
+        assert default == outcome
+        _, verdict, _, result = outcome
         assert len(set(analyze)) == len(analyze)  # no points are asked for twice
-        local_times, heat = [], []
-        rep = fk.test_local_times(counted(build_model(symbol), envelope, local_times))
-        assert rep.verdict == "holds"
-        env = counted(build_model(symbol), envelope, heat)
-        _, result = fk.heat_kernel_sup_bound(env, 1.0, full=True)
+        assert verdict == "holds"
         # a call beyond one per shell is a bisection pass, so the shared walk
         # makes at most the calls of the local-times walk (with its probe)
         # plus the heat row's bisection passes; analyze adds two curve queries.
@@ -208,15 +218,15 @@ class TestAnalyze:
         "criteria": {"heat_times": [1.0], "occupation_radii": [1.0]},
     }
 
-    def test_rounds_ask_for_the_points_of_one_shell_at_a_time(self, tmp_path, monkeypatch):
-        # a round asks for the first passes of every shell its walks are
-        # sure to take: the same frequencies as one shell per round, in a
-        # handful of grid searches instead of one per shell
+    def test_rounds_ask_for_the_points_of_one_shell_at_a_time(
+        self, tmp_path, monkeypatch, under_round_budgets
+    ):
+        # a walk asks for the first passes of every shell it is sure to
+        # take: the same frequencies as one shell per round, in a handful
+        # of grid searches instead of one per shell
         cfg = write_cfg(tmp_path, "grid.json", self.GRID)
-        default = quadrature.ROUND_VALUES
 
-        def asked(round_values):
-            monkeypatch.setattr(quadrature, "ROUND_VALUES", round_values)
+        def asked():
             calls = []
 
             def counted(model, env_cfg):
@@ -226,13 +236,14 @@ class TestAnalyze:
                 return env
 
             monkeypatch.setattr(cli, "build_envelope_from_config", counted)
-            out = tmp_path / f"out{round_values}"
+            out = tmp_path / f"out{quadrature.ROUND_VALUES}"
             assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 0
             points = sorted(map(bytes, np.concatenate(calls)))
             return len(calls), points, (out / "report.json").read_bytes()
 
-        one_shell, one_shell_points, one_shell_report = asked(0)
-        calls, points, report = asked(default)
+        (one_shell, one_shell_points, one_shell_report), (calls, points, report) = (
+            under_round_budgets(asked)
+        )
         assert points == one_shell_points
         assert report == one_shell_report
         assert calls <= 8 < one_shell

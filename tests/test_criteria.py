@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import fellerkit as fk
-from fellerkit import quadrature
 
 # 161 heat times, 1e-4 ... 1e4, twenty to a decade
 HEAT_TIMES = [10.0 ** ((k - 80) / 20.0) for k in range(161)]
@@ -361,7 +360,7 @@ class TestOneLockstepWalk:
         for r, bound, result in zip([0.25, 1.0], occ_bounds, occ):
             assert (bound, result) == fk.occupation_bound(env, r, full=True)
 
-    def test_grid_envelope_2d_makes_one_query_per_round(self, monkeypatch):
+    def test_grid_envelope_2d_makes_one_query_per_round(self, under_round_budgets):
         # the walks are inner at radius 1 (transience, local times, heat),
         # outer at radius 1 (local times, heat) and inner at 4 sqrt(2) (the
         # occupation row), of about 40 passes each; one after the other
@@ -384,19 +383,15 @@ class TestOneLockstepWalk:
             ]
             return calls, traces
 
-        default = quadrature.ROUND_VALUES
-        monkeypatch.setattr(quadrature, "ROUND_VALUES", 0)
-        calls, traces = walk()
+        (calls, traces), (rounds, same_traces) = under_round_budgets(walk)
         longest = max(
             max(sum(j < 0 for j, _ in trace), sum(j >= 0 for j, _ in trace)) for trace in traces
         )
         # one shell per round: one query for the probe, then one per round,
         # and a walk makes at least one pass per shell
         assert longest <= len(calls) - 1 <= 44
-        # by default a round also holds the first passes of the shells its
-        # walks are sure to take: here the first 40 of every walk
-        monkeypatch.setattr(quadrature, "ROUND_VALUES", default)
-        rounds, same_traces = walk()
+        # by default a walk also asks for the first passes of the shells it
+        # is sure to take: here the first 40 of every walk
         assert same_traces == traces
         assert sum(rounds) == sum(calls)
         assert len(rounds) - 1 <= 2

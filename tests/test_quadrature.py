@@ -545,6 +545,75 @@ class TestLadders:
             classify_family(lambda xi: np.stack([f(xi)] * 2), 2, 1, radius=[1.0, radius])
 
 
+class TestRoundBudget:
+    """Each walk sizes its own requests of a lockstep round: its next pass,
+    then the first passes of the shells it is sure to take while all of
+    them hold at most ROUND_VALUES node values, rows x node radii x
+    directions, counting the rows that join on the way."""
+
+    # rows on three ladders: 1 and 2 (the inward walk starts at the rung
+    # of 2, and 1 joins it one rung down), 0.75 and 3, and 1.25
+    RADII = [1.0, 2.0, 0.75, 3.0, 1.25]
+    TAILS = [True, False, True, True, False]
+    SCALES = np.array([1.0, 0.5, 2.0, 1.5, 0.25])[:, None, None]
+
+    def _walk(self, monkeypatch):
+        """A runner of the family, non-radial in d = 2, that returns the
+        reprs of its results and each walk's requests, a list per round."""
+        asked, real = [], quadrature._walk
+
+        def recorded(walk, rounds):
+            answers = None
+            while True:
+                try:
+                    requests = walk.send(answers)
+                except StopIteration as stop:
+                    return stop.value
+                rounds.append(requests)
+                answers = yield requests
+
+        def spy(*args):
+            asked.append([])
+            return recorded(real(*args), asked[-1])
+
+        def f(xi):
+            return np.exp(-self.SCALES * (xi[..., 0] ** 2 + 4.0 * xi[..., 1] ** 2))
+
+        def run():
+            asked.clear()
+            results = classify_family(
+                f, len(self.RADII), 2, radius=self.RADII, include_tail=self.TAILS, radial=False
+            )
+            return [repr(result) for result in results], list(asked)
+
+        monkeypatch.setattr(quadrature, "_walk", spy)
+        return run
+
+    @staticmethod
+    def _assert_fits(asked):
+        for rounds in asked:
+            for requests in rounds:
+                row_radii = sum(len(idx) * len(r) for r, idx, _ in requests)
+                values = row_radii * len(direction_set(2))
+                assert len(requests) == 1 or values <= quadrature.ROUND_VALUES
+
+    def test_a_walk_asks_for_no_more_than_the_budget(self, monkeypatch, under_round_budgets):
+        # a non-radial pass of one row holds 21 x 1024 node values, over
+        # the default budget, so every round holds each walk's next pass
+        run = self._walk(monkeypatch)
+        (one_shell, _), (results, asked) = under_round_budgets(run)
+        assert results == one_shell
+        self._assert_fits(asked)
+        assert all(len(requests) == 1 for rounds in asked for requests in rounds)
+        # room for five passes of one row: the inward walk of 1 and 2 asks
+        # for the first passes of its first three rungs, of 1, 2 and 2 rows
+        monkeypatch.setattr(quadrature, "ROUND_VALUES", 5 * len(quadrature._GK_NODES) * 1024)
+        results, asked = run()
+        assert results == one_shell
+        self._assert_fits(asked)
+        assert [len(idx) for _, idx, _ in asked[0][0]] == [1, 2, 2]
+
+
 def _qk21_mismatches(k, p, bad_nodes):
     """The cells of a random (k, p, 21) block of node values that break
     "each qk21 piece is reduced on its own": those whose value or error
