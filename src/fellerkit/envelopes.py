@@ -7,18 +7,21 @@ For a symbol p(x, xi) the four envelope functions are
     re_sup(xi) = sup_x Re p(x, xi)
     im_sup(xi) = sup_x |Im p(x, xi)|
 
-All uniform bounds in :mod:`fellerkit.criteria` are driven by these.  Three
+All uniform bounds in :mod:`fellerkit.criteria` are driven by these.  Four
 construction paths exist: state-free models read the envelope off directly;
 stable-like models have the closed form q_inf(xi) = |xi|^amax for |xi| <= 1
-and |xi|^amin outside (roles swapped for q_sup); everything else is
-minimized over an x grid by :func:`blocked_argmin`, the one search over
-states, then refined by coordinate bracket searches.  Both hand the
-evaluator x as an :class:`~fellerkit.symbols.OpenGrid`, so a term in x
-alone is computed once per coordinate value.  A frequency leaves the
-searches after d consecutive sweeps (one per axis) that do not move it, so
-``refine_rounds`` is a maximum.  Grid envelopes can overstate q_inf when the
-optimizing x falls between grid nodes, so reports built from them carry a
-caveat.
+and |xi|^amin outside (roles swapped for q_sup); a closed-form product
+p(x, xi) = a(x) psi(xi) has q_inf = psi inf a where psi > 0 and psi sup a
+where psi < 0, with inf a and sup a each found by one search over x that
+serves every frequency; everything else is minimized over an x grid for
+each frequency.  A search over x takes the mesh by :func:`blocked_argmin`,
+the one search over states, then refines by coordinate bracket searches.
+Both hand the evaluator x as an :class:`~fellerkit.symbols.OpenGrid`, so a
+term in x alone is computed once per coordinate value.  A frequency leaves
+the searches after d consecutive sweeps (one per axis) that do not move it,
+so ``refine_rounds`` is a maximum.  Grid envelopes can overstate q_inf when
+the optimizing x falls between grid nodes, so reports built from them carry
+a caveat.
 """
 
 from __future__ import annotations
@@ -185,11 +188,13 @@ def blocked_argmin(score, n_rows: int, nodes, shape) -> tuple[np.ndarray, np.nda
 
 class _GridOptimizer:
     """Extremize x -> g(p(x, xi)) over a box grid with bracket-search
-    refinement, for a batch of frequencies xi at once."""
+    refinement, for a batch of frequencies xi at once; p is ``evaluator``,
+    a function of points of R^d as :class:`~fellerkit.symbols.SymbolModel`
+    holds."""
 
-    def __init__(self, model, box, resolution, periodic, refine_rounds=3):
-        self.model = model
-        self.d = model.dimension
+    def __init__(self, evaluator, d, box, resolution, periodic, refine_rounds=3):
+        self.evaluator = evaluator
+        self.d = d
         self.box = box
         self.periodic = periodic
         self.refine_rounds = refine_rounds
@@ -201,7 +206,7 @@ class _GridOptimizer:
         evaluator answers in.  The evaluator may return a real array for a
         real p: each reduce_fn gives the same bits on it as on its complex
         cast."""
-        return np.asarray(reduce_fn(self.model.evaluator(x, xi)), float)
+        return np.asarray(reduce_fn(self.evaluator(x, xi)), float)
 
     def _grid_pass(self, xi, reduce_fn) -> tuple[np.ndarray, np.ndarray]:
         """The mesh node of least score for each row of ``xi``, and that
@@ -285,6 +290,28 @@ class _GridOptimizer:
         return best
 
 
+def _product_q_inf(factors, opt: _GridOptimizer) -> Callable:
+    """q_inf of p(x, xi) = a(x) psi(xi), for ``factors`` = (a, psi) as
+    :func:`~fellerkit.symbols.closed_form_symbol` gives them: psi inf a
+    where psi > 0 and psi sup a where psi < 0, from one search of a and
+    one of -a by ``opt`` that serve every frequency."""
+    a, psi = factors
+    origin = np.zeros((1, opt.d))
+    inf_a = opt.extremize(origin, np.real)[0]
+    sup_a = -opt.extremize(origin, np.negative)[0]
+    # a search for each frequency scores the same products a(x) psi; at
+    # psi = 0 they tie and it keeps the first mesh node, unless a node of a
+    # is not finite and scores NaN: inf * 0 is NaN too.  A NaN psi stays NaN
+    first = a(np.array([axis[0] for axis in opt.axes]), origin[0])
+    at_zero = first if np.isfinite([inf_a, sup_a]).all() else math.inf
+
+    def q_inf(xi):
+        p = psi(origin[0], xi)
+        return p * np.where(p > 0, inf_a, np.where(p < 0, sup_a, at_zero))
+
+    return q_inf
+
+
 def build_envelope(
     model: SymbolModel,
     x_domain=None,
@@ -302,7 +329,9 @@ def build_envelope(
     period) or "constant_at_infinity" (the coefficients settle to their
     boundary behavior outside the box); without a tail declaration the box
     infimum cannot stand in for the infimum over all of R^d and a
-    ConfigError is raised.
+    ConfigError is raised.  For a product a(x) psi(xi) q_inf searches a
+    once for every frequency (:func:`_product_q_inf`); every other search
+    runs for each frequency.
     """
     if not model.x_dependent:
         return _state_free(model)
@@ -328,11 +357,17 @@ def build_envelope(
     if refine_rounds < 0:
         raise ConfigError(f"refine_rounds must be an integer >= 0; got {refine_rounds}")
 
-    opt = _GridOptimizer(model, box, resolution, periodic=(tail == "periodic"), refine_rounds=refine_rounds)
+    def optimizer(evaluator):
+        return _GridOptimizer(evaluator, model.dimension, box, resolution, tail == "periodic", refine_rounds)
 
+    opt = optimizer(model.evaluator)
+    factors = getattr(model.evaluator, "factors", None)
     return Envelope(
         dimension=model.dimension,
-        q_inf_fn=lambda xi: opt.extremize(xi, np.real),
+        q_inf_fn=(
+            (lambda xi: opt.extremize(xi, np.real)) if factors is None
+            else _product_q_inf(factors, optimizer(factors[0]))
+        ),
         q_sup_fn=lambda xi: -opt.extremize(xi, lambda v: -np.abs(v)),
         re_sup_fn=lambda xi: -opt.extremize(xi, lambda v: -np.real(v)),
         im_sup_fn=lambda xi: -opt.extremize(xi, lambda v: -np.abs(np.imag(v))),

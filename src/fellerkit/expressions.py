@@ -99,24 +99,7 @@ def _build(node: ast.AST, variables: tuple[str, ...], used: set[str]):
     raise ExpressionError(f"syntax element {type(node).__name__} not allowed")
 
 
-def compile_expression(source: str, variables: tuple[str, ...]):
-    """Compile ``source`` to a vectorized callable of the named variables.
-
-    The returned function takes the variables as positional numpy arrays
-    (or scalars) and broadcasts elementwise.  Its ``used`` attribute is the
-    set of those variables that the expression names.
-    """
-    if not isinstance(source, str):
-        raise ExpressionError(f"expected an expression string, got {type(source).__name__}")
-    variables = tuple(variables)
-    used: set[str] = set()
-    try:
-        value = _build(ast.parse(source, mode="eval").body, variables, used)
-    except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse {source!r}: {exc.msg}") from None
-    except ArithmeticError as exc:  # from a subtree computed while building
-        raise ExpressionError(f"cannot evaluate {source!r}: {exc}") from None
-
+def _evaluator(source: str, variables: tuple[str, ...], value, used: set[str]):
     def evaluate(*args):
         if len(args) != len(variables):
             raise TypeError(f"expected {len(variables)} arguments, got {len(args)}")
@@ -125,4 +108,39 @@ def compile_expression(source: str, variables: tuple[str, ...]):
     evaluate.source = source
     evaluate.variables = variables
     evaluate.used = frozenset(used)
+    return evaluate
+
+
+def compile_expression(source: str, variables: tuple[str, ...]):
+    """Compile ``source`` to a vectorized callable of the named variables.
+
+    The returned function takes the variables as positional numpy arrays
+    (or scalars) and broadcasts elementwise.  Its ``used`` attribute is the
+    set of those variables that the expression names.  When the root of
+    the expression is a product ``L * R``, its ``factors`` attribute holds
+    the compiled operands L and R, callables of the same variables, each
+    with its own ``used``.
+    """
+    if not isinstance(source, str):
+        raise ExpressionError(f"expected an expression string, got {type(source).__name__}")
+    variables = tuple(variables)
+    parts = []  # (node, part, used) per operand of a product at the root, else of the root
+    try:
+        root = ast.parse(source, mode="eval").body
+        product = isinstance(root, ast.BinOp) and isinstance(root.op, ast.Mult)
+        for node in (root.left, root.right) if product else (root,):
+            used: set[str] = set()
+            parts.append((node, _build(node, variables, used), used))
+        value = _apply(operator.mul, [part for _, part, _ in parts]) if product else parts[0][1]
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse {source!r}: {exc.msg}") from None
+    except ArithmeticError as exc:  # from a subtree computed while building
+        raise ExpressionError(f"cannot evaluate {source!r}: {exc}") from None
+
+    evaluate = _evaluator(source, variables, value, set().union(*(used for *_, used in parts)))
+    if product:
+        evaluate.factors = tuple(
+            _evaluator(ast.get_source_segment(source, node), variables, part, used)
+            for node, part, used in parts
+        )
     return evaluate

@@ -70,17 +70,28 @@ def _coeff_of_x(fn, d: int, extra: tuple[str, ...] = (), *, points: tuple[str, .
     on the state: a number cannot, an expression can exactly when it names
     x (x1..xd), and a callable is assumed to.  Anything else raises
     :class:`ConfigError`.
+
+    An expression's ``evaluate`` has ``reads``, one bool per name in
+    ``points`` that tells whether it names that point, and ``factors``: the
+    operands of a product at its root (see :func:`compile_expression`),
+    each taking the same arguments and with its own ``reads``, or ().
     """
     if isinstance(fn, str):
         groups = [(p,) if d == 1 else tuple(f"{p}{i + 1}" for i in range(d)) for p in points]
-        compiled = compile_expression(fn, sum(groups, ()) + tuple(extra))
         k = len(points)
 
-        def evaluate(*args):
-            comps = tuple(a[..., i] for a in args[:k] for i in range(d))
-            return compiled(*comps, *args[k:])
+        def by_points(compiled):
+            def evaluate(*args):
+                comps = tuple(a[..., i] for a in args[:k] for i in range(d))
+                return compiled(*comps, *args[k:])
 
-        return evaluate, not compiled.used.isdisjoint(groups[0])
+            evaluate.reads = tuple(not compiled.used.isdisjoint(g) for g in groups)
+            return evaluate
+
+        compiled = compile_expression(fn, sum(groups, ()) + tuple(extra))
+        evaluate = by_points(compiled)
+        evaluate.factors = tuple(map(by_points, getattr(compiled, "factors", ())))
+        return evaluate, evaluate.reads[0]
     if callable(fn):
         return fn, True
     if not isinstance(fn, numbers.Real) or isinstance(fn, bool):
@@ -278,24 +289,41 @@ def closed_form_symbol(
     ``radial_in_xi`` declares that p depends on xi through |xi| alone; it
     is checked by :func:`_check_radial` at a few fixed points, and a
     mismatch raises :class:`ConfigError`.  Passing is no certificate.
+
+    When ``re`` is an expression a(x) * psi(xi), in either order, with one
+    factor naming no xi variable and the other no x variable, and ``im`` is
+    absent, the evaluator has ``factors = (a, psi)``: evaluators of each
+    factor alone, taking and answering as the evaluator does, from which
+    the grid envelope reads q_inf with one search over x.
     """
     re_fn, re_x = _coeff_of_x(re, dimension, points=("x", "xi"))
     im_fn, im_x = (None, False) if im is None else _coeff_of_x(im, dimension, points=("x", "xi"))
     any_callable = callable(re) or callable(im)
 
-    def evaluator(xp, xip):
-        shape = np.broadcast_shapes(np.shape(xp), np.shape(xip))[:-1]
-        xb, xib = np.broadcast_arrays(xp, xip) if any_callable else (xp, xip)
+    def evaluator_of(re_fn, im_fn):
+        def evaluator(xp, xip):
+            shape = np.broadcast_shapes(np.shape(xp), np.shape(xip))[:-1]
+            xb, xib = np.broadcast_arrays(xp, xip) if any_callable else (xp, xip)
 
-        def part(fn, given):
-            return fn(xb, xib) if callable(given) else fn(xp, xip)
+            def part(fn, given):
+                return fn(xb, xib) if callable(given) else fn(xp, xip)
 
-        val = np.asarray(part(re_fn, re))
-        if im_fn is not None:
-            val = np.asarray(val, dtype=complex) + 1j * np.asarray(part(im_fn, im), dtype=float)
-        elif not np.iscomplexobj(val):
-            val = val.astype(float, copy=False)
-        return val if val.shape == shape else np.broadcast_to(val, shape).copy()
+            val = np.asarray(part(re_fn, re))
+            if im_fn is not None:
+                val = np.asarray(val, dtype=complex) + 1j * np.asarray(part(im_fn, im), dtype=float)
+            elif not np.iscomplexobj(val):
+                val = val.astype(float, copy=False)
+            return val if val.shape == shape else np.broadcast_to(val, shape).copy()
+
+        return evaluator
+
+    evaluator = evaluator_of(re_fn, im_fn)
+    if isinstance(re, str) and im is None and re_fn.factors:
+        for a, psi in (re_fn.factors, re_fn.factors[::-1]):
+            # (x, xi) of ``reads``: a names no xi, psi no x
+            if not a.reads[1] and not psi.reads[0]:
+                evaluator.factors = (evaluator_of(a, None), evaluator_of(psi, None))
+                break
 
     model = SymbolModel(
         kind="closed_form",

@@ -5,9 +5,13 @@ larger exponent inside the unit ball and the smaller one outside, the
 upper envelope the other way around.
 """
 
+import contextlib
 import inspect
+import io
+import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fellerkit as fk
-from fellerkit import envelopes
+from fellerkit import cli, envelopes
 from fellerkit.envelopes import _GridOptimizer
 
 
@@ -177,6 +181,137 @@ class TestGridEnvelope:
             )
 
 
+_NORM = "(xi1**2 + xi2**2)"
+# closed-form products a(x) psi(xi): the product symbols of
+# _open_grid_mismatches, a psi-first spelling and a psi that is negative
+# on half of the frequencies
+_PRODUCTS = {
+    "sin": (f"(1.25 + 0.5*sin(x1)*cos(x2)) * {_NORM}**0.75", 2),
+    "cos": (f"(2 + cos(x2)*x1) * {_NORM}", 2),
+    "exp": (f"exp(0.3*x2 - x1**2) * {_NORM}**0.6", 2),
+    "log": (f"log(2 + sin(x1) + x2**2) * {_NORM}", 2),
+    "abs": ("(1 + abs(x1 - 3)) * abs(xi1 + xi2)", 2),
+    "min": (f"min(1 + x1, 2 + x2, 4) * {_NORM}", 2),
+    "max": (f"max(1, x1*x2, 0.5) * {_NORM}**0.5", 2),
+    "d1": ("(1.5 + sin(x)) * abs(xi)**1.5", 1),
+    "d3": ("(1.25 + 0.5*sin(x1)*cos(x2)*cos(x3)) * (xi1**2 + xi2**2 + xi3**2)**0.75", 3),
+    "psi first": (f"{_NORM}**0.75 * (1.25 + 0.5*sin(x1)*cos(x2))", 2),
+    "negative psi": ("(1.25 + 0.5*sin(x1)*cos(x2)) * (xi1 - 2*xi2)", 2),
+}
+
+
+def _per_frequency(model):
+    """The model with an evaluator that has no ``factors``: its grid
+    envelope searches over x for each frequency."""
+    return replace(model, evaluator=lambda x, xi: model.evaluator(x, xi))
+
+
+class TestProductEnvelope:
+    """For p(x, xi) = a(x) psi(xi) the grid envelope searches a once for
+    every frequency, and q_inf has the bits of the search for each one."""
+
+    @pytest.mark.parametrize("name", sorted(_PRODUCTS))
+    @pytest.mark.parametrize("tail", ["periodic", "constant_at_infinity"])
+    @pytest.mark.parametrize("resolution", [9, 17])
+    def test_same_bits_as_the_search_for_each_frequency(self, name, tail, resolution):
+        re, d = _PRODUCTS[name]
+        model = fk.closed_form_symbol(re, dimension=d)
+        assert hasattr(model.evaluator, "factors")
+        rng = np.random.default_rng(7)
+        # xi = 0 first: where inf a < 0 ("cos", "min") the product there is -0.0
+        xi = np.concatenate([np.zeros((1, d)), rng.uniform(-4.0, 4.0, (60, d))])
+        box = [(0.0, 2.0 * math.pi)] * d
+        product, search = (
+            fk.build_envelope(m, box, resolution, tail).q_inf(xi) for m in (model, _per_frequency(model))
+        )
+        assert product.tobytes() == search.tobytes()
+
+    @pytest.mark.parametrize("re", [
+        "(1.5 + sin(x)) * log(xi)",  # psi is NaN at xi = -1 and -inf at 0
+        "exp(800*cos(x)) * abs(xi)**1.5",  # a is inf on mesh nodes: NaN at xi = 0
+    ])
+    def test_factors_that_are_not_finite(self, re):
+        model = fk.closed_form_symbol(re)
+        xi = np.array([-1.0, 0.0, 0.5, 2.0])
+        box = [(0.0, 2.0 * math.pi)]
+        with np.errstate(all="ignore"):
+            product, search = (
+                fk.build_envelope(m, box, 9, "periodic").q_inf(xi) for m in (model, _per_frequency(model))
+            )
+        assert product.tobytes() == search.tobytes()
+        assert not np.isfinite(product[1])
+
+    @pytest.mark.parametrize("name", ["with_im", "callable", "pow", "symmetrized", "subordinated"])
+    def test_other_symbols_search_each_frequency(self, name, monkeypatch):
+        with_im = fk.closed_form_symbol(f"(1.25 + 0.5*sin(x1)) * {_NORM}", "0.3*cos(x2)*xi1", dimension=2)
+        product = fk.closed_form_symbol(_PRODUCTS["sin"][0], dimension=2)
+        model = {
+            "with_im": lambda: with_im,
+            "callable": lambda: fk.closed_form_symbol(
+                lambda x, xi: (1.25 + 0.5 * np.sin(x[..., 0])) * np.hypot(xi[..., 0], xi[..., 1]),
+                dimension=2,
+            ),
+            # a root product whose xi factor names x1
+            "pow": lambda: fk.closed_form_symbol(
+                f"(1 + x1**2)**(0.5 + 0.2*sin(x2)) * {_NORM}**(0.6 + 0.1*cos(x1))", dimension=2
+            ),
+            "symmetrized": lambda: fk.symmetrize(product),
+            "subordinated": lambda: fk.subordinate(
+                fk.brownian(2), "(1 + 0.5*sin(x1)*cos(x2)) * s / (1 + s)", growth_constant=2.0
+            ),
+        }[name]()
+        products = []
+        real = envelopes._product_q_inf
+        monkeypatch.setattr(envelopes, "_product_q_inf", lambda *a: products.append(1) or real(*a))
+        box = [(0.0, 2.0 * math.pi)] * 2
+        fk.build_envelope(product, box, 9, "periodic")
+        assert products == [1]
+        env = fk.build_envelope(model, box, 9, "periodic")
+        assert products == [1] and not hasattr(model.evaluator, "factors")
+        xi = np.array([[0.5, -1.0], [2.0, 3.0]])
+        search = fk.build_envelope(_per_frequency(model), box, 9, "periodic")
+        assert env.q_inf(xi).tobytes() == search.q_inf(xi).tobytes()
+
+    @staticmethod
+    def _analyze(tmp_path, radial=True):
+        """The report of ``fellerkit analyze`` on grid_envelope_2d's config."""
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({
+            "symbol": {
+                "type": "closed_form", "dimension": 2, "radial_in_xi": radial,
+                "re": _PRODUCTS["sin"][0],
+            },
+            "envelope": {
+                "method": "grid", "x_domain": [[0.0, 2.0 * math.pi]] * 2, "resolution": 33,
+                "tail": "periodic",
+            },
+            "criteria": {
+                "run": ["ultracontractivity", "transience", "local_times"],
+                "heat_times": [1.0], "occupation_radii": [1.0],
+            },
+        }))
+        out = tmp_path / f"out-{radial}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text())
+
+    def test_grid_envelope_2d_searches_x_in_few_calls(self, tmp_path, monkeypatch):
+        # the search for each frequency made 363 calls here: 2693 frequencies
+        calls = []
+        scores = _GridOptimizer._scores
+        monkeypatch.setattr(_GridOptimizer, "_scores", lambda *a: calls.append(1) or scores(*a))
+        self._analyze(tmp_path)
+        assert 0 < len(calls) <= 40
+
+    def test_without_radial_in_xi_the_verdicts_of_the_radial_run(self, tmp_path):
+        # each direction of the non-radial walk reads psi alone; the search
+        # for each frequency took about 54 s here
+        radial, directions = self._analyze(tmp_path), self._analyze(tmp_path, radial=False)
+        assert [c["verdict"] for c in directions["criteria"]] == [
+            c["verdict"] for c in radial["criteria"]
+        ]
+
+
 _REDUCTIONS = {
     "q_inf": np.real,
     "q_sup": lambda v: -np.abs(v),
@@ -200,7 +335,7 @@ def _product_symbol(d: int, shift: float, coupling: float = 0.0):
 
 def _optimizer(model, resolution, tail, refine_rounds):
     box = [(0.0, 2.0 * math.pi)] * model.dimension
-    return _GridOptimizer(model, box, resolution, tail == "periodic", refine_rounds)
+    return _GridOptimizer(model.evaluator, model.dimension, box, resolution, tail == "periodic", refine_rounds)
 
 
 def _every_round(opt, xi, reduce_fn):
@@ -550,11 +685,12 @@ class TestRealScoring:
 
 
 def _open_grid_mismatches():
-    """The (symbol, grid) pairs whose evaluation on an open grid differs in
-    any bit (or in shape or dtype) from the evaluation on its dense points,
-    for every evaluator kind the grid envelope reaches: mesh blocks as the
-    grid pass builds them, and sweep probes with one coordinate varying
-    along each row."""
+    """The (symbol, grid, evaluator) triples whose evaluation on an open grid
+    differs in any bit (or in shape or dtype) from the evaluation on its
+    dense points, for every evaluator kind the grid envelope reaches, a
+    product's factors included (evaluator 0 is the model's, 1 and 2 its
+    factors): mesh blocks as the grid pass builds them, and sweep probes
+    with one coordinate varying along each row."""
     import numpy as np
 
     import fellerkit as fk
@@ -616,9 +752,13 @@ def _open_grid_mismatches():
             dense = np.asarray(x)
             if dense.shape != x.shape:
                 wrong.append((name, kind, "shape"))
-            got, want = np.asarray(model.evaluator(x, xis)), np.asarray(model.evaluator(dense, xis))
-            if (got.shape, got.dtype, got.tobytes()) != (want.shape, want.dtype, want.tobytes()):
-                wrong.append((name, kind))
+            # a product's factors are evaluators too: the grid envelope
+            # searches a(x) alone on the same grids
+            evaluators = (model.evaluator, *getattr(model.evaluator, "factors", ()))
+            for part, evaluator in enumerate(evaluators):
+                got, want = np.asarray(evaluator(x, xis)), np.asarray(evaluator(dense, xis))
+                if (got.shape, got.dtype, got.tobytes()) != (want.shape, want.dtype, want.tobytes()):
+                    wrong.append((name, kind, part))
     return wrong
 
 

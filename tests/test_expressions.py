@@ -99,6 +99,24 @@ def test_compiled_function_records_the_variables_it_names(source, used):
     assert compile_expression(source, ("x1", "x2", "xi")).used == used
 
 
+@pytest.mark.parametrize("source, factors", [
+    ("(1 + sin(x1)) * xi**2", [("1 + sin(x1)", {"x1"}), ("xi**2", {"xi"})]),
+    ("2 * x1 * xi", [("2 * x1", {"x1"}), ("xi", {"xi"})]),
+    ("xi**2 * 3", [("xi**2", {"xi"}), ("3", set())]),
+])
+def test_a_product_at_the_root_keeps_its_operands(source, factors):
+    f = compile_expression(source, ("x1", "xi"))
+    assert [(g.source, g.used) for g in f.factors] == factors
+    x1, xi = np.array([0.3, 1.7]), np.array([-2.0, 0.5])
+    left, right = (g(x1, xi) for g in f.factors)
+    assert np.array_equal(left * right, f(x1, xi))
+
+
+@pytest.mark.parametrize("source", ["x1 + xi", "-(x1 * xi)", "(x1 * xi)**2", "x1 / xi"])
+def test_no_product_at_the_root_has_no_factors(source):
+    assert not hasattr(compile_expression(source, ("x1", "xi")), "factors")
+
+
 def test_unary_and_arithmetic_operators():
     f = compile_expression("-x + 2*x - x/2 + x**2", ("x",))
     assert f(3.0) == pytest.approx(-3.0 + 6.0 - 1.5 + 9.0)

@@ -160,17 +160,71 @@ class TestClosedFormSpellings:
     @given(alpha=_exponent_in(0.3, 2.0), d=st.integers(1, 3))
     @_at_stable_cases
     def test_alpha_stable(self, alpha, d):
-        if d == 1:
-            re = f"abs(xi)**{alpha!r}"
-        else:
-            re = "(" + " + ".join(f"xi{i}**2" for i in range(1, d + 1)) + f")**({alpha!r}/2)"
-        symbol = {"type": "closed_form", "re": re, "dimension": d, "radial_in_xi": True}
+        symbol = {
+            "type": "closed_form", "re": _radial_power(alpha, d), "dimension": d, "radial_in_xi": True,
+        }
         verdicts, bounds = _verdicts_and_heat_bounds({"symbol": symbol})
         family_verdicts, family_bounds = _verdicts_and_heat_bounds(_alpha_stable(alpha, d))
         assert verdicts == family_verdicts
         assert bounds.keys() == family_bounds.keys()
         for t, bound in bounds.items():
             assert math.isclose(bound, family_bounds[t], rel_tol=1e-12, abs_tol=0.0), t
+
+
+    @pytest.mark.parametrize("re, family", [
+        ("xi1**2 + xi2**2", {"type": "brownian", "dimension": 2}),
+        ("(xi1**2 + xi2**2)**0.5", {"type": "cauchy", "dimension": 2}),
+    ])
+    def test_brownian_and_cauchy(self, re, family):
+        symbol = {"type": "closed_form", "re": re, "dimension": 2, "radial_in_xi": True}
+        assert _verdicts({"symbol": symbol}) == _verdicts({"symbol": family})
+
+
+def _radial_power(alpha: float, d: int) -> str:
+    """|xi|^alpha as an expression."""
+    if d == 1:
+        return f"abs(xi)**{alpha!r}"
+    return "(" + " + ".join(f"xi{i}**2" for i in range(1, d + 1)) + f")**({alpha!r}/2)"
+
+
+class TestProductsOfAStateFactor:
+    """p(x, xi) = (c + b sin(x1)) |xi|^alpha on a periodic box has q_inf =
+    (c - |b|) |xi|^alpha: alpha-stable's verdicts, and at time t
+    alpha-stable's heat bound at time (c - |b|) t."""
+
+    @sweep
+    @given(
+        alpha=_exponent_in(0.3, 1.95),
+        d=st.integers(1, 3),
+        c=_exponent_in(0.5, 3.0),
+        share=_exponent_in(-0.9, 0.9),
+    )
+    @example(alpha=1.5, d=2, c=1.25, share=0.4)  # grid_envelope_2d's symbol, with b = 0.5
+    @example(alpha=0.7, d=1, c=2.0, share=-0.9)
+    @example(alpha=1.5, d=3, c=1.0, share=0.5)
+    def test_the_report_of_alpha_stable_at_a_scaled_time(self, alpha, d, c, share):
+        b = share * c
+        times = [0.1, 1.0, 10.0]
+        x1 = "x" if d == 1 else "x1"
+        config = {
+            "symbol": {
+                "type": "closed_form", "re": f"({c!r} + {b!r}*sin({x1})) * {_radial_power(alpha, d)}",
+                "dimension": d, "radial_in_xi": True,
+            },
+            "envelope": {
+                "method": "grid", "x_domain": [[0.0, 2.0 * math.pi]] * d, "tail": "periodic",
+            },
+            "criteria": {"heat_times": times},
+        }
+        stable = _alpha_stable(alpha, d)
+        stable["criteria"] = {"heat_times": [(c - abs(b)) * t for t in times]}
+        verdicts, bounds = _verdicts_and_heat_bounds(config)
+        family_verdicts, family_bounds = _verdicts_and_heat_bounds(stable)
+        assert verdicts == family_verdicts
+        assert len(bounds) == len(family_bounds) == len(times)
+        assert all(map(math.isfinite, bounds.values()))
+        for t, bound, family_bound in zip(times, bounds.values(), family_bounds.values()):
+            assert math.isclose(bound, family_bound, rel_tol=1e-12, abs_tol=0.0), t
 
 
 class TestCompoundPoissonHasNoDensity:

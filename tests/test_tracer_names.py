@@ -44,12 +44,15 @@ def test_envelope_query_resolves(query):
 def test_a_traced_grid_analyze_counts_the_same_symbol_points(tmp_path):
     # the tracer reads np.ndim and np.shape of the evaluator's x, which the
     # grid envelope passes as an open grid; in a fresh interpreter, since
-    # install() rebinds fellerkit's entry points for good
+    # install() rebinds fellerkit's entry points for good.  The symbol is no
+    # product a(x) psi(xi), whose q_inf searches a(x) through its factor
+    # rather than the model's evaluator: here every frequency's search goes
+    # through the evaluator that the tracer wraps
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({
         "symbol": {
             "type": "closed_form", "dimension": 2, "radial_in_xi": True,
-            "re": "(1.25 + 0.5*sin(x1)*cos(x2)) * (xi1**2 + xi2**2)**0.75",
+            "re": "(xi1**2 + xi2**2)**(0.75 + 0.05*sin(x1)*cos(x2))",
         },
         "envelope": {
             "method": "grid", "x_domain": [[0.0, 6.283185307179586]] * 2, "resolution": 17,
@@ -58,20 +61,27 @@ def test_a_traced_grid_analyze_counts_the_same_symbol_points(tmp_path):
         "criteria": {"heat_times": [1.0], "occupation_radii": [1.0]},
     }))
     probe = f"""
-import contextlib, importlib.util, io
+import contextlib, importlib.util, io, math
+import numpy as np
 spec = importlib.util.spec_from_file_location("perfbench_tracer", {str(TRACER)!r})
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
 from fellerkit import cli, envelopes
-# an independent count of the grid search's evaluator calls, wrapped
-# before install() wraps the evaluator itself
+# an independent count of the grid search's evaluator calls and of the
+# points they score, wrapped before install() wraps the evaluator itself
 scores, calls = envelopes._GridOptimizer._scores, []
-envelopes._GridOptimizer._scores = lambda *args: calls.append(1) or scores(*args)
+
+def counted(opt, x, xi, reduce_fn):
+    calls.append(math.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(xi)[:-1])))
+    return scores(opt, x, xi, reduce_fn)
+
+envelopes._GridOptimizer._scores = counted
 run = tracer.install("test")
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(["analyze", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}])
 metrics = run.metrics()
-print(rc, metrics["symbols.evaluator_calls"] == len(calls) > 0, metrics["symbols.points"])
+print(rc, metrics["symbols.evaluator_calls"] == len(calls) > 0,
+      metrics["symbols.points"] == sum(calls), metrics["symbols.points"])
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
@@ -79,6 +89,6 @@ print(rc, metrics["symbols.evaluator_calls"] == len(calls) > 0, metrics["symbols
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.returncode == 0, out.stderr
-    # the points of the dense x-search, which scored the same points; the
-    # number of calls follows how many shells a walk round holds
-    assert out.stdout.split() == ["0", "True", "2878817"]
+    # the tracer's count of points equals the wrapper's; the number of calls
+    # follows how many shells a walk round holds
+    assert out.stdout.split() == ["0", "True", "True", "3641823"]
